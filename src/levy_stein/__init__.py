@@ -16,7 +16,7 @@ from .dist_catalog import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
                            vgd_to_alt)
 from .errors import (AtomicMeasure, DivergentMoment, InvalidParams,
                      LevySteinError, NonConvergence, NumericFailure,
-                     ParseError, UnsupportedPower, ValidationError,
+                     ParseError, ValidationError,
                      ValidationFailure, ZeroDenominator)
 from .functions import (G_REGISTRY, W_REGISTRY, TestFunction, get_function,
                         make_exp_tilt, make_shift)
@@ -25,20 +25,20 @@ from .identities import (JointPairSampler, cov_first_order, cov_identity_rhs,
                          stein_residual_cgmy, stein_residual_vgd)
 from .levy_core import (BiasVariable, LevyMeasure, QuadratureConfig,
                         TailIntegral, TiltedPowerSide, bias_density,
-                        bias_sampler, cumulant, eta, eta_rule,
-                        integrate_levy, nu_rule, tilted_first_moment_delta)
+                        cumulant, eta, eta_rule, integrate_levy, nu_rule,
+                        tilted_first_moment_delta)
 from .mc import MCConfig, MCEstimate, combine_se, mc_cov, mc_mean, mc_ratio, mc_variance
 
 __all__ = [
     "__version__",
     # errors
     "LevySteinError", "ValidationFailure", "NumericFailure", "InvalidParams",
-    "AtomicMeasure", "UnsupportedPower", "ZeroDenominator", "ParseError",
+    "AtomicMeasure", "ZeroDenominator", "ParseError",
     "ValidationError", "NonConvergence", "DivergentMoment",
     # core
     "QuadratureConfig", "TiltedPowerSide", "LevyMeasure", "TailIntegral",
     "eta", "integrate_levy", "cumulant", "BiasVariable", "bias_density",
-    "bias_sampler", "nu_rule", "eta_rule", "tilted_first_moment_delta",
+    "nu_rule", "eta_rule", "tilted_first_moment_delta",
     # catalog
     "IDDSpec", "Poisson", "CompoundPoisson", "AtomicJumps", "GammaJumps",
     "Gamma", "InverseGaussian", "Laplace", "TwoSidedExp", "BGD", "VGD",

@@ -98,9 +98,8 @@ def esscher_closed(base: IDDSpec, kappa: float,
                    cfg: QuadratureConfig = DEFAULT_QUAD) -> PremiumReport:
     """Esscher premium H(kappa) = E(X) + int u (e^{kappa u} - 1) nu(du).
 
-    Closed form whenever the measure has tilted-power structure or atoms
-    (every catalog family); quadrature otherwise. kappa must stay inside
-    the convergence strip with a margin.
+    Closed form for every catalog family, through the tilted first moment
+    of nu. kappa must stay inside the convergence strip with a margin.
     """
     if kappa <= 0:
         raise InvalidParams("esscher tilt kappa must be strictly positive")
@@ -109,9 +108,9 @@ def esscher_closed(base: IDDSpec, kappa: float,
         raise InvalidParams(
             f"esscher tilt kappa={kappa} beyond {TILT_MARGIN} * kappa_max "
             f"= {TILT_MARGIN * kmax:.6g} for this family")
-    delta, method = tilted_first_moment_delta(base.measure, kappa, cfg)
+    delta = tilted_first_moment_delta(base.measure, kappa, cfg)
     return PremiumReport(principle=f"esscher({kappa:g})",
-                         value=base.mean(cfg) + delta, method=method)
+                         value=base.mean(cfg) + delta, method="closed_form")
 
 
 def modified_variance(base: IDDSpec,
@@ -119,9 +118,8 @@ def modified_variance(base: IDDSpec,
     """H = E(X) + Var(X)/E(X) from cumulants."""
     mu = _nonzero_mean(base, cfg)
     var = base.variance(cfg)
-    method = "closed_form" if base.closed_cumulant(2) is not None else "numeric"
     return PremiumReport(principle="modified_variance", value=mu + var / mu,
-                         method=method)
+                         method="closed_form")
 
 
 def raw_moment(base: IDDSpec, n: int,
@@ -130,12 +128,7 @@ def raw_moment(base: IDDSpec, n: int,
     m_j = sum_i C(j-1, i-1) c_i m_{j-i}."""
     if n < 1:
         raise InvalidParams("moment order must be a positive integer")
-    cums = []
-    for k in range(1, n + 1):
-        c = base.closed_cumulant(k)
-        if c is None:
-            c = base.mean(cfg) if k == 1 else base.measure.moment(k, cfg)
-        cums.append(c)
+    cums = [base.closed_cumulant(k) for k in range(1, n + 1)]
     moments = [1.0]
     for j in range(1, n + 1):
         moments.append(sum(math.comb(j - 1, i - 1) * cums[i - 1] * moments[j - i]

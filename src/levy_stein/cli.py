@@ -33,7 +33,7 @@ from .errors import (InvalidParams, NumericFailure, ParseError,
 from .functions import G_REGISTRY, W_REGISTRY, TestFunction, get_function
 from .identities import (cov_identity_rhs, cov_oracle, stein_residual_bgd,
                          stein_residual_cgmy, stein_residual_vgd)
-from .levy_core import DEFAULT_QUAD, QuadratureConfig, cumulant
+from .levy_core import QuadratureConfig, cumulant
 from .mc import MCConfig, MCEstimate, combine_se
 
 TOP_KEYS = ("distribution", "task", "mc", "quadrature", "output")
@@ -287,13 +287,9 @@ def _shift_seed(mc: MCConfig, offset: int) -> MCConfig:
 
 
 def _run_cumulants(spec: TaskSpec):
-    meas = spec.base.measure
-    closed = meas.is_atomic or meas.is_structured
-    rows = []
-    for k in range(1, spec.task["k_max"] + 1):
-        method = "closed_form" if (k == 1 or closed) else "numeric"
-        rows.append(_row(f"C{k}", cumulant(spec.base, k, spec.quadrature),
-                         method))
+    rows = [_row(f"C{k}", cumulant(spec.base, k, spec.quadrature),
+                 "closed_form")
+            for k in range(1, spec.task["k_max"] + 1)]
     return rows, []
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from typing import ClassVar, Optional, Tuple, Union
+from typing import ClassVar, Tuple, Union
 
 import numpy as np
 from scipy import integrate
@@ -112,9 +112,9 @@ class IDDSpec:
     def cdf(self, x: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
         raise NotImplementedError
 
-    def closed_cumulant(self, k: int) -> Optional[float]:
-        """C_k in closed form, or None when the family has none."""
-        return None
+    def closed_cumulant(self, k: int) -> float:
+        """C_k in closed form (C_1 is the mean)."""
+        raise NotImplementedError
 
     @property
     def drift0(self) -> float:
@@ -124,10 +124,7 @@ class IDDSpec:
     # -- shared machinery ----------------------------------------------------
 
     def variance(self, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-        c2 = self.closed_cumulant(2)
-        if c2 is not None:
-            return c2
-        return self.measure.moment(2, cfg)
+        return self.closed_cumulant(2)
 
     def std(self, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
         return math.sqrt(self.variance(cfg))
@@ -146,10 +143,8 @@ class IDDSpec:
         Atomic and purely negative measures tilt for every kappa > 0; a
         tilted-power positive side caps it at its decay rate.
         """
-        m = self.measure
-        if not m.is_atomic and m.pos_structure is not None:
-            return m.pos_structure.rate
-        return math.inf
+        pos = self.measure.pos_structure
+        return pos.rate if pos is not None else math.inf
 
     def tail_rates(self) -> Tuple[float, float]:
         """(left, right) exponential decay rates of the Lévy tails."""
@@ -953,6 +948,11 @@ class CGMY(IDDSpec):
     alpha |u|^{-1-beta} (e^{-lam_pos u} 1_{u>0} + e^{-lam_neg |u|} 1_{u<0}),
     0 <= beta < 1, uncompensated (no drift constant). beta = 0 recovers the
     variance gamma law with mu0 = 0.
+
+    For beta > 0 the sampler is approximate (Asmussen-Rosinski): jumps below
+    eps = 1e-3 are replaced by a Gaussian with their mean and variance, and
+    jumps above eps are drawn from a 2048-knot PCHIP inverse-cdf table. At
+    beta = 0 it is the exact difference of two gamma variates.
     """
 
     alpha: float
@@ -1022,7 +1022,11 @@ class CGMY(IDDSpec):
 @dataclass(frozen=True)
 class GTSD(IDDSpec):
     """Generalized tempered stable, compensated: drift mu equals the mean,
-    sides may carry different coefficients and tilts."""
+    sides may carry different coefficients and tilts.
+
+    For beta > 0 the sampler is approximate, the same small-jump Gaussian
+    and inverse-cdf table as CGMY; at beta = 0 it is exact.
+    """
 
     mu: float
     beta: float

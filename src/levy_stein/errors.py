@@ -25,10 +25,6 @@ class AtomicMeasure(ValidationFailure):
     """Operation requires an absolutely continuous measure."""
 
 
-class UnsupportedPower(ValidationFailure):
-    """No closed parameter map for the requested convolution power."""
-
-
 class ZeroDenominator(ValidationFailure):
     """A ratio's denominator is zero (or numerically indistinguishable)."""
 

@@ -10,22 +10,21 @@ The sign of eta_k- is stored exactly as defined (with the leading minus), so
 eta_k is nonnegative on both sides for odd k; for even k the negative side
 can be negative. That is a feature of the definition, not a bug.
 
-Measures carry an optional structural hint per side (tilted-power form
-alpha |u|^{-1-beta} e^{-rate |u|}), which unlocks closed-form tail integrals
-and moments through the upper incomplete gamma function; every catalog
-family is of this form. Generic callable densities fall back to adaptive
-quadrature.
+A measure is either finitely many atoms or one tilted-power side per
+half-line (density alpha |u|^{-1-beta} e^{-rate |u|}); every catalog family
+is one of the two. Tail integrals and moments then have closed forms
+through the upper incomplete gamma function, and adaptive quadrature of
+the density is kept only as an independent oracle for them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaln
 
 from .errors import (
@@ -46,7 +45,6 @@ __all__ = [
     "eta",
     "cumulant",
     "bias_density",
-    "bias_sampler",
     "nu_rule",
     "eta_rule",
     "tilted_first_moment_delta",
@@ -136,62 +134,42 @@ class TiltedPowerSide:
 
 
 class LevyMeasure:
-    """A Lévy measure on R \\ {0}: absolutely continuous or atomic.
+    """A Lévy measure on R \\ {0}: finitely many atoms, or one tilted-power
+    side per half-line (either side may be absent).
 
-    Absolutely continuous measures hold one density per side (either may be
-    absent) plus optional tilted-power structure; atomic measures hold point
-    masses. Atom tail sums use the open-interval convention: eta_k+(u) sums
-    atoms with location strictly greater than u (mirrored on the left), so
-    eta vanishes at the atom itself.
+    Build it with `atomic` or `from_tilted`. Atom tail sums use the
+    open-interval convention: eta_k+(u) sums atoms with location strictly
+    greater than u (mirrored on the left), so eta vanishes at the atom
+    itself.
     """
 
-    ABSOLUTELY_CONTINUOUS = "absolutely_continuous"
-    ATOMIC = "atomic"
-
-    def __init__(self, kind, pos_density=None, neg_density=None, atoms=None,
-                 pos_structure=None, neg_structure=None, _skip_check=False):
-        self.kind = kind
-        self.pos_density = pos_density
-        self.neg_density = neg_density
-        self.pos_structure = pos_structure
-        self.neg_structure = neg_structure
-        if kind == self.ATOMIC:
-            atoms = tuple((float(l), float(m)) for l, m in (atoms or ()))
+    def __init__(self, atoms=None,
+                 pos_structure: Optional[TiltedPowerSide] = None,
+                 neg_structure: Optional[TiltedPowerSide] = None):
+        if (atoms is None) == (pos_structure is None and neg_structure is None):
+            raise InvalidParams(
+                "a Lévy measure holds either atoms or tilted-power sides")
+        if atoms is not None:
+            atoms = tuple((float(l), float(m)) for l, m in atoms)
             for loc, mass in atoms:
                 if loc == 0.0:
                     raise InvalidParams("atom location must be nonzero")
                 if mass <= 0.0:
                     raise InvalidParams("atom mass must be strictly positive")
-            self.atoms = atoms
-        elif kind == self.ABSOLUTELY_CONTINUOUS:
-            self.atoms = None
-            if pos_density is None and neg_density is None:
-                raise InvalidParams("need at least one side density")
-            if not _skip_check:
-                self._check_integrability()
-        else:
-            raise InvalidParams(f"unknown measure kind {kind!r}")
+        self.atoms = atoms
+        self.pos_structure = pos_structure
+        self.neg_structure = neg_structure
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def atomic(cls, atoms: Sequence[Tuple[float, float]]) -> "LevyMeasure":
-        return cls(cls.ATOMIC, atoms=atoms)
-
-    @classmethod
-    def from_densities(cls, pos_density=None, neg_density=None) -> "LevyMeasure":
-        """Generic absolutely continuous measure from plain callables.
-
-        neg_density is evaluated at u < 0. The Lévy integrability condition
-        int min(1, u^2) nu(du) < inf is checked numerically here.
-        """
-        return cls(cls.ABSOLUTELY_CONTINUOUS, pos_density=pos_density,
-                   neg_density=neg_density)
+        return cls(atoms=atoms)
 
     @classmethod
     def from_tilted(cls, pos: Optional[TiltedPowerSide] = None,
                     neg: Optional[TiltedPowerSide] = None) -> "LevyMeasure":
-        """Structured measure; sides with zero coefficient are dropped."""
+        """Tilted-power measure; sides with zero coefficient are dropped."""
         if pos is not None and pos.coef == 0.0:
             pos = None
         if neg is not None and neg.coef == 0.0:
@@ -199,30 +177,25 @@ class LevyMeasure:
         if pos is None and neg is None:
             # zero measure; representable as an empty atomic measure
             return cls.atomic(())
-        pos_density = pos.density if pos is not None else None
-        neg_density = (lambda u: neg.density(-np.asarray(u, dtype=float))) \
-            if neg is not None else None
-        return cls(cls.ABSOLUTELY_CONTINUOUS, pos_density=pos_density,
-                   neg_density=neg_density, pos_structure=pos,
-                   neg_structure=neg, _skip_check=True)
+        return cls(pos_structure=pos, neg_structure=neg)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_atomic(self) -> bool:
-        return self.kind == self.ATOMIC
+        return self.atoms is not None
 
     @property
     def has_pos(self) -> bool:
         if self.is_atomic:
             return any(loc > 0 for loc, _ in self.atoms)
-        return self.pos_density is not None
+        return self.pos_structure is not None
 
     @property
     def has_neg(self) -> bool:
         if self.is_atomic:
             return any(loc < 0 for loc, _ in self.atoms)
-        return self.neg_density is not None
+        return self.neg_structure is not None
 
     @property
     def support(self) -> str:
@@ -231,54 +204,21 @@ class LevyMeasure:
             return "both"
         return "positive" if self.has_pos else "negative"
 
-    @property
-    def is_structured(self) -> bool:
-        """True when every continuous side carries tilted-power structure."""
-        if self.is_atomic:
-            return True
-        ok_pos = self.pos_density is None or self.pos_structure is not None
-        ok_neg = self.neg_density is None or self.neg_structure is not None
-        return ok_pos and ok_neg
+    def sides(self):
+        """(sign, side) for each tilted-power side present, positive first."""
+        return [(sign, side) for sign, side in ((1.0, self.pos_structure),
+                                                (-1.0, self.neg_structure))
+                if side is not None]
 
     def density(self, u):
         if self.is_atomic:
             raise AtomicMeasure("atomic measures have no Lévy density")
         u = np.asarray(u, dtype=float)
         out = np.zeros_like(u)
-        pos = u > 0
-        neg = u < 0
-        if np.any(pos):
-            if self.pos_density is None:
-                out[pos] = 0.0
-            else:
-                out[pos] = self.pos_density(u[pos])
-        if np.any(neg):
-            if self.neg_density is None:
-                out[neg] = 0.0
-            else:
-                out[neg] = self.neg_density(u[neg])
-        if np.any(out < 0):
-            raise InvalidParams("Lévy density must be nonnegative")
+        for sign, side in self.sides():
+            on = sign * u > 0
+            out[on] = side.density(sign * u[on])
         return out
-
-    def _check_integrability(self):
-        """Numeric check of int min(1, u^2) nu(du) < inf for generic sides."""
-        for side, dens in (("pos", self.pos_density), ("neg", self.neg_density)):
-            if dens is None:
-                continue
-            sgn = 1.0 if side == "pos" else -1.0
-            try:
-                near, _ = integrate.quad(
-                    lambda u: u * u * float(dens(sgn * u)), 0.0, 1.0, limit=200)
-                far, _ = integrate.quad(
-                    lambda u: float(dens(sgn * u)), 1.0, np.inf, limit=200)
-            except Exception as exc:
-                raise InvalidParams(
-                    f"{side} density failed the Lévy integrability check: {exc}"
-                ) from None
-            if not (np.isfinite(near) and np.isfinite(far)):
-                raise InvalidParams(
-                    f"{side} density violates int min(1,u^2) nu(du) < inf")
 
     # -- moments -----------------------------------------------------------
 
@@ -286,9 +226,9 @@ class LevyMeasure:
                method: str = "auto") -> float:
         """int u^k nu(du) over the whole line, k >= 1.
 
-        method 'auto' prefers closed tilted-power formulas, 'quad' forces
-        adaptive quadrature (used by the closed-vs-quadrature checks),
-        'closed' raises if no structure is available.
+        method 'auto' and 'closed' use the closed tilted-power formulas,
+        'quad' forces adaptive quadrature of the density (used by the
+        closed-vs-quadrature checks).
         """
         if k < 1:
             raise InvalidParams("moment order must be a positive integer")
@@ -296,17 +236,9 @@ class LevyMeasure:
             return float(sum(mass * loc**k for loc, mass in self.atoms))
         if method not in ("auto", "quad", "closed"):
             raise InvalidParams(f"unknown moment method {method!r}")
-        use_closed = method != "quad" and self.is_structured
-        if method == "closed" and not self.is_structured:
-            raise InvalidParams("measure has no closed-form structure")
-        if use_closed:
-            total = 0.0
-            if self.pos_structure is not None:
-                total += self.pos_structure.moment(k)
-            if self.neg_structure is not None:
-                total += (-1.0) ** k * self.neg_structure.moment(k)
-            return total
-        return integrate_levy(self, lambda u: u**k, "both", cfg)
+        if method == "quad":
+            return integrate_levy(self, lambda u: u**k, "both", cfg)
+        return sum(sign**k * side.moment(k) for sign, side in self.sides())
 
 
 class TailIntegral:
@@ -335,11 +267,9 @@ class TailIntegral:
                 if loc > 0:
                     out = out + mass * loc**self.k * (u < loc)
             return out
-        if m.pos_density is None:
+        if m.pos_structure is None:
             return np.zeros_like(u)
-        if m.pos_structure is not None:
-            return m.pos_structure.tail(self.k, u)
-        return self._quad_tail(u, positive=True)
+        return m.pos_structure.tail(self.k, u)
 
     def neg(self, u):
         u = np.asarray(u, dtype=float)
@@ -352,12 +282,10 @@ class TailIntegral:
                 if loc < 0:
                     out = out - mass * loc**self.k * (loc < u)
             return out
-        if m.neg_density is None:
+        if m.neg_structure is None:
             return np.zeros_like(u)
-        if m.neg_structure is not None:
-            # int_{-inf}^u y^k nu(dy) = (-1)^k * (structured tail at |u|)
-            return (-1.0) ** (self.k + 1) * m.neg_structure.tail(self.k, -u)
-        return self._quad_tail(u, positive=False)
+        # int_{-inf}^u y^k nu(dy) = (-1)^k * (structured tail at |u|)
+        return (-1.0) ** (self.k + 1) * m.neg_structure.tail(self.k, -u)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -371,24 +299,6 @@ class TailIntegral:
         if np.any(neg):
             out[neg] = self.neg(u[neg])
         return out if out.ndim else float(out)
-
-    def _quad_tail(self, u, positive: bool):
-        k, cfg = self.k, self.cfg
-        if positive:
-            dens = self.measure.pos_density
-
-            def one(v):
-                val = _quad_improper(lambda y: y**k * float(dens(y)),
-                                     v, np.inf, cfg)
-                return val
-        else:
-            dens = self.measure.neg_density
-
-            def one(v):
-                val = _quad_improper(lambda y: y**k * float(dens(y)),
-                                     -np.inf, v, cfg)
-                return -val
-        return np.vectorize(one, otypes=[float])(u)
 
 
 def _quad_improper(f, a, b, cfg: QuadratureConfig) -> float:
@@ -411,11 +321,12 @@ def integrate_levy(measure: LevyMeasure, integrand: Callable[[float], float],
                    cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     """int integrand(u) nu(du) over the requested region.
 
-    Atomic measures are summed exactly. Continuous sides are integrated with
-    adaptive quadrature, split at |u| = 1 to isolate the origin panel where
-    the density may be singular. The integrand must make integrand * nu
-    absolutely integrable; catalog callers guarantee this by always carrying
-    a u^k factor, k >= 1.
+    Atomic measures are summed exactly. Continuous sides are integrated
+    against `measure.density` with adaptive quadrature, split at |u| = 1 to
+    isolate the origin panel where the density may be singular. This is the
+    independent oracle for the closed forms and fixed rules; the integrand
+    must make integrand * nu absolutely integrable, which catalog callers
+    guarantee by always carrying a u^k factor, k >= 1.
     """
     if region not in ("pos", "neg", "both"):
         raise InvalidParams(f"unknown region {region!r}")
@@ -426,24 +337,16 @@ def integrate_levy(measure: LevyMeasure, integrand: Callable[[float], float],
                 continue
             total += mass * float(integrand(loc))
         return total
-    total = 0.0
-    if region in ("pos", "both") and measure.pos_density is not None:
-        dens = measure.pos_density
 
-        def f(u):
-            return float(integrand(u)) * float(dens(u))
+    def f(u):
+        return float(integrand(u)) * float(measure.density(u))
 
-        total += _quad_improper(f, 0.0, 1.0, cfg)
-        total += _quad_improper(f, 1.0, np.inf, cfg)
-    if region in ("neg", "both") and measure.neg_density is not None:
-        dens = measure.neg_density
-
-        def f(u):
-            return float(integrand(u)) * float(dens(u))
-
-        total += _quad_improper(f, -np.inf, -1.0, cfg)
-        total += _quad_improper(f, -1.0, 0.0, cfg)
-    return total
+    pieces = []
+    if region != "neg" and measure.pos_structure is not None:
+        pieces += [(0.0, 1.0), (1.0, np.inf)]
+    if region != "pos" and measure.neg_structure is not None:
+        pieces += [(-np.inf, -1.0), (-1.0, 0.0)]
+    return sum((_quad_improper(f, a, b, cfg) for a, b in pieces), 0.0)
 
 
 def eta(measure: LevyMeasure, k: int, u: float,
@@ -481,14 +384,11 @@ class BiasVariable:
     positive. Even k off the positive half-line is rejected: eta_k then
     changes sign and is not a density.
 
-    Samplers are exact for structured/atomic measures via the
-    equilibrium-distribution factorization Y = U * V with U ~ U(0,1) and V
-    distributed as u^{k+1} nu(du) (normalized); generic densities fall back
-    to a tabulated inverse CDF over a monotone interpolant, built eagerly at
-    construction.
+    Samplers are exact, via the equilibrium-distribution factorization
+    Y = U * V with U ~ U(0,1) and V distributed as u^{k+1} nu(du)
+    (normalized): a discrete draw for atoms, a gamma draw for tilted-power
+    sides.
     """
-
-    TABLE_KNOTS = 4096
 
     def __init__(self, measure: LevyMeasure, k: int,
                  cfg: QuadratureConfig = DEFAULT_QUAD):
@@ -508,29 +408,15 @@ class BiasVariable:
         if not np.isfinite(self.normalizer) or self.normalizer <= 0:
             raise DivergentMoment(
                 f"bias normalizer C_{k+1} = {self.normalizer} is not positive")
-        self._pos_table = None
-        self._neg_table = None
-        if not measure.is_atomic:
-            if measure.pos_density is not None and measure.pos_structure is None:
-                self._pos_table = self._build_table(positive=True)
-            if measure.neg_density is not None and measure.neg_structure is None:
-                self._neg_table = self._build_table(positive=False)
 
     def _side_mass(self, positive: bool) -> float:
         """int over one side of |u|^{k+1} nu(du); the side's share of C_{k+1}."""
         m, k = self.measure, self.k
-        if positive and not m.has_pos:
-            return 0.0
-        if not positive and not m.has_neg:
-            return 0.0
         if m.is_atomic:
             return float(sum(mass * abs(loc) ** (k + 1) for loc, mass in m.atoms
                              if (loc > 0) == positive))
-        struct = m.pos_structure if positive else m.neg_structure
-        if struct is not None:
-            return struct.moment(k + 1)
-        region = "pos" if positive else "neg"
-        return abs(integrate_levy(m, lambda u: u ** (k + 1), region, self.cfg))
+        side = m.pos_structure if positive else m.neg_structure
+        return side.moment(k + 1) if side is not None else 0.0
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
@@ -540,7 +426,6 @@ class BiasVariable:
         return vals
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        m = self.measure
         p_pos = self._mass_pos / self.normalizer
         side_pos = rng.random(size) < p_pos
         u = rng.random(size)
@@ -563,56 +448,15 @@ class BiasVariable:
                           if (l > 0) == positive])
             cum = np.cumsum(w / w.sum())
             return locs[np.searchsorted(cum, rng.random(size))]
-        struct = m.pos_structure if positive else m.neg_structure
-        if struct is not None:
-            # u^{k+1} * u^{-1-beta} e^{-rate u} is a Ga(k+1-beta, rate) kernel
-            return rng.gamma(k + 1 - struct.beta, 1.0 / struct.rate, size)
-        table = self._pos_table if positive else self._neg_table
-        return table(rng.random(size))
-
-    def _build_table(self, positive: bool):
-        """Inverse CDF of |V| ~ |u|^{k+1} nu(du)/mass on a log-spaced grid."""
-        m, k, cfg = self.measure, self.k, self.cfg
-        sgn = 1.0 if positive else -1.0
-        dens = m.pos_density if positive else m.neg_density
-        mass = self._mass_pos if positive else self._mass_neg
-
-        def vd(t):  # density of |V|
-            return t ** (k + 1) * float(dens(sgn * t)) / mass
-
-        # locate a scale: grow until the remaining tail is negligible
-        hi = 1.0
-        while _quad_improper(vd, hi, np.inf, cfg) > 1e-14:
-            hi *= 2.0
-            if hi > 1e12:
-                raise NonConvergence("bias table: tail does not decay")
-        knots = np.concatenate(
-            [[0.0], np.geomspace(hi * 1e-9, hi, self.TABLE_KNOTS - 1)])
-        cdf = np.zeros_like(knots)
-        for i in range(1, knots.size):
-            cdf[i] = cdf[i - 1] + _quad_improper(vd, knots[i - 1], knots[i], cfg)
-        cdf /= cdf[-1]
-        keep = np.concatenate([[True], np.diff(cdf) > 1e-15])
-        interp = PchipInterpolator(cdf[keep], knots[keep], extrapolate=False)
-        lo_k, hi_k = cdf[keep][0], cdf[keep][-1]
-
-        def ppf(q):
-            q = np.clip(q, lo_k, hi_k)
-            return interp(q)
-
-        return ppf
+        side = m.pos_structure if positive else m.neg_structure
+        # u^{k+1} * u^{-1-beta} e^{-rate u} is a Ga(k+1-beta, rate) kernel
+        return rng.gamma(k + 1 - side.beta, 1.0 / side.rate, size)
 
 
 def bias_density(measure: LevyMeasure, k: int, y: float,
                  cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     """f_k(y) = eta_k(y) / C_{k+1}; see BiasVariable for the supported cases."""
     return float(BiasVariable(measure, k, cfg).density(np.asarray(y, dtype=float)))
-
-
-def bias_sampler(measure: LevyMeasure, k: int,
-                 cfg: QuadratureConfig = DEFAULT_QUAD):
-    """Returns sample(rng, size) drawing from f_k."""
-    return BiasVariable(measure, k, cfg).sample
 
 
 # -- fixed product rules ---------------------------------------------------
@@ -658,48 +502,63 @@ class FixedRule:
         return acc
 
 
-_GL_NODES = 32
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 
 
 def _gl_panel(a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    return mid + half * _GL_X, half * _GL_W
 
 
-def _side_rule_nu(struct: TiltedPowerSide, m: int, tilt: float):
-    """Nodes/weights for int_0^inf h(u) u^m nu(du) on a tilted-power side.
+def _panel_rule(measure: LevyMeasure, m: int, tilt: float, neg_tilt: float,
+                power: Callable[[TiltedPowerSide], int],
+                weight: Callable[..., np.ndarray]) -> FixedRule:
+    """Panelled Gauss-Legendre rule over the tilted-power sides of `measure`.
 
-    tilt is the fastest exponential growth rate of h; the rule's domain is
-    stretched so the product still decays to ~1e-18 relative.
+    On each side, with u the distance from the origin, the rule covers
+    (0, u_hi], where Gamma(s, lam_eff u_hi) / Gamma(s) = 1e-18 for
+    s = m - beta (0.5 when that is not positive) and lam_eff is the side's
+    decay rate less the growth rate of the integrand (tilt on the positive
+    side, neg_tilt on the negative one). The origin panel (0, u_break] gets
+    the substitution u = u_break * t^p, p = power(side), which tames the
+    singularity or cusp of the weight there (p = 1 is a plain panel); panels
+    of doubling width follow out to u_hi. weight(sign, side, w, u) turns the
+    Gauss-Legendre weights w at distances u into rule weights; nodes on the
+    negative side are mirrored to -u.
     """
-    lam_eff = struct.rate - max(tilt, 0.0)
-    if lam_eff <= 0:
-        raise DivergentMoment(
-            f"integrand growth rate {tilt} reaches the Lévy decay rate "
-            f"{struct.rate}; the inner integral diverges")
-    s = m - struct.beta
-    s_tail = s if s > 0 else 0.5
-    z_hi = float(gammainccinv(s_tail, 1e-18))
-    u_hi = z_hi / lam_eff
-    u_break = min(1.0 / struct.rate, u_hi / 2.0)
     nodes, weights = [], []
-    # origin panel: u = u_break * t^p tames the u^{m-1-beta} singularity
-    p = max(2, math.ceil(2.0 / (1.0 - struct.beta))) if struct.beta > 0 else 2
-    t, wt = _gl_panel(0.0, 1.0)
-    u0 = u_break * t**p
-    j0 = u_break * p * t ** (p - 1)
-    nodes.append(u0)
-    weights.append(wt * j0 * u0**m * struct.density(u0))
-    # geometric panels out to the effective tail
-    edges = [u_break]
-    while edges[-1] < u_hi:
-        edges.append(min(2.0 * edges[-1], u_hi))
-    for a, b in zip(edges[:-1], edges[1:]):
-        u, wu = _gl_panel(a, b)
-        nodes.append(u)
-        weights.append(wu * u**m * struct.density(u))
-    return np.concatenate(nodes), np.concatenate(weights)
+    for sign, side in measure.sides():
+        growth = max(tilt if sign > 0 else neg_tilt, 0.0)
+        lam_eff = side.rate - growth
+        if lam_eff <= 0:
+            raise DivergentMoment(
+                f"integrand growth rate {growth} reaches the Lévy decay rate "
+                f"{side.rate}; the inner integral diverges")
+        s = m - side.beta
+        u_hi = float(gammainccinv(s if s > 0 else 0.5, 1e-18)) / lam_eff
+        u_break = min(1.0 / side.rate, u_hi / 2.0)
+        edges = [u_break]
+        while edges[-1] < u_hi:
+            edges.append(min(2.0 * edges[-1], u_hi))
+        p = power(side)
+        panels = []
+        if p > 1:
+            t, wt = _gl_panel(0.0, 1.0)
+            jac = u_break * p * t ** (p - 1)
+            panels.append((u_break * t**p, wt * jac))
+        else:
+            edges.insert(0, 0.0)
+        panels += [_gl_panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        for u, w in panels:
+            w = weight(sign, side, w, u)
+            if not np.all(np.isfinite(w)):
+                raise NonConvergence(
+                    f"fixed rule of order m={m} for a tilted-power side with "
+                    f"beta={side.beta} has non-finite weights: the origin "
+                    f"substitution u = u_break * t^{p} leaves floating range")
+            nodes.append(sign * u)
+            weights.append(w)
+    return FixedRule(np.concatenate(nodes), np.concatenate(weights), exact=False)
 
 
 def nu_rule(measure: LevyMeasure, m: int,
@@ -709,69 +568,22 @@ def nu_rule(measure: LevyMeasure, m: int,
 
     tilt / neg_tilt bound the exponential growth of h on the positive /
     negative side (neg_tilt defaults to -tilt mirrored: growth e^{|neg_tilt| |u|}).
+    The origin substitution makes u^{m-1-beta} du smooth in t; the rule's
+    domain is stretched by the tilt so the product still decays to ~1e-18
+    relative.
     """
     if neg_tilt is None:
         neg_tilt = -tilt
     if measure.is_atomic:
-        if not measure.atoms:
-            return FixedRule(np.zeros(0), np.zeros(0), exact=True)
         locs = np.array([l for l, _ in measure.atoms])
         w = np.array([mass * l**m for l, mass in measure.atoms])
         return FixedRule(locs, w, exact=True)
-    if not measure.is_structured:
-        raise InvalidParams(
-            "fixed rules need tilted-power structure; use integrate_levy for "
-            "generic densities")
-    nodes, weights = [], []
-    if measure.pos_structure is not None:
-        n, w = _side_rule_nu(measure.pos_structure, m, tilt)
-        nodes.append(n)
-        weights.append(w)
-    if measure.neg_structure is not None:
-        n, w = _side_rule_nu(measure.neg_structure, m, max(neg_tilt, 0.0))
+    return _panel_rule(
+        measure, m, tilt, neg_tilt,
+        power=lambda side: (max(2, math.ceil(2.0 / (1.0 - side.beta)))
+                            if side.beta > 0 else 2),
         # mirror: int h(u) u^m nu(du) over u<0 = int h(-t) (-t)^m nu_-(t) dt
-        nodes.append(-n)
-        weights.append(w * (-1.0) ** m)
-    return FixedRule(np.concatenate(nodes), np.concatenate(weights), exact=False)
-
-
-def _side_rule_eta(struct: TiltedPowerSide, m: int, tilt: float,
-                   tail: Callable[[np.ndarray], np.ndarray]):
-    """Nodes/weights for int_0^inf h(v) tail(v) dv, tail = eta_m of the side.
-
-    eta_m is bounded at the origin but has a v^{m-beta} cusp there when
-    m - beta is not an integer, so the first panel gets the same power
-    substitution as the nu rules; the rest is plain panelled Gauss-Legendre
-    out to the tilted tail cutoff.
-    """
-    lam_eff = struct.rate - max(tilt, 0.0)
-    if lam_eff <= 0:
-        raise DivergentMoment(
-            f"integrand growth rate {tilt} reaches the Lévy decay rate "
-            f"{struct.rate}; the inner integral diverges")
-    s = m - struct.beta
-    v_hi = float(gammainccinv(s, 1e-18)) / lam_eff
-    v_break = min(1.0 / struct.rate, v_hi / 2.0)
-    nodes, weights = [], []
-    p = max(2, math.ceil(4.0 / s)) if s != round(s) else 1
-    if p > 1:
-        t, wt = _gl_panel(0.0, 1.0)
-        v0 = v_break * t**p
-        j0 = v_break * p * t ** (p - 1)
-        nodes.append(v0)
-        weights.append(wt * j0 * tail(v0))
-    else:
-        v0, w0 = _gl_panel(0.0, v_break)
-        nodes.append(v0)
-        weights.append(w0 * tail(v0))
-    edges = [v_break]
-    while edges[-1] < v_hi:
-        edges.append(min(2.0 * edges[-1], v_hi))
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, wv = _gl_panel(a, b)
-        nodes.append(v)
-        weights.append(wv * tail(v))
-    return np.concatenate(nodes), np.concatenate(weights)
+        weight=lambda sign, side, w, u: w * u**m * side.density(u) * sign**m)
 
 
 def eta_rule(measure: LevyMeasure, m: int,
@@ -779,10 +591,11 @@ def eta_rule(measure: LevyMeasure, m: int,
              neg_tilt: Optional[float] = None) -> FixedRule:
     """Fixed rule for int h(v) eta_m(v) dv over the whole line.
 
-    eta_m is smooth and bounded at the origin (its value there is the m-th
-    tail moment), so no substitution is needed; only the exponential tail
-    matters. Atomic measures are handled exactly elsewhere (the integral
-    against eta collapses to finite differences of the antiderivative).
+    eta_m is bounded at the origin but has a v^{m-beta} cusp there when
+    m - beta is not an integer, so the origin panel then gets the power
+    substitution too. Atomic measures are handled exactly elsewhere (the
+    integral against eta collapses to finite differences of the
+    antiderivative).
     """
     if neg_tilt is None:
         neg_tilt = -tilt
@@ -790,46 +603,27 @@ def eta_rule(measure: LevyMeasure, m: int,
         raise AtomicMeasure(
             "eta rules are for continuous measures; atomic eta integrals "
             "reduce to exact sums")
-    if not measure.is_structured:
-        raise InvalidParams(
-            "fixed rules need tilted-power structure; use integrate_levy for "
-            "generic densities")
-    t = TailIntegral(measure, m, cfg)
-    nodes, weights = [], []
-    if measure.pos_structure is not None:
-        n, w = _side_rule_eta(measure.pos_structure, m, tilt,
-                              lambda v: np.asarray(t.pos(v)))
-        nodes.append(n)
-        weights.append(w)
-    if measure.neg_structure is not None:
-        n, w = _side_rule_eta(measure.neg_structure, m, max(neg_tilt, 0.0),
-                              lambda v: np.asarray(t.neg(-v)))
-        nodes.append(-n)
-        weights.append(w)
-    return FixedRule(np.concatenate(nodes), np.concatenate(weights), exact=False)
+
+    def power(side):
+        s = m - side.beta
+        return max(2, math.ceil(4.0 / s)) if s != round(s) else 1
+
+    # eta_m- at -v is (-1)^{m+1} times the side's tail at v
+    return _panel_rule(
+        measure, m, tilt, neg_tilt, power,
+        weight=lambda sign, side, w, v: w * side.tail(m, v) * sign ** (m + 1))
 
 
 def tilted_first_moment_delta(measure: LevyMeasure, kappa: float,
-                              cfg: QuadratureConfig = DEFAULT_QUAD) -> Tuple[float, str]:
-    """int u (e^{kappa u} - 1) nu(du), closed form when structure allows.
+                              cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+    """int u (e^{kappa u} - 1) nu(du), in closed form.
 
-    Returns (value, method) with method 'closed_form' or 'numeric'. This is
-    the exponential-tilt shift of the mean: adding it to E(X) gives the
-    tilted mean K'(kappa) for any IDD(mu, 0, nu).
+    This is the exponential-tilt shift of the mean: adding it to E(X) gives
+    the tilted mean K'(kappa) for any IDD(mu, 0, nu). On the negative side,
+    int_{-inf}^0 u (e^{kappa u}-1) nu(du) = -(tilted - plain) at -kappa.
     """
     if measure.is_atomic:
-        val = sum(mass * loc * math.expm1(kappa * loc)
-                  for loc, mass in measure.atoms)
-        return float(val), "closed_form"
-    if measure.is_structured:
-        total = 0.0
-        if measure.pos_structure is not None:
-            s = measure.pos_structure
-            total += s.tilted_moment(1, kappa) - s.moment(1)
-        if measure.neg_structure is not None:
-            s = measure.neg_structure
-            # int_{-inf}^0 u (e^{kappa u}-1) nu(du) = -(tilted - plain) at -kappa
-            total -= s.tilted_moment(1, -kappa) - s.moment(1)
-        return total, "closed_form"
-    val = integrate_levy(measure, lambda u: u * math.expm1(kappa * u), "both", cfg)
-    return val, "numeric"
+        return float(sum(mass * loc * math.expm1(kappa * loc)
+                         for loc, mass in measure.atoms))
+    return sum(sign * (side.tilted_moment(1, sign * kappa) - side.moment(1))
+               for sign, side in measure.sides())

@@ -13,7 +13,7 @@ computed from the pooled sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Tuple
 
 import numpy as np

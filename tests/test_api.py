@@ -1,0 +1,39 @@
+"""Public surface: every export resolves and every error class is used."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import levy_stein
+from levy_stein import errors
+
+SRC = Path(levy_stein.__file__).parent
+
+
+def test_all_exports_resolve():
+    missing = [name for name in levy_stein.__all__
+               if not hasattr(levy_stein, name)]
+    assert not missing, f"__all__ names with no binding: {missing}"
+
+
+def _raised_names():
+    """Names of the exception classes raised anywhere in the package."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+    return names
+
+
+def test_every_concrete_error_is_raised():
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.LevySteinError)]
+    # base classes (those another error class derives from) are exempt
+    bases = {base for cls in classes for base in cls.__bases__}
+    concrete = {cls.__name__ for cls in classes if cls not in bases}
+    never = sorted(concrete - _raised_names())
+    assert not never, f"error classes never raised in the package: {never}"

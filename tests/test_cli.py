@@ -242,6 +242,20 @@ def test_main_numeric_exit_code(tmp_path, capsysbinary, monkeypatch):
     assert b"numeric failure" in capsysbinary.readouterr().err
 
 
+def test_main_stein_near_beta_one_exits_numeric(tmp_path, capsysbinary):
+    # the nu-rule for CGMY with beta = 0.99 cannot be built in floating
+    # point; the task must fail with exit 3, not report nan
+    doc = minimal_doc(
+        distribution={"family": "cgmy", "params": {
+            "alpha": 1.0, "beta": 0.99, "lam_pos": 2.0, "lam_neg": 3.0}},
+        task={"kind": "stein", "g_name": "sin"})
+    path = write_spec(tmp_path, doc)
+    assert main(["run", path]) == 3
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert b"numeric failure" in captured.err and b"beta=0.99" in captured.err
+
+
 def test_main_reads_stdin(monkeypatch, capsysbinary):
     doc = minimal_doc(task={"kind": "premium", "principle": "esscher",
                             "kappa": 0.5})

@@ -13,11 +13,12 @@ from scipy.stats import expon, laplace, uniform
 from levy_stein import (AtomicMeasure, BiasVariable, Gamma, InverseGaussian,
                         Laplace, LevyMeasure, NonConvergence, Poisson,
                         QuadratureConfig, TailIntegral, TiltedPowerSide,
-                        bias_density, cumulant, eta, eta_rule, integrate_levy,
-                        nu_rule, tilted_first_moment_delta)
+                        bias_density, cumulant, esscher_closed, eta, eta_rule,
+                        integrate_levy, nu_rule, tilted_first_moment_delta)
 from levy_stein.dist_catalog import BGD, CGMY
 
 from conftest import rel_err
+from test_dist_catalog import ALL_SPECS
 
 QCFG = QuadratureConfig()
 
@@ -68,10 +69,16 @@ def test_tps_tilted_moment():
 
 
 def test_measure_moment_closed_vs_quad():
-    meas = Gamma(2.0, 1.5).measure
-    for k in range(2, 6):
-        assert rel_err(meas.moment(k, QCFG, method="closed"),
-                       meas.moment(k, QCFG, method="quad")) < 1e-9
+    # every catalog measure: both signs of the negative side's (-1)^k,
+    # beta < 0 (gamma jumps), beta > 0 and atoms; the absolute floor admits
+    # odd moments of symmetric measures, which are exactly 0
+    for spec in ALL_SPECS:
+        meas = spec.measure
+        for k in range(2, 6):
+            closed = meas.moment(k, QCFG, method="closed")
+            quad = meas.moment(k, QCFG, method="quad")
+            assert abs(closed - quad) <= 1e-9 * abs(quad) + 1e-12, \
+                (spec, k, closed, quad)
 
 
 def test_atomic_moment_and_eta():
@@ -246,6 +253,14 @@ def test_eta_rule_matches_adaptive(m):
     assert rel_err(got, pos + neg) < 1e-8
 
 
+@pytest.mark.parametrize("beta", [0.97, 0.99])
+def test_nu_rule_rejects_non_finite_weights(beta):
+    # near beta = 1 the origin substitution u = u_break * t^p (p >= 67)
+    # leaves floating range; the rule must refuse rather than return NaN
+    with pytest.raises(NonConvergence, match="beta="):
+        nu_rule(CGMY(1.0, beta, 2.0, 3.0).measure, 1, QCFG)
+
+
 def test_eta_rule_rejects_atomic():
     with pytest.raises(AtomicMeasure):
         eta_rule(Poisson(2.0).measure, 1, QCFG)
@@ -294,7 +309,7 @@ def _delta_reference(meas, kappa):
 ])
 def test_tilted_first_moment_delta(base, kappa):
     meas = base.measure
-    delta, method = tilted_first_moment_delta(meas, kappa, QCFG)
+    delta = tilted_first_moment_delta(meas, kappa, QCFG)
     want = _delta_reference(meas, kappa)
     assert rel_err(delta, want) < 1e-9
-    assert method == "closed_form"
+    assert esscher_closed(base, kappa, QCFG).method == "closed_form"
