@@ -24,6 +24,7 @@ from typing import ClassVar, Tuple, Union
 
 import numpy as np
 from scipy import integrate
+from scipy.fft import dst
 from scipy.interpolate import PchipInterpolator
 from scipy.special import (
     gamma as gamma_fn,
@@ -82,7 +83,9 @@ class IDDSpec:
     every catalog family). `sample_conv(rng, s)` draws one variate of
     X^{*s_i} per entry of the array s, which is the hot path of the joint
     coupling. `cdf` is scalar; `cdf_fn` returns a vectorized F, tabulated
-    for the families without a closed or series cdf.
+    for the families without a closed or series cdf. A tabulated family
+    supplies the table's knot values through `_cdf_knots`: the scalar cdf
+    at each knot by default, one COS pass for CGMY/GTSD with beta > 0.
     """
 
     family: ClassVar[str] = "?"
@@ -134,8 +137,15 @@ class IDDSpec:
 
     def cdf_fn(self, cfg: QuadratureConfig = DEFAULT_QUAD):
         """Vectorized cdf. Families without a fast closed form get a
-        monotone tabulated interpolant built from the scalar route."""
+        monotone PCHIP interpolant of the knot values from `_cdf_knots`."""
         return _cdf_table(self, cfg)
+
+    def _cdf_knots(self, lo: float, hi: float, n_knots: int,
+                   cfg: QuadratureConfig) -> np.ndarray:
+        """F at the n_knots equispaced points of [lo, hi] that a CdfTable
+        interpolates; by default the scalar cdf at each point."""
+        return np.array([self.cdf(float(x), cfg)
+                         for x in np.linspace(lo, hi, n_knots)])
 
     def esscher_kappa_max(self) -> float:
         """Supremum of tilts kappa with E[e^{kappa X}] < inf.
@@ -161,13 +171,13 @@ class IDDSpec:
 
 
 class CdfTable:
-    """Monotone PCHIP fit of a scalar cdf on [lo, hi], clamped outside."""
+    """Monotone PCHIP fit of F on [lo, hi] through the family's
+    `_cdf_knots` values at equispaced knots, clamped outside."""
 
     def __init__(self, spec: IDDSpec, cfg: QuadratureConfig, n_knots: int = 2049):
         lo, hi = _cdf_range(spec, cfg)
         knots = np.linspace(lo, hi, n_knots)
-        vals = np.array([spec.cdf(float(x), cfg) for x in knots])
-        vals = np.clip(vals, 0.0, 1.0)
+        vals = np.clip(spec._cdf_knots(lo, hi, n_knots, cfg), 0.0, 1.0)
         np.maximum.accumulate(vals, out=vals)
         self.lo, self.hi = lo, hi
         self._interp = PchipInterpolator(knots, vals, extrapolate=False)
@@ -1016,7 +1026,12 @@ class CGMY(IDDSpec):
         if self.beta == 0.0:
             return BGD(self.alpha, self.lam_pos, self.alpha,
                        self.lam_neg).cdf(x, cfg)
-        return _gil_pelaez_cdf(self, float(x), cfg)
+        return _cos_cdf(self, float(x), cfg)
+
+    def _cdf_knots(self, lo, hi, n_knots, cfg):
+        if self.beta == 0.0:
+            return super()._cdf_knots(lo, hi, n_knots, cfg)
+        return _cos_cdf_knots(self, lo, hi, n_knots)
 
 
 @dataclass(frozen=True)
@@ -1110,10 +1125,23 @@ class GTSD(IDDSpec):
         if self.beta == 0.0:
             return BGD(self.alpha_pos, self.lam_pos, self.alpha_neg,
                        self.lam_neg).cdf(x - (self.mu - self._jump_mean), cfg)
-        return _gil_pelaez_cdf(self, float(x), cfg)
+        return _cos_cdf(self, float(x), cfg)
+
+    def _cdf_knots(self, lo, hi, n_knots, cfg):
+        if self.beta == 0.0:
+            return super()._cdf_knots(lo, hi, n_knots, cfg)
+        return _cos_cdf_knots(self, lo, hi, n_knots)
 
 
-# -- Fourier inversion ---------------------------------------------------------
+# -- COS series cdf -------------------------------------------------------------
+
+# The COS method (Fang & Oosterlee, SIAM J. Sci. Comput. 31, 2008) expands the
+# density on [lo, hi] in cosines whose coefficients are values of the cf;
+# integrated, it gives the cdf as a sine series. For CGMY/GTSD with beta > 0
+# the cf decays like e^{-c|t|^beta}, so the series is short unless beta and
+# the coefficients are both small; past _COS_MAX_TERMS terms it is refused.
+_COS_MAX_TERMS = 1 << 24
+_COS_CHUNK = 1 << 15
 
 
 def _cf_cutoff(spec: IDDSpec) -> float:
@@ -1123,28 +1151,60 @@ def _cf_cutoff(spec: IDDSpec) -> float:
         t *= 2.0
         if t > 1e9:
             raise NonConvergence(
-                "characteristic function does not decay; inversion cdf "
-                "unavailable for this parameter set")
+                f"characteristic function of {spec!r} decays too slowly: "
+                f"|cf(t)| >= 1e-12 up to t = {t:.3g}; series cdf unavailable")
     return t
 
 
-def _gil_pelaez_cdf(spec: IDDSpec, x: float, cfg: QuadratureConfig) -> float:
-    """F(x) = 1/2 - (1/pi) int_0^inf Im(e^{-itx} cf(t)) / t dt."""
-    t_max = _cf_cutoff(spec)
-    mean = spec.mean(cfg)
+def _cos_terms(spec: IDDSpec, lo: float, hi: float):
+    """Yield (k, c_k) in chunks, k = 1..N, for the series
+    F(x) ~ (x - lo)/L + sum_k c_k sin(u_k (x - lo)) on [lo, hi], with
+    L = hi - lo, u_k = k pi/L, c_k = (2/L) Re[cf(u_k) e^{-i u_k lo}] / u_k
+    and N = ceil(T L / pi) for the cf cutoff T."""
+    span = hi - lo
+    n_terms = math.ceil(_cf_cutoff(spec) * span / math.pi)
+    if n_terms > _COS_MAX_TERMS:
+        raise NonConvergence(
+            f"cdf series of {spec!r} needs N = {n_terms:.3g} terms, above the "
+            f"cap of {_COS_MAX_TERMS}: the cf decays too slowly")
+    for start in range(1, n_terms + 1, _COS_CHUNK):
+        k = np.arange(start, min(start + _COS_CHUNK, n_terms + 1))
+        u = k * (math.pi / span)
+        yield k, (2.0 / span) * (spec.cf(u) * np.exp(-1j * u * lo)).real / u
 
-    def integrand(t):
-        if t == 0.0:
-            return mean - x
-        return float((np.exp(-1j * t * x) * spec.cf(np.asarray(t))).imag) / t
 
-    out = integrate.quad(integrand, 0.0, t_max, epsabs=1e-10, epsrel=1e-9,
-                         limit=cfg.max_subdivisions, full_output=1)
-    if len(out) > 3:
-        raise NonConvergence("Fourier-inversion cdf quadrature failed: "
-                             + str(out[3]).strip(), value=out[0],
-                             error_estimate=out[1])
-    return min(max(0.5 - out[0] / math.pi, 0.0), 1.0)
+def _cos_cdf(spec: IDDSpec, x: float, cfg: QuadratureConfig) -> float:
+    """The series at one point; 0 below and 1 above the table range."""
+    lo, hi = _cdf_range(spec, cfg)
+    if x <= lo:
+        return 0.0
+    if x >= hi:
+        return 1.0
+    theta = math.pi * (x - lo) / (hi - lo)
+    val = (x - lo) / (hi - lo) + sum(float(np.dot(c, np.sin(k * theta)))
+                                     for k, c in _cos_terms(spec, lo, hi))
+    return min(max(val, 0.0), 1.0)
+
+
+def _cos_cdf_knots(spec: IDDSpec, lo: float, hi: float,
+                   n_knots: int) -> np.ndarray:
+    """The series at the n_knots equispaced knots of [lo, hi] in one DST-I.
+
+    At knot j of m = n_knots - 1 intervals the k-th sine is sin(pi k j/m).
+    It depends on k only through r = k mod 2m and equals -sin(pi (2m-r) j/m)
+    for r > m, so the terms fold exactly into bins 1..m-1 (bins 0 and m
+    vanish at every knot).
+    """
+    m = n_knots - 1
+    fold = np.zeros(m + 1)
+    for k, c in _cos_terms(spec, lo, hi):
+        r = k % (2 * m)
+        flip = r > m
+        fold += np.bincount(np.where(flip, 2 * m - r, r),
+                            weights=np.where(flip, -c, c), minlength=m + 1)
+    vals = np.linspace(0.0, 1.0, n_knots)
+    vals[1:m] += 0.5 * dst(fold[1:m], type=1)
+    return vals
 
 
 # -- conversions and registry ---------------------------------------------------

@@ -256,6 +256,19 @@ def test_main_stein_near_beta_one_exits_numeric(tmp_path, capsysbinary):
     assert b"numeric failure" in captured.err and b"beta=0.99" in captured.err
 
 
+def test_main_gini_with_too_long_cdf_series_exits_numeric(tmp_path,
+                                                         capsysbinary):
+    # the cf of CGMY(0.6, 0.02, 2, 3) decays so slowly that its cdf series
+    # would need 3.6e9 terms; the gini task must refuse it with exit 3
+    doc = minimal_doc(distribution={"family": "cgmy", "params": {
+        "alpha": 0.6, "beta": 0.02, "lam_pos": 2.0, "lam_neg": 3.0}})
+    path = write_spec(tmp_path, doc)
+    assert main(["run", path]) == 3
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert b"numeric failure" in captured.err and b"beta=0.02" in captured.err
+
+
 def test_main_reads_stdin(monkeypatch, capsysbinary):
     doc = minimal_doc(task={"kind": "premium", "principle": "esscher",
                             "kappa": 0.5})

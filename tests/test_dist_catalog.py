@@ -2,6 +2,7 @@
 Levy route, samplers vs moments, convolution powers, cdfs."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from scipy import stats
 from scipy.special import gammainc
 
 from levy_stein import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
-                        Gamma, GammaJumps, InverseGaussian, Laplace, Poisson,
-                        QuadratureConfig, TwoSidedExp, ValidationError,
-                        convert_drift, make_spec, mean_levy, vgd_from_alt,
-                        vgd_to_alt)
-from levy_stein.dist_catalog import VGDAltParams
+                        Gamma, GammaJumps, InverseGaussian, Laplace,
+                        NonConvergence, Poisson, QuadratureConfig,
+                        TwoSidedExp, ValidationError, convert_drift,
+                        make_spec, mean_levy, vgd_from_alt, vgd_to_alt)
+from levy_stein.dist_catalog import VGDAltParams, _cdf_range
 
 QCFG = QuadratureConfig()
 
@@ -245,13 +246,41 @@ def test_cdf_vs_empirical(spec):
 
 
 def test_cdf_monotone_and_limits():
-    for spec in (CGMY(1.0, 0.5, 2.0, 3.0), VGD(0.5, 2.0, 3.0, 4.0)):
+    # CGMY(1, 0.02, 2, 3) needs 7.2e6 terms of the cdf series
+    for spec in (CGMY(1.0, 0.5, 2.0, 3.0), VGD(0.5, 2.0, 3.0, 4.0),
+                 CGMY(1.0, 0.02, 2.0, 3.0), GTSD(0.5, 0.5, 1.0, 2.0, 0.5, 3.0)):
         F = spec.cdf_fn(QCFG)
-        x = np.linspace(-15, 15, 301)
+        lo, hi = _cdf_range(spec, QCFG)
+        x = np.linspace(lo, hi, 301)
         fx = F(x)
         assert np.all(np.diff(fx) >= -1e-12)
-        assert fx[0] < 1e-3 and fx[-1] > 1 - 1e-3
+        assert fx[1] < 1e-3 and fx[-2] > 1 - 1e-3
         assert np.all((fx >= 0) & (fx <= 1))
+
+
+@pytest.mark.parametrize("alpha,lam", [(1.0, 2.0), (0.3, 0.5), (2.0, 5.0)])
+def test_one_sided_half_stable_cdf_is_inverse_gaussian(alpha, lam):
+    # a one-sided tempered stable law with beta = 1/2 is inverse Gaussian,
+    # so the series cdf must reproduce the closed IG cdf at the table knots
+    ig = InverseGaussian(alpha, lam)
+    spec = GTSD(ig.mean(), 0.5, alpha, lam, 0.0, 1.0)
+    lo, hi = _cdf_range(spec, QCFG)
+    x = np.linspace(lo, hi, 2049)[1:-1]
+    assert np.max(np.abs(spec.cdf_fn(QCFG)(x) - ig.cdf_fn(QCFG)(x))) < 1e-12
+    for v in x[::256]:
+        assert spec.cdf(float(v), QCFG) == pytest.approx(ig.cdf(float(v)),
+                                                         abs=1e-12)
+
+
+def test_cdf_series_too_long_raises_promptly():
+    # |cf| falls below 1e-12 only past t ~ 2.7e8: 3.6e9 series terms
+    spec = CGMY(0.6, 0.02, 2.0, 3.0)
+    t0 = time.perf_counter()
+    with pytest.raises(NonConvergence, match="beta=0.02"):
+        spec.cdf_fn(QCFG)
+    with pytest.raises(NonConvergence, match="N = 3.56e"):
+        spec.cdf(0.0, QCFG)
+    assert time.perf_counter() - t0 < 5.0
 
 
 # -- parametrization maps ------------------------------------------------------
