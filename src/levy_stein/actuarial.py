@@ -29,7 +29,7 @@ from .functions import TestFunction
 from .identities import _check_tilt_headroom, cov_identity_rhs
 from .levy_core import DEFAULT_QUAD, QuadratureConfig, nu_rule, \
     tilted_first_moment_delta
-from .mc import MCConfig, mc_cov, mc_mean, mc_ratio
+from .mc import DENOMINATOR, ORACLE, MCConfig, mc_cov, mc_mean, mc_ratio
 
 __all__ = [
     "PremiumReport",
@@ -142,14 +142,14 @@ def generalized_wpcp(base: IDDSpec, n: int, w: TestFunction,
     """H_w^(n)(X) = E[X^n w(X)] / E[w(X)] = E[X^n] + Cov(X^n, w(X)) / E[w(X)].
 
     The covariance comes from the order-n identity, the weight mean from a
-    plain MC mean on an independent substream set; the SE combines the two
-    by the delta method.
+    plain MC mean on the independent DENOMINATOR streams; the SE combines
+    the two by the delta method.
     """
     if n < 1:
         raise InvalidParams("premium order n must be a positive integer")
     cov = cov_identity_rhs(base, n, w, mc, cfg)
     den = mc_mean(lambda rng, m: np.asarray(w.f(base.sample(rng, m)),
-                                            dtype=float), mc)
+                                            dtype=float), mc, DENOMINATOR)
     if den.value == 0.0:
         raise ZeroDenominator("weight has zero mean under the risk law")
     mn = raw_moment(base, n, cfg)
@@ -167,7 +167,7 @@ def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
 
     method 'levy_formula' evaluates the covariance through the Lévy measure
     (inner fixed rule against nu, outer MC), 'covariance_oracle' estimates
-    it as a plain sample covariance. For laws with support crossing zero
+    it as a plain sample covariance on the independent ORACLE streams. For laws with support crossing zero
     the number is still (2/mu) Cov(X, F(X)), but it is not a Lorenz-curve
     Gini; the CLI flags that case rather than rejecting it.
     """
@@ -189,7 +189,7 @@ def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
             x = base.sample(rng, size)
             return x, F(x)
 
-        est = mc_cov(batch, mc)
+        est = mc_cov(batch, mc, ORACLE)
     else:
         raise InvalidParams(f"unknown gini method {method!r}")
     return GiniReport(value=2.0 / mu * est.value, method=method,

@@ -26,8 +26,8 @@ from .errors import DivergentMoment, InvalidParams
 from .functions import TestFunction
 from .identities import _check_tilt_headroom
 from .levy_core import DEFAULT_QUAD, BiasVariable, QuadratureConfig, nu_rule
-from .mc import MCConfig, MCEstimate, Welford, batch_sizes, mc_mean, \
-    mc_variance, substreams
+from .mc import BOUND, ORACLE, MCConfig, MCEstimate, Welford, batch_sizes, \
+    mc_mean, mc_variance, substreams
 
 __all__ = [
     "VarianceBounds",
@@ -85,7 +85,7 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
     (g')^2 Var(X)), and polynomial g' on the gamma family, where X + Y_1 is
     again gamma with the shape bumped by one. Everything else is Monte
     Carlo with shared draws. `with_oracle` attaches a direct sample-variance
-    estimate of Var(g(X)) from an independent substream set.
+    estimate of Var(g(X)) from the independent ORACLE streams.
     """
     _check_tilt_headroom(base, g)
     if g.tilt != 0.0:
@@ -100,8 +100,8 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
                 f"({g.name}')^2 grows at rate {2 * -g.tilt} on the left, at "
                 f"or beyond the negative Lévy decay rate {left}")
     var = base.variance(cfg)
-    oracle = mc_variance(lambda rng, m: g.f(base.sample(rng, m)), mc) \
-        if with_oracle else None
+    oracle = mc_variance(lambda rng, m: g.f(base.sample(rng, m)), mc,
+                         ORACLE) if with_oracle else None
 
     if g.d1_poly is not None and len(g.d1_poly) == 1:
         c = g.d1_poly[0]
@@ -144,6 +144,7 @@ def chen_upper_bound(base: IDDSpec, g: TestFunction,
 
     The integrand has a double zero at u = 0, which is what keeps the
     integral finite even though nu itself may be infinite near the origin.
+    It draws from the BOUND streams, independent of the bracket's.
     """
     _check_tilt_headroom(base, g)
     if g.tilt != 0.0:
@@ -159,7 +160,7 @@ def chen_upper_bound(base: IDDSpec, g: TestFunction,
         x = base.sample(rng, size)
         return rule.shifted_sum_sq_diff(g.f, x)
 
-    return mc_mean(batch, mc)
+    return mc_mean(batch, mc, BOUND)
 
 
 def posterior_bounds_gamma(k: float, a: float, b: float, n: int, xbar: float,

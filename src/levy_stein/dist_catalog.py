@@ -876,80 +876,82 @@ def vgd_to_alt(spec: VGD) -> VGDAltParams:
 
 # -- tempered stable sampling --------------------------------------------------
 
-
-def _upper_gamma_neg(beta: float, x):
-    """Gamma(-beta, x) for 0 < beta < 1 via the recurrence
-    Gamma(1-beta, x) = -beta Gamma(-beta, x) + x^{-beta} e^{-x}."""
-    x = _as_float_array(x)
-    g1 = math.exp(gammaln(1.0 - beta)) * gammaincc(1.0 - beta, x)
-    return (x ** (-beta) * np.exp(-x) - g1) / beta
+# Pieces drawn per round of `_tempered_sums`: its arrays stay this long
+# whatever the coefficients and the number of entries.
+_PIECE_CHUNK = 1 << 15
 
 
-class _TemperedSide:
-    """Jump machinery for one tilted-power side with beta in (0, 1).
+def _open_unit(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniforms on the open interval (0, 1). `rng.random` returns multiples
+    of 2^-53 in [0, 1); adding 2^-55 moves 0 off the lower end, and at the
+    top it rounds back to 1 - 2^-53."""
+    v = rng.random(shape)
+    v += 2.0**-55
+    return v
 
-    Jumps above eps form a compound Poisson part sampled from a tabulated
-    inverse cdf; jumps below eps are replaced by their mean plus an
-    independent Gaussian with the matching variance. All quantities scale
-    linearly in the side coefficient, which is how fractional convolution
-    powers reuse the same tables.
+
+def _tempered_sums(rng: np.random.Generator, s: np.ndarray, beta: float,
+                   pos: Tuple[float, float],
+                   neg: Tuple[float, float]) -> np.ndarray:
+    """Exact draws of P_i - N_i, where P_i and N_i are the (uncompensated)
+    jump sums of the Lévy densities coef s_i u^{-1-beta} e^{-rate u}, u > 0,
+    for (coef, rate) = pos and neg, 0 < beta < 1.
+
+    Each side of entry i is a sum of k_i = ceil(m_i) independent pieces,
+    m_i = coef s_i |Gamma(-beta)| rate^beta. A piece is the positive
+    beta-stable variate of Lévy density (coef s_i / k_i) u^{-1-beta},
+    (coef s_i |Gamma(-beta)| / k_i)^{1/beta} S with S from Kanter's
+    representation, kept when an independent Exp(1) is at least rate times
+    it: a kept piece is exactly exponentially tilted, and a piece is kept
+    with probability e^{-m_i / k_i} >= e^{-1} (Kawai & Masuda 2011).
+    Rejected pieces are drawn again until none is left. The work is
+    proportional to the total mass, so it grows like |Gamma(-beta)| ~ 1/beta
+    as beta -> 0 (and like 1/(1 - beta) as beta -> 1).
     """
-
-    KNOTS = 2048
-
-    def __init__(self, beta: float, rate: float, eps: float = 1e-3):
-        self.beta, self.rate, self.eps = beta, rate, eps
-        lam = rate
-
-        def tail(u):
-            return lam**beta * _upper_gamma_neg(beta, lam * u)
-
-        t_eps = float(tail(np.asarray(eps)))
-        self.rate_big = t_eps  # per unit coefficient
-        hi = eps
-        while float(tail(np.asarray(hi))) > t_eps * 1e-16:
-            hi *= 2.0
-        knots = np.geomspace(eps, hi, self.KNOTS)
-        cdf = 1.0 - tail(knots) / t_eps
-        keep = np.concatenate([[True], np.diff(cdf) > 1e-15])
-        cdf, knots = cdf[keep], knots[keep]
-        self._ppf = PchipInterpolator(cdf, knots, extrapolate=False)
-        self._ppf_lo, self._ppf_hi = cdf[0], cdf[-1]
-        self.drift_small = lam ** (beta - 1.0) * math.exp(
-            gammaln(1.0 - beta)) * float(gammainc(1.0 - beta, lam * eps))
-        self.var_small = lam ** (beta - 2.0) * math.exp(
-            gammaln(2.0 - beta)) * float(gammainc(2.0 - beta, lam * eps))
-
-    def big_jump_sums(self, rng: np.random.Generator, coef) -> np.ndarray:
-        coef = _as_float_array(coef)
-        counts = rng.poisson(coef * self.rate_big)
-        total = int(counts.sum())
-        q = np.clip(rng.random(total), self._ppf_lo, self._ppf_hi)
-        return _segment_sums(np.asarray(self._ppf(q)), counts)
-
-
-class _TSSampler:
-    """Two-sided tempered stable sum (uncompensated, no drift constant)."""
-
-    def __init__(self, beta: float, rate_pos: float, rate_neg: float,
-                 coef_pos: float, coef_neg: float):
-        self.coef_pos, self.coef_neg = coef_pos, coef_neg
-        self.pos = _TemperedSide(beta, rate_pos) if coef_pos > 0 else None
-        self.neg = _TemperedSide(beta, rate_neg) if coef_neg > 0 else None
-
-    def sample(self, rng: np.random.Generator, s) -> np.ndarray:
-        s = _as_float_array(s)
-        out = np.zeros_like(s)
-        var = np.zeros_like(s)
-        if self.pos is not None:
-            c = self.coef_pos * s
-            out += self.pos.big_jump_sums(rng, c) + c * self.pos.drift_small
-            var += c * self.pos.var_small
-        if self.neg is not None:
-            c = self.coef_neg * s
-            out -= self.neg.big_jump_sums(rng, c) + c * self.neg.drift_small
-            var += c * self.neg.var_small
-        return out + rng.normal(0.0, np.sqrt(var))
+    n = s.size
+    rates = np.array([pos[1], neg[1]])
+    mass = (np.array([pos[0], neg[0]])[:, None] * -gamma_fn(-beta)
+            * rates[:, None] ** beta * s).ravel()
+    k = np.ceil(mass)
+    # log(rate * piece) = log(m/k)/beta + log S; 1 where a slot has no piece
+    log_scale = np.log(np.divide(mass, k, out=np.ones_like(mass),
+                                 where=k > 0)) / beta
+    # slot j (side j // n, entry j % n) owns pieces begins[j]..ends[j] - 1
+    ends = np.cumsum(k.astype(np.int64))
+    begins = ends - k.astype(np.int64)
+    n_pieces = int(ends[-1]) if n else 0
+    # Kanter: S = [sin(beta U)/sin U] [sin((1-beta) U)/(sin U E)]^power
+    power = (1.0 - beta) / beta
+    kanter = np.array([1.0, -1.0 / beta, power])
+    sums = np.zeros(2 * n)
+    pending = np.empty(0, dtype=np.intp)
+    start = 0
+    # a piece below the smallest double is 0 to working precision
+    with np.errstate(under="ignore"):
+        while pending.size or start < n_pieces:
+            stop = min(n_pieces, start + _PIECE_CHUNK - pending.size)
+            first, last = np.searchsorted(ends, (start, stop - 1),
+                                          side="right")
+            seg = slice(first, last + 1)
+            slots = np.concatenate([pending, np.repeat(
+                np.arange(first, last + 1),
+                np.minimum(ends[seg], stop) - np.maximum(begins[seg], start))])
+            start = stop
+            v = _open_unit(rng, (3, slots.size))
+            # sin(x)/2 = tau / (1 + tau^2), tau = tan(x/2), at x = beta U,
+            # U and (1 - beta) U for U = pi v[0]; log S is a combination of
+            # their logs whose weights sum to 0, so the halves cancel
+            tau = np.tan(np.multiply.outer((beta, 1.0, 1.0 - beta),
+                                           0.5 * np.pi * v[0]))
+            log_e, log_e_accept = np.log(-np.log(v[1:]))
+            t = (log_scale[slots] - power * log_e
+                 + kanter @ np.log(tau / (1.0 + tau * tau)))
+            keep = t <= log_e_accept
+            # capped so that rejected pieces, weighted 0, cannot overflow
+            sums += np.bincount(slots, np.exp(np.minimum(t, log_e_accept))
+                                * keep, minlength=2 * n)
+            pending = slots[~keep]
+    return sums[:n] / rates[0] - sums[n:] / rates[1]
 
 
 @dataclass(frozen=True)
@@ -959,10 +961,10 @@ class CGMY(IDDSpec):
     0 <= beta < 1, uncompensated (no drift constant). beta = 0 recovers the
     variance gamma law with mu0 = 0.
 
-    For beta > 0 the sampler is approximate (Asmussen-Rosinski): jumps below
-    eps = 1e-3 are replaced by a Gaussian with their mean and variance, and
-    jumps above eps are drawn from a 2048-knot PCHIP inverse-cdf table. At
-    beta = 0 it is the exact difference of two gamma variates.
+    The sampler is exact for every beta: for beta > 0 it sums exponentially
+    tilted stable pieces accepted by rejection (`_tempered_sums`), at a cost
+    that grows like 1/beta as beta -> 0 and like 1/(1 - beta) as beta -> 1;
+    at beta = 0 it is the difference of two gamma variates.
     """
 
     alpha: float
@@ -1007,11 +1009,6 @@ class CGMY(IDDSpec):
         self._check_s(s)
         return CGMY(self.alpha * s, self.beta, self.lam_pos, self.lam_neg)
 
-    @cached_property
-    def _sampler(self) -> _TSSampler:
-        return _TSSampler(self.beta, self.lam_pos, self.lam_neg,
-                          self.alpha, self.alpha)
-
     def sample(self, rng, size):
         return self.sample_conv(rng, np.ones(size))
 
@@ -1020,7 +1017,8 @@ class CGMY(IDDSpec):
         if self.beta == 0.0:
             return (_gamma_or_zero(rng, self.alpha * s, 1.0 / self.lam_pos)
                     - _gamma_or_zero(rng, self.alpha * s, 1.0 / self.lam_neg))
-        return self._sampler.sample(rng, s)
+        return _tempered_sums(rng, s, self.beta, (self.alpha, self.lam_pos),
+                              (self.alpha, self.lam_neg))
 
     def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
         if self.beta == 0.0:
@@ -1039,8 +1037,8 @@ class GTSD(IDDSpec):
     """Generalized tempered stable, compensated: drift mu equals the mean,
     sides may carry different coefficients and tilts.
 
-    For beta > 0 the sampler is approximate, the same small-jump Gaussian
-    and inverse-cdf table as CGMY; at beta = 0 it is exact.
+    The sampler is exact for every beta, the same as CGMY's: its cost grows
+    like 1/beta as beta -> 0 and like 1/(1 - beta) as beta -> 1.
     """
 
     mu: float
@@ -1104,11 +1102,6 @@ class GTSD(IDDSpec):
         return GTSD(self.mu * s, self.beta, self.alpha_pos * s, self.lam_pos,
                     self.alpha_neg * s, self.lam_neg)
 
-    @cached_property
-    def _sampler(self) -> _TSSampler:
-        return _TSSampler(self.beta, self.lam_pos, self.lam_neg,
-                          self.alpha_pos, self.alpha_neg)
-
     def sample(self, rng, size):
         return self.sample_conv(rng, np.ones(size))
 
@@ -1119,7 +1112,9 @@ class GTSD(IDDSpec):
             return (shift
                     + _gamma_or_zero(rng, self.alpha_pos * s, 1.0 / self.lam_pos)
                     - _gamma_or_zero(rng, self.alpha_neg * s, 1.0 / self.lam_neg))
-        return shift + self._sampler.sample(rng, s)
+        return shift + _tempered_sums(rng, s, self.beta,
+                                      (self.alpha_pos, self.lam_pos),
+                                      (self.alpha_neg, self.lam_neg))
 
     def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
         if self.beta == 0.0:

@@ -37,7 +37,7 @@ from .levy_core import (
     eta_rule,
     nu_rule,
 )
-from .mc import MCConfig, MCEstimate, mc_cov, mc_mean
+from .mc import ORACLE, MCConfig, MCEstimate, mc_cov, mc_mean
 
 __all__ = [
     "JointPairSampler",
@@ -202,7 +202,7 @@ def cov_first_order(base: IDDSpec, g: TestFunction,
 def cov_oracle(base: IDDSpec, n: int, g: TestFunction,
                mc: MCConfig = MCConfig()) -> MCEstimate:
     """Plain sample covariance of (X^n, g(X)); the independent check the
-    identity estimators are held against."""
+    identity estimators are held against, drawn from the ORACLE streams."""
     if n < 1:
         raise InvalidParams("moment order n must be a positive integer")
 
@@ -210,7 +210,7 @@ def cov_oracle(base: IDDSpec, n: int, g: TestFunction,
         x = base.sample(rng, size)
         return x**n, g.f(x)
 
-    return mc_cov(batch, mc)
+    return mc_cov(batch, mc, ORACLE)
 
 
 # -- Stein-type characterizing residuals ---------------------------------------

@@ -5,6 +5,11 @@ substream (SeedSequence.spawn + Philox), and batch accumulators merge
 associatively (Chan et al. update), so a run is deterministic for a fixed
 seed and fixed batch size regardless of how batches would be scheduled.
 
+Estimates that are set side by side draw from different roles (ESTIMATE,
+ORACLE, DENOMINATOR, BOUND). All roles derive from the one
+SeedSequence(seed) through a fixed spawn key, so they share no draw with
+each other, and none of them with any role of another seed.
+
 Standard errors: plain-mean estimators report sample std / sqrt(n). Ratio
 and covariance estimators are not sample means; for those the SE comes from
 the spread of per-batch statistics (batch means), while the point value is
@@ -68,9 +73,20 @@ def batch_sizes(cfg: MCConfig) -> Iterator[int]:
         remaining -= m
 
 
-def substreams(cfg: MCConfig) -> Iterator[np.random.Generator]:
+# Stream roles: the estimate itself, the independent check held against it,
+# the denominator of a ratio of two estimates, and a second bound beside a
+# bracket.
+ESTIMATE, ORACLE, DENOMINATOR, BOUND = range(4)
+
+
+def substreams(cfg: MCConfig,
+               role: int = ESTIMATE) -> Iterator[np.random.Generator]:
+    """One Philox generator per batch. Batch i of the ESTIMATE role draws
+    from spawn key (i,) of SeedSequence(seed); batch i of role r > 0 from
+    spawn key (r, i)."""
     n_batches = sum(1 for _ in batch_sizes(cfg))
-    root = np.random.SeedSequence(int(cfg.seed))
+    root = np.random.SeedSequence(int(cfg.seed),
+                                  spawn_key=(role,) if role else ())
     for child in root.spawn(n_batches):
         yield np.random.Generator(np.random.Philox(child))
 
@@ -159,17 +175,17 @@ class BivariateWelford:
 
 
 def mc_mean(batch_fn: Callable[[np.random.Generator, int], np.ndarray],
-            cfg: MCConfig) -> MCEstimate:
+            cfg: MCConfig, role: int = ESTIMATE) -> MCEstimate:
     """Estimate E[Z] where batch_fn draws a batch of Z values."""
     acc = Welford()
-    for rng, m in zip(substreams(cfg), batch_sizes(cfg)):
+    for rng, m in zip(substreams(cfg, role), batch_sizes(cfg)):
         acc.add_batch(batch_fn(rng, m))
     return acc.estimate()
 
 
 def mc_cov(batch_fn: Callable[[np.random.Generator, int],
                               Tuple[np.ndarray, np.ndarray]],
-           cfg: MCConfig) -> MCEstimate:
+           cfg: MCConfig, role: int = ESTIMATE) -> MCEstimate:
     """Estimate Cov(X, Y) with batch-means SE.
 
     The point value is the pooled-sample covariance; the SE is the spread of
@@ -178,7 +194,7 @@ def mc_cov(batch_fn: Callable[[np.random.Generator, int],
     """
     acc = BivariateWelford()
     per_batch = []
-    for rng, m in zip(substreams(cfg), batch_sizes(cfg)):
+    for rng, m in zip(substreams(cfg, role), batch_sizes(cfg)):
         x, y = batch_fn(rng, m)
         acc.add_batch(x, y)
         x = np.asarray(x, dtype=float)
@@ -191,12 +207,12 @@ def mc_cov(batch_fn: Callable[[np.random.Generator, int],
 
 def mc_ratio(batch_fn: Callable[[np.random.Generator, int],
                                 Tuple[np.ndarray, np.ndarray]],
-             cfg: MCConfig) -> MCEstimate:
+             cfg: MCConfig, role: int = ESTIMATE) -> MCEstimate:
     """Estimate E[num]/E[den]; batch-means SE, pooled-ratio value."""
     num = Welford()
     den = Welford()
     per_batch = []
-    for rng, m in zip(substreams(cfg), batch_sizes(cfg)):
+    for rng, m in zip(substreams(cfg, role), batch_sizes(cfg)):
         a, b = batch_fn(rng, m)
         num.add_batch(a)
         den.add_batch(b)
@@ -210,11 +226,11 @@ def mc_ratio(batch_fn: Callable[[np.random.Generator, int],
 
 
 def mc_variance(batch_fn: Callable[[np.random.Generator, int], np.ndarray],
-                cfg: MCConfig) -> MCEstimate:
+                cfg: MCConfig, role: int = ESTIMATE) -> MCEstimate:
     """Estimate Var(Z); pooled sample variance, batch-means SE."""
     acc = Welford()
     per_batch = []
-    for rng, m in zip(substreams(cfg), batch_sizes(cfg)):
+    for rng, m in zip(substreams(cfg, role), batch_sizes(cfg)):
         z = np.asarray(batch_fn(rng, m), dtype=float)
         acc.add_batch(z)
         if z.size >= 2:

@@ -23,6 +23,25 @@ def mc_medium():
     return MCConfig(n_samples=100_000, seed=51, batch=20_000)
 
 
+@pytest.fixture
+def sample_spy(monkeypatch):
+    """spy(cls) patches cls.sample to record every array it returns, in
+    call order, and returns the list it records into."""
+    def install(cls):
+        draws = []
+        real = cls.sample
+
+        def sample(self, rng, size):
+            x = real(self, rng, size)
+            draws.append(x)
+            return x
+
+        monkeypatch.setattr(cls, "sample", sample)
+        return draws
+
+    return install
+
+
 def assert_within_se(est, truth, k=4.0, floor=0.0, label=""):
     """|est.value - truth| <= k * SE + floor, with a readable message."""
     err = abs(est.value - truth)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from levy_stein import (
@@ -22,6 +23,7 @@ from levy_stein import (
     wpcp,
 )
 from levy_stein.functions import ONE, make_exp_tilt, make_shift
+from levy_stein.mc import batch_sizes, substreams
 
 from conftest import assert_agree, assert_within_se, rel_err
 
@@ -111,6 +113,19 @@ def test_generalized_wpcp_reduces_to_wpcp(mc_medium):
     a = generalized_wpcp(spec, 1, w, mc_medium)
     b = wpcp(spec, w, MCConfig(n_samples=100_000, seed=52, batch=20_000))
     assert_agree(a, b, floor=1e-9, label="generalized n=1 vs wpcp")
+
+
+def test_generalized_wpcp_denominator_draws_its_own_streams(sample_spy,
+                                                           mc_small):
+    # the numerator's pair sampler draws through sample_conv, so every
+    # recorded draw is the denominator's
+    draws = sample_spy(Gamma)
+    spec = Gamma(2.0, 1.0)
+    generalized_wpcp(spec, 2, make_shift(1.0), mc_small)
+    den_first = draws[0]
+    estimate_first = spec.sample(next(substreams(mc_small)),
+                                 next(batch_sizes(mc_small)))
+    assert not np.array_equal(den_first, estimate_first)
 
 
 def test_generalized_wpcp_order_validation():

@@ -1,6 +1,7 @@
 """Variance bounds: the Cacoullos bracket, Chen's jump bound, posterior
 wrappers."""
 
+import numpy as np
 import pytest
 
 from levy_stein import (
@@ -18,6 +19,7 @@ from levy_stein import (
 from levy_stein.functions import GAUSS, IDENTITY, SQUARE, make_exp_tilt, \
     make_shift
 from levy_stein.functions import TestFunction as GFunction
+from levy_stein.mc import batch_sizes
 
 from conftest import rel_err
 
@@ -77,6 +79,20 @@ def test_bracket_deterministic(mc_small):
     b = cacoullos_bounds(Laplace(0.3, 0.8), GAUSS, mc_small)
     assert (a.lower, a.upper, a.lower_se, a.upper_se) == \
         (b.lower, b.upper, b.lower_se, b.upper_se)
+
+
+def test_oracle_and_chen_draw_their_own_streams(sample_spy, mc_small):
+    draws = sample_spy(Gamma)
+    spec = Gamma(2.0, 1.5)
+    cacoullos_bounds(spec, SQUARE_MC, mc_small, with_oracle=True)
+    chen_upper_bound(spec, SQUARE_MC, mc_small)
+    n_batches = len(list(batch_sizes(mc_small)))
+    assert len(draws) == 3 * n_batches
+    # first batches of the oracle, the bracket and Chen's bound, in run order
+    oracle, bracket, chen = draws[::n_batches]
+    assert not np.array_equal(oracle, bracket)
+    assert not np.array_equal(chen, bracket)
+    assert not np.array_equal(chen, oracle)
 
 
 # -- Chen's bound -----------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 import io
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from levy_stein import Gamma
 from levy_stein.cli import build_spec, emit, main, parse_spec, run_task
+from levy_stein.mc import substreams
 from levy_stein.errors import NonConvergence, ParseError, ValidationError, \
     ValidationFailure
 
@@ -276,3 +280,18 @@ def test_main_reads_stdin(monkeypatch, capsysbinary):
     assert main(["run", "-"]) == 0
     rep = json.loads(capsysbinary.readouterr().out)
     assert rep["results"][0]["value"] == 4.0
+
+
+def test_verify_identity_oracle_replays_no_estimate_stream(sample_spy):
+    # the identity draws its pairs through sample_conv, so every recorded
+    # draw is the oracle's; its first batch must be neither the estimate
+    # stream's first batch of this seed nor that of the next seed
+    draws = sample_spy(Gamma)
+    spec = build_spec(minimal_doc(
+        task={"kind": "verify-identity", "n": 1, "g_name": "sin"}))
+    run_task(spec)
+    oracle_first = draws[0]
+    for seed in (spec.mc.seed, spec.mc.seed + 1):
+        rng = next(substreams(replace(spec.mc, seed=seed)))
+        assert not np.array_equal(
+            oracle_first, spec.base.sample(rng, oracle_first.size)), seed

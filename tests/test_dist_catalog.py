@@ -3,6 +3,7 @@ Levy route, samplers vs moments, convolution powers, cdfs."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from levy_stein import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
                         NonConvergence, Poisson, QuadratureConfig,
                         TwoSidedExp, ValidationError, convert_drift,
                         make_spec, mean_levy, vgd_from_alt, vgd_to_alt)
-from levy_stein.dist_catalog import VGDAltParams, _cdf_range
+from levy_stein.dist_catalog import VGDAltParams, _cdf_range, _open_unit
 
 QCFG = QuadratureConfig()
 
@@ -123,6 +124,90 @@ def test_sample_conv_fractional_power(spec):
     c4 = np.mean((x - 0.35 * mu) ** 4)
     se_var = math.sqrt(max(c4 - (0.35 * var) ** 2, 0.0) / n)
     assert abs(np.var(x) - 0.35 * var) < 5 * se_var + 1e-9
+
+
+# -- the exact tempered-stable sampler ----------------------------------------
+
+
+@pytest.mark.parametrize("alpha,lam", [(1.0, 2.0), (0.3, 0.5), (2.0, 5.0)])
+def test_one_sided_half_stable_sampler_is_inverse_gaussian(alpha, lam):
+    # GTSD(mu, 1/2, alpha, lam, 0, 1) with mu the IG mean is InverseGaussian
+    # (alpha, lam), whose cdf is closed
+    ig = InverseGaussian(alpha, lam)
+    spec = GTSD(ig.mean(), 0.5, alpha, lam, 0.0, 1.0)
+    m, shape = ig._ig_params()
+    x = spec.sample(np.random.Generator(np.random.Philox(2024)), 200_000)
+    ks = stats.kstest(x, stats.invgauss(m / shape, scale=shape).cdf)
+    assert ks.pvalue > 1e-3, f"KS {ks.statistic:.2e}, p {ks.pvalue:.2e}"
+
+
+@given(beta=st.floats(0.05, 0.95), mu=st.floats(-1.0, 1.0),
+       alpha_pos=st.floats(0.1, 2.0), alpha_neg=st.floats(0.0, 2.0),
+       lam_pos=st.floats(0.5, 5.0), lam_neg=st.floats(0.5, 5.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_sample_conv_matches_mixture_cumulants(beta, mu, alpha_pos,
+                                               alpha_neg, lam_pos, lam_neg,
+                                               seed):
+    """Given s_i ~ U(0, 1), X_i ~ X^{*s_i} has cumulants s_i C_k; the
+    sample mean and variance are held against s-bar C1 and
+    s-bar C2 + Var(s) C1^2, with SEs from C2..C4."""
+    spec = GTSD(mu, beta, alpha_pos, lam_pos, alpha_neg, lam_neg)
+    c1, c2, c3, c4 = (spec.closed_cumulant(k) for k in (1, 2, 3, 4))
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = 20_000
+    s = rng.random(n)
+    x = spec.sample_conv(rng, s)
+    assert np.all(np.isfinite(x))
+    z_mean = (x.mean() - s.mean() * c1) / math.sqrt(s.mean() * c2 / n)
+    d = c1 * (s - s.mean())
+    var_se = math.sqrt(np.sum(s * c4 + 2.0 * (s * c2) ** 2
+                              + 4.0 * d * d * s * c2 + 4.0 * d * s * c3)) / n
+    z_var = (np.var(x, ddof=1) - s.mean() * c2
+             - np.var(s, ddof=1) * c1 * c1) / var_se
+    assert abs(z_mean) <= 5.0 and abs(z_var) <= 5.0, (z_mean, z_var)
+
+
+def test_tempered_sample_conv_is_deterministic():
+    # about 1.4e5 pieces: several rounds of the chunked loop
+    spec = CGMY(5.0, 0.5, 2.0, 3.0)
+    s = np.random.default_rng(1).random(5_000)
+    a = spec.sample_conv(np.random.Generator(np.random.Philox(9)), s)
+    b = spec.sample_conv(np.random.Generator(np.random.Philox(9)), s)
+    assert np.array_equal(a, b)
+
+
+def test_open_unit_excludes_both_ends():
+    class Extremes:
+        def random(self, shape):
+            return np.array([0.0, 2.0**-53, 0.5 - 2.0**-54, 1.0 - 2.0**-53])
+
+    v = _open_unit(Extremes(), 4)
+    assert np.all((v > 0.0) & (v < 1.0))
+
+
+@pytest.mark.parametrize("beta", [0.02, 0.5, 0.95])
+def test_tempered_sampler_finite_at_beta_ends(beta):
+    rng = np.random.Generator(np.random.Philox(3))
+    with np.errstate(all="raise"):
+        x = CGMY(1.0, beta, 2.0, 3.0).sample(rng, 10**5)
+    assert np.all(np.isfinite(x))
+
+
+def test_tempered_sampler_memory_is_bounded():
+    # 50 000 entries of about 560 pieces each: arrays over all 2.8e7 pieces
+    # at once would take several hundred MB
+    spec = CGMY(50.0, 0.5, 2.0, 3.0)
+    rng = np.random.Generator(np.random.Philox(4))
+    tracemalloc.start()
+    try:
+        x = spec.sample(rng, 50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+    assert abs(x.mean() - spec.mean()) < 5.0 * math.sqrt(spec.variance()
+                                                         / x.size)
 
 
 # -- convolution powers via the cf --------------------------------------------

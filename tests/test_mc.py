@@ -1,6 +1,7 @@
 """Monte Carlo plumbing: accumulators, batching, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from hypothesis import strategies as st
 
 from levy_stein import InvalidParams, ZeroDenominator
 from levy_stein.mc import (
+    BOUND,
+    DENOMINATOR,
+    ESTIMATE,
+    ORACLE,
     BivariateWelford,
     MCConfig,
     MCEstimate,
@@ -87,6 +92,22 @@ def test_substreams_deterministic():
     c = [g.standard_normal(3).tolist()
          for g in substreams(MCConfig(n_samples=10_000, seed=8, batch=2_000))]
     assert a != c
+
+
+def test_roles_draw_from_distinct_streams():
+    cfg = MCConfig(n_samples=10_000, seed=7, batch=2_000)
+
+    def first_batch(c, role):
+        return tuple(next(substreams(c, role)).random(4))
+
+    roles = (ESTIMATE, ORACLE, DENOMINATOR, BOUND)
+    this_seed = [first_batch(cfg, r) for r in roles]
+    next_seed = [first_batch(replace(cfg, seed=8), r) for r in roles]
+    assert len(set(this_seed + next_seed)) == 2 * len(roles)
+    # the estimate keeps the plain children of SeedSequence(seed)
+    child = np.random.SeedSequence(7).spawn(1)[0]
+    assert this_seed[0] == tuple(
+        np.random.Generator(np.random.Philox(child)).random(4))
 
 
 # -- accumulators ---------------------------------------------------------------
