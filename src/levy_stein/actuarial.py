@@ -167,9 +167,10 @@ def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
 
     method 'levy_formula' evaluates the covariance through the Lévy measure
     (inner fixed rule against nu, outer MC), 'covariance_oracle' estimates
-    it as a plain sample covariance on the independent ORACLE streams. For laws with support crossing zero
-    the number is still (2/mu) Cov(X, F(X)), but it is not a Lorenz-curve
-    Gini; the CLI flags that case rather than rejecting it.
+    it as a plain sample covariance on the independent ORACLE streams. For
+    laws with support crossing zero the number is still (2/mu) Cov(X, F(X)),
+    but it is not a Lorenz-curve Gini; the CLI flags that case rather than
+    rejecting it.
     """
     mu = _nonzero_mean(base, cfg)
     if mu < 0:

@@ -878,16 +878,16 @@ def vgd_to_alt(spec: VGD) -> VGDAltParams:
 
 # Pieces drawn per round of `_tempered_sums`: its arrays stay this long
 # whatever the coefficients and the number of entries.
-_PIECE_CHUNK = 1 << 15
+_PIECE_CHUNK = 1 << 13
 
 
-def _open_unit(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniforms on the open interval (0, 1). `rng.random` returns multiples
-    of 2^-53 in [0, 1); adding 2^-55 moves 0 off the lower end, and at the
-    top it rounds back to 1 - 2^-53."""
-    v = rng.random(shape)
-    v += 2.0**-55
-    return v
+def _open_unit(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with uniforms on the open interval (0, 1). `rng.random`
+    returns multiples of 2^-53 in [0, 1); adding 2^-55 moves 0 off the lower
+    end, and at the top it rounds back to 1 - 2^-53."""
+    rng.random(out=out)
+    out += 2.0**-55
+    return out
 
 
 def _tempered_sums(rng: np.random.Generator, s: np.ndarray, beta: float,
@@ -913,7 +913,7 @@ def _tempered_sums(rng: np.random.Generator, s: np.ndarray, beta: float,
     mass = (np.array([pos[0], neg[0]])[:, None] * -gamma_fn(-beta)
             * rates[:, None] ** beta * s).ravel()
     k = np.ceil(mass)
-    # log(rate * piece) = log(m/k)/beta + log S; 1 where a slot has no piece
+    # log(rate * piece) = log(m/k)/beta + log S (m/k = 1 for no pieces)
     log_scale = np.log(np.divide(mass, k, out=np.ones_like(mass),
                                  where=k > 0)) / beta
     # slot j (side j // n, entry j % n) owns pieces begins[j]..ends[j] - 1
@@ -923,7 +923,12 @@ def _tempered_sums(rng: np.random.Generator, s: np.ndarray, beta: float,
     # Kanter: S = [sin(beta U)/sin U] [sin((1-beta) U)/(sin U E)]^power
     power = (1.0 - beta) / beta
     kanter = np.array([1.0, -1.0 / beta, power])
+    half_angles = 0.5 * np.pi * np.array([[beta], [1.0], [1.0 - beta]])
     sums = np.zeros(2 * n)
+    # the rounds share their work arrays: arrays of this size allocated
+    # afresh would be paged in anew every round
+    size = 3 * min(_PIECE_CHUNK, n_pieces)
+    v_buf, x_buf, y_buf = np.empty((3, size))
     pending = np.empty(0, dtype=np.intp)
     start = 0
     # a piece below the smallest double is 0 to working precision
@@ -937,19 +942,23 @@ def _tempered_sums(rng: np.random.Generator, s: np.ndarray, beta: float,
                 np.arange(first, last + 1),
                 np.minimum(ends[seg], stop) - np.maximum(begins[seg], start))])
             start = stop
-            v = _open_unit(rng, (3, slots.size))
-            # sin(x)/2 = tau / (1 + tau^2), tau = tan(x/2), at x = beta U,
-            # U and (1 - beta) U for U = pi v[0]; log S is a combination of
-            # their logs whose weights sum to 0, so the halves cancel
-            tau = np.tan(np.multiply.outer((beta, 1.0, 1.0 - beta),
-                                           0.5 * np.pi * v[0]))
-            log_e, log_e_accept = np.log(-np.log(v[1:]))
-            t = (log_scale[slots] - power * log_e
-                 + kanter @ np.log(tau / (1.0 + tau * tau)))
-            keep = t <= log_e_accept
+            v, x, y = (buf[:3 * slots.size].reshape(3, slots.size)
+                       for buf in (v_buf, x_buf, y_buf))
+            _open_unit(rng, v)
+            # with tau = tan(a/2) at the angles a = beta U, U, (1 - beta) U
+            # for U = pi v[0], tau + 1/tau = 2/sin(a); log S weights the logs
+            # of the three by -kanter, whose sum 0 cancels the 2s
+            np.tan(np.multiply(half_angles, v[0], out=x), out=x)
+            x += np.divide(1.0, x, out=y)
+            np.log(x, out=x)
+            # log E and log E' of the exponentials -log v[1] and -log v[2]
+            log_e = np.log(v[1:], out=v[1:])
+            np.log(np.negative(log_e, out=log_e), out=log_e)
+            t = log_scale[slots] - power * log_e[0] - kanter @ x
+            keep = t <= log_e[1]
             # capped so that rejected pieces, weighted 0, cannot overflow
-            sums += np.bincount(slots, np.exp(np.minimum(t, log_e_accept))
-                                * keep, minlength=2 * n)
+            sums += np.bincount(slots, np.exp(np.minimum(t, log_e[1])) * keep,
+                                minlength=2 * n)
             pending = slots[~keep]
     return sums[:n] / rates[0] - sums[n:] / rates[1]
 

@@ -207,12 +207,12 @@ def mc_cov(batch_fn: Callable[[np.random.Generator, int],
 
 def mc_ratio(batch_fn: Callable[[np.random.Generator, int],
                                 Tuple[np.ndarray, np.ndarray]],
-             cfg: MCConfig, role: int = ESTIMATE) -> MCEstimate:
+             cfg: MCConfig) -> MCEstimate:
     """Estimate E[num]/E[den]; batch-means SE, pooled-ratio value."""
     num = Welford()
     den = Welford()
     per_batch = []
-    for rng, m in zip(substreams(cfg, role), batch_sizes(cfg)):
+    for rng, m in zip(substreams(cfg), batch_sizes(cfg)):
         a, b = batch_fn(rng, m)
         num.add_batch(a)
         den.add_batch(b)

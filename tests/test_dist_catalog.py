@@ -179,10 +179,10 @@ def test_tempered_sample_conv_is_deterministic():
 
 def test_open_unit_excludes_both_ends():
     class Extremes:
-        def random(self, shape):
-            return np.array([0.0, 2.0**-53, 0.5 - 2.0**-54, 1.0 - 2.0**-53])
+        def random(self, out):
+            out[:] = [0.0, 2.0**-53, 0.5 - 2.0**-54, 1.0 - 2.0**-53]
 
-    v = _open_unit(Extremes(), 4)
+    v = _open_unit(Extremes(), np.empty(4))
     assert np.all((v > 0.0) & (v < 1.0))
 
 
