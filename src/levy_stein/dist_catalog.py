@@ -934,14 +934,16 @@ def _tempered_sums(rng: np.random.Generator, s: np.ndarray, beta: float,
     # a piece below the smallest double is 0 to working precision
     with np.errstate(under="ignore"):
         while pending.size or start < n_pieces:
-            stop = min(n_pieces, start + _PIECE_CHUNK - pending.size)
-            first, last = np.searchsorted(ends, (start, stop - 1),
-                                          side="right")
-            seg = slice(first, last + 1)
-            slots = np.concatenate([pending, np.repeat(
-                np.arange(first, last + 1),
-                np.minimum(ends[seg], stop) - np.maximum(begins[seg], start))])
-            start = stop
+            slots = pending
+            if start < n_pieces:  # top the round up with fresh pieces
+                stop = min(n_pieces, start + _PIECE_CHUNK - pending.size)
+                first, last = np.searchsorted(ends, (start, stop - 1),
+                                              side="right")
+                seg = slice(first, last + 1)
+                slots = np.concatenate([pending, np.repeat(
+                    np.arange(first, last + 1), np.minimum(ends[seg], stop)
+                    - np.maximum(begins[seg], start))])
+                start = stop
             v, x, y = (buf[:3 * slots.size].reshape(3, slots.size)
                        for buf in (v_buf, x_buf, y_buf))
             _open_unit(rng, v)
@@ -956,9 +958,12 @@ def _tempered_sums(rng: np.random.Generator, s: np.ndarray, beta: float,
             np.log(np.negative(log_e, out=log_e), out=log_e)
             t = log_scale[slots] - power * log_e[0] - kanter @ x
             keep = t <= log_e[1]
-            # capped so that rejected pieces, weighted 0, cannot overflow
-            sums += np.bincount(slots, np.exp(np.minimum(t, log_e[1])) * keep,
-                                minlength=2 * n)
+            # capped so that rejected pieces, weighted 0, cannot overflow;
+            # binned over the slots of this round only
+            low = slots.min()
+            kept = np.bincount(slots - low,
+                               np.exp(np.minimum(t, log_e[1])) * keep)
+            sums[low:low + kept.size] += kept
             pending = slots[~keep]
     return sums[:n] / rates[0] - sums[n:] / rates[1]
 
