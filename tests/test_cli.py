@@ -9,9 +9,9 @@ import pytest
 
 from levy_stein import Gamma
 from levy_stein.cli import build_spec, emit, main, parse_spec, run_task
-from levy_stein.mc import substreams
 from levy_stein.errors import NonConvergence, ParseError, ValidationError, \
     ValidationFailure
+from levy_stein.mc import substreams
 
 
 def minimal_doc(**over):
