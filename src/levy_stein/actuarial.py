@@ -26,7 +26,7 @@ import numpy as np
 from .dist_catalog import IDDSpec
 from .errors import InvalidParams, ZeroDenominator
 from .functions import TestFunction
-from .identities import _check_tilt_headroom, cov_identity_rhs
+from .identities import _check_tilt_headroom, _nu_inner, cov_identity_rhs
 from .levy_core import DEFAULT_QUAD, QuadratureConfig, nu_rule, \
     tilted_first_moment_delta
 from .mc import DENOMINATOR, ORACLE, MCConfig, mc_cov, mc_mean, mc_ratio
@@ -76,18 +76,19 @@ def wpcp(base: IDDSpec, w: TestFunction, mc: MCConfig = MCConfig(),
          cfg: QuadratureConfig = DEFAULT_QUAD) -> PremiumReport:
     """Weighted premium H_w(X) = E(X) + E[I_1^w(X)] / E[w(X)], Monte Carlo.
 
-    I_1^w(x) = int u (w(x+u) - w(x)) nu(du) is a fixed rule (exact for
-    atomic measures), so each sample contributes a deterministic inner
-    value; only the outer expectation is sampled.
+    I_1^w(x) = int u (w(x+u) - w(x)) nu(du) is closed when w has terms and
+    a fixed rule otherwise (exact for atomic measures), so each sample
+    contributes a deterministic inner value; only the outer expectation is
+    sampled. For w = e^{kappa x} the closed I_1^w(x) is w(x) Psi_1(kappa),
+    so every sample's ratio is the Esscher shift of `esscher_closed`.
     """
     _check_tilt_headroom(base, w)
     mean = base.mean(cfg)
-    rule = nu_rule(base.measure, 1, cfg, tilt=w.tilt)
+    inner = _nu_inner(base.measure, w, 1, cfg)
 
     def batch(rng, size):
         x = base.sample(rng, size)
-        num = rule.shifted_sum(w.f, x, subtract_at_x=True)
-        return num, w.f(x)
+        return inner(x), w.f(x)
 
     est = mc_ratio(batch, mc)
     return PremiumReport(principle=f"wpcp({w.name})", value=mean + est.value,

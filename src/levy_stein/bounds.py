@@ -10,13 +10,16 @@ estimates share the same draws of (X, Y_1), so their ordering holds sample
 by sample and the bracket cannot cross from Monte Carlo noise alone.
 
 Chen's upper bound E[int (g(X+u) - g(X))^2 nu(du)] is looser in general but
-needs no bias variable and holds for any support.
+needs no bias variable and holds for any support. Its inner integral is
+closed when g has exponential-polynomial terms, and a fixed nu-rule
+otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -25,7 +28,8 @@ from .dist_catalog import Gamma, IDDSpec
 from .errors import DivergentMoment, InvalidParams
 from .functions import TestFunction
 from .identities import _check_tilt_headroom
-from .levy_core import DEFAULT_QUAD, BiasVariable, QuadratureConfig, nu_rule
+from .levy_core import (DEFAULT_QUAD, BiasVariable, QuadratureConfig,
+                        closed_sq_diff, nu_rule)
 from .mc import BOUND, ORACLE, MCConfig, MCEstimate, Welford, batch_sizes, \
     mc_mean, mc_variance, substreams
 
@@ -81,11 +85,12 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
                      with_oracle: bool = False) -> VarianceBounds:
     """The variance bracket for Var(g(X)).
 
-    Closed form when it is exact: affine g on any family (both sides equal
-    (g')^2 Var(X)), and polynomial g' on the gamma family, where X + Y_1 is
-    again gamma with the shape bumped by one. Everything else is Monte
-    Carlo with shared draws. `with_oracle` attaches a direct sample-variance
-    estimate of Var(g(X)) from the independent ORACLE streams.
+    Closed form when it is exact, read from the terms of g: affine g on any
+    family (both sides equal (g')^2 Var(X)), and polynomial g on the gamma
+    family, where X + Y_1 is again gamma with the shape bumped by one.
+    Everything else is Monte Carlo with shared draws. `with_oracle`
+    attaches a direct sample-variance estimate of Var(g(X)) from the
+    independent ORACLE streams.
     """
     _check_tilt_headroom(base, g)
     if g.tilt != 0.0:
@@ -154,11 +159,14 @@ def chen_upper_bound(base: IDDSpec, g: TestFunction,
             raise DivergentMoment(
                 f"(delta {g.name})^2 grows at rate {2 * abs(g.tilt)}, beyond "
                 "the Lévy decay rates")
-    rule = nu_rule(base.measure, 0, cfg, tilt=2.0 * g.tilt)
+    if g.terms:
+        inner = closed_sq_diff(base.measure, g.terms)
+    else:
+        inner = partial(nu_rule(base.measure, 0, cfg, tilt=2.0 * g.tilt)
+                        .shifted_sum_sq_diff, g.f)
 
     def batch(rng, size):
-        x = base.sample(rng, size)
-        return rule.shifted_sum_sq_diff(g.f, x)
+        return inner(base.sample(rng, size))
 
     return mc_mean(batch, mc, BOUND)
 

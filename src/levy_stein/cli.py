@@ -31,8 +31,9 @@ from .dist_catalog import BGD, CGMY, VGD, IDDSpec, make_spec, vgd_to_alt
 from .errors import (InvalidParams, NumericFailure, ParseError,
                      ValidationError, ValidationFailure)
 from .functions import G_REGISTRY, W_REGISTRY, TestFunction, get_function
-from .identities import (cov_identity_rhs, cov_oracle, stein_residual_bgd,
-                         stein_residual_cgmy, stein_residual_vgd)
+from .identities import (cov_identity_rhs, cov_oracle, identity_route,
+                         inner_route, stein_residual_bgd, stein_residual_cgmy,
+                         stein_residual_vgd)
 from .levy_core import QuadratureConfig, cumulant
 from .mc import MCConfig, MCEstimate, combine_se
 
@@ -285,7 +286,7 @@ def _run_cumulants(spec: TaskSpec):
     rows = [_row(f"C{k}", cumulant(spec.base, k, spec.quadrature),
                  "closed_form")
             for k in range(1, spec.task["k_max"] + 1)]
-    return rows, []
+    return rows, [], {}
 
 
 def _run_verify_identity(spec: TaskSpec):
@@ -295,7 +296,7 @@ def _run_verify_identity(spec: TaskSpec):
     orc = cov_oracle(spec.base, n, g, spec.mc)
     rows = [_est_row("identity_rhs", est), _est_row("oracle", orc),
             _z_row(est.value - orc.value, combine_se(est, orc))]
-    return rows, []
+    return rows, [], {"identity_rhs": identity_route(spec.base, n, g)}
 
 
 def _run_bounds(spec: TaskSpec):
@@ -312,23 +313,31 @@ def _run_bounds(spec: TaskSpec):
         _est_row("variance_oracle", vb.oracle),
         _est_row("chen_upper", chen),
     ]
-    return rows, []
+    bracket = "closed" if closed else "bias"
+    routes = {"cacoullos_lower": bracket, "cacoullos_upper": bracket,
+              "chen_upper": inner_route(spec.base.measure, g)}
+    return rows, [], routes
 
 
 def _run_premium(spec: TaskSpec):
     task = spec.task
     principle = task["principle"]
+    routes = {}
     if principle == "esscher":
         rep = esscher_closed(spec.base, task["kappa"], spec.quadrature)
     elif principle == "wpcp":
-        rep = wpcp(spec.base, _task_w(task), spec.mc, spec.quadrature)
+        w = _task_w(task)
+        rep = wpcp(spec.base, w, spec.mc, spec.quadrature)
+        routes[rep.principle] = inner_route(spec.base.measure, w)
     elif principle == "modified_variance":
         rep = modified_variance(spec.base, spec.quadrature)
     else:
-        rep = generalized_wpcp(spec.base, task["n"], _task_w(task), spec.mc,
+        w = _task_w(task)
+        rep = generalized_wpcp(spec.base, task["n"], w, spec.mc,
                                spec.quadrature)
+        routes[rep.principle] = identity_route(spec.base, task["n"], w)
     rows = [_row(rep.principle, rep.value, rep.method, rep.std_error, rep.n)]
-    return rows, []
+    return rows, [], routes
 
 
 def _run_gini(spec: TaskSpec):
@@ -353,14 +362,17 @@ def _run_gini(spec: TaskSpec):
     if spec.base.measure.support != "positive":
         warnings.append("support extends below zero: formula value, not a "
                         "Lorenz-Gini")
-    return rows, warnings
+    return rows, warnings, {
+        "gini_levy_formula": inner_route(spec.base.measure, None)}
 
 
 def _run_stein(spec: TaskSpec):
     g = _task_g(spec.task)
     base = spec.base
+    routes = {}
     if isinstance(base, CGMY):
         est = stein_residual_cgmy(base, g, spec.mc, spec.quadrature)
+        routes["stein_residual"] = inner_route(base.measure, g)
     elif isinstance(base, VGD):
         est = stein_residual_vgd(vgd_to_alt(base), g, spec.mc)
     elif isinstance(base, BGD):
@@ -371,7 +383,7 @@ def _run_stein(spec: TaskSpec):
             f"{spec.family!r}")
     rows = [_est_row("stein_residual", est),
             _z_row(est.value, est.std_error)]
-    return rows, []
+    return rows, [], routes
 
 
 _RUNNERS = {
@@ -398,7 +410,7 @@ def _params_echo(base: IDDSpec) -> dict:
 
 def run_task(spec: TaskSpec) -> dict:
     """Execute the task and assemble the report document."""
-    rows, warnings = _RUNNERS[spec.task["kind"]](spec)
+    rows, warnings, routes = _RUNNERS[spec.task["kind"]](spec)
     ses = [r["std_error"] for r in rows if r["std_error"] is not None]
     report = {
         "input": {
@@ -419,6 +431,9 @@ def run_task(spec: TaskSpec) -> dict:
             "n_samples": spec.mc.n_samples,
             "batch": spec.mc.batch,
             "max_std_error": max(ses) if ses else None,
+            # how each row's inner integral was evaluated: closed, rule,
+            # bias or atoms (rows without one are absent)
+            "inner_routes": routes,
             "versions": {
                 "levy_stein": __version__,
                 "python": platform.python_version(),

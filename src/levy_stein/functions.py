@@ -4,35 +4,80 @@ The estimators only accept functions from this registry: every entry carries
 hand-coded first and second derivatives, so there is no numerical
 differentiation anywhere in the identity machinery. Parametrized entries
 (exp_tilt, shift) are built on lookup.
+
+Entries that are exponential polynomials (id, square, sin, exp_tilt, shift,
+one) also carry that description as terms a x^p e^{zx}, with complex a and
+z and g = Re sum of the terms. The inner integrals against the Lévy measure
+are then closed (levy_core.closed_inner); gauss and log1psq carry no terms
+and keep the fixed quadrature rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 
 
+class Term(NamedTuple):
+    """a x^p e^{zx}; a function is the real part of a sum of terms."""
+
+    a: complex
+    p: int
+    z: complex
+
+
+def derivative(terms) -> Tuple[Term, ...]:
+    """Terms of d/dx of sum(terms): a p x^{p-1} e^{zx} + a z x^p e^{zx}."""
+    out = []
+    for a, p, z in terms:
+        if p:
+            out.append(Term(a * p, p - 1, z))
+        if z:
+            out.append(Term(a * z, p, z))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """A smooth scalar function with its first two derivatives.
 
-    d1_poly, when present, gives the coefficients of g' as a polynomial
-    (lowest order first); closed-form bound paths use it.
+    terms, when present, describe the same function as an exponential
+    polynomial Re sum a x^p e^{zx}; the closed inner integrals, the closed
+    variance brackets, d1_poly and tilt all come from them. f, d1 and d2
+    stay hand-coded real callables, which the sampling routes evaluate.
     """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
-    d1_poly: Optional[Tuple[float, ...]] = None
-    # signed exponential growth rate: e^{tilt x} envelope (0 for polynomial
-    # and bounded functions). Quadrature rules stretch their tails by it,
-    # and integrability pre-checks compare it against Lévy decay rates.
-    tilt: float = 0.0
+    terms: Tuple[Term, ...] = ()
+
+    @property
+    def d1_poly(self) -> Optional[Tuple[float, ...]]:
+        """Coefficients of g' as a polynomial, lowest order first, when g is
+        a polynomial (every term has z = 0); None otherwise."""
+        if not self.terms or any(t.z != 0 for t in self.terms):
+            return None
+        coeffs = [0.0] * max(1, max(t.p for t in self.terms))
+        for a, p, _ in derivative(self.terms):
+            coeffs[p] += a.real
+        while len(coeffs) > 1 and coeffs[-1] == 0.0:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    @property
+    def tilt(self) -> float:
+        """Signed exponential growth rate: the e^{tilt x} envelope, 0 for
+        polynomial and bounded functions. Quadrature rules stretch their
+        tails by it, and integrability pre-checks compare it against Lévy
+        decay rates."""
+        return max((t.z.real for t in self.terms), key=abs,
+                   default=0.0)
 
 
 def _gauss(x):
@@ -74,7 +119,7 @@ def make_exp_tilt(kappa: float) -> TestFunction:
         return kappa * kappa * np.exp(kappa * x)
 
     return TestFunction(name=f"exp_tilt({kappa:g})", f=f, d1=d1, d2=d2,
-                        tilt=kappa)
+                        terms=(Term(1.0, 0, kappa),))
 
 
 def make_shift(c: float) -> TestFunction:
@@ -85,7 +130,7 @@ def make_shift(c: float) -> TestFunction:
         f=lambda x: x + c,
         d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        d1_poly=(1.0,),
+        terms=(Term(c, 0, 0.0), Term(1.0, 1, 0.0)),
     )
 
 
@@ -94,7 +139,7 @@ ONE = TestFunction(
     f=lambda x: np.ones_like(np.asarray(x, dtype=float)),
     d1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    d1_poly=(0.0,),
+    terms=(Term(1.0, 0, 0.0),),
 )
 
 IDENTITY = TestFunction(
@@ -102,7 +147,7 @@ IDENTITY = TestFunction(
     f=lambda x: np.asarray(x, dtype=float),
     d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
     d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    d1_poly=(1.0,),
+    terms=(Term(1.0, 1, 0.0),),
 )
 
 SQUARE = TestFunction(
@@ -110,10 +155,12 @@ SQUARE = TestFunction(
     f=lambda x: np.square(x),
     d1=lambda x: 2.0 * np.asarray(x, dtype=float),
     d2=lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
-    d1_poly=(0.0, 2.0),
+    terms=(Term(1.0, 2, 0.0),),
 )
 
-SIN = TestFunction(name="sin", f=np.sin, d1=np.cos, d2=lambda x: -np.sin(x))
+# sin x = Re(-i e^{ix})
+SIN = TestFunction(name="sin", f=np.sin, d1=np.cos, d2=lambda x: -np.sin(x),
+                   terms=(Term(-1j, 0, 1j),))
 
 GAUSS = TestFunction(name="gauss", f=_gauss, d1=_gauss_d1, d2=_gauss_d2)
 

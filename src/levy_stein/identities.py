@@ -10,10 +10,12 @@ independent) and
 
     I_m(x) = int g'(x + v) eta_m(v) dv = int u^m (g(x+u) - g(x)) nu(du).
 
-The two expressions for I_m are a Fubini identity; both are implemented
-(the eta-form via fixed quadrature rules, the nu-form exactly for atomic
-measures) and cross-checked in the tests. For measures supported on the
-positive half-line, I_m(x) = C_{m+1} E[g'(x + Y_m)] with Y_m the bias
+The two expressions for I_m are a Fubini identity. When g is an exponential
+polynomial (it carries terms), the nu-form is closed: an exponential
+polynomial in x again, evaluated per sample. Otherwise the eta-form runs
+through a fixed quadrature rule, and the nu-form is an exact sum for atomic
+measures; the forms are cross-checked in the tests. For measures supported
+on the positive half-line, I_m(x) = C_{m+1} E[g'(x + Y_m)] with Y_m the bias
 variable of order m, which gives a quadrature-free sampling route.
 
 The outer integral over s is handled by drawing s ~ U(0,1) per sample,
@@ -23,6 +25,7 @@ which keeps the estimator unbiased without any grid.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, Optional
 
 import numpy as np
@@ -33,7 +36,9 @@ from .functions import TestFunction
 from .levy_core import (
     DEFAULT_QUAD,
     BiasVariable,
+    LevyMeasure,
     QuadratureConfig,
+    closed_inner,
     eta_rule,
     nu_rule,
 )
@@ -43,6 +48,8 @@ __all__ = [
     "JointPairSampler",
     "sample_joint",
     "cov_identity_rhs",
+    "identity_route",
+    "inner_route",
     "cov_first_order",
     "cov_oracle",
     "stein_residual_cgmy",
@@ -104,7 +111,29 @@ def _moment_precheck(base: IDDSpec, n: int):
             raise DivergentMoment(f"cumulant of order {k} is not finite")
 
 
-def _resolve_route(base: IDDSpec, n: int, route: str) -> str:
+def inner_route(measure: LevyMeasure, g: Optional[TestFunction]) -> str:
+    """How a nu-form inner integral of g is evaluated: 'closed' when g has
+    exponential-polynomial terms, otherwise a fixed rule, which is an exact
+    sum over 'atoms' for atomic measures and a quadrature 'rule' else."""
+    if g is not None and g.terms:
+        return "closed"
+    return "atoms" if measure.is_atomic else "rule"
+
+
+def _nu_inner(measure: LevyMeasure, g: TestFunction, m: int,
+              cfg: QuadratureConfig, subtract: bool = True):
+    """x -> int u^m (g(x+u) - [subtract] g(x)) nu(du), on the route that
+    `inner_route` names: closed, or a fixed nu-rule (exact over atoms)."""
+    if g.terms:
+        return closed_inner(measure, g.terms, m, subtract)
+    rule = nu_rule(measure, m, cfg, tilt=g.tilt)
+    return partial(rule.shifted_sum, g.f, subtract_at_x=subtract)
+
+
+def identity_route(base: IDDSpec, n: int, g: TestFunction,
+                   route: str = "auto") -> str:
+    """The inner-integral route of `cov_identity_rhs`: 'bias', 'closed',
+    'atoms' or 'rule'."""
     meas = base.measure
     if route == "auto":
         route = "bias" if meas.support == "positive" else "quadrature"
@@ -113,9 +142,10 @@ def _resolve_route(base: IDDSpec, n: int, route: str) -> str:
             raise InvalidParams(
                 "bias-sampling route needs positive support for n > 1 "
                 "(even-order bias variables do not exist two-sided)")
-    elif route != "quadrature":
+        return route
+    if route != "quadrature":
         raise InvalidParams(f"unknown route {route!r}")
-    return route
+    return inner_route(meas, g)
 
 
 def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
@@ -126,14 +156,15 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
 
     route 'bias' draws the inner integral through equilibrium variables
     (positive support; two-sided only at n = 1), 'quadrature' evaluates
-    I_m with fixed tail-integral rules (exact sums for atomic measures),
-    'auto' picks whichever is natural for the measure.
+    I_m in closed form when g has terms, and otherwise with fixed
+    tail-integral rules (exact sums for atomic measures); 'auto' picks
+    whichever is natural for the measure. `identity_route` names the pick.
     """
     if n < 1:
         raise InvalidParams("identity order n must be a positive integer")
     _moment_precheck(base, n)
     _check_tilt_headroom(base, g)
-    route = _resolve_route(base, n, route)
+    route = identity_route(base, n, g, route)
     pair = JointPairSampler(base)
     binom = [math.comb(n, k) for k in range(n)]
     meas = base.measure
@@ -154,29 +185,18 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
 
         return mc_mean(batch, mc)
 
-    if meas.is_atomic:
-        # nu-form of I_m is an exact finite sum over the atoms
-        rules = {m: nu_rule(meas, m, cfg) for m in range(1, n + 1)}
-
-        def batch(rng, size):
-            x, y, _ = pair.sample(rng, size)
-            z = np.zeros(size)
-            for k in range(n):
-                m = n - k
-                z += binom[k] * y**k * rules[m].shifted_sum(
-                    g.f, x, subtract_at_x=True)
-            return z
-
-        return mc_mean(batch, mc)
-
-    rules = {m: eta_rule(meas, m, cfg, tilt=g.tilt) for m in range(1, n + 1)}
+    if route == "rule":
+        inner = {m: partial(eta_rule(meas, m, cfg, tilt=g.tilt).shifted_sum,
+                            g.d1) for m in range(1, n + 1)}
+    else:
+        # the nu-form: closed, or an exact finite sum over the atoms
+        inner = {m: _nu_inner(meas, g, m, cfg) for m in range(1, n + 1)}
 
     def batch(rng, size):
         x, y, _ = pair.sample(rng, size)
         z = np.zeros(size)
         for k in range(n):
-            m = n - k
-            z += binom[k] * y**k * rules[m].shifted_sum(g.d1, x)
+            z += binom[k] * y**k * inner[n - k](x)
         return z
 
     return mc_mean(batch, mc)
@@ -221,17 +241,18 @@ def stein_residual_cgmy(spec: CGMY, g: TestFunction,
                         cfg: QuadratureConfig = DEFAULT_QUAD) -> MCEstimate:
     """E[X g(X) - int u g(X + u) nu(du)] vanishes exactly on the CGMY law.
 
-    The inner integral is a fixed nu-rule, so the residual is a plain mean
-    whose MC error the caller can read off the estimate.
+    The inner integral is closed when g has terms and a fixed nu-rule
+    otherwise, so the residual is a plain mean whose MC error the caller
+    can read off the estimate.
     """
     if not isinstance(spec, CGMY):
         raise InvalidParams("stein_residual_cgmy expects a CGMY spec")
     _check_tilt_headroom(spec, g)
-    rule = nu_rule(spec.measure, 1, cfg, tilt=g.tilt)
+    inner = _nu_inner(spec.measure, g, 1, cfg, subtract=False)
 
     def batch(rng, size):
         x = spec.sample(rng, size)
-        return x * g.f(x) - rule.shifted_sum(g.f, x)
+        return x * g.f(x) - inner(x)
 
     return mc_mean(batch, mc)
 

@@ -15,11 +15,21 @@ half-line (density alpha |u|^{-1-beta} e^{-rate |u|}); every catalog family
 is one of the two. Tail integrals and moments then have closed forms
 through the upper incomplete gamma function, and adaptive quadrature of
 the density is kept only as an independent oracle for them.
+
+The same holds for exponential moments: int u^m e^{zu} nu(du) is a finite
+sum over atoms or c Gamma(m-beta) (rate-z)^{beta-m} per side, for complex
+z. So for a test function given as an exponential polynomial
+g(x) = Re sum a x^p e^{zx}, the inner integrals int u^m (g(x+u) - g(x))
+nu(du), int u g(x+u) nu(du) and int (g(x+u) - g(x))^2 nu(du) are again
+exponential polynomials in x with closed coefficients (`closed_inner`,
+`closed_sq_diff`). Functions without that form (gauss, log1psq, a cdf) go
+through the fixed product rules (`nu_rule`, `eta_rule`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -41,12 +51,17 @@ __all__ = [
     "TailIntegral",
     "BiasVariable",
     "FixedRule",
+    "ClosedInner",
     "integrate_levy",
     "eta",
     "cumulant",
     "bias_density",
     "nu_rule",
     "eta_rule",
+    "exp_moment",
+    "closed_inner",
+    "closed_sq_diff",
+    "eval_terms",
     "tilted_first_moment_delta",
 ]
 
@@ -131,6 +146,37 @@ class TiltedPowerSide:
         return self.coef * math.exp(
             gammaln(k - self.beta) + (self.beta - k) * math.log(self.rate - kappa)
         )
+
+    def exp_moment(self, m: int, z, subtract_one: bool = False) -> np.ndarray:
+        """int_0^inf u^m (e^{zu} - [subtract_one]) (density) du, complex z.
+
+        Closed form c Gamma(s) rate^{-s} (1 - z/rate)^{-s}, s = m - beta,
+        minus c Gamma(s) rate^{-s} when subtract_one; that difference is
+        taken as an expm1 so it keeps its digits for small z, and at s = 0
+        it is the limit -c log(1 - z/rate). Needs Re z < rate; without
+        subtract_one it also needs s > 0.
+        """
+        z = np.asarray(z, dtype=complex)
+        if np.any(z.real >= self.rate):
+            raise DivergentMoment(
+                f"exponential moment at Re z = {np.max(z.real)} diverges: the "
+                f"tilted-power side decays at rate {self.rate}")
+        s = m - self.beta
+        if s <= 0 and not subtract_one:
+            raise DivergentMoment(
+                f"moment of order {m} diverges (beta={self.beta})")
+        w = -z / self.rate
+        # log(1 + w); numpy's complex log1p forms |1 + w| directly and
+        # loses the digits of a small w, so the real part goes through
+        # the real log1p
+        log1p_w = (0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2)
+                   + 1j * np.arctan2(w.imag, 1.0 + w.real))
+        if s == 0:
+            return -self.coef * log1p_w
+        scale = self.coef * math.gamma(s) * self.rate**-s
+        if subtract_one:
+            return scale * np.expm1(-s * log1p_w)
+        return scale * np.exp(-s * log1p_w)
 
 
 class LevyMeasure:
@@ -466,10 +512,13 @@ def bias_density(measure: LevyMeasure, k: int, y: float,
 class FixedRule:
     """Nodes/weights for sum_q w_q h(x + u_q) style inner integrals.
 
-    Built once per (measure, order) and reused across every Monte Carlo
-    sample; exactness for atomic measures, panelled Gauss-Legendre with an
-    origin substitution otherwise. Validated against adaptive quadrature in
-    the test suite.
+    The route for integrands without a closed form: the cdf of the Gini
+    formula, and test functions without exponential-polynomial terms
+    (gauss, log1psq); `ClosedInner` covers the others. Built once per
+    (measure, order) and reused across every Monte Carlo sample; exactness
+    for atomic measures, panelled Gauss-Legendre with an origin
+    substitution otherwise. Validated against adaptive quadrature and the
+    closed transforms in the test suite.
     """
 
     nodes: np.ndarray
@@ -612,6 +661,131 @@ def eta_rule(measure: LevyMeasure, m: int,
     return _panel_rule(
         measure, m, tilt, neg_tilt, power,
         weight=lambda sign, side, w, v: w * side.tail(m, v) * sign ** (m + 1))
+
+
+# -- closed inner integrals ------------------------------------------------
+
+
+def exp_moment(measure: LevyMeasure, m: int, z,
+               subtract_one: bool = False) -> np.ndarray:
+    """int u^m (e^{zu} - [subtract_one]) nu(du), vectorised over complex z.
+
+    With subtract_one this is Psi_m(z), finite for every m >= 0 because
+    beta < 1; the plain moment needs m - beta > 0. Atoms give finite sums,
+    and the negative side is the positive formula mirrored: (-1)^m times its
+    value at -z.
+    """
+    z = np.asarray(z, dtype=complex)
+    if measure.is_atomic:
+        out = np.zeros_like(z)
+        for loc, mass in measure.atoms:
+            e = np.expm1(z * loc) if subtract_one else np.exp(z * loc)
+            out = out + mass * loc**m * e
+        return out
+    return sum(sign**m * side.exp_moment(m, sign * z, subtract_one)
+               for sign, side in measure.sides())
+
+
+@dataclass(frozen=True)
+class ClosedInner:
+    """An inner integral in closed form, x -> Re sum a x^p e^{zx} over its
+    terms (a, p, z).
+
+    The closed counterpart of a FixedRule's shifted sums for exponential
+    polynomial g: built once per task by `closed_inner` or
+    `closed_sq_diff`, it costs one exponential per distinct z and sample
+    instead of one evaluation of g per rule node and sample.
+    """
+
+    terms: Tuple[Tuple[complex, int, complex], ...]
+
+    def __call__(self, x) -> np.ndarray:
+        return eval_terms(self.terms, x)
+
+
+def eval_terms(terms, x) -> np.ndarray:
+    """Re sum a x^p e^{zx} over terms (a, p, z), vectorised over real x."""
+    x = np.asarray(x, dtype=float)
+    by_z = defaultdict(dict)
+    for a, p, z in terms:
+        poly = by_z[complex(z)]
+        poly[p] = poly.get(p, 0j) + complex(a)
+    out = np.zeros_like(x)
+    for z, poly in by_z.items():
+        val = np.polynomial.polynomial.polyval(
+            x, [poly.get(p, 0j) for p in range(max(poly) + 1)])
+        if z.imag:
+            out += (val * np.exp(z * x)).real
+        elif z.real:
+            out += val.real * np.exp(z.real * x)
+        else:
+            out += val.real
+    return out
+
+
+def _shifted(terms, m: int, subtract: bool):
+    """u^m (G(x+u) - [subtract] G(x)) for G = sum of terms (a, p, z), as
+    monomials (c, i, zx, q, zu) meaning c x^i e^{zx x} u^q e^{zu u}:
+    (x+u)^p e^{z(x+u)} = sum_k C(p, k) x^{p-k} e^{zx} u^k e^{zu}."""
+    out = []
+    for a, p, z in terms:
+        a, z = complex(a), complex(z)
+        out += [(a * math.comb(p, k), p - k, z, m + k, z)
+                for k in range(p + 1)]
+        if subtract:
+            out.append((-a, p, z, m, 0j))
+    return out
+
+
+def _integrate_monomials(measure: LevyMeasure, monomials) -> ClosedInner:
+    """int over nu(du) of a sum of monomials (c, i, zx, q, zu).
+
+    Each monomial is split as u^q (e^{zu u} - 1) + u^q. The first part is
+    Psi_q(zu); the second is gathered per x-part and moment order, so the
+    pieces that cancel in G(x+u) - G(x) cancel before they meet C_q. At
+    q = 0 the monomials of each x-part must sum to zero (the integrand
+    vanishes at u = 0, as every caller's does), and Psi_0 alone carries them.
+    """
+    coef = defaultdict(complex)
+    plain = defaultdict(complex)
+    for c, i, zx, q, zu in monomials:
+        coef[i, zx] += c * complex(exp_moment(measure, q, zu, True))
+        if q:
+            plain[i, zx, q] += c
+    for (i, zx, q), c in plain.items():
+        if c:
+            coef[i, zx] += c * measure.moment(q)
+    return ClosedInner(tuple((a, i, zx) for (i, zx), a in coef.items() if a))
+
+
+def closed_inner(measure: LevyMeasure, terms, m: int,
+                 subtract: bool = True) -> ClosedInner:
+    """I_m(x) = int u^m (g(x+u) - g(x)) nu(du) for g = Re sum of terms
+    (a, p, z); with subtract False, int u^m g(x+u) nu(du) (m >= 1).
+
+    For a single term a e^{zx} this is Re a e^{zx} Psi_m(z); powers of x
+    add moments int u^{m+k} e^{zu} nu(du) of higher order.
+    """
+    if m < 0 or (m == 0 and not subtract):
+        raise InvalidParams(
+            f"closed inner integral of order m={m} needs m >= 1, or m = 0 "
+            "with g(x) subtracted")
+    return _integrate_monomials(measure, _shifted(terms, m, subtract))
+
+
+def closed_sq_diff(measure: LevyMeasure, terms) -> ClosedInner:
+    """int (g(x+u) - g(x))^2 nu(du) for g = Re sum of terms, Chen's bound.
+
+    With D = G(x+u) - G(x), (Re D)^2 = Re(D D + D conj(D)) / 2, and both
+    products expand into monomials again.
+    """
+    d = _shifted(terms, 0, True)
+    d_conj = [(c.conjugate(), i, zx.conjugate(), q, zu.conjugate())
+              for c, i, zx, q, zu in d]
+    return _integrate_monomials(measure, [
+        (0.5 * c1 * c2, i1 + i2, zx1 + zx2, q1 + q2, zu1 + zu2)
+        for c1, i1, zx1, q1, zu1 in d
+        for c2, i2, zx2, q2, zu2 in d + d_conj])
 
 
 def tilted_first_moment_delta(measure: LevyMeasure, kappa: float,

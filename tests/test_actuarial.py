@@ -8,6 +8,7 @@ import pytest
 from levy_stein import (
     BGD,
     CGMY,
+    GTSD,
     Gamma,
     InvalidParams,
     InverseGaussian,
@@ -92,6 +93,20 @@ def test_wpcp_esscher_weight_matches_closed(mc_medium):
     rep = wpcp(spec, make_exp_tilt(0.3), mc_medium)
     closed = esscher_closed(spec, 0.3)
     assert_within_se(rep, closed.value, floor=1e-9, label="wpcp vs esscher")
+
+
+@pytest.mark.parametrize("spec,kappa", [
+    (Gamma(2.0, 1.5), 0.5), (InverseGaussian(1.0, 2.0), 0.5),
+    (CGMY(1.0, 0.5, 2.0, 3.0), 0.5), (GTSD(0.5, 0.5, 1.0, 2.0, 0.5, 3.0), 0.5),
+], ids=lambda v: getattr(v, "family", str(v)))
+def test_wpcp_esscher_weight_is_the_closed_premium(spec, kappa, mc_small):
+    # the closed inner integral of e^{kappa x} is e^{kappa x} Psi_1(kappa),
+    # so every sample's ratio is the Esscher shift itself, to roundoff
+    rep = wpcp(spec, make_exp_tilt(kappa), mc_small)
+    closed = esscher_closed(spec, kappa)
+    assert rel_err(rep.value, closed.value) < 1e-13
+    # still reported as the Monte Carlo row it is
+    assert rep.method == "numeric" and rep.n == mc_small.n_samples
 
 
 def test_wpcp_loading_nonnegative(mc_medium):

@@ -246,18 +246,36 @@ def test_main_numeric_exit_code(tmp_path, capsysbinary, monkeypatch):
     assert b"numeric failure" in capsysbinary.readouterr().err
 
 
+CGMY_NEAR_ONE = {"family": "cgmy", "params": {
+    "alpha": 1.0, "beta": 0.99, "lam_pos": 2.0, "lam_neg": 3.0}}
+
+
 def test_main_stein_near_beta_one_exits_numeric(tmp_path, capsysbinary):
     # the nu-rule for CGMY with beta = 0.99 cannot be built in floating
-    # point; the task must fail with exit 3, not report nan
-    doc = minimal_doc(
-        distribution={"family": "cgmy", "params": {
-            "alpha": 1.0, "beta": 0.99, "lam_pos": 2.0, "lam_neg": 3.0}},
-        task={"kind": "stein", "g_name": "sin"})
+    # point; gauss has no closed inner integral, so the task builds that
+    # rule and must fail with exit 3, not report nan
+    doc = minimal_doc(distribution=CGMY_NEAR_ONE,
+                      task={"kind": "stein", "g_name": "gauss"})
     path = write_spec(tmp_path, doc)
     assert main(["run", path]) == 3
     captured = capsysbinary.readouterr()
     assert captured.out == b""
     assert b"numeric failure" in captured.err and b"beta=0.99" in captured.err
+
+
+def test_stein_sin_near_beta_one_takes_closed_route():
+    # sin has a closed inner integral, so beta = 0.99 needs no rule; a
+    # variate there costs about 100 times its cost at beta = 0.5, so n is
+    # small
+    doc = minimal_doc(distribution=CGMY_NEAR_ONE,
+                      task={"kind": "stein", "g_name": "sin"},
+                      mc={"n_samples": 2000, "seed": 11, "batch": 250})
+    report = run_task(build_spec(doc))
+    rows = {r["name"]: r for r in report["results"]}
+    assert np.isfinite(rows["stein_residual"]["value"])
+    assert abs(rows["z_score"]["value"]) <= 4.0
+    assert report["diagnostics"]["inner_routes"] == {
+        "stein_residual": "closed"}
 
 
 def test_main_gini_with_too_long_cdf_series_exits_numeric(tmp_path,
@@ -295,3 +313,49 @@ def test_verify_identity_oracle_replays_no_estimate_stream(sample_spy):
         rng = next(substreams(replace(spec.mc, seed=seed)))
         assert not np.array_equal(
             oracle_first, spec.base.sample(rng, oracle_first.size)), seed
+
+
+CGMY_HALF = {"family": "cgmy", "params": {
+    "alpha": 1.0, "beta": 0.5, "lam_pos": 2.0, "lam_neg": 3.0}}
+TILT = {"w_name": "exp_tilt", "kappa": 0.5}
+
+
+@pytest.mark.parametrize("dist,task,routes", [
+    (CGMY_HALF, {"kind": "verify-identity", "n": 2, "g_name": "sin"},
+     {"identity_rhs": "closed"}),
+    (CGMY_HALF, {"kind": "verify-identity", "n": 1, "g_name": "gauss"},
+     {"identity_rhs": "rule"}),
+    (None, {"kind": "verify-identity", "n": 1, "g_name": "sin"},
+     {"identity_rhs": "bias"}),
+    ({"family": "poisson", "params": {"lam": 2.0}},
+     {"kind": "verify-identity", "n": 1, "g_name": "sin"},
+     {"identity_rhs": "bias"}),
+    (CGMY_HALF, {"kind": "bounds", "g_name": "sin"},
+     {"cacoullos_lower": "bias", "cacoullos_upper": "bias",
+      "chen_upper": "closed"}),
+    (None, {"kind": "bounds", "g_name": "square"},
+     {"cacoullos_lower": "closed", "cacoullos_upper": "closed",
+      "chen_upper": "closed"}),
+    (CGMY_HALF, {"kind": "premium", "principle": "wpcp", **TILT},
+     {"wpcp(exp_tilt(0.5))": "closed"}),
+    (None, {"kind": "premium", "principle": "generalized_wpcp", "n": 2,
+            **TILT},
+     {"generalized_wpcp(n=2, exp_tilt(0.5))": "bias"}),
+    (CGMY_HALF, {"kind": "stein", "g_name": "sin"},
+     {"stein_residual": "closed"}),
+    ({"family": "vgd", "params": {"mu0": 0.2, "alpha": 1.5, "lam_pos": 3.0,
+                                  "lam_neg": 4.0}},
+     {"kind": "stein", "g_name": "sin"}, {}),
+    ({"family": "poisson", "params": {"lam": 2.0}}, {"kind": "gini"},
+     {"gini_levy_formula": "atoms"}),
+    (None, {"kind": "gini"}, {"gini_levy_formula": "rule"}),
+])
+def test_report_names_inner_routes(dist, task, routes):
+    over = {"task": task, "mc": {"n_samples": 2000, "seed": 3, "batch": 250}}
+    if dist is not None:
+        over["distribution"] = dist
+    spec = build_spec(minimal_doc(**over))
+    first = emit(run_task(spec), "json")
+    assert json.loads(first)["diagnostics"]["inner_routes"] == routes
+    # the routes, like every other field, are byte-identical across runs
+    assert emit(run_task(spec), "json") == first

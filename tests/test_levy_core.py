@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import expon, laplace, uniform
 
-from levy_stein import (AtomicMeasure, BiasVariable, Gamma, InverseGaussian,
-                        Laplace, LevyMeasure, NonConvergence, Poisson,
-                        QuadratureConfig, TailIntegral, TiltedPowerSide,
-                        bias_density, cumulant, esscher_closed, eta, eta_rule,
-                        integrate_levy, nu_rule, tilted_first_moment_delta)
+from levy_stein import (GTSD, AtomicJumps, AtomicMeasure, BiasVariable,
+                        CompoundPoisson, DivergentMoment, Gamma, GammaJumps,
+                        InvalidParams, InverseGaussian, Laplace, LevyMeasure,
+                        NonConvergence, Poisson, QuadratureConfig,
+                        TailIntegral, TiltedPowerSide, bias_density, cumulant,
+                        esscher_closed, eta, eta_rule, integrate_levy,
+                        nu_rule, tilted_first_moment_delta)
 from levy_stein.dist_catalog import BGD, CGMY
+from levy_stein.functions import SIN, SQUARE, make_shift
+from levy_stein.levy_core import closed_inner, closed_sq_diff, exp_moment
 
 from conftest import rel_err
 from test_dist_catalog import ALL_SPECS
@@ -313,3 +317,149 @@ def test_tilted_first_moment_delta(base, kappa):
     want = _delta_reference(meas, kappa)
     assert rel_err(delta, want) < 1e-9
     assert esscher_closed(base, kappa, QCFG).method == "closed_form"
+
+
+# -- closed inner integrals --------------------------------------------------
+
+
+def _tilted(shape, beta, lam):
+    """A CGMY-shaped (equal coefficients) or GTSD-shaped (unequal) measure;
+    built from sides directly so that beta < 0 is allowed too."""
+    neg_coef = 1.0 if shape == "cgmy" else 0.5
+    return LevyMeasure.from_tilted(TiltedPowerSide(1.0, beta, lam),
+                                   TiltedPowerSide(neg_coef, beta, 1.5 * lam))
+
+
+def _sin_diff(x, u):
+    # sin(x + u) - sin(x) without the cancellation at small u
+    return 2.0 * math.cos(x + 0.5 * u) * math.sin(0.5 * u)
+
+
+@pytest.mark.parametrize("shape", ["cgmy", "gtsd"])
+@pytest.mark.parametrize("beta", [-1.5, 0.0, 0.5, 0.9])
+@pytest.mark.parametrize("lam", [0.05, 0.5, 2.0])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_closed_inner_matches_adaptive(shape, beta, lam, m):
+    meas = _tilted(shape, beta, lam)
+    xs = np.array([-1.3, 0.4, 2.2])
+    got = closed_inner(meas, SIN.terms, m)(xs)
+    for x, val in zip(xs, got):
+        want = integrate_levy(meas, lambda u: u**m * _sin_diff(x, u), cfg=QCFG)
+        assert abs(val - want) <= 1e-8 * abs(want) + 1e-12, (x, val, want)
+
+
+def test_closed_inner_where_eta_rule_is_off():
+    # CGMY(1, .9, .1, .2): the eta-rule misses I_1 by about 3.6e-3 relative
+    meas = CGMY(1.0, 0.9, 0.1, 0.2).measure
+    xs = np.array([-0.8, 0.5])
+    closed = closed_inner(meas, SIN.terms, 1)(xs)
+    rule = eta_rule(meas, 1, QCFG).shifted_sum(np.cos, xs)
+    for x, val, r in zip(xs, closed, rule):
+        want = integrate_levy(meas, lambda u: u * _sin_diff(x, u), cfg=QCFG)
+        assert rel_err(val, want) < 1e-8
+        assert rel_err(r, want) > 1e-3
+
+
+@pytest.mark.parametrize("base", [
+    CGMY(1.0, 0.5, 2.0, 3.0), GTSD(0.5, 0.5, 1.0, 2.0, 0.5, 3.0),
+    Gamma(2.0, 1.5), BGD(2.0, 3.0, 1.0, 4.0), Poisson(2.0),
+    CompoundPoisson(1.5, GammaJumps(2.0, 3.0)),
+    CompoundPoisson(1.2, AtomicJumps(((1.0, 0.6), (-2.0, 0.4)))),
+], ids=lambda b: b.family)
+@pytest.mark.parametrize("g", [SIN, SQUARE, make_shift(1.5)],
+                         ids=lambda g: g.name)
+def test_closed_forms_against_adaptive(base, g):
+    """I_2, Stein's int u g(x+u) nu(du) and Chen's int (g(x+u)-g(x))^2
+    nu(du), on atoms, beta < 0, beta = 0 (the log form) and beta > 0."""
+    meas = base.measure
+    xs = np.array([-0.7, 1.9])
+    i2 = closed_inner(meas, g.terms, 2)(xs)
+    stein = closed_inner(meas, g.terms, 1, subtract=False)(xs)
+    chen = closed_sq_diff(meas, g.terms)(xs)
+    for k, x in enumerate(xs):
+        for got, integrand in (
+                (i2[k], lambda u: u * u * (g.f(x + u) - g.f(x))),
+                (stein[k], lambda u: u * g.f(x + u)),
+                (chen[k], lambda u: (g.f(x + u) - g.f(x)) ** 2)):
+            want = integrate_levy(meas, integrand, cfg=QCFG)
+            assert abs(got - want) <= 1e-8 * abs(want) + 1e-12, (x, got, want)
+
+
+@pytest.mark.parametrize("base", [
+    CGMY(1.0, 0.5, 2.0, 3.0), CGMY(1.0, 0.0, 2.0, 3.0), Gamma(2.0, 1.5),
+    CompoundPoisson(1.5, GammaJumps(2.0, 3.0)), Poisson(2.0),
+], ids=lambda b: f"{b.family}-{getattr(b, 'beta', '')}")
+def test_exp_moment_tilt_matches_closed_delta(base):
+    # Psi_1(kappa) is the Esscher shift; the plain moment is C_1's jump part
+    meas = base.measure
+    psi = exp_moment(meas, 1, np.array([0.5, 0.0]), subtract_one=True)
+    assert rel_err(psi[0].real, tilted_first_moment_delta(meas, 0.5)) < 1e-14
+    assert psi[0].imag == 0.0 and psi[1] == 0.0
+    plain = exp_moment(meas, 2, 0.0)
+    assert rel_err(complex(plain).real, meas.moment(2)) < 1e-14
+
+
+def test_exp_moment_rejects_divergent():
+    meas = CGMY(1.0, 0.5, 2.0, 3.0).measure
+    with pytest.raises(DivergentMoment):
+        exp_moment(meas, 1, 2.5, subtract_one=True)
+    with pytest.raises(DivergentMoment):
+        exp_moment(meas, 0, 1j)  # int (e^{iu}) nu(du) without the -1
+    with pytest.raises(InvalidParams):
+        closed_inner(meas, SIN.terms, 0, subtract=False)
+
+
+# The fixed rules against Psi_m(i) = int u^m (e^{iu} - 1) nu(du) over the
+# same grid, extended to beta in {0.97, 0.99}. Cases past the tolerance are
+# the failures that the FOUND lines of CHANGES.md describe: decay rates
+# lambda <= 0.1 (the origin panel spans many periods of sin) and beta >= 0.97
+# (the nu-rule's weights leave floating range, the eta-rule's origin power
+# reaches 134-400). They are strict xfails, so a fix flips them.
+RULE_TOL = 1e-7  # the benchmark checker's floor for deterministic error
+RULE_BETAS = [-1.5, 0.0, 0.5, 0.9, 0.97, 0.99]
+RULE_LAMS = [0.05, 0.1, 0.5, 2.0]
+# (beta, m) pairs that miss RULE_TOL at lambda = 0.1 on both shapes
+_NU_FAIL_01 = {(-1.5, 1), (-1.5, 2), (0.0, 2), (0.9, 1), (0.9, 2)}
+_ETA_FAIL_01 = {(-1.5, 1), (-1.5, 2), (0.0, 1), (0.0, 2), (0.5, 2), (0.9, 1),
+                (0.97, 1), (0.99, 1)}
+
+
+def _rule_fails(rule, shape, beta, lam, m):
+    if beta >= 0.97 and (rule == "nu" or m == 1):
+        return True  # nu: non-finite weights raise; eta: origin power
+    if lam == 0.05:
+        return True
+    if lam == 0.1:
+        fails = _NU_FAIL_01 if rule == "nu" else _ETA_FAIL_01
+        # eta at beta = 0.9, m = 2 misses by 1.06e-7 on the GTSD shape only
+        return (beta, m) in fails or (rule, shape, beta, m) == (
+            "eta", "gtsd", 0.9, 2)
+    return False
+
+
+def _rule_cases():
+    for rule, ms in (("nu", (0, 1, 2)), ("eta", (1, 2))):
+        for shape in ("cgmy", "gtsd"):
+            for beta in RULE_BETAS:
+                for lam in RULE_LAMS:
+                    for m in ms:
+                        marks = [pytest.mark.xfail(
+                            strict=True, reason="CHANGES.md FOUND lines on "
+                            "fixed-rule accuracy (lambda <= 0.1, beta >= 0.97)"
+                        )] if _rule_fails(rule, shape, beta, lam, m) else []
+                        yield pytest.param(rule, shape, beta, lam, m,
+                                           marks=marks)
+
+
+@pytest.mark.parametrize("rule,shape,beta,lam,m", list(_rule_cases()))
+def test_fixed_rules_against_psi(rule, shape, beta, lam, m):
+    meas = _tilted(shape, beta, lam)
+    psi = complex(exp_moment(meas, m, 1j, subtract_one=True))
+    if rule == "nu":
+        r = nu_rule(meas, m, QCFG)
+        got = r.integrate(lambda u: np.cos(u) - 1.0) + 1j * r.integrate(np.sin)
+    else:
+        # int g'(v) eta_m(v) dv = int u^m (g(u) - g(0)) nu(du), g = e^{iv}
+        r = eta_rule(meas, m, QCFG)
+        got = r.integrate(lambda v: -np.sin(v)) + 1j * r.integrate(np.cos)
+    assert abs(got - psi) <= RULE_TOL * abs(psi), abs(got - psi) / abs(psi)
