@@ -25,8 +25,7 @@ from .identities import (JointPairSampler, cov_first_order, cov_identity_rhs,
                          stein_residual_cgmy, stein_residual_vgd)
 from .levy_core import (BiasVariable, LevyMeasure, QuadratureConfig,
                         TailIntegral, TiltedPowerSide, bias_density,
-                        cumulant, eta, eta_rule, integrate_levy, nu_rule,
-                        tilted_first_moment_delta)
+                        cumulant, eta, eta_rule, integrate_levy, nu_rule)
 from .mc import MCConfig, MCEstimate, combine_se, mc_cov, mc_mean, mc_ratio, mc_variance
 
 __all__ = [
@@ -38,7 +37,7 @@ __all__ = [
     # core
     "QuadratureConfig", "TiltedPowerSide", "LevyMeasure", "TailIntegral",
     "eta", "integrate_levy", "cumulant", "BiasVariable", "bias_density",
-    "nu_rule", "eta_rule", "tilted_first_moment_delta",
+    "nu_rule", "eta_rule",
     # catalog
     "IDDSpec", "Poisson", "CompoundPoisson", "AtomicJumps", "GammaJumps",
     "Gamma", "InverseGaussian", "Laplace", "TwoSidedExp", "BGD", "VGD",

@@ -8,7 +8,7 @@ and the covariance is evaluated through the first-order identity
 Cov(X, w(X)) = E[ int u (w(X+u) - w(X)) nu(du) ], so the premium is read off
 the Lévy measure rather than fitted to the distribution. With w = e^{kappa x}
 this is the Esscher premium, which also has a closed form for every catalog
-family through the tilted first moment of nu.
+family through Psi_1(kappa) = int u (e^{kappa u} - 1) nu(du).
 
 The Gini index admits the same treatment with w replaced by the cdf:
 G = (2/mu) Cov(X, F(X)); `gini` computes it either that way (the covariance
@@ -27,8 +27,8 @@ from .dist_catalog import IDDSpec
 from .errors import InvalidParams, ZeroDenominator
 from .functions import TestFunction
 from .identities import _check_tilt_headroom, _nu_inner, cov_identity_rhs
-from .levy_core import DEFAULT_QUAD, QuadratureConfig, nu_rule, \
-    tilted_first_moment_delta
+from .levy_core import DEFAULT_QUAD, QuadratureConfig, cumulant, \
+    exp_moment, nu_rule
 from .mc import DENOMINATOR, ORACLE, MCConfig, mc_cov, mc_mean, mc_ratio
 
 __all__ = [
@@ -99,8 +99,8 @@ def esscher_closed(base: IDDSpec, kappa: float,
                    cfg: QuadratureConfig = DEFAULT_QUAD) -> PremiumReport:
     """Esscher premium H(kappa) = E(X) + int u (e^{kappa u} - 1) nu(du).
 
-    Closed form for every catalog family, through the tilted first moment
-    of nu. kappa must stay inside the convergence strip with a margin.
+    Closed form for every catalog family: the shift is Psi_1(kappa) from
+    `exp_moment`. kappa must stay inside the convergence strip with a margin.
     """
     if kappa <= 0:
         raise InvalidParams("esscher tilt kappa must be strictly positive")
@@ -109,7 +109,7 @@ def esscher_closed(base: IDDSpec, kappa: float,
         raise InvalidParams(
             f"esscher tilt kappa={kappa} beyond {TILT_MARGIN} * kappa_max "
             f"= {TILT_MARGIN * kmax:.6g} for this family")
-    delta = tilted_first_moment_delta(base.measure, kappa, cfg)
+    delta = float(exp_moment(base.measure, 1, kappa, subtract_one=True).real)
     return PremiumReport(principle=f"esscher({kappa:g})",
                          value=base.mean(cfg) + delta, method="closed_form")
 
@@ -129,7 +129,7 @@ def raw_moment(base: IDDSpec, n: int,
     m_j = sum_i C(j-1, i-1) c_i m_{j-i}."""
     if n < 1:
         raise InvalidParams("moment order must be a positive integer")
-    cums = [base.closed_cumulant(k) for k in range(1, n + 1)]
+    cums = [cumulant(base, k, cfg) for k in range(1, n + 1)]
     moments = [1.0]
     for j in range(1, n + 1):
         moments.append(sum(math.comb(j - 1, i - 1) * cums[i - 1] * moments[j - i]

@@ -1,14 +1,14 @@
 """Catalog of infinitely divisible distributions as IDD(mu, 0, nu) specs.
 
-Each family knows its Lévy measure (through the tilted-power structure of
-levy_core where possible), its characteristic function, exact samplers for
-itself and for fractional convolution powers, and a cdf route. Two drift
-conventions coexist in the catalog: families built from jumps of finite
-first moment are stored uncompensated (constant drift, cf kernel
-e^{itu} - 1), while the generalized tempered stable family is compensated
-(drift equals the mean, kernel e^{itu} - 1 - itu). `convert_drift` moves a
-constant between the two conventions; nothing else in the package needs to
-care which one a family uses.
+Each family knows its Lévy triplet (a measure of atoms or tilted-power
+sides, and a drift constant), exact samplers for itself and for fractional
+convolution powers, and a cdf route; `IDDSpec` derives mean, variance and
+cf from the triplet. Two drift conventions coexist in the catalog: families
+built from jumps of finite first moment are stored uncompensated (constant
+drift, cf kernel e^{itu} - 1), while the generalized tempered stable family
+is compensated (drift equals the mean, kernel e^{itu} - 1 - itu).
+`convert_drift` moves a constant between the two conventions; nothing else
+in the package needs to care which one a family uses.
 
 Fractional convolution powers X^{*s}, 0 <= s <= 1, scale the Lévy measure
 and the drift by s; every family here is closed under that operation, which
@@ -35,12 +35,14 @@ from scipy.special import (
     ndtr,
 )
 
-from .errors import InvalidParams, NonConvergence, ValidationError
+from .errors import (DivergentMoment, InvalidParams, NonConvergence,
+                     ValidationError)
 from .levy_core import (
     DEFAULT_QUAD,
     LevyMeasure,
     QuadratureConfig,
     TiltedPowerSide,
+    exp_moment,
 )
 
 __all__ = [
@@ -79,13 +81,17 @@ def _as_float_array(x):
 class IDDSpec:
     """Shared interface; concrete families are frozen dataclasses below.
 
-    Conventions: `mean(cfg)` and `variance(cfg)` are exact (closed form for
-    every catalog family). `sample_conv(rng, s)` draws one variate of
+    A family supplies its triplet IDD(mu, 0, nu) as `measure` and `drift0`
+    (in its `drift_convention`). `mean`, `variance` and `cf` are derived
+    from these here, and every cumulant by `levy_core.cumulant`, all exact
+    for every catalog family. `sample_conv(rng, s)` draws one variate of
     X^{*s_i} per entry of the array s, which is the hot path of the joint
-    coupling. `cdf` is scalar; `cdf_fn` returns a vectorized F, tabulated
-    for the families without a closed or series cdf. A tabulated family
-    supplies the table's knot values through `_cdf_knots`: the scalar cdf
-    at each knot by default, one COS pass for CGMY/GTSD with beta > 0.
+    coupling. `cdf_fn` returns a vectorized F and `cdf` is F at one point;
+    a family overrides one of the two. With a closed or series `cdf_fn`,
+    `cdf` evaluates it; with a scalar `cdf`, `cdf_fn` tabulates it. A
+    tabulated family supplies the table's knot values through `_cdf_knots`:
+    the scalar cdf at each knot by default, one COS pass for CGMY/GTSD with
+    beta > 0.
     """
 
     family: ClassVar[str] = "?"
@@ -97,12 +103,6 @@ class IDDSpec:
     def measure(self) -> LevyMeasure:
         raise NotImplementedError
 
-    def mean(self, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-        raise NotImplementedError
-
-    def cf(self, t):
-        raise NotImplementedError
-
     def conv_power(self, s: float) -> "IDDSpec":
         raise NotImplementedError
 
@@ -112,13 +112,6 @@ class IDDSpec:
     def sample_conv(self, rng: np.random.Generator, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def cdf(self, x: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-        raise NotImplementedError
-
-    def closed_cumulant(self, k: int) -> float:
-        """C_k in closed form (C_1 is the mean)."""
-        raise NotImplementedError
-
     @property
     def drift0(self) -> float:
         """The constant drift in the family's own convention."""
@@ -126,14 +119,31 @@ class IDDSpec:
 
     # -- shared machinery ----------------------------------------------------
 
+    def mean(self, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+        """E(X): drift0, plus int u nu(du) when the drift is uncompensated."""
+        return convert_drift(self, "compensated", cfg)
+
     def variance(self, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-        return self.closed_cumulant(2)
+        """Var(X) = C_2 = int u^2 nu(du)."""
+        return self.measure.moment(2, cfg)
+
+    def cf(self, t):
+        """E[e^{itX}] = exp(itb + int (e^{itu} - 1) nu(du)), b the
+        uncompensated drift; vectorised over real t."""
+        t = _as_float_array(t)
+        b = convert_drift(self, "uncompensated")
+        return np.exp(1j * t * b
+                      + exp_moment(self.measure, 0, 1j * t, subtract_one=True))
 
     def std(self, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
         return math.sqrt(self.variance(cfg))
 
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def cdf(self, x: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+        """F(x): the family's `cdf_fn` at one point."""
+        return float(self.cdf_fn(cfg)(np.asarray([x]))[0])
 
     def cdf_fn(self, cfg: QuadratureConfig = DEFAULT_QUAD):
         """Vectorized cdf. Families without a fast closed form get a
@@ -251,16 +261,6 @@ class Poisson(IDDSpec):
             return LevyMeasure.atomic(())
         return LevyMeasure.atomic(((1.0, self.lam),))
 
-    def mean(self, cfg=DEFAULT_QUAD) -> float:
-        return self.lam
-
-    def closed_cumulant(self, k: int) -> float:
-        return self.lam
-
-    def cf(self, t):
-        t = _as_float_array(t)
-        return np.exp(self.lam * (np.exp(1j * t) - 1.0))
-
     def conv_power(self, s: float) -> "Poisson":
         self._check_s(s)
         return Poisson(self.lam * s)
@@ -270,11 +270,6 @@ class Poisson(IDDSpec):
 
     def sample_conv(self, rng, s):
         return rng.poisson(self.lam * _as_float_array(s)).astype(float)
-
-    def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
-        if x < 0:
-            return 0.0
-        return float(gammaincc(math.floor(x) + 1.0, self.lam))
 
     def cdf_fn(self, cfg=DEFAULT_QUAD):
         lam = self.lam
@@ -308,9 +303,6 @@ class AtomicJumps:
         _require(abs(total - 1.0) < 1e-9,
                  f"jump probabilities sum to {total}, expected 1")
 
-    def moment(self, k: int) -> float:
-        return sum(p * loc**k for loc, p in self.atoms)
-
 
 @dataclass(frozen=True)
 class GammaJumps:
@@ -321,9 +313,6 @@ class GammaJumps:
 
     def __post_init__(self):
         _require(self.a > 0 and self.b > 0, "gamma jump parameters must be > 0")
-
-    def moment(self, k: int) -> float:
-        return math.exp(gammaln(self.a + k) - gammaln(self.a)) / self.b**k
 
 
 @dataclass(frozen=True)
@@ -343,22 +332,18 @@ class CompoundPoisson(IDDSpec):
             return LevyMeasure.atomic(
                 tuple((loc, self.rate * p) for loc, p in self.jumps.atoms))
         a, b = self.jumps.a, self.jumps.b
-        coef = self.rate * math.exp(a * math.log(b) - gammaln(a))
+        try:
+            coef = self.rate * math.exp(a * math.log(b) - gammaln(a))
+        except OverflowError:
+            coef = math.inf
+        # a coefficient rounded to 0 would drop the jumps from the measure
+        # and with them the mean and every cumulant
+        if not 0.0 < coef < math.inf:
+            raise DivergentMoment(
+                f"gamma jumps Ga({a:g}, {b:g}) at rate {self.rate:g}: the Lévy "
+                "density coefficient rate b^a / Gamma(a) leaves the range of "
+                "a double")
         return LevyMeasure.from_tilted(pos=TiltedPowerSide(coef, -a, b))
-
-    def mean(self, cfg=DEFAULT_QUAD) -> float:
-        return self.rate * self.jumps.moment(1)
-
-    def closed_cumulant(self, k: int) -> float:
-        return self.rate * self.jumps.moment(k)
-
-    def cf(self, t):
-        t = _as_float_array(t)
-        if isinstance(self.jumps, AtomicJumps):
-            phi = sum(p * np.exp(1j * t * loc) for loc, p in self.jumps.atoms)
-        else:
-            phi = (1.0 - 1j * t / self.jumps.b) ** (-self.jumps.a)
-        return np.exp(self.rate * (phi - 1.0))
 
     def conv_power(self, s: float) -> "CompoundPoisson":
         self._check_s(s)
@@ -405,9 +390,6 @@ class CompoundPoisson(IDDSpec):
         cum = np.cumsum([dist[v] for v in pts])
         cum = np.clip(cum / max(cum[-1], 1.0 - 1e-12), 0.0, 1.0)
         return pts, cum
-
-    def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
-        return float(self.cdf_fn(cfg)(np.asarray([x]))[0])
 
     def cdf_fn(self, cfg=DEFAULT_QUAD):
         if self.rate == 0:
@@ -462,16 +444,6 @@ class Gamma(IDDSpec):
     def measure(self) -> LevyMeasure:
         return LevyMeasure.from_tilted(pos=TiltedPowerSide(self.a, 0.0, self.b))
 
-    def mean(self, cfg=DEFAULT_QUAD) -> float:
-        return self.a / self.b
-
-    def closed_cumulant(self, k: int) -> float:
-        return self.a * math.exp(gammaln(k)) / self.b**k
-
-    def cf(self, t):
-        t = _as_float_array(t)
-        return (1.0 - 1j * t / self.b) ** (-self.a)
-
     def conv_power(self, s: float) -> "Gamma":
         self._check_s(s)
         return Gamma(self.a * s, self.b)
@@ -481,11 +453,6 @@ class Gamma(IDDSpec):
 
     def sample_conv(self, rng, s):
         return _gamma_or_zero(rng, self.a * _as_float_array(s), 1.0 / self.b)
-
-    def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
-        if x <= 0:
-            return 0.0
-        return float(gammainc(self.a, self.b * x))
 
     def cdf_fn(self, cfg=DEFAULT_QUAD):
         a, b = self.a, self.b
@@ -523,23 +490,10 @@ class InverseGaussian(IDDSpec):
     def measure(self) -> LevyMeasure:
         return LevyMeasure.from_tilted(pos=TiltedPowerSide(self.alpha, 0.5, self.lam))
 
-    def mean(self, cfg=DEFAULT_QUAD) -> float:
-        return self.alpha * math.sqrt(math.pi / self.lam)
-
-    def closed_cumulant(self, k: int) -> float:
-        return self.alpha * math.exp(
-            gammaln(k - 0.5) + (0.5 - k) * math.log(self.lam))
-
     def _ig_params(self, s: float = 1.0) -> Tuple[float, float]:
         m = s * self.alpha * math.sqrt(math.pi / self.lam)
         shape = 2.0 * math.pi * (s * self.alpha) ** 2
         return m, shape
-
-    def cf(self, t):
-        t = _as_float_array(t)
-        root = np.sqrt(self.lam - 1j * t)
-        return np.exp(2.0 * self.alpha * math.sqrt(math.pi)
-                      * (math.sqrt(self.lam) - root))
 
     def conv_power(self, s: float) -> "InverseGaussian":
         self._check_s(s)
@@ -558,9 +512,6 @@ class InverseGaussian(IDDSpec):
             shape = 2.0 * math.pi * (s[nz] * self.alpha) ** 2
             out[nz] = rng.wald(m, shape)
         return out
-
-    def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
-        return float(self.cdf_fn(cfg)(np.asarray([x]))[0])
 
     def cdf_fn(self, cfg=DEFAULT_QUAD):
         m, shape = self._ig_params()
@@ -598,23 +549,9 @@ class Laplace(IDDSpec):
         side = TiltedPowerSide(1.0, 0.0, 1.0 / self.delta)
         return LevyMeasure.from_tilted(pos=side, neg=side)
 
-    def mean(self, cfg=DEFAULT_QUAD) -> float:
-        return self.mu0
-
     @property
     def drift0(self) -> float:
         return self.mu0
-
-    def closed_cumulant(self, k: int) -> float:
-        if k == 1:
-            return self.mu0
-        if k % 2 == 1:
-            return 0.0
-        return 2.0 * math.exp(gammaln(k)) * self.delta**k
-
-    def cf(self, t):
-        t = _as_float_array(t)
-        return np.exp(1j * t * self.mu0) / (1.0 + (self.delta * t) ** 2)
 
     def conv_power(self, s: float) -> "VGD":
         self._check_s(s)
@@ -627,10 +564,6 @@ class Laplace(IDDSpec):
         s = _as_float_array(s)
         return (self.mu0 * s + _gamma_or_zero(rng, s, self.delta)
                 - _gamma_or_zero(rng, s, self.delta))
-
-    def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
-        z = (x - self.mu0) / self.delta
-        return 1.0 - 0.5 * math.exp(-z) if z >= 0 else 0.5 * math.exp(z)
 
     def cdf_fn(self, cfg=DEFAULT_QUAD):
         mu0, delta = self.mu0, self.delta
@@ -659,16 +592,6 @@ class TwoSidedExp(IDDSpec):
         return LevyMeasure.from_tilted(pos=TiltedPowerSide(1.0, 0.0, self.a),
                                        neg=TiltedPowerSide(1.0, 0.0, self.b))
 
-    def mean(self, cfg=DEFAULT_QUAD) -> float:
-        return 1.0 / self.a - 1.0 / self.b
-
-    def closed_cumulant(self, k: int) -> float:
-        return math.exp(gammaln(k)) * (self.a**-k + (-1.0) ** k * self.b**-k)
-
-    def cf(self, t):
-        t = _as_float_array(t)
-        return 1.0 / ((1.0 - 1j * t / self.a) * (1.0 + 1j * t / self.b))
-
     def conv_power(self, s: float) -> "BGD":
         self._check_s(s)
         return BGD(s, self.a, s, self.b)
@@ -680,12 +603,6 @@ class TwoSidedExp(IDDSpec):
         s = _as_float_array(s)
         return (_gamma_or_zero(rng, s, 1.0 / self.a)
                 - _gamma_or_zero(rng, s, 1.0 / self.b))
-
-    def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
-        a, b = self.a, self.b
-        if x >= 0:
-            return 1.0 - (b / (a + b)) * math.exp(-a * x)
-        return (a / (a + b)) * math.exp(b * x)
 
     def cdf_fn(self, cfg=DEFAULT_QUAD):
         a, b = self.a, self.b
@@ -754,18 +671,6 @@ class BGD(IDDSpec):
             pos=TiltedPowerSide(self.alpha_pos, 0.0, self.lam_pos),
             neg=TiltedPowerSide(self.alpha_neg, 0.0, self.lam_neg))
 
-    def mean(self, cfg=DEFAULT_QUAD) -> float:
-        return self.alpha_pos / self.lam_pos - self.alpha_neg / self.lam_neg
-
-    def closed_cumulant(self, k: int) -> float:
-        return math.exp(gammaln(k)) * (self.alpha_pos * self.lam_pos**-k
-                                       + (-1.0) ** k * self.alpha_neg * self.lam_neg**-k)
-
-    def cf(self, t):
-        t = _as_float_array(t)
-        return ((1.0 - 1j * t / self.lam_pos) ** (-self.alpha_pos)
-                * (1.0 + 1j * t / self.lam_neg) ** (-self.alpha_neg))
-
     def conv_power(self, s: float) -> "BGD":
         self._check_s(s)
         return BGD(self.alpha_pos * s, self.lam_pos,
@@ -812,21 +717,9 @@ class VGD(IDDSpec):
     def measure(self) -> LevyMeasure:
         return self._bgd.measure
 
-    def mean(self, cfg=DEFAULT_QUAD) -> float:
-        return self.mu0 + self._bgd.mean(cfg)
-
     @property
     def drift0(self) -> float:
         return self.mu0
-
-    def closed_cumulant(self, k: int) -> float:
-        if k == 1:
-            return self.mean()
-        return self._bgd.closed_cumulant(k)
-
-    def cf(self, t):
-        t = _as_float_array(t)
-        return np.exp(1j * t * self.mu0) * self._bgd.cf(t)
 
     def conv_power(self, s: float) -> "VGD":
         self._check_s(s)
@@ -1001,24 +894,6 @@ class CGMY(IDDSpec):
             pos=TiltedPowerSide(self.alpha, self.beta, self.lam_pos),
             neg=TiltedPowerSide(self.alpha, self.beta, self.lam_neg))
 
-    def mean(self, cfg=DEFAULT_QUAD) -> float:
-        return self.closed_cumulant(1)
-
-    def closed_cumulant(self, k: int) -> float:
-        g = math.exp(gammaln(k - self.beta))
-        return self.alpha * g * (self.lam_pos ** (self.beta - k)
-                                 + (-1.0) ** k * self.lam_neg ** (self.beta - k))
-
-    def cf(self, t):
-        t = _as_float_array(t)
-        if self.beta == 0.0:
-            return ((1.0 - 1j * t / self.lam_pos) ** (-self.alpha)
-                    * (1.0 + 1j * t / self.lam_neg) ** (-self.alpha))
-        g = gamma_fn(-self.beta)  # negative for beta in (0,1)
-        ep = (self.lam_pos - 1j * t) ** self.beta - self.lam_pos**self.beta
-        en = (self.lam_neg + 1j * t) ** self.beta - self.lam_neg**self.beta
-        return np.exp(self.alpha * g * (ep + en))
-
     def conv_power(self, s: float) -> "CGMY":
         self._check_s(s)
         return CGMY(self.alpha * s, self.beta, self.lam_pos, self.lam_neg)
@@ -1079,37 +954,9 @@ class GTSD(IDDSpec):
             pos=TiltedPowerSide(self.alpha_pos, self.beta, self.lam_pos),
             neg=TiltedPowerSide(self.alpha_neg, self.beta, self.lam_neg))
 
-    def mean(self, cfg=DEFAULT_QUAD) -> float:
-        return self.mu
-
     @property
     def drift0(self) -> float:
         return self.mu
-
-    @cached_property
-    def _jump_mean(self) -> float:
-        g = math.exp(gammaln(1.0 - self.beta))
-        return g * (self.alpha_pos * self.lam_pos ** (self.beta - 1.0)
-                    - self.alpha_neg * self.lam_neg ** (self.beta - 1.0))
-
-    def closed_cumulant(self, k: int) -> float:
-        if k == 1:
-            return self.mu
-        g = math.exp(gammaln(k - self.beta))
-        return g * (self.alpha_pos * self.lam_pos ** (self.beta - k)
-                    + (-1.0) ** k * self.alpha_neg * self.lam_neg ** (self.beta - k))
-
-    def cf(self, t):
-        t = _as_float_array(t)
-        if self.beta == 0.0:
-            base = ((1.0 - 1j * t / self.lam_pos) ** (-self.alpha_pos)
-                    * (1.0 + 1j * t / self.lam_neg) ** (-self.alpha_neg))
-        else:
-            g = gamma_fn(-self.beta)
-            ep = (self.lam_pos - 1j * t) ** self.beta - self.lam_pos**self.beta
-            en = (self.lam_neg + 1j * t) ** self.beta - self.lam_neg**self.beta
-            base = np.exp(self.alpha_pos * g * ep + self.alpha_neg * g * en)
-        return np.exp(1j * t * (self.mu - self._jump_mean)) * base
 
     def conv_power(self, s: float) -> "GTSD":
         self._check_s(s)
@@ -1121,7 +968,7 @@ class GTSD(IDDSpec):
 
     def sample_conv(self, rng, s):
         s = _as_float_array(s)
-        shift = (self.mu - self._jump_mean) * s
+        shift = convert_drift(self, "uncompensated") * s
         if self.beta == 0.0:
             return (shift
                     + _gamma_or_zero(rng, self.alpha_pos * s, 1.0 / self.lam_pos)
@@ -1132,8 +979,9 @@ class GTSD(IDDSpec):
 
     def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
         if self.beta == 0.0:
+            shift = convert_drift(self, "uncompensated")
             return BGD(self.alpha_pos, self.lam_pos, self.alpha_neg,
-                       self.lam_neg).cdf(x - (self.mu - self._jump_mean), cfg)
+                       self.lam_neg).cdf(x - shift, cfg)
         return _cos_cdf(self, float(x), cfg)
 
     def _cdf_knots(self, lo, hi, n_knots, cfg):
@@ -1228,9 +1076,12 @@ def convert_drift(spec: IDDSpec, to: str,
     """
     if to not in ("compensated", "uncompensated"):
         raise InvalidParams(f"unknown drift convention {to!r}")
+    if to == spec.drift_convention:
+        return spec.drift0
+    jump_mean = spec.measure.moment(1, cfg)
     if to == "compensated":
-        return spec.mean(cfg)
-    return spec.mean(cfg) - spec.measure.moment(1, cfg)
+        return spec.drift0 + jump_mean
+    return spec.drift0 - jump_mean
 
 
 def mean_levy(spec: IDDSpec, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:

@@ -62,7 +62,6 @@ __all__ = [
     "closed_inner",
     "closed_sq_diff",
     "eval_terms",
-    "tilted_first_moment_delta",
 ]
 
 
@@ -80,6 +79,20 @@ class QuadratureConfig:
 
 
 DEFAULT_QUAD = QuadratureConfig()
+
+
+def _in_double_range(k: int, moment: Callable[[], float]) -> float:
+    """moment(), or DivergentMoment naming the order k when its value
+    leaves the range of a double (math.exp and float powers raise
+    OverflowError there, products and sums give inf or nan)."""
+    try:
+        value = moment()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DivergentMoment(
+            f"moment of order {k} overflows the range of a double")
+    return value
 
 
 @dataclass(frozen=True)
@@ -117,9 +130,8 @@ class TiltedPowerSide:
             raise DivergentMoment(f"moment of order {k} diverges (beta={self.beta})")
         if self.coef == 0.0:
             return 0.0
-        return self.coef * math.exp(
-            gammaln(k - self.beta) + (self.beta - k) * math.log(self.rate)
-        )
+        return _in_double_range(k, lambda: self.coef * math.exp(
+            gammaln(k - self.beta) + (self.beta - k) * math.log(self.rate)))
 
     def tail(self, k: int, u):
         """int_u^inf y^k (density) dy for u >= 0, vectorized."""
@@ -134,18 +146,6 @@ class TiltedPowerSide:
         if self.coef == 0.0:
             return np.zeros_like(u)
         return self.moment(k) * gammainc(k - self.beta, self.rate * u)
-
-    def tilted_moment(self, k: int, kappa: float) -> float:
-        """int_0^inf u^k e^{kappa u} (density) du; needs kappa < rate."""
-        if kappa >= self.rate:
-            raise InvalidParams(
-                f"tilt kappa={kappa} must stay below the decay rate {self.rate}"
-            )
-        if self.coef == 0.0:
-            return 0.0
-        return self.coef * math.exp(
-            gammaln(k - self.beta) + (self.beta - k) * math.log(self.rate - kappa)
-        )
 
     def exp_moment(self, m: int, z, subtract_one: bool = False) -> np.ndarray:
         """int_0^inf u^m (e^{zu} - [subtract_one]) (density) du, complex z.
@@ -173,7 +173,10 @@ class TiltedPowerSide:
                    + 1j * np.arctan2(w.imag, 1.0 + w.real))
         if s == 0:
             return -self.coef * log1p_w
-        scale = self.coef * math.gamma(s) * self.rate**-s
+        # c Gamma(s) rate^{-s} is the plain moment for s > 0, which stays in
+        # range when Gamma(s) alone does not (gamma jumps of large shape)
+        scale = (self.moment(m) if s > 0
+                 else self.coef * math.gamma(s) * self.rate**-s)
         if subtract_one:
             return scale * np.expm1(-s * log1p_w)
         return scale * np.exp(-s * log1p_w)
@@ -279,7 +282,8 @@ class LevyMeasure:
         if k < 1:
             raise InvalidParams("moment order must be a positive integer")
         if self.is_atomic:
-            return float(sum(mass * loc**k for loc, mass in self.atoms))
+            return _in_double_range(k, lambda: float(
+                sum(mass * loc**k for loc, mass in self.atoms)))
         if method not in ("auto", "quad", "closed"):
             raise InvalidParams(f"unknown moment method {method!r}")
         if method == "quad":
@@ -786,18 +790,3 @@ def closed_sq_diff(measure: LevyMeasure, terms) -> ClosedInner:
         (0.5 * c1 * c2, i1 + i2, zx1 + zx2, q1 + q2, zu1 + zu2)
         for c1, i1, zx1, q1, zu1 in d
         for c2, i2, zx2, q2, zu2 in d + d_conj])
-
-
-def tilted_first_moment_delta(measure: LevyMeasure, kappa: float,
-                              cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """int u (e^{kappa u} - 1) nu(du), in closed form.
-
-    This is the exponential-tilt shift of the mean: adding it to E(X) gives
-    the tilted mean K'(kappa) for any IDD(mu, 0, nu). On the negative side,
-    int_{-inf}^0 u (e^{kappa u}-1) nu(du) = -(tilted - plain) at -kappa.
-    """
-    if measure.is_atomic:
-        return float(sum(mass * loc * math.expm1(kappa * loc)
-                         for loc, mass in measure.atoms))
-    return sum(sign * (side.tilted_moment(1, sign * kappa) - side.moment(1))
-               for sign, side in measure.sides())

@@ -9,7 +9,9 @@ from levy_stein import (
     BGD,
     CGMY,
     GTSD,
+    CompoundPoisson,
     Gamma,
+    GammaJumps,
     InvalidParams,
     InverseGaussian,
     MCConfig,
@@ -31,7 +33,8 @@ from conftest import assert_agree, assert_within_se, rel_err
 
 # -- Esscher, closed ------------------------------------------------------------
 
-# H(kappa) for each family, from the tilted first moment of nu
+# H(kappa) for each family, from Psi_1(kappa) = int u (e^{kappa u} - 1) nu(du);
+# gamma jumps of shape 175 need Gamma(176), past the range of a double
 ESSCHER_CASES = [
     (Poisson(2.0), 0.5, lambda k: 2.0 * math.exp(k)),
     (Gamma(2.0, 1.0), 0.5, lambda k: 2.0 / (1.0 - k)),
@@ -41,6 +44,8 @@ ESSCHER_CASES = [
      lambda k: math.gamma(0.5) * ((2.0 - k) ** (-0.5) - (3.0 + k) ** (-0.5))),
     (InverseGaussian(1.5, 2.0), 0.8,
      lambda k: 1.5 * math.sqrt(math.pi) / math.sqrt(2.0 - k)),
+    (CompoundPoisson(1.0, GammaJumps(175.0, 3.0)), 0.5,
+     lambda k: 175.0 / (3.0 - k) * (3.0 / (3.0 - k)) ** 175),
 ]
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import levy_stein
 from levy_stein import errors
+from levy_stein.dist_catalog import FAMILIES
 
 SRC = Path(levy_stein.__file__).parent
 
@@ -37,3 +38,12 @@ def test_every_concrete_error_is_raised():
     concrete = {cls.__name__ for cls in classes if cls not in bases}
     never = sorted(concrete - _raised_names())
     assert not never, f"error classes never raised in the package: {never}"
+
+
+def test_families_derive_moments_and_cf_from_the_triplet():
+    # mean, cf and cumulants come from IDDSpec and levy_core.cumulant,
+    # derived from (measure, drift0, drift_convention); no family keeps a
+    # second formula of its own
+    own = [(name, attr) for name, cls in FAMILIES.items()
+           for attr in ("mean", "cf", "closed_cumulant") if attr in vars(cls)]
+    assert not own, f"families defining their own formulas: {own}"

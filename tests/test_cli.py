@@ -291,6 +291,24 @@ def test_main_gini_with_too_long_cdf_series_exits_numeric(tmp_path,
     assert b"numeric failure" in captured.err and b"beta=0.02" in captured.err
 
 
+@pytest.mark.parametrize("task", [
+    {"kind": "cumulants", "k_max": 200},
+    {"kind": "verify-identity", "n": 200, "g_name": "square"},
+], ids=["cumulants", "verify-identity"])
+def test_main_cumulant_overflow_exits_numeric(tmp_path, capsysbinary, task):
+    # C_k of gamma(2, 1.5) is 2 (k-1)! / 1.5^k, past the double range
+    # before k = 200: exit 3 naming the order, not a traceback
+    doc = minimal_doc(distribution={"family": "gamma",
+                                    "params": {"a": 2.0, "b": 1.5}},
+                      task=task)
+    path = write_spec(tmp_path, doc)
+    assert main(["run", path]) == 3
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert b"numeric failure" in captured.err
+    assert b"moment of order 187 overflows" in captured.err
+
+
 def test_main_reads_stdin(monkeypatch, capsysbinary):
     doc = minimal_doc(task={"kind": "premium", "principle": "esscher",
                             "kappa": 0.5})

@@ -13,10 +13,11 @@ from scipy import stats
 from scipy.special import gammainc
 
 from levy_stein import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
-                        Gamma, GammaJumps, InverseGaussian, Laplace,
-                        NonConvergence, Poisson, QuadratureConfig,
+                        DivergentMoment, Gamma, GammaJumps, InverseGaussian,
+                        Laplace, NonConvergence, Poisson, QuadratureConfig,
                         TwoSidedExp, ValidationError, convert_drift,
-                        make_spec, mean_levy, vgd_from_alt, vgd_to_alt)
+                        cumulant, integrate_levy, make_spec, mean_levy,
+                        vgd_from_alt, vgd_to_alt)
 from levy_stein.dist_catalog import VGDAltParams, _cdf_range, _open_unit
 
 QCFG = QuadratureConfig()
@@ -88,6 +89,13 @@ def test_variance_is_second_levy_moment(spec):
     assert spec.variance(QCFG) == pytest.approx(want, rel=1e-8)
 
 
+def test_gamma_jumps_coefficient_out_of_range_raises():
+    # rate b^a / Gamma(a) = 1/199! rounds to 0, which would drop the jumps
+    # from nu and report a mean of 0
+    with pytest.raises(DivergentMoment, match=r"Ga\(200, 1\)"):
+        CompoundPoisson(1.0, GammaJumps(200.0, 1.0)).mean()
+
+
 def test_gamma_closed_moments():
     g = Gamma(2.0, 1.5)
     assert g.mean(QCFG) == pytest.approx(2.0 / 1.5, rel=1e-14)
@@ -153,7 +161,7 @@ def test_sample_conv_matches_mixture_cumulants(beta, mu, alpha_pos,
     sample mean and variance are held against s-bar C1 and
     s-bar C2 + Var(s) C1^2, with SEs from C2..C4."""
     spec = GTSD(mu, beta, alpha_pos, lam_pos, alpha_neg, lam_neg)
-    c1, c2, c3, c4 = (spec.closed_cumulant(k) for k in (1, 2, 3, 4))
+    c1, c2, c3, c4 = (cumulant(spec, k) for k in (1, 2, 3, 4))
     rng = np.random.Generator(np.random.Philox(seed))
     n = 20_000
     s = rng.random(n)
@@ -210,6 +218,25 @@ def test_tempered_sampler_memory_is_bounded():
                                                          / x.size)
 
 
+# -- the cf against an independent Levy-Khintchine integral -------------------
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+def test_cf_matches_levy_khintchine_quadrature(spec):
+    """cf(t) = exp(itb + int (e^{itu} - 1) nu(du)) with the integral by
+    adaptive quadrature (exact over atoms) and b the uncompensated drift,
+    read off the parameters: drift0, or for GTSD mu minus int u nu(du)."""
+    meas = spec.measure
+    b = spec.drift0
+    if isinstance(spec, GTSD):
+        b -= integrate_levy(meas, lambda u: u, cfg=QCFG)
+    for t in (-3.0, -1.0, -0.3, 0.3, 1.0, 3.0):
+        re = integrate_levy(meas, lambda u: math.cos(t * u) - 1.0, cfg=QCFG)
+        im = integrate_levy(meas, lambda u: math.sin(t * u), cfg=QCFG)
+        want = np.exp(1j * t * b + re + 1j * im)
+        assert abs(complex(spec.cf(t)) - want) < 1e-10, t
+
+
 # -- convolution powers via the cf --------------------------------------------
 
 
@@ -262,6 +289,16 @@ def test_conv_power_preserves_family():
 
 
 # -- cdfs ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+def test_scalar_cdf_is_cdf_fn(spec):
+    """One cdf formula per family: at 50 of the table knots (where a
+    tabulated cdf_fn reproduces its knot values) cdf(x) is cdf_fn(x)."""
+    lo, hi = _cdf_range(spec, QCFG)
+    x = np.linspace(lo, hi, 2049)[::41]
+    scalar = np.array([spec.cdf(float(v), QCFG) for v in x])
+    assert np.max(np.abs(scalar - spec.cdf_fn(QCFG)(x))) < 1e-12
 
 
 def test_gamma_cdf_closed():
