@@ -1,9 +1,10 @@
 """Catalog of infinitely divisible distributions as IDD(mu, 0, nu) specs.
 
 Each family knows its Lévy triplet (a measure of atoms or tilted-power
-sides, and a drift constant), exact samplers for itself and for fractional
-convolution powers, and a cdf route; `IDDSpec` derives mean, variance and
-cf from the triplet. Two drift conventions coexist in the catalog: families
+sides, and a drift constant) and a cdf route; `IDDSpec` derives mean,
+variance, cf and the exact sampler of every fractional convolution power
+from the triplet (the inverse Gaussian keeps numpy's Wald sampler). Two
+drift conventions coexist in the catalog: families
 built from jumps of finite first moment are stored uncompensated (constant
 drift, cf kernel e^{itu} - 1), while the generalized tempered stable family
 is compensated (drift equals the mean, kernel e^{itu} - 1 - itu).
@@ -85,13 +86,13 @@ class IDDSpec:
     (in its `drift_convention`). `mean`, `variance` and `cf` are derived
     from these here, and every cumulant by `levy_core.cumulant`, all exact
     for every catalog family. `sample_conv(rng, s)` draws one variate of
-    X^{*s_i} per entry of the array s, which is the hot path of the joint
-    coupling. `cdf_fn` returns a vectorized F and `cdf` is F at one point;
-    a family overrides one of the two. With a closed or series `cdf_fn`,
-    `cdf` evaluates it; with a scalar `cdf`, `cdf_fn` tabulates it. A
-    tabulated family supplies the table's knot values through `_cdf_knots`:
-    the scalar cdf at each knot by default, one COS pass for CGMY/GTSD with
-    beta > 0.
+    X^{*s_i}, whose triplet is (s_i b, 0, s_i nu), per entry of the array
+    s; it is the hot path of the joint coupling, and `sample` is the case
+    s = 1. `cdf_fn` returns a vectorized F and `cdf` is F at one point; a
+    family overrides one of the two. With a closed or series `cdf_fn`,
+    `cdf` evaluates it; with a scalar `cdf`, `cdf_fn` tabulates it through
+    `_cdf_knots`: the scalar cdf at each knot, or one COS pass when the
+    sides have beta > 0.
     """
 
     family: ClassVar[str] = "?"
@@ -104,12 +105,6 @@ class IDDSpec:
         raise NotImplementedError
 
     def conv_power(self, s: float) -> "IDDSpec":
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample_conv(self, rng: np.random.Generator, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -138,6 +133,35 @@ class IDDSpec:
     def std(self, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
         return math.sqrt(self.variance(cfg))
 
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.sample_conv(rng, np.ones(size))
+
+    def sample_conv(self, rng: np.random.Generator, s: np.ndarray) -> np.ndarray:
+        """Exact draws of X^{*s_i}: b s_i plus the jumps of s_i nu, with b
+        the uncompensated drift. An atom (loc, mass) adds loc Poisson(s_i
+        mass); a side with beta = 0 adds Ga(s_i coef, rate); one with
+        beta < 0 (gamma jumps) adds Ga(-beta N, rate) for N ~ Poisson(s_i
+        int nu); the sides with beta > 0 add `_tempered_sums`."""
+        s = _as_float_array(s)
+        m = self.measure
+        jumps = np.zeros_like(s)
+        if m.is_atomic:
+            for loc, mass in m.atoms:
+                jumps += loc * rng.poisson(s * mass)
+        # (coef, rate) of the positive and negative sides with beta > 0,
+        # which share one beta in every catalog family
+        stable, beta = [(0.0, 1.0), (0.0, 1.0)], 0.0
+        for sign, side in m.sides():
+            if side.beta > 0:
+                stable[sign < 0], beta = (side.coef, side.rate), side.beta
+                continue
+            shape = (s * side.coef if side.beta == 0 else
+                     -side.beta * rng.poisson(s * side.moment(0)))
+            jumps += sign * rng.gamma(shape, 1.0 / side.rate)
+        if beta > 0:
+            jumps += _tempered_sums(rng, s, beta, *stable)
+        return jumps + convert_drift(self, "uncompensated") * s
+
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -153,7 +177,10 @@ class IDDSpec:
     def _cdf_knots(self, lo: float, hi: float, n_knots: int,
                    cfg: QuadratureConfig) -> np.ndarray:
         """F at the n_knots equispaced points of [lo, hi] that a CdfTable
-        interpolates; by default the scalar cdf at each point."""
+        interpolates: one COS pass when the sides have beta > 0, else the
+        scalar cdf at each point."""
+        if any(side.beta > 0 for _, side in self.measure.sides()):
+            return _cos_cdf_knots(self, lo, hi, n_knots)
         return np.array([self.cdf(float(x), cfg)
                          for x in np.linspace(lo, hi, n_knots)])
 
@@ -219,31 +246,6 @@ def _cdf_table(spec: IDDSpec, cfg: QuadratureConfig) -> CdfTable:
     return CdfTable(spec, cfg)
 
 
-# -- compound-sum helpers ----------------------------------------------------
-
-
-def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum `values` in consecutive segments of the given lengths."""
-    out = np.zeros(counts.shape, dtype=float)
-    nz = counts > 0
-    if not np.any(nz):
-        return out
-    starts = np.cumsum(counts) - counts
-    out[nz] = np.add.reduceat(values, starts[nz])
-    return out
-
-
-def _gamma_or_zero(rng: np.random.Generator, shape, scale):
-    """rng.gamma tolerating zero shapes (Ga(0, b) is the point mass at 0)."""
-    shape = _as_float_array(shape)
-    out = np.zeros_like(shape)
-    nz = shape > 0
-    if np.any(nz):
-        sc = scale if np.isscalar(scale) else _as_float_array(scale)[nz]
-        out[nz] = rng.gamma(shape[nz], sc)
-    return out
-
-
 # -- Poisson -----------------------------------------------------------------
 
 
@@ -264,12 +266,6 @@ class Poisson(IDDSpec):
     def conv_power(self, s: float) -> "Poisson":
         self._check_s(s)
         return Poisson(self.lam * s)
-
-    def sample(self, rng, size):
-        return rng.poisson(self.lam, size).astype(float)
-
-    def sample_conv(self, rng, s):
-        return rng.poisson(self.lam * _as_float_array(s)).astype(float)
 
     def cdf_fn(self, cfg=DEFAULT_QUAD):
         lam = self.lam
@@ -348,21 +344,6 @@ class CompoundPoisson(IDDSpec):
     def conv_power(self, s: float) -> "CompoundPoisson":
         self._check_s(s)
         return CompoundPoisson(self.rate * s, self.jumps)
-
-    def sample(self, rng, size):
-        return self.sample_conv(rng, np.ones(size))
-
-    def sample_conv(self, rng, s):
-        s = _as_float_array(s)
-        counts = rng.poisson(self.rate * s)
-        if isinstance(self.jumps, GammaJumps):
-            return _gamma_or_zero(rng, counts * self.jumps.a, 1.0 / self.jumps.b)
-        total = int(counts.sum())
-        locs = np.array([loc for loc, _ in self.jumps.atoms])
-        probs = np.array([p for _, p in self.jumps.atoms])
-        picks = locs[np.searchsorted(np.cumsum(probs), rng.random(total),
-                                     side="right").clip(max=locs.size - 1)]
-        return _segment_sums(picks, counts)
 
     @cached_property
     def _atomic_cdf_data(self):
@@ -448,12 +429,6 @@ class Gamma(IDDSpec):
         self._check_s(s)
         return Gamma(self.a * s, self.b)
 
-    def sample(self, rng, size):
-        return rng.gamma(self.a, 1.0 / self.b, size)
-
-    def sample_conv(self, rng, s):
-        return _gamma_or_zero(rng, self.a * _as_float_array(s), 1.0 / self.b)
-
     def cdf_fn(self, cfg=DEFAULT_QUAD):
         a, b = self.a, self.b
 
@@ -490,7 +465,8 @@ class InverseGaussian(IDDSpec):
     def measure(self) -> LevyMeasure:
         return LevyMeasure.from_tilted(pos=TiltedPowerSide(self.alpha, 0.5, self.lam))
 
-    def _ig_params(self, s: float = 1.0) -> Tuple[float, float]:
+    def _ig_params(self, s=1.0):
+        """(mean, shape) of X^{*s}, elementwise for an array s."""
         m = s * self.alpha * math.sqrt(math.pi / self.lam)
         shape = 2.0 * math.pi * (s * self.alpha) ** 2
         return m, shape
@@ -499,18 +475,13 @@ class InverseGaussian(IDDSpec):
         self._check_s(s)
         return InverseGaussian(self.alpha * s, self.lam)
 
-    def sample(self, rng, size):
-        m, shape = self._ig_params()
-        return rng.wald(m, shape, size)
-
     def sample_conv(self, rng, s):
+        # numpy's Wald sampler: one variate per draw, where the derived
+        # sampler would sum several tempered-stable pieces
         s = _as_float_array(s)
         out = np.zeros_like(s)
         nz = s > 0
-        if np.any(nz):
-            m = s[nz] * self.alpha * math.sqrt(math.pi / self.lam)
-            shape = 2.0 * math.pi * (s[nz] * self.alpha) ** 2
-            out[nz] = rng.wald(m, shape)
+        out[nz] = rng.wald(*self._ig_params(s[nz]))
         return out
 
     def cdf_fn(self, cfg=DEFAULT_QUAD):
@@ -557,14 +528,6 @@ class Laplace(IDDSpec):
         self._check_s(s)
         return VGD(self.mu0 * s, s, 1.0 / self.delta, 1.0 / self.delta)
 
-    def sample(self, rng, size):
-        return rng.laplace(self.mu0, self.delta, size)
-
-    def sample_conv(self, rng, s):
-        s = _as_float_array(s)
-        return (self.mu0 * s + _gamma_or_zero(rng, s, self.delta)
-                - _gamma_or_zero(rng, s, self.delta))
-
     def cdf_fn(self, cfg=DEFAULT_QUAD):
         mu0, delta = self.mu0, self.delta
 
@@ -595,14 +558,6 @@ class TwoSidedExp(IDDSpec):
     def conv_power(self, s: float) -> "BGD":
         self._check_s(s)
         return BGD(s, self.a, s, self.b)
-
-    def sample(self, rng, size):
-        return rng.exponential(1.0 / self.a, size) - rng.exponential(1.0 / self.b, size)
-
-    def sample_conv(self, rng, s):
-        s = _as_float_array(s)
-        return (_gamma_or_zero(rng, s, 1.0 / self.a)
-                - _gamma_or_zero(rng, s, 1.0 / self.b))
 
     def cdf_fn(self, cfg=DEFAULT_QUAD):
         a, b = self.a, self.b
@@ -649,6 +604,24 @@ def _bgd_cdf_scalar(x: float, ap: float, lp: float, an: float, ln_: float,
     return min(max(out1[0] + out2[0], 0.0), 1.0)
 
 
+def _sides_cdf(spec: IDDSpec, x, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+    """Scalar F(x) of the triplet of a family without a closed cdf: the COS
+    series when the sides have beta > 0; otherwise X - b, b the
+    uncompensated drift, is Ga(coef+, rate+) - Ga(coef-, rate-) over the
+    beta = 0 sides, a one-sided gamma law when one side is absent."""
+    if any(side.beta > 0 for _, side in spec.measure.sides()):
+        return _cos_cdf(spec, float(x), cfg)
+    x = x - convert_drift(spec, "uncompensated")
+    pos, neg = spec.measure.pos_structure, spec.measure.neg_structure
+    if pos is None and neg is None:
+        return 1.0 if x >= 0 else 0.0
+    if neg is None:
+        return float(gammainc(pos.coef, pos.rate * x)) if x > 0 else 0.0
+    if pos is None:
+        return float(gammaincc(neg.coef, -neg.rate * x)) if x < 0 else 1.0
+    return _bgd_cdf_scalar(x, pos.coef, pos.rate, neg.coef, neg.rate, cfg)
+
+
 @dataclass(frozen=True)
 class BGD(IDDSpec):
     """Bilateral gamma: Ga(alpha_pos, lam_pos) - Ga(alpha_neg, lam_neg)."""
@@ -676,22 +649,7 @@ class BGD(IDDSpec):
         return BGD(self.alpha_pos * s, self.lam_pos,
                    self.alpha_neg * s, self.lam_neg)
 
-    def sample(self, rng, size):
-        return (rng.gamma(self.alpha_pos, 1.0 / self.lam_pos, size)
-                - rng.gamma(self.alpha_neg, 1.0 / self.lam_neg, size))
-
-    def sample_conv(self, rng, s):
-        s = _as_float_array(s)
-        return (_gamma_or_zero(rng, self.alpha_pos * s, 1.0 / self.lam_pos)
-                - _gamma_or_zero(rng, self.alpha_neg * s, 1.0 / self.lam_neg))
-
-    def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
-        if self.alpha_neg == 0:
-            return float(gammainc(self.alpha_pos, self.lam_pos * x)) if x > 0 else 0.0
-        if self.alpha_pos == 0:
-            return float(gammaincc(self.alpha_neg, -self.lam_neg * x)) if x < 0 else 1.0
-        return _bgd_cdf_scalar(x, self.alpha_pos, self.lam_pos,
-                               self.alpha_neg, self.lam_neg, cfg)
+    cdf = _sides_cdf
 
 
 @dataclass(frozen=True)
@@ -710,12 +668,10 @@ class VGD(IDDSpec):
                  "VGD rates must be strictly positive")
 
     @cached_property
-    def _bgd(self) -> BGD:
-        return BGD(self.alpha, self.lam_pos, self.alpha, self.lam_neg)
-
-    @cached_property
     def measure(self) -> LevyMeasure:
-        return self._bgd.measure
+        return LevyMeasure.from_tilted(
+            pos=TiltedPowerSide(self.alpha, 0.0, self.lam_pos),
+            neg=TiltedPowerSide(self.alpha, 0.0, self.lam_neg))
 
     @property
     def drift0(self) -> float:
@@ -725,15 +681,7 @@ class VGD(IDDSpec):
         self._check_s(s)
         return VGD(self.mu0 * s, self.alpha * s, self.lam_pos, self.lam_neg)
 
-    def sample(self, rng, size):
-        return self.mu0 + self._bgd.sample(rng, size)
-
-    def sample_conv(self, rng, s):
-        s = _as_float_array(s)
-        return self.mu0 * s + self._bgd.sample_conv(rng, s)
-
-    def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
-        return self._bgd.cdf(x - self.mu0, cfg)
+    cdf = _sides_cdf
 
 
 @dataclass(frozen=True)
@@ -898,27 +846,7 @@ class CGMY(IDDSpec):
         self._check_s(s)
         return CGMY(self.alpha * s, self.beta, self.lam_pos, self.lam_neg)
 
-    def sample(self, rng, size):
-        return self.sample_conv(rng, np.ones(size))
-
-    def sample_conv(self, rng, s):
-        s = _as_float_array(s)
-        if self.beta == 0.0:
-            return (_gamma_or_zero(rng, self.alpha * s, 1.0 / self.lam_pos)
-                    - _gamma_or_zero(rng, self.alpha * s, 1.0 / self.lam_neg))
-        return _tempered_sums(rng, s, self.beta, (self.alpha, self.lam_pos),
-                              (self.alpha, self.lam_neg))
-
-    def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
-        if self.beta == 0.0:
-            return BGD(self.alpha, self.lam_pos, self.alpha,
-                       self.lam_neg).cdf(x, cfg)
-        return _cos_cdf(self, float(x), cfg)
-
-    def _cdf_knots(self, lo, hi, n_knots, cfg):
-        if self.beta == 0.0:
-            return super()._cdf_knots(lo, hi, n_knots, cfg)
-        return _cos_cdf_knots(self, lo, hi, n_knots)
+    cdf = _sides_cdf
 
 
 @dataclass(frozen=True)
@@ -963,31 +891,7 @@ class GTSD(IDDSpec):
         return GTSD(self.mu * s, self.beta, self.alpha_pos * s, self.lam_pos,
                     self.alpha_neg * s, self.lam_neg)
 
-    def sample(self, rng, size):
-        return self.sample_conv(rng, np.ones(size))
-
-    def sample_conv(self, rng, s):
-        s = _as_float_array(s)
-        shift = convert_drift(self, "uncompensated") * s
-        if self.beta == 0.0:
-            return (shift
-                    + _gamma_or_zero(rng, self.alpha_pos * s, 1.0 / self.lam_pos)
-                    - _gamma_or_zero(rng, self.alpha_neg * s, 1.0 / self.lam_neg))
-        return shift + _tempered_sums(rng, s, self.beta,
-                                      (self.alpha_pos, self.lam_pos),
-                                      (self.alpha_neg, self.lam_neg))
-
-    def cdf(self, x, cfg=DEFAULT_QUAD) -> float:
-        if self.beta == 0.0:
-            shift = convert_drift(self, "uncompensated")
-            return BGD(self.alpha_pos, self.lam_pos, self.alpha_neg,
-                       self.lam_neg).cdf(x - shift, cfg)
-        return _cos_cdf(self, float(x), cfg)
-
-    def _cdf_knots(self, lo, hi, n_knots, cfg):
-        if self.beta == 0.0:
-            return super()._cdf_knots(lo, hi, n_knots, cfg)
-        return _cos_cdf_knots(self, lo, hi, n_knots)
+    cdf = _sides_cdf
 
 
 # -- COS series cdf -------------------------------------------------------------

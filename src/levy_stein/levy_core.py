@@ -527,7 +527,6 @@ class FixedRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    exact: bool
 
     def integrate(self, h: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(np.dot(self.weights, h(self.nodes)))
@@ -611,7 +610,7 @@ def _panel_rule(measure: LevyMeasure, m: int, tilt: float, neg_tilt: float,
                     f"substitution u = u_break * t^{p} leaves floating range")
             nodes.append(sign * u)
             weights.append(w)
-    return FixedRule(np.concatenate(nodes), np.concatenate(weights), exact=False)
+    return FixedRule(np.concatenate(nodes), np.concatenate(weights))
 
 
 def nu_rule(measure: LevyMeasure, m: int,
@@ -630,7 +629,7 @@ def nu_rule(measure: LevyMeasure, m: int,
     if measure.is_atomic:
         locs = np.array([l for l, _ in measure.atoms])
         w = np.array([mass * l**m for l, mass in measure.atoms])
-        return FixedRule(locs, w, exact=True)
+        return FixedRule(locs, w)
     return _panel_rule(
         measure, m, tilt, neg_tilt,
         power=lambda side: (max(2, math.ceil(2.0 / (1.0 - side.beta)))

@@ -18,12 +18,13 @@ computed from the pooled sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
-from .errors import InvalidParams, ZeroDenominator
+from .errors import DivergentMoment, InvalidParams, ZeroDenominator
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,10 @@ class MCEstimate:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.std_error)):
+            raise DivergentMoment(
+                f"Monte Carlo estimate {self.value:g} with standard error "
+                f"{self.std_error:g} overflows the range of a double")
         if self.std_error < 0:
             raise InvalidParams("std_error must be nonnegative")
 

@@ -47,3 +47,11 @@ def test_families_derive_moments_and_cf_from_the_triplet():
     own = [(name, attr) for name, cls in FAMILIES.items()
            for attr in ("mean", "cf", "closed_cumulant") if attr in vars(cls)]
     assert not own, f"families defining their own formulas: {own}"
+
+
+def test_families_draw_from_the_triplet():
+    # IDDSpec.sample_conv draws every family from (measure, drift); only
+    # the inverse Gaussian keeps numpy's Wald sampler
+    own = [(name, attr) for name, cls in FAMILIES.items()
+           for attr in ("sample", "sample_conv") if attr in vars(cls)]
+    assert own == [("inverse_gaussian", "sample_conv")], own

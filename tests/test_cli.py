@@ -309,6 +309,26 @@ def test_main_cumulant_overflow_exits_numeric(tmp_path, capsysbinary, task):
     assert b"moment of order 187 overflows" in captured.err
 
 
+@pytest.mark.parametrize("task", [
+    {"kind": "verify-identity", "n": 200, "g_name": "square"},
+    {"kind": "premium", "principle": "generalized_wpcp", "n": 200,
+     "w_name": "exp_tilt", "kappa": 0.3},
+], ids=["verify-identity", "generalized_wpcp"])
+def test_main_monte_carlo_overflow_exits_numeric(tmp_path, capsysbinary,
+                                                 task):
+    # every cumulant of poisson(2) is finite, but X^200 leaves the double
+    # range in the accumulators: exit 3, not a value with SE nan
+    doc = minimal_doc(distribution={"family": "poisson",
+                                    "params": {"lam": 2.0}},
+                      task=task, mc={"n_samples": 2000, "seed": 1})
+    path = write_spec(tmp_path, doc)
+    assert main(["run", path]) == 3
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert b"numeric failure" in captured.err
+    assert b"overflows the range of a double" in captured.err
+
+
 def test_main_reads_stdin(monkeypatch, capsysbinary):
     doc = minimal_doc(task={"kind": "premium", "principle": "esscher",
                             "kappa": 0.5})

@@ -39,6 +39,11 @@ ALL_SPECS = [
 
 IDS = [f"{s.family}-{i}" for i, s in enumerate(ALL_SPECS)]
 
+# the samplers also meet a negative atom, which no other spec here has
+SAMPLER_SPECS = ALL_SPECS + [
+    CompoundPoisson(1.2, AtomicJumps(((1.0, 0.6), (-2.0, 0.4))))]
+SAMPLER_IDS = [f"{s.family}-{i}" for i, s in enumerate(SAMPLER_SPECS)]
+
 
 # -- construction validation -------------------------------------------------
 
@@ -105,7 +110,7 @@ def test_gamma_closed_moments():
 # -- samplers vs moments ------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=SAMPLER_IDS)
 def test_sampler_matches_moments(spec):
     rng = np.random.default_rng(99)
     n = 200_000
@@ -120,13 +125,16 @@ def test_sampler_matches_moments(spec):
     assert abs(np.var(x) - var) < 5 * se_var + 1e-9, f"{spec.family} var off"
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=SAMPLER_IDS)
 def test_sample_conv_fractional_power(spec):
-    """A draw of X^{*s} has mean s*mu and variance s*var."""
+    """A draw of X^{*s} has mean s*mu and variance s*var; X^{*0} is 0."""
     rng = np.random.default_rng(7)
     n = 100_000
-    s = np.full(n, 0.35)
+    s = np.full(n + n // 10, 0.35)
+    s[::11] = 0.0
     x = spec.sample_conv(rng, s)
+    assert np.all(x[s == 0.0] == 0.0)
+    x = x[s > 0.0]
     mu, var = spec.mean(QCFG), spec.variance(QCFG)
     assert abs(np.mean(x) - 0.35 * mu) < 5 * math.sqrt(0.35 * var / n) + 1e-9
     c4 = np.mean((x - 0.35 * mu) ** 4)
