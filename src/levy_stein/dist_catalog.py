@@ -1,13 +1,14 @@
 """Catalog of infinitely divisible distributions as IDD(mu, 0, nu) specs.
 
 Each family knows its Lévy triplet (a measure of atoms or tilted-power
-sides, and a drift constant) and a cdf route; `IDDSpec` derives mean,
-variance, cf and the exact sampler of every fractional convolution power
-from the triplet (the inverse Gaussian keeps numpy's Wald sampler). Two
-drift conventions coexist in the catalog: families
-built from jumps of finite first moment are stored uncompensated (constant
-drift, cf kernel e^{itu} - 1), while the generalized tempered stable family
-is compensated (drift equals the mean, kernel e^{itu} - 1 - itu).
+sides, and a drift constant); `IDDSpec` derives mean, variance, cf, cdf,
+convolution powers and their exact samplers from it. The inverse Gaussian
+keeps numpy's Wald sampler; it, Laplace, the two-sided exponential and
+Poisson keep their closed cdf. Two drift conventions coexist in the
+catalog: families built from jumps of finite first moment are stored
+uncompensated (constant drift, cf kernel e^{itu} - 1), while the
+generalized tempered stable family is compensated (drift equals the mean,
+kernel e^{itu} - 1 - itu).
 `convert_drift` moves a constant between the two conventions; nothing else
 in the package needs to care which one a family uses.
 
@@ -19,7 +20,8 @@ is what makes the exact joint-pair samplers in `identities` possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import defaultdict
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from typing import ClassVar, Tuple, Union
 
@@ -83,20 +85,21 @@ class IDDSpec:
     """Shared interface; concrete families are frozen dataclasses below.
 
     A family supplies its triplet IDD(mu, 0, nu) as `measure` and `drift0`
-    (in its `drift_convention`). `mean`, `variance` and `cf` are derived
-    from these here, and every cumulant by `levy_core.cumulant`, all exact
-    for every catalog family. `sample_conv(rng, s)` draws one variate of
-    X^{*s_i}, whose triplet is (s_i b, 0, s_i nu), per entry of the array
-    s; it is the hot path of the joint coupling, and `sample` is the case
-    s = 1. `cdf_fn` returns a vectorized F and `cdf` is F at one point; a
-    family overrides one of the two. With a closed or series `cdf_fn`,
-    `cdf` evaluates it; with a scalar `cdf`, `cdf_fn` tabulates it through
-    `_cdf_knots`: the scalar cdf at each knot, or one COS pass when the
-    sides have beta > 0.
+    (in its `drift_convention`), and names in `_scaled` the fields that
+    X^{*s} multiplies by s. `mean`, `variance`, `cf`, `conv_power` and the
+    cdf are derived from these here, and every cumulant by
+    `levy_core.cumulant`, all exact for every catalog family.
+    `sample_conv(rng, s)` draws one variate of X^{*s_i}, whose triplet is
+    (s_i b, 0, s_i nu), per entry of the array s; it is the hot path of the
+    joint coupling, and `sample` is the case s = 1. `cdf_fn` returns a
+    vectorized F: a family's `_closed_cdf`, else the triplet's closed form
+    (`_triplet_cdf`), else a table of exact point values (`_point_cdf`).
+    `cdf` is F at one point, never the table's interpolant.
     """
 
     family: ClassVar[str] = "?"
     drift_convention: ClassVar[str] = "uncompensated"
+    _scaled: ClassVar[Tuple[str, ...]] = ()
 
     # -- things subclasses must provide -------------------------------------
 
@@ -104,15 +107,22 @@ class IDDSpec:
     def measure(self) -> LevyMeasure:
         raise NotImplementedError
 
-    def conv_power(self, s: float) -> "IDDSpec":
-        raise NotImplementedError
-
     @property
     def drift0(self) -> float:
         """The constant drift in the family's own convention."""
         return 0.0
 
+    def _closed_cdf(self):
+        """Closed vectorized F where the triplet's would be a table or a
+        lattice of O(lam) jump counts, or None."""
+        return None
+
     # -- shared machinery ----------------------------------------------------
+
+    def conv_power(self, s: float) -> "IDDSpec":
+        """X^{*s}: the fields in `_scaled` multiplied by s."""
+        self._check_s(s)
+        return replace(self, **{f: getattr(self, f) * s for f in self._scaled})
 
     def mean(self, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
         """E(X): drift0, plus int u nu(du) when the drift is uncompensated."""
@@ -166,23 +176,20 @@ class IDDSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def cdf(self, x: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-        """F(x): the family's `cdf_fn` at one point."""
-        return float(self.cdf_fn(cfg)(np.asarray([x]))[0])
+        """F(x); for a tabulated law the exact value, not the interpolant."""
+        f = self._formula_cdf()
+        if f is None:
+            return _point_cdf(self, float(x), cfg)
+        return float(f(np.asarray([x]))[0])
 
     def cdf_fn(self, cfg: QuadratureConfig = DEFAULT_QUAD):
-        """Vectorized cdf. Families without a fast closed form get a
-        monotone PCHIP interpolant of the knot values from `_cdf_knots`."""
-        return _cdf_table(self, cfg)
+        """Vectorized cdf: closed when the family or its triplet has one,
+        else a monotone PCHIP interpolant of `_point_cdf` knot values."""
+        return self._formula_cdf() or _cdf_table(self, cfg)
 
-    def _cdf_knots(self, lo: float, hi: float, n_knots: int,
-                   cfg: QuadratureConfig) -> np.ndarray:
-        """F at the n_knots equispaced points of [lo, hi] that a CdfTable
-        interpolates: one COS pass when the sides have beta > 0, else the
-        scalar cdf at each point."""
-        if any(side.beta > 0 for _, side in self.measure.sides()):
-            return _cos_cdf_knots(self, lo, hi, n_knots)
-        return np.array([self.cdf(float(x), cfg)
-                         for x in np.linspace(lo, hi, n_knots)])
+    def _formula_cdf(self):
+        """The family's closed F, else the triplet's, else None."""
+        return self._closed_cdf() or _triplet_cdf(self)
 
     def esscher_kappa_max(self) -> float:
         """Supremum of tilts kappa with E[e^{kappa X}] < inf.
@@ -204,17 +211,119 @@ class IDDSpec:
         _require(0.0 <= s <= 1.0, f"convolution power s={s} outside [0, 1]")
 
 
-# -- cdf tabulation ----------------------------------------------------------
+# -- cdf -----------------------------------------------------------------------
+
+
+def _triplet_cdf(spec: IDDSpec):
+    """Vectorized F from the triplet (nu, b), b the uncompensated drift,
+    when nu is atomic (the zero measure included) or one side with
+    beta <= 0; None otherwise."""
+    m, b = spec.measure, convert_drift(spec, "uncompensated")
+    if m.is_atomic:
+        pts, cum = _lattice(m.atoms)
+        return lambda x: cum[np.searchsorted(pts, _as_float_array(x) - b,
+                                             side="right")]
+    (sign, side), *rest = m.sides()
+    if rest or side.beta > 0:
+        return None
+    return _one_side_cdf(side, sign, b)
+
+
+def _poisson_weights(lam: float) -> np.ndarray:
+    """P(N = n) for N ~ Poisson(lam), n = 0..n_max, where n_max is the
+    first count with P(N > n_max) <= 1e-15; NonConvergence past 10 000."""
+    n_max = 1
+    while gammainc(n_max + 1.0, lam) > 1e-15:
+        n_max += 1
+        if n_max > 10_000:
+            raise NonConvergence(
+                f"Poisson({lam:g}) jump counts need more than 10 000 terms")
+    ns = np.arange(n_max + 1)
+    return np.exp(-lam + ns * math.log(lam) - gammaln(ns + 1.0))
+
+
+@lru_cache(maxsize=32)
+def _lattice(atoms: Tuple[Tuple[float, float], ...]):
+    """Support points of the jump sum of the atomic measure ((loc, mass),
+    ...), Poisson(int nu) jumps each at loc with probability mass / int nu,
+    and its cdf below the first point (0) and at each point."""
+    lam = sum(mass for _, mass in atoms)
+    if lam == 0:
+        return np.zeros(1), np.array([0.0, 1.0])
+    jumps = [(loc, mass / lam) for loc, mass in atoms]
+    weights = _poisson_weights(lam)
+    dist, conv = defaultdict(float, {0.0: weights[0]}), {0.0: 1.0}
+    for w in weights[1:]:
+        nxt = defaultdict(float)
+        for v, pv in conv.items():
+            for loc, pj in jumps:
+                nxt[round(v + loc, 12)] += pv * pj
+        conv = nxt
+        for v, pv in conv.items():
+            dist[v] += w * pv
+    pts = np.array(sorted(dist))
+    cum = np.cumsum([0.0] + [dist[v] for v in pts])
+    cum = np.clip(cum / max(cum[-1], 1.0 - 1e-12), 0.0, 1.0)
+    return pts, cum
+
+
+def _one_side_cdf(side: TiltedPowerSide, sign: float, b: float):
+    """F of b + sign Z, Z the jumps of one side with beta <= 0: Ga(coef,
+    rate) at beta = 0, and at beta < 0 (gamma jumps) the mixture of
+    Ga(-beta n, rate) over n ~ Poisson(int nu)."""
+    if side.beta == 0:
+        p0, terms = 0.0, [(1.0, side.coef)]
+    else:
+        w = _poisson_weights(side.moment(0))
+        p0, terms = w[0], [(w[n], -side.beta * n) for n in range(1, w.size)]
+    # with t = sign (x - b): F = P(Z <= t) for t >= 0 on the positive
+    # side, and P(Z >= t) = P(Z > t) for t > 0 mirrored on the negative
+    inc, p0 = (gammainc, p0) if sign > 0 else (gammaincc, 0.0)
+
+    def f(x):
+        t = sign * (_as_float_array(x) - b)
+        on = t >= 0 if sign > 0 else t > 0
+        y = side.rate * t[on]
+        acc = np.full_like(y, p0)
+        for w_n, shape in terms:
+            acc += w_n * inc(shape, y)
+        out = np.full_like(t, float(sign < 0))
+        out[on] = np.clip(acc, 0.0, 1.0)
+        return out
+
+    return f
+
+
+def _point_cdf(spec: IDDSpec, x: float, cfg: QuadratureConfig) -> float:
+    """Exact F(x) of a law without a closed cdf: the COS series when a side
+    has beta > 0, else Ga(coef+, rate+) - Ga(coef-, rate-) shifted by b."""
+    m = spec.measure
+    if any(side.beta > 0 for _, side in m.sides()):
+        return _cos_cdf(spec, x, cfg)
+    pos, neg = m.pos_structure, m.neg_structure
+    return _bgd_cdf_scalar(x - convert_drift(spec, "uncompensated"),
+                           pos.coef, pos.rate, neg.coef, neg.rate, cfg)
+
+
+def _cdf_knots(spec: IDDSpec, lo: float, hi: float, n_knots: int,
+               cfg: QuadratureConfig) -> np.ndarray:
+    """F at the n_knots equispaced points of [lo, hi] that a CdfTable
+    interpolates: one COS pass when a side has beta > 0, else `_point_cdf`
+    at each point."""
+    if any(side.beta > 0 for _, side in spec.measure.sides()):
+        return _cos_cdf_knots(spec, lo, hi, n_knots)
+    return np.array([_point_cdf(spec, float(x), cfg)
+                     for x in np.linspace(lo, hi, n_knots)])
 
 
 class CdfTable:
-    """Monotone PCHIP fit of F on [lo, hi] through the family's
-    `_cdf_knots` values at equispaced knots, clamped outside."""
+    """Monotone PCHIP fit of F on [lo, hi] through the `_cdf_knots` values
+    at equispaced knots, clamped outside."""
 
     def __init__(self, spec: IDDSpec, cfg: QuadratureConfig, n_knots: int = 2049):
         lo, hi = _cdf_range(spec, cfg)
         knots = np.linspace(lo, hi, n_knots)
-        vals = np.clip(spec._cdf_knots(lo, hi, n_knots, cfg), 0.0, 1.0)
+        vals = np.clip(_cdf_knots(spec, lo, hi, n_knots, cfg), 0.0, 1.0)
         np.maximum.accumulate(vals, out=vals)
         self.lo, self.hi = lo, hi
         self._interp = PchipInterpolator(knots, vals, extrapolate=False)
@@ -253,6 +362,7 @@ def _cdf_table(spec: IDDSpec, cfg: QuadratureConfig) -> CdfTable:
 class Poisson(IDDSpec):
     lam: float
     family: ClassVar[str] = "poisson"
+    _scaled: ClassVar[Tuple[str, ...]] = ("lam",)
 
     def __post_init__(self):
         _require(self.lam >= 0, "poisson intensity lam must be nonnegative")
@@ -263,19 +373,12 @@ class Poisson(IDDSpec):
             return LevyMeasure.atomic(())
         return LevyMeasure.atomic(((1.0, self.lam),))
 
-    def conv_power(self, s: float) -> "Poisson":
-        self._check_s(s)
-        return Poisson(self.lam * s)
-
-    def cdf_fn(self, cfg=DEFAULT_QUAD):
-        lam = self.lam
-
+    def _closed_cdf(self):
+        # exact for every lam; the lattice would sum O(lam) jump counts
         def f(x):
             x = _as_float_array(x)
-            out = np.zeros_like(x)
-            ok = x >= 0
-            out[ok] = gammaincc(np.floor(x[ok]) + 1.0, lam)
-            return out
+            n = np.floor(np.maximum(x, 0.0))
+            return np.where(x >= 0, gammaincc(n + 1.0, self.lam), 0.0)
 
         return f
 
@@ -316,6 +419,7 @@ class CompoundPoisson(IDDSpec):
     rate: float
     jumps: Union[AtomicJumps, GammaJumps]
     family: ClassVar[str] = "compound_poisson"
+    _scaled: ClassVar[Tuple[str, ...]] = ("rate",)
 
     def __post_init__(self):
         _require(self.rate >= 0, "compound-Poisson rate must be nonnegative")
@@ -341,72 +445,6 @@ class CompoundPoisson(IDDSpec):
                 "a double")
         return LevyMeasure.from_tilted(pos=TiltedPowerSide(coef, -a, b))
 
-    def conv_power(self, s: float) -> "CompoundPoisson":
-        self._check_s(s)
-        return CompoundPoisson(self.rate * s, self.jumps)
-
-    @cached_property
-    def _atomic_cdf_data(self):
-        """Support points and cumulative probabilities of the compound sum."""
-        assert isinstance(self.jumps, AtomicJumps) and self.rate > 0
-        lam = self.rate
-        # Poisson weights until the remaining tail P(N > n) is < 1e-15
-        n_max = 1
-        while gammainc(n_max + 1.0, lam) > 1e-15 and n_max < 10_000:
-            n_max += 1
-        ns = np.arange(n_max + 1)
-        weights = np.exp(-lam + ns * math.log(lam) - gammaln(ns + 1.0))
-        dist = {0.0: weights[0]}
-        conv = {0.0: 1.0}
-        for n in range(1, n_max + 1):
-            nxt = {}
-            for v, pv in conv.items():
-                for loc, pj in self.jumps.atoms:
-                    key = round(v + loc, 12)
-                    nxt[key] = nxt.get(key, 0.0) + pv * pj
-            conv = nxt
-            for v, pv in conv.items():
-                dist[v] = dist.get(v, 0.0) + weights[n] * pv
-        pts = np.array(sorted(dist))
-        cum = np.cumsum([dist[v] for v in pts])
-        cum = np.clip(cum / max(cum[-1], 1.0 - 1e-12), 0.0, 1.0)
-        return pts, cum
-
-    def cdf_fn(self, cfg=DEFAULT_QUAD):
-        if self.rate == 0:
-            return lambda x: (_as_float_array(x) >= 0).astype(float)
-        if isinstance(self.jumps, AtomicJumps):
-            pts, cum = self._atomic_cdf_data
-
-            def f(x):
-                x = _as_float_array(x)
-                idx = np.searchsorted(pts, x, side="right")
-                return np.where(idx == 0, 0.0, cum[np.maximum(idx - 1, 0)])
-
-            return f
-        a, b, lam = self.jumps.a, self.jumps.b, self.rate
-        n_max = 1
-        while gammainc(n_max + 1.0, lam) > 1e-15 and n_max < 10_000:
-            n_max += 1
-        ns = np.arange(1, n_max + 1)
-        log_w = -lam + ns * math.log(lam) - gammaln(ns + 1.0)
-        w = np.exp(log_w)
-        p0 = math.exp(-lam)
-
-        def f(x):
-            x = _as_float_array(x)
-            out = np.zeros_like(x)
-            ok = x >= 0
-            if np.any(ok):
-                xs = x[ok]
-                acc = np.full_like(xs, p0)
-                for n in range(1, n_max + 1):
-                    acc += w[n - 1] * gammainc(n * a, b * xs)
-                out[ok] = acc
-            return np.clip(out, 0.0, 1.0)
-
-        return f
-
 
 # -- gamma -------------------------------------------------------------------
 
@@ -416,6 +454,7 @@ class Gamma(IDDSpec):
     a: float
     b: float
     family: ClassVar[str] = "gamma"
+    _scaled: ClassVar[Tuple[str, ...]] = ("a",)
 
     def __post_init__(self):
         _require(self.a >= 0, "gamma shape a must be nonnegative")
@@ -424,22 +463,6 @@ class Gamma(IDDSpec):
     @cached_property
     def measure(self) -> LevyMeasure:
         return LevyMeasure.from_tilted(pos=TiltedPowerSide(self.a, 0.0, self.b))
-
-    def conv_power(self, s: float) -> "Gamma":
-        self._check_s(s)
-        return Gamma(self.a * s, self.b)
-
-    def cdf_fn(self, cfg=DEFAULT_QUAD):
-        a, b = self.a, self.b
-
-        def f(x):
-            x = _as_float_array(x)
-            out = np.zeros_like(x)
-            ok = x > 0
-            out[ok] = gammainc(a, b * x[ok])
-            return out
-
-        return f
 
 
 # -- inverse Gaussian --------------------------------------------------------
@@ -456,6 +479,7 @@ class InverseGaussian(IDDSpec):
     alpha: float
     lam: float
     family: ClassVar[str] = "inverse_gaussian"
+    _scaled: ClassVar[Tuple[str, ...]] = ("alpha",)
 
     def __post_init__(self):
         _require(self.alpha >= 0, "IG coefficient alpha must be nonnegative")
@@ -471,20 +495,18 @@ class InverseGaussian(IDDSpec):
         shape = 2.0 * math.pi * (s * self.alpha) ** 2
         return m, shape
 
-    def conv_power(self, s: float) -> "InverseGaussian":
-        self._check_s(s)
-        return InverseGaussian(self.alpha * s, self.lam)
-
     def sample_conv(self, rng, s):
         # numpy's Wald sampler: one variate per draw, where the derived
         # sampler would sum several tempered-stable pieces
         s = _as_float_array(s)
         out = np.zeros_like(s)
-        nz = s > 0
+        nz = s * self.alpha > 0
         out[nz] = rng.wald(*self._ig_params(s[nz]))
         return out
 
-    def cdf_fn(self, cfg=DEFAULT_QUAD):
+    def _closed_cdf(self):
+        if self.alpha == 0:
+            return None  # the point mass at 0, from the triplet
         m, shape = self._ig_params()
 
         def f(x):
@@ -528,7 +550,7 @@ class Laplace(IDDSpec):
         self._check_s(s)
         return VGD(self.mu0 * s, s, 1.0 / self.delta, 1.0 / self.delta)
 
-    def cdf_fn(self, cfg=DEFAULT_QUAD):
+    def _closed_cdf(self):
         mu0, delta = self.mu0, self.delta
 
         def f(x):
@@ -559,7 +581,7 @@ class TwoSidedExp(IDDSpec):
         self._check_s(s)
         return BGD(s, self.a, s, self.b)
 
-    def cdf_fn(self, cfg=DEFAULT_QUAD):
+    def _closed_cdf(self):
         a, b = self.a, self.b
 
         def f(x):
@@ -604,24 +626,6 @@ def _bgd_cdf_scalar(x: float, ap: float, lp: float, an: float, ln_: float,
     return min(max(out1[0] + out2[0], 0.0), 1.0)
 
 
-def _sides_cdf(spec: IDDSpec, x, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Scalar F(x) of the triplet of a family without a closed cdf: the COS
-    series when the sides have beta > 0; otherwise X - b, b the
-    uncompensated drift, is Ga(coef+, rate+) - Ga(coef-, rate-) over the
-    beta = 0 sides, a one-sided gamma law when one side is absent."""
-    if any(side.beta > 0 for _, side in spec.measure.sides()):
-        return _cos_cdf(spec, float(x), cfg)
-    x = x - convert_drift(spec, "uncompensated")
-    pos, neg = spec.measure.pos_structure, spec.measure.neg_structure
-    if pos is None and neg is None:
-        return 1.0 if x >= 0 else 0.0
-    if neg is None:
-        return float(gammainc(pos.coef, pos.rate * x)) if x > 0 else 0.0
-    if pos is None:
-        return float(gammaincc(neg.coef, -neg.rate * x)) if x < 0 else 1.0
-    return _bgd_cdf_scalar(x, pos.coef, pos.rate, neg.coef, neg.rate, cfg)
-
-
 @dataclass(frozen=True)
 class BGD(IDDSpec):
     """Bilateral gamma: Ga(alpha_pos, lam_pos) - Ga(alpha_neg, lam_neg)."""
@@ -631,6 +635,7 @@ class BGD(IDDSpec):
     alpha_neg: float
     lam_neg: float
     family: ClassVar[str] = "bgd"
+    _scaled: ClassVar[Tuple[str, ...]] = ("alpha_pos", "alpha_neg")
 
     def __post_init__(self):
         _require(self.alpha_pos >= 0 and self.alpha_neg >= 0,
@@ -644,13 +649,6 @@ class BGD(IDDSpec):
             pos=TiltedPowerSide(self.alpha_pos, 0.0, self.lam_pos),
             neg=TiltedPowerSide(self.alpha_neg, 0.0, self.lam_neg))
 
-    def conv_power(self, s: float) -> "BGD":
-        self._check_s(s)
-        return BGD(self.alpha_pos * s, self.lam_pos,
-                   self.alpha_neg * s, self.lam_neg)
-
-    cdf = _sides_cdf
-
 
 @dataclass(frozen=True)
 class VGD(IDDSpec):
@@ -661,6 +659,7 @@ class VGD(IDDSpec):
     lam_pos: float
     lam_neg: float
     family: ClassVar[str] = "vgd"
+    _scaled: ClassVar[Tuple[str, ...]] = ("mu0", "alpha")
 
     def __post_init__(self):
         _require(self.alpha >= 0, "VGD shape alpha must be nonnegative")
@@ -676,12 +675,6 @@ class VGD(IDDSpec):
     @property
     def drift0(self) -> float:
         return self.mu0
-
-    def conv_power(self, s: float) -> "VGD":
-        self._check_s(s)
-        return VGD(self.mu0 * s, self.alpha * s, self.lam_pos, self.lam_neg)
-
-    cdf = _sides_cdf
 
 
 @dataclass(frozen=True)
@@ -827,6 +820,7 @@ class CGMY(IDDSpec):
     lam_pos: float
     lam_neg: float
     family: ClassVar[str] = "cgmy"
+    _scaled: ClassVar[Tuple[str, ...]] = ("alpha",)
 
     def __post_init__(self):
         _require(self.alpha >= 0, "CGMY coefficient alpha must be nonnegative")
@@ -841,12 +835,6 @@ class CGMY(IDDSpec):
         return LevyMeasure.from_tilted(
             pos=TiltedPowerSide(self.alpha, self.beta, self.lam_pos),
             neg=TiltedPowerSide(self.alpha, self.beta, self.lam_neg))
-
-    def conv_power(self, s: float) -> "CGMY":
-        self._check_s(s)
-        return CGMY(self.alpha * s, self.beta, self.lam_pos, self.lam_neg)
-
-    cdf = _sides_cdf
 
 
 @dataclass(frozen=True)
@@ -865,6 +853,7 @@ class GTSD(IDDSpec):
     alpha_neg: float
     lam_neg: float
     family: ClassVar[str] = "gtsd"
+    _scaled: ClassVar[Tuple[str, ...]] = ("mu", "alpha_pos", "alpha_neg")
     drift_convention: ClassVar[str] = "compensated"
 
     def __post_init__(self):
@@ -885,13 +874,6 @@ class GTSD(IDDSpec):
     @property
     def drift0(self) -> float:
         return self.mu
-
-    def conv_power(self, s: float) -> "GTSD":
-        self._check_s(s)
-        return GTSD(self.mu * s, self.beta, self.alpha_pos * s, self.lam_pos,
-                    self.alpha_neg * s, self.lam_neg)
-
-    cdf = _sides_cdf
 
 
 # -- COS series cdf -------------------------------------------------------------

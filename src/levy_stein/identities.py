@@ -10,13 +10,14 @@ independent) and
 
     I_m(x) = int g'(x + v) eta_m(v) dv = int u^m (g(x+u) - g(x)) nu(du).
 
-The two expressions for I_m are a Fubini identity. When g is an exponential
-polynomial (it carries terms), the nu-form is closed: an exponential
-polynomial in x again, evaluated per sample. Otherwise the eta-form runs
-through a fixed quadrature rule, and the nu-form is an exact sum for atomic
-measures; the forms are cross-checked in the tests. For measures supported
-on the positive half-line, I_m(x) = C_{m+1} E[g'(x + Y_m)] with Y_m the bias
-variable of order m, which gives a quadrature-free sampling route.
+The two expressions for I_m are a Fubini identity; every estimator here
+uses the nu-form, and the tests cross-check it against the eta-form. When g
+is an exponential polynomial (it carries terms) the nu-form is closed: an
+exponential polynomial in x again, evaluated per sample. Otherwise it runs
+through a fixed nu-rule, an exact sum for atomic measures. For measures
+supported on the positive half-line, I_m(x) = C_{m+1} E[g'(x + Y_m)] with
+Y_m the bias variable of order m, which gives a quadrature-free sampling
+route.
 
 The outer integral over s is handled by drawing s ~ U(0,1) per sample,
 which keeps the estimator unbiased without any grid.
@@ -39,7 +40,6 @@ from .levy_core import (
     LevyMeasure,
     QuadratureConfig,
     closed_inner,
-    eta_rule,
     nu_rule,
 )
 from .mc import ORACLE, MCConfig, MCEstimate, mc_cov, mc_mean
@@ -156,8 +156,8 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
 
     route 'bias' draws the inner integral through equilibrium variables
     (positive support; two-sided only at n = 1), 'quadrature' evaluates
-    I_m in closed form when g has terms, and otherwise with fixed
-    tail-integral rules (exact sums for atomic measures); 'auto' picks
+    the nu-form of I_m in closed form when g has terms, and otherwise with
+    fixed nu-rules (exact sums for atomic measures); 'auto' picks
     whichever is natural for the measure. `identity_route` names the pick.
     """
     if n < 1:
@@ -185,12 +185,7 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
 
         return mc_mean(batch, mc)
 
-    if route == "rule":
-        inner = {m: partial(eta_rule(meas, m, cfg, tilt=g.tilt).shifted_sum,
-                            g.d1) for m in range(1, n + 1)}
-    else:
-        # the nu-form: closed, or an exact finite sum over the atoms
-        inner = {m: _nu_inner(meas, g, m, cfg) for m in range(1, n + 1)}
+    inner = {m: _nu_inner(meas, g, m, cfg) for m in range(1, n + 1)}
 
     def batch(rng, size):
         x, y, _ = pair.sample(rng, size)

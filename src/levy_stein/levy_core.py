@@ -23,7 +23,7 @@ g(x) = Re sum a x^p e^{zx}, the inner integrals int u^m (g(x+u) - g(x))
 nu(du), int u g(x+u) nu(du) and int (g(x+u) - g(x))^2 nu(du) are again
 exponential polynomials in x with closed coefficients (`closed_inner`,
 `closed_sq_diff`). Functions without that form (gauss, log1psq, a cdf) go
-through the fixed product rules (`nu_rule`, `eta_rule`).
+through the fixed nu-rule (`nu_rule`); `eta_rule` is its eta-form check.
 """
 
 from __future__ import annotations
@@ -602,7 +602,10 @@ def _panel_rule(measure: LevyMeasure, m: int, tilt: float, neg_tilt: float,
             edges.insert(0, 0.0)
         panels += [_gl_panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
         for u, w in panels:
-            w = weight(sign, side, w, u)
+            # a weight that leaves floating range raises just below
+            with np.errstate(over="ignore", divide="ignore",
+                             invalid="ignore"):
+                w = weight(sign, side, w, u)
             if not np.all(np.isfinite(w)):
                 raise NonConvergence(
                     f"fixed rule of order m={m} for a tilted-power side with "

@@ -109,8 +109,11 @@ class Welford:
         m = x.size
         if m == 0:
             return
-        b_mean = float(x.mean())
-        b_m2 = float(np.square(x - b_mean).sum())
+        # an overflow leaves a non-finite mean or SE, which MCEstimate
+        # raises as DivergentMoment
+        with np.errstate(over="ignore", invalid="ignore"):
+            b_mean = float(x.mean())
+            b_m2 = float(np.square(x - b_mean).sum())
         delta = b_mean - self.mean
         tot = self.n + m
         self.mean += delta * m / tot

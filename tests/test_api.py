@@ -41,11 +41,12 @@ def test_every_concrete_error_is_raised():
 
 
 def test_families_derive_moments_and_cf_from_the_triplet():
-    # mean, cf and cumulants come from IDDSpec and levy_core.cumulant,
+    # mean, cf, cdf and cumulants come from IDDSpec and levy_core.cumulant,
     # derived from (measure, drift0, drift_convention); no family keeps a
     # second formula of its own
     own = [(name, attr) for name, cls in FAMILIES.items()
-           for attr in ("mean", "cf", "closed_cumulant") if attr in vars(cls)]
+           for attr in ("mean", "cf", "closed_cumulant", "cdf", "cdf_fn")
+           if attr in vars(cls)]
     assert not own, f"families defining their own formulas: {own}"
 
 
@@ -55,3 +56,17 @@ def test_families_draw_from_the_triplet():
     own = [(name, attr) for name, cls in FAMILIES.items()
            for attr in ("sample", "sample_conv") if attr in vars(cls)]
     assert own == [("inverse_gaussian", "sample_conv")], own
+
+
+def test_families_keep_only_closed_cdfs_and_family_changes():
+    # the closed-cdf hook is kept by the three laws whose triplet route
+    # would be a table, and by Poisson, whose lattice would sum O(lam) jump
+    # counts; conv_power scales the declared fields except where
+    # the power changes family (Laplace -> VGD, TwoSidedExp -> BGD)
+    own = {attr: sorted(name for name, cls in FAMILIES.items()
+                        if attr in vars(cls))
+           for attr in ("_closed_cdf", "conv_power")}
+    assert own == {
+        "_closed_cdf": ["inverse_gaussian", "laplace", "poisson",
+                        "two_sided_exp"],
+        "conv_power": ["laplace", "two_sided_exp"]}, own

@@ -250,12 +250,16 @@ CGMY_NEAR_ONE = {"family": "cgmy", "params": {
     "alpha": 1.0, "beta": 0.99, "lam_pos": 2.0, "lam_neg": 3.0}}
 
 
-def test_main_stein_near_beta_one_exits_numeric(tmp_path, capsysbinary):
+@pytest.mark.parametrize("task", [
+    {"kind": "stein", "g_name": "gauss"},
+    {"kind": "verify-identity", "n": 1, "g_name": "gauss"},
+], ids=["stein", "verify-identity"])
+def test_main_stein_near_beta_one_exits_numeric(tmp_path, capsysbinary,
+                                                task):
     # the nu-rule for CGMY with beta = 0.99 cannot be built in floating
     # point; gauss has no closed inner integral, so the task builds that
     # rule and must fail with exit 3, not report nan
-    doc = minimal_doc(distribution=CGMY_NEAR_ONE,
-                      task={"kind": "stein", "g_name": "gauss"})
+    doc = minimal_doc(distribution=CGMY_NEAR_ONE, task=task)
     path = write_spec(tmp_path, doc)
     assert main(["run", path]) == 3
     captured = capsysbinary.readouterr()
@@ -276,6 +280,29 @@ def test_stein_sin_near_beta_one_takes_closed_route():
     assert abs(rows["z_score"]["value"]) <= 4.0
     assert report["diagnostics"]["inner_routes"] == {
         "stein_residual": "closed"}
+
+
+@pytest.mark.parametrize("dist", [
+    {"family": "gamma", "params": {"a": 0.0, "b": 2.0}},
+    {"family": "inverse_gaussian", "params": {"alpha": 0.0, "lam": 2.0}},
+], ids=["gamma", "inverse_gaussian"])
+@pytest.mark.parametrize("task,code", [
+    ({"kind": "verify-identity", "n": 1, "g_name": "sin"}, 0),
+    ({"kind": "bounds", "g_name": "sin"}, 3),
+    ({"kind": "premium", "principle": "wpcp", "w_name": "one"}, 0),
+    ({"kind": "gini"}, 2),
+], ids=["verify-identity", "bounds", "wpcp", "gini"])
+def test_main_point_mass_at_zero_exit_codes(tmp_path, capsysbinary, dist,
+                                            task, code):
+    # a zero Lévy measure is the point mass at 0: the Monte Carlo tasks
+    # run on it, the bounds find C_2 = 0 (exit 3), and the Gini index
+    # refuses its zero mean (exit 2); never a traceback
+    doc = minimal_doc(distribution=dist, task=task,
+                      mc={"n_samples": 2000, "seed": 1})
+    path = write_spec(tmp_path, doc)
+    assert main(["run", path]) == code
+    if code:
+        assert capsysbinary.readouterr().out == b""
 
 
 def test_main_gini_with_too_long_cdf_series_exits_numeric(tmp_path,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
 from levy_stein import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
                         DivergentMoment, Gamma, GammaJumps, InverseGaussian,
@@ -309,10 +309,34 @@ def test_scalar_cdf_is_cdf_fn(spec):
     assert np.max(np.abs(scalar - spec.cdf_fn(QCFG)(x))) < 1e-12
 
 
-def test_gamma_cdf_closed():
-    F = Gamma(2.0, 1.5).cdf_fn(QCFG)
-    x = np.linspace(0.01, 8.0, 40)
-    assert np.max(np.abs(F(x) - gammainc(2.0, 1.5 * x))) < 1e-12
+@pytest.mark.parametrize("spec,want", [
+    (Gamma(2.0, 1.5), lambda x: gammainc(2.0, 1.5 * np.maximum(x, 0))),
+    (BGD(2.0, 3.0, 0.0, 4.0), lambda x: gammainc(2.0, 3.0 * np.maximum(x, 0))),
+    (BGD(0.0, 3.0, 1.5, 4.0),
+     lambda x: gammaincc(1.5, 4.0 * np.maximum(-x, 0))),
+    # compensated: b = mu - int u nu(du) = 0.7 - 1/2
+    (GTSD(0.7, 0.0, 1.0, 2.0, 0.0, 3.0),
+     lambda x: gammainc(1.0, 2.0 * np.maximum(x - (0.7 - 0.5), 0))),
+], ids=["gamma", "bgd-pos", "bgd-neg", "gtsd-pos"])
+def test_gamma_cdf_closed(spec, want):
+    # one beta = 0 side is a gamma law shifted by b (mirrored on the
+    # negative side): closed, where a table would round off the kink at b
+    x = np.linspace(-2.0, 10.0, 20_001)
+    assert np.max(np.abs(spec.cdf_fn(QCFG)(x) - want(x))) < 1e-14
+
+
+@pytest.mark.parametrize("spec,b", [
+    (Gamma(0.0, 2.0), 0.0),
+    (InverseGaussian(0.0, 2.0), 0.0),
+    (Poisson(0.0), 0.0),
+    (VGD(0.4, 0.0, 1.0, 2.0), 0.4),
+    (GTSD(-0.3, 0.5, 0.0, 2.0, 0.0, 3.0), -0.3),
+], ids=["gamma", "inverse_gaussian", "poisson", "vgd", "gtsd"])
+def test_zero_measure_cdf_is_step_at_drift(spec, b):
+    assert spec.cdf(b, QCFG) == 1.0
+    assert spec.cdf(np.nextafter(b, -1.0), QCFG) == 0.0
+    x = np.linspace(b - 2.0, b + 2.0, 401)
+    assert np.array_equal(spec.cdf_fn(QCFG)(x), (x >= b).astype(float))
 
 
 def test_poisson_cdf_steps():
@@ -400,6 +424,26 @@ def test_one_sided_half_stable_cdf_is_inverse_gaussian(alpha, lam):
     for v in x[::256]:
         assert spec.cdf(float(v), QCFG) == pytest.approx(ig.cdf(float(v)),
                                                          abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    CompoundPoisson(20_000.0, AtomicJumps(((1.0, 0.5), (2.0, 0.5)))),
+    CompoundPoisson(20_000.0, GammaJumps(2.0, 1.5)),
+], ids=["atoms", "gamma-jumps"])
+def test_cdf_past_jump_count_cap_raises(spec):
+    # 10 000 Poisson terms cover about 9 000 expected jumps; past that the
+    # cdf is refused, not truncated to a distribution that sums to ~0
+    with pytest.raises(NonConvergence, match="10 000 terms"):
+        spec.cdf_fn(QCFG)
+
+
+def test_poisson_cdf_exact_past_jump_count_cap():
+    # Poisson keeps its closed cdf, which needs no jump-count lattice
+    lam = 20_000.0
+    x = np.linspace(lam - 600.0, lam + 600.0, 2401)
+    F = Poisson(lam).cdf_fn(QCFG)(x)
+    assert np.max(np.abs(F - stats.poisson(lam).cdf(np.floor(x)))) < 1e-12
+    assert Poisson(lam).cdf(lam, QCFG) == pytest.approx(0.50188, abs=1e-5)
 
 
 def test_cdf_series_too_long_raises_promptly():
