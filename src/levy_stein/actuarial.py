@@ -65,8 +65,8 @@ class GiniReport:
     n: int
 
 
-def _nonzero_mean(base: IDDSpec, cfg: QuadratureConfig) -> float:
-    mu = base.mean(cfg)
+def _nonzero_mean(base: IDDSpec) -> float:
+    mu = base.mean()
     if mu == 0.0:
         raise ZeroDenominator("risk has zero mean")
     return mu
@@ -83,7 +83,7 @@ def wpcp(base: IDDSpec, w: TestFunction, mc: MCConfig = MCConfig(),
     so every sample's ratio is the Esscher shift of `esscher_closed`.
     """
     _check_tilt_headroom(base, w)
-    mean = base.mean(cfg)
+    mean = base.mean()
     inner = _nu_inner(base.measure, w, 1, cfg)
 
     def batch(rng, size):
@@ -95,8 +95,7 @@ def wpcp(base: IDDSpec, w: TestFunction, mc: MCConfig = MCConfig(),
                          method="numeric", std_error=est.std_error, n=est.n)
 
 
-def esscher_closed(base: IDDSpec, kappa: float,
-                   cfg: QuadratureConfig = DEFAULT_QUAD) -> PremiumReport:
+def esscher_closed(base: IDDSpec, kappa: float) -> PremiumReport:
     """Esscher premium H(kappa) = E(X) + int u (e^{kappa u} - 1) nu(du).
 
     Closed form for every catalog family: the shift is Psi_1(kappa) from
@@ -111,25 +110,23 @@ def esscher_closed(base: IDDSpec, kappa: float,
             f"= {TILT_MARGIN * kmax:.6g} for this family")
     delta = float(exp_moment(base.measure, 1, kappa, subtract_one=True).real)
     return PremiumReport(principle=f"esscher({kappa:g})",
-                         value=base.mean(cfg) + delta, method="closed_form")
+                         value=base.mean() + delta, method="closed_form")
 
 
-def modified_variance(base: IDDSpec,
-                      cfg: QuadratureConfig = DEFAULT_QUAD) -> PremiumReport:
+def modified_variance(base: IDDSpec) -> PremiumReport:
     """H = E(X) + Var(X)/E(X) from cumulants."""
-    mu = _nonzero_mean(base, cfg)
-    var = base.variance(cfg)
+    mu = _nonzero_mean(base)
+    var = base.variance()
     return PremiumReport(principle="modified_variance", value=mu + var / mu,
                          method="closed_form")
 
 
-def raw_moment(base: IDDSpec, n: int,
-               cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def raw_moment(base: IDDSpec, n: int) -> float:
     """E[X^n] from the cumulants via the standard recursion
     m_j = sum_i C(j-1, i-1) c_i m_{j-i}."""
     if n < 1:
         raise InvalidParams("moment order must be a positive integer")
-    cums = [cumulant(base, k, cfg) for k in range(1, n + 1)]
+    cums = [cumulant(base, k) for k in range(1, n + 1)]
     moments = [1.0]
     for j in range(1, n + 1):
         moments.append(sum(math.comb(j - 1, i - 1) * cums[i - 1] * moments[j - i]
@@ -153,7 +150,7 @@ def generalized_wpcp(base: IDDSpec, n: int, w: TestFunction,
                                             dtype=float), mc, DENOMINATOR)
     if den.value == 0.0:
         raise ZeroDenominator("weight has zero mean under the risk law")
-    mn = raw_moment(base, n, cfg)
+    mn = raw_moment(base, n)
     value = mn + cov.value / den.value
     se = math.hypot(cov.std_error / den.value,
                     cov.value * den.std_error / den.value**2)
@@ -173,7 +170,7 @@ def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
     but it is not a Lorenz-curve Gini; the CLI flags that case rather than
     rejecting it.
     """
-    mu = _nonzero_mean(base, cfg)
+    mu = _nonzero_mean(base)
     if mu < 0:
         raise InvalidParams("gini index needs a positive mean")
     F = base.cdf_fn(cfg)
@@ -198,11 +195,10 @@ def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
                       std_error=2.0 / mu * est.std_error, n=est.n)
 
 
-def gini_variance_scale(base: IDDSpec,
-                        cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def gini_variance_scale(base: IDDSpec) -> float:
     """(2/mu) Var(X): the number obtained from the Gini covariance formula
     when F is replaced by the identity. It is not a Gini coefficient (it is
     not even scale free); reported only so diagnostics can quantify how far
     it sits from the actual index."""
-    mu = _nonzero_mean(base, cfg)
-    return 2.0 / mu * base.variance(cfg)
+    mu = _nonzero_mean(base)
+    return 2.0 / mu * base.variance()

@@ -37,7 +37,6 @@ from .identities import (cov_identity_rhs, cov_oracle, identity_route,
 from .levy_core import QuadratureConfig, cumulant
 from .mc import MCConfig, MCEstimate, combine_se
 
-TOP_KEYS = ("distribution", "task", "mc", "quadrature", "output")
 TASK_KINDS = ("cumulants", "verify-identity", "bounds", "premium", "gini",
               "stein")
 PRINCIPLES = ("esscher", "wpcp", "modified_variance", "generalized_wpcp")
@@ -283,8 +282,7 @@ def _z_row(diff: float, se: float) -> dict:
 
 
 def _run_cumulants(spec: TaskSpec):
-    rows = [_row(f"C{k}", cumulant(spec.base, k, spec.quadrature),
-                 "closed_form")
+    rows = [_row(f"C{k}", cumulant(spec.base, k), "closed_form")
             for k in range(1, spec.task["k_max"] + 1)]
     return rows, [], {}
 
@@ -301,8 +299,7 @@ def _run_verify_identity(spec: TaskSpec):
 
 def _run_bounds(spec: TaskSpec):
     g = _task_g(spec.task)
-    vb = cacoullos_bounds(spec.base, g, spec.mc, spec.quadrature,
-                          with_oracle=True)
+    vb = cacoullos_bounds(spec.base, g, spec.mc, with_oracle=True)
     chen = chen_upper_bound(spec.base, g, spec.mc, spec.quadrature)
     closed = vb.method == "closed_form"
     rows = [
@@ -324,13 +321,13 @@ def _run_premium(spec: TaskSpec):
     principle = task["principle"]
     routes = {}
     if principle == "esscher":
-        rep = esscher_closed(spec.base, task["kappa"], spec.quadrature)
+        rep = esscher_closed(spec.base, task["kappa"])
     elif principle == "wpcp":
         w = _task_w(task)
         rep = wpcp(spec.base, w, spec.mc, spec.quadrature)
         routes[rep.principle] = inner_route(spec.base.measure, w)
     elif principle == "modified_variance":
-        rep = modified_variance(spec.base, spec.quadrature)
+        rep = modified_variance(spec.base)
     else:
         w = _task_w(task)
         rep = generalized_wpcp(spec.base, task["n"], w, spec.mc,
@@ -353,7 +350,7 @@ def _run_gini(spec: TaskSpec):
              orc.n),
         _z_row(diff, se),
     ]
-    scale = gini_variance_scale(spec.base, spec.quadrature)
+    scale = gini_variance_scale(spec.base)
     warnings = [
         f"(2/mean)*Var(X) = {scale:.6g} is not a Gini coefficient; the "
         f"formula value here is {levy.value:.6g} (discrepancy "

@@ -46,6 +46,7 @@ from .levy_core import (
     QuadratureConfig,
     TiltedPowerSide,
     exp_moment,
+    integrate_levy,
 )
 
 __all__ = [
@@ -124,13 +125,13 @@ class IDDSpec:
         self._check_s(s)
         return replace(self, **{f: getattr(self, f) * s for f in self._scaled})
 
-    def mean(self, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+    def mean(self) -> float:
         """E(X): drift0, plus int u nu(du) when the drift is uncompensated."""
-        return convert_drift(self, "compensated", cfg)
+        return convert_drift(self, "compensated")
 
-    def variance(self, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+    def variance(self) -> float:
         """Var(X) = C_2 = int u^2 nu(du)."""
-        return self.measure.moment(2, cfg)
+        return self.measure.moment(2)
 
     def cf(self, t):
         """E[e^{itX}] = exp(itb + int (e^{itu} - 1) nu(du)), b the
@@ -140,8 +141,8 @@ class IDDSpec:
         return np.exp(1j * t * b
                       + exp_moment(self.measure, 0, 1j * t, subtract_one=True))
 
-    def std(self, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-        return math.sqrt(self.variance(cfg))
+    def std(self) -> float:
+        return math.sqrt(self.variance())
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.sample_conv(rng, np.ones(size))
@@ -299,7 +300,7 @@ def _point_cdf(spec: IDDSpec, x: float, cfg: QuadratureConfig) -> float:
     has beta > 0, else Ga(coef+, rate+) - Ga(coef-, rate-) shifted by b."""
     m = spec.measure
     if any(side.beta > 0 for _, side in m.sides()):
-        return _cos_cdf(spec, x, cfg)
+        return _cos_cdf(spec, x)
     pos, neg = m.pos_structure, m.neg_structure
     return _bgd_cdf_scalar(x - convert_drift(spec, "uncompensated"),
                            pos.coef, pos.rate, neg.coef, neg.rate, cfg)
@@ -321,7 +322,7 @@ class CdfTable:
     at equispaced knots, clamped outside."""
 
     def __init__(self, spec: IDDSpec, cfg: QuadratureConfig, n_knots: int = 2049):
-        lo, hi = _cdf_range(spec, cfg)
+        lo, hi = _cdf_range(spec)
         knots = np.linspace(lo, hi, n_knots)
         vals = np.clip(_cdf_knots(spec, lo, hi, n_knots, cfg), 0.0, 1.0)
         np.maximum.accumulate(vals, out=vals)
@@ -341,9 +342,9 @@ class CdfTable:
         return out
 
 
-def _cdf_range(spec: IDDSpec, cfg: QuadratureConfig) -> Tuple[float, float]:
-    m = spec.mean(cfg)
-    sd = spec.std(cfg)
+def _cdf_range(spec: IDDSpec) -> Tuple[float, float]:
+    m = spec.mean()
+    sd = spec.std()
     left, right = spec.tail_rates()
     lo = m - max(30.0 * sd, 0.0 if not math.isfinite(left) else 50.0 / left)
     hi = m + max(30.0 * sd, 0.0 if not math.isfinite(right) else 50.0 / right)
@@ -511,8 +512,9 @@ class InverseGaussian(IDDSpec):
 
         def f(x):
             x = _as_float_array(x)
-            out = np.zeros_like(x)
-            ok = x > 0
+            # F(+inf) = 1, where r (x/m - 1) below would be 0 * inf
+            out = np.where(x == np.inf, 1.0, 0.0)
+            ok = (x > 0) & (x < np.inf)
             if np.any(ok):
                 xs = x[ok]
                 r = np.sqrt(shape / xs)
@@ -916,9 +918,9 @@ def _cos_terms(spec: IDDSpec, lo: float, hi: float):
         yield k, (2.0 / span) * (spec.cf(u) * np.exp(-1j * u * lo)).real / u
 
 
-def _cos_cdf(spec: IDDSpec, x: float, cfg: QuadratureConfig) -> float:
+def _cos_cdf(spec: IDDSpec, x: float) -> float:
     """The series at one point; 0 below and 1 above the table range."""
-    lo, hi = _cdf_range(spec, cfg)
+    lo, hi = _cdf_range(spec)
     if x <= lo:
         return 0.0
     if x >= hi:
@@ -953,8 +955,7 @@ def _cos_cdf_knots(spec: IDDSpec, lo: float, hi: float,
 # -- conversions and registry ---------------------------------------------------
 
 
-def convert_drift(spec: IDDSpec, to: str,
-                  cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def convert_drift(spec: IDDSpec, to: str) -> float:
     """The drift constant of `spec` in the requested convention.
 
     compensated drift = E(X); uncompensated drift = E(X) - int u nu(du).
@@ -964,7 +965,7 @@ def convert_drift(spec: IDDSpec, to: str,
         raise InvalidParams(f"unknown drift convention {to!r}")
     if to == spec.drift_convention:
         return spec.drift0
-    jump_mean = spec.measure.moment(1, cfg)
+    jump_mean = spec.measure.moment(1)
     if to == "compensated":
         return spec.drift0 + jump_mean
     return spec.drift0 - jump_mean
@@ -976,9 +977,7 @@ def mean_levy(spec: IDDSpec, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     closed form. Used for representation cross-checks."""
     if spec.drift_convention == "compensated":
         return spec.drift0
-    meas = spec.measure
-    method = "auto" if meas.is_atomic else "quad"
-    return spec.drift0 + meas.moment(1, cfg, method=method)
+    return spec.drift0 + integrate_levy(spec.measure, lambda u: u, cfg=cfg)
 
 
 FAMILIES = {

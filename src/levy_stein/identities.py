@@ -90,17 +90,21 @@ def sample_joint(base: IDDSpec, rng: np.random.Generator, size: int,
     return JointPairSampler(base, s).sample(rng, size)
 
 
-def _check_tilt_headroom(base: IDDSpec, g: TestFunction):
-    """g growing like e^{tilt x} needs tilt below the Lévy decay rate,
-    otherwise the inner integrals (and the covariance itself) diverge."""
+def _check_tilt_headroom(base: IDDSpec, g: TestFunction, power: int = 1):
+    """g growing like e^{tilt x} needs power * tilt below the Lévy decay rate
+    on g's side, otherwise the inner integrals (and the covariance itself)
+    diverge. The variance bounds integrate squares of g' or of g's
+    increments and check with power 2."""
     left, right = base.tail_rates()
-    if g.tilt > 0 and g.tilt >= right:
+    rate = power * g.tilt
+    name = g.name if power == 1 else f"{g.name} squared"
+    if rate > 0 and rate >= right:
         raise DivergentMoment(
-            f"{g.name} grows at rate {g.tilt}, at or beyond the positive "
+            f"{name} grows at rate {rate}, at or beyond the positive "
             f"Lévy decay rate {right}")
-    if g.tilt < 0 and -g.tilt >= left:
+    if rate < 0 and -rate >= left:
         raise DivergentMoment(
-            f"{g.name} grows at rate {-g.tilt} on the left, at or beyond "
+            f"{name} grows at rate {-rate} on the left, at or beyond "
             f"the negative Lévy decay rate {left}")
 
 
@@ -171,7 +175,7 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
 
     if route == "bias":
         bank: Dict[int, BiasVariable] = {
-            m: BiasVariable(meas, m, cfg) for m in range(1, n + 1)}
+            m: BiasVariable(meas, m) for m in range(1, n + 1)}
         consts = {m: bank[m].normalizer for m in bank}
 
         def batch(rng, size):
@@ -198,13 +202,12 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
 
 
 def cov_first_order(base: IDDSpec, g: TestFunction,
-                    mc: MCConfig = MCConfig(),
-                    cfg: QuadratureConfig = DEFAULT_QUAD) -> MCEstimate:
+                    mc: MCConfig = MCConfig()) -> MCEstimate:
     """Cov(X, g(X)) = Var(X) * E[g'(X + Y_1)]; valid for every catalog
     family, since the first-order bias variable exists two-sided."""
     _check_tilt_headroom(base, g)
-    bv = BiasVariable(base.measure, 1, cfg)
-    var = base.variance(cfg)
+    bv = BiasVariable(base.measure, 1)
+    var = base.variance()
 
     def batch(rng, size):
         x = base.sample(rng, size)

@@ -271,23 +271,18 @@ class LevyMeasure:
 
     # -- moments -----------------------------------------------------------
 
-    def moment(self, k: int, cfg: QuadratureConfig = DEFAULT_QUAD,
-               method: str = "auto") -> float:
-        """int u^k nu(du) over the whole line, k >= 1.
+    def moment(self, k: int) -> float:
+        """int u^k nu(du) over the whole line, k >= 1, in closed form: a sum
+        over atoms, or c Gamma(k-beta) rate^{beta-k} per tilted-power side.
 
-        method 'auto' and 'closed' use the closed tilted-power formulas,
-        'quad' forces adaptive quadrature of the density (used by the
-        closed-vs-quadrature checks).
+        `integrate_levy(measure, lambda u: u**k)` is the quadrature oracle
+        for it.
         """
         if k < 1:
             raise InvalidParams("moment order must be a positive integer")
         if self.is_atomic:
             return _in_double_range(k, lambda: float(
                 sum(mass * loc**k for loc, mass in self.atoms)))
-        if method not in ("auto", "quad", "closed"):
-            raise InvalidParams(f"unknown moment method {method!r}")
-        if method == "quad":
-            return integrate_levy(self, lambda u: u**k, "both", cfg)
         return sum(sign**k * side.moment(k) for sign, side in self.sides())
 
 
@@ -298,13 +293,11 @@ class TailIntegral:
     defining minus sign), and __call__ dispatches on the sign of u.
     """
 
-    def __init__(self, measure: LevyMeasure, k: int,
-                 cfg: QuadratureConfig = DEFAULT_QUAD):
+    def __init__(self, measure: LevyMeasure, k: int):
         if k < 1:
             raise InvalidParams("tail-integral order k must be a positive integer")
         self.measure = measure
         self.k = int(k)
-        self.cfg = cfg
 
     def pos(self, u):
         u = np.asarray(u, dtype=float)
@@ -399,27 +392,26 @@ def integrate_levy(measure: LevyMeasure, integrand: Callable[[float], float],
     return sum((_quad_improper(f, a, b, cfg) for a, b in pieces), 0.0)
 
 
-def eta(measure: LevyMeasure, k: int, u: float,
-        cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def eta(measure: LevyMeasure, k: int, u: float) -> float:
     """eta_k+(u) for u > 0, eta_k-(u) for u < 0."""
     if u == 0:
         raise InvalidParams("eta is defined on nonzero u")
-    t = TailIntegral(measure, k, cfg)
+    t = TailIntegral(measure, k)
     return float(t(np.asarray(u, dtype=float)))
 
 
-def cumulant(spec, k: int, cfg: QuadratureConfig = DEFAULT_QUAD,
-             method: str = "auto") -> float:
-    """C_k(X) for X ~ IDD(mu, 0, nu): C_1 = E(X), C_k = int u^k nu(du), k>=2.
+def cumulant(spec, k: int) -> float:
+    """C_k(X) for X ~ IDD(mu, 0, nu): C_1 = E(X), C_k = int u^k nu(du), k>=2,
+    both in closed form.
 
-    `spec` is any object with a `measure` attribute and a `mean(cfg)` method
+    `spec` is any object with a `measure` attribute and a `mean()` method
     (the distribution catalog provides both).
     """
     if k < 1:
         raise InvalidParams("cumulant order must be a positive integer")
     if k == 1:
-        return float(spec.mean(cfg))
-    return spec.measure.moment(k, cfg, method=method)
+        return float(spec.mean())
+    return spec.measure.moment(k)
 
 
 # -- bias variables --------------------------------------------------------
@@ -440,8 +432,7 @@ class BiasVariable:
     sides.
     """
 
-    def __init__(self, measure: LevyMeasure, k: int,
-                 cfg: QuadratureConfig = DEFAULT_QUAD):
+    def __init__(self, measure: LevyMeasure, k: int):
         if k < 1:
             raise InvalidParams("bias order k must be a positive integer")
         if measure.support != "positive" and k % 2 == 0:
@@ -450,8 +441,7 @@ class BiasVariable:
                 "positive support (eta_k changes sign otherwise)")
         self.measure = measure
         self.k = int(k)
-        self.cfg = cfg
-        self._tail = TailIntegral(measure, k, cfg)
+        self._tail = TailIntegral(measure, k)
         self._mass_pos = self._side_mass(positive=True)
         self._mass_neg = self._side_mass(positive=False)
         self.normalizer = self._mass_pos + self._mass_neg
@@ -503,10 +493,9 @@ class BiasVariable:
         return rng.gamma(k + 1 - side.beta, 1.0 / side.rate, size)
 
 
-def bias_density(measure: LevyMeasure, k: int, y: float,
-                 cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def bias_density(measure: LevyMeasure, k: int, y: float) -> float:
     """f_k(y) = eta_k(y) / C_{k+1}; see BiasVariable for the supported cases."""
-    return float(BiasVariable(measure, k, cfg).density(np.asarray(y, dtype=float)))
+    return float(BiasVariable(measure, k).density(np.asarray(y, dtype=float)))
 
 
 # -- fixed product rules ---------------------------------------------------
@@ -562,7 +551,7 @@ def _gl_panel(a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
     return mid + half * _GL_X, half * _GL_W
 
 
-def _panel_rule(measure: LevyMeasure, m: int, tilt: float, neg_tilt: float,
+def _panel_rule(measure: LevyMeasure, m: int, tilt: float,
                 power: Callable[[TiltedPowerSide], int],
                 weight: Callable[..., np.ndarray]) -> FixedRule:
     """Panelled Gauss-Legendre rule over the tilted-power sides of `measure`.
@@ -570,8 +559,9 @@ def _panel_rule(measure: LevyMeasure, m: int, tilt: float, neg_tilt: float,
     On each side, with u the distance from the origin, the rule covers
     (0, u_hi], where Gamma(s, lam_eff u_hi) / Gamma(s) = 1e-18 for
     s = m - beta (0.5 when that is not positive) and lam_eff is the side's
-    decay rate less the growth rate of the integrand (tilt on the positive
-    side, neg_tilt on the negative one). The origin panel (0, u_break] gets
+    decay rate less the growth rate of the integrand on that side: tilt on
+    the positive side, -tilt on the negative one, and none where that is
+    negative (e^{tilt u} decays there). The origin panel (0, u_break] gets
     the substitution u = u_break * t^p, p = power(side), which tames the
     singularity or cusp of the weight there (p = 1 is a plain panel); panels
     of doubling width follow out to u_hi. weight(sign, side, w, u) turns the
@@ -580,7 +570,7 @@ def _panel_rule(measure: LevyMeasure, m: int, tilt: float, neg_tilt: float,
     """
     nodes, weights = [], []
     for sign, side in measure.sides():
-        growth = max(tilt if sign > 0 else neg_tilt, 0.0)
+        growth = max(sign * tilt, 0.0)
         lam_eff = side.rate - growth
         if lam_eff <= 0:
             raise DivergentMoment(
@@ -617,24 +607,22 @@ def _panel_rule(measure: LevyMeasure, m: int, tilt: float, neg_tilt: float,
 
 
 def nu_rule(measure: LevyMeasure, m: int,
-            cfg: QuadratureConfig = DEFAULT_QUAD, tilt: float = 0.0,
-            neg_tilt: Optional[float] = None) -> FixedRule:
+            cfg: QuadratureConfig = DEFAULT_QUAD,
+            tilt: float = 0.0) -> FixedRule:
     """Fixed rule for int h(u) u^m nu(du) over the support.
 
-    tilt / neg_tilt bound the exponential growth of h on the positive /
-    negative side (neg_tilt defaults to -tilt mirrored: growth e^{|neg_tilt| |u|}).
-    The origin substitution makes u^{m-1-beta} du smooth in t; the rule's
-    domain is stretched by the tilt so the product still decays to ~1e-18
-    relative.
+    h may grow like e^{tilt u}: on the side where tilt u > 0 the rule's
+    domain is stretched so the product still decays to ~1e-18 relative.
+    The origin substitution makes u^{m-1-beta} du smooth in t. `cfg` is
+    taken for a tolerance check of the rule against adaptive quadrature,
+    which the builder does not make yet.
     """
-    if neg_tilt is None:
-        neg_tilt = -tilt
     if measure.is_atomic:
         locs = np.array([l for l, _ in measure.atoms])
         w = np.array([mass * l**m for l, mass in measure.atoms])
         return FixedRule(locs, w)
     return _panel_rule(
-        measure, m, tilt, neg_tilt,
+        measure, m, tilt,
         power=lambda side: (max(2, math.ceil(2.0 / (1.0 - side.beta)))
                             if side.beta > 0 else 2),
         # mirror: int h(u) u^m nu(du) over u<0 = int h(-t) (-t)^m nu_-(t) dt
@@ -642,8 +630,8 @@ def nu_rule(measure: LevyMeasure, m: int,
 
 
 def eta_rule(measure: LevyMeasure, m: int,
-             cfg: QuadratureConfig = DEFAULT_QUAD, tilt: float = 0.0,
-             neg_tilt: Optional[float] = None) -> FixedRule:
+             cfg: QuadratureConfig = DEFAULT_QUAD,
+             tilt: float = 0.0) -> FixedRule:
     """Fixed rule for int h(v) eta_m(v) dv over the whole line.
 
     eta_m is bounded at the origin but has a v^{m-beta} cusp there when
@@ -652,8 +640,6 @@ def eta_rule(measure: LevyMeasure, m: int,
     integral against eta collapses to finite differences of the
     antiderivative).
     """
-    if neg_tilt is None:
-        neg_tilt = -tilt
     if measure.is_atomic:
         raise AtomicMeasure(
             "eta rules are for continuous measures; atomic eta integrals "
@@ -665,7 +651,7 @@ def eta_rule(measure: LevyMeasure, m: int,
 
     # eta_m- at -v is (-1)^{m+1} times the side's tail at v
     return _panel_rule(
-        measure, m, tilt, neg_tilt, power,
+        measure, m, tilt, power,
         weight=lambda sign, side, w, v: w * side.tail(m, v) * sign ** (m + 1))
 
 

@@ -85,18 +85,18 @@ def test_criterion_3_bias_density_identifications():
     # gamma: Y_1 ~ Ga(1, b)
     b = 1.5
     grid = np.linspace(0.02, 5.0, 200)
-    got = BiasVariable(Gamma(2.0, b).measure, 1, QCFG).density(grid)
+    got = BiasVariable(Gamma(2.0, b).measure, 1).density(grid)
     assert np.max(np.abs(got - b * np.exp(-b * grid))) <= 1e-8
     # Poisson: Y_k ~ U(0, 1) for every order
     grid = np.linspace(0.005, 0.995, 200)
     for k in (1, 2, 3):
-        got = BiasVariable(Poisson(2.0).measure, k, QCFG).density(grid)
+        got = BiasVariable(Poisson(2.0).measure, k).density(grid)
         assert np.max(np.abs(got - 1.0)) <= 1e-8
     # Laplace: Y_1 ~ La(0, delta)
     delta = 0.8
     grid = np.concatenate([np.linspace(-4.0, -0.02, 100),
                            np.linspace(0.02, 4.0, 100)])
-    got = BiasVariable(Laplace(0.3, delta).measure, 1, QCFG).density(grid)
+    got = BiasVariable(Laplace(0.3, delta).measure, 1).density(grid)
     want = np.exp(-np.abs(grid) / delta) / (2.0 * delta)
     assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -172,7 +172,7 @@ def test_criterion_7_property_suite():
         (Poisson(2.0).measure, 2, (0.0, 1.0)),
     ]
     for meas, k, (lo, hi) in cases:
-        dens = BiasVariable(meas, k, QCFG).density
+        dens = BiasVariable(meas, k).density
         if lo < 0.0:
             total = integrate.quad(dens, lo, 0.0, limit=200)[0] \
                 + integrate.quad(dens, 0.0, hi, limit=200)[0]
@@ -183,7 +183,7 @@ def test_criterion_7_property_suite():
     # eta/nu Fubini identity, two-sided instance
     meas = CGMY(1.0, 0.5, 2.0, 3.0).measure
     x = 0.7
-    t = TailIntegral(meas, 1, QCFG)
+    t = TailIntegral(meas, 1)
     lhs = integrate.quad(lambda v: math.cos(x + v) * t.pos(v), 0, np.inf)[0] \
         + integrate.quad(lambda v: math.cos(x + v) * t.neg(v), -np.inf, 0)[0]
     rhs = integrate.quad(

@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import levy_stein
-from levy_stein import errors
+from levy_stein import actuarial, dist_catalog, errors
 from levy_stein.dist_catalog import FAMILIES
 
 SRC = Path(levy_stein.__file__).parent
@@ -70,3 +70,64 @@ def test_families_keep_only_closed_cdfs_and_family_changes():
         "_closed_cdf": ["inverse_gaussian", "laplace", "poisson",
                         "two_sided_exp"],
         "conv_power": ["laplace", "two_sided_exp"]}, own
+
+
+def test_no_quadrature_config_where_no_quadrature_runs():
+    # cumulants, tail integrals, bias variables and the Esscher shift are
+    # closed functions of the triplet, so they take no QuadratureConfig;
+    # moment and cumulant have no quadrature switch, and the rule builders
+    # read the growth on the negative side off the one tilt
+    dropped = {
+        "cfg": [levy_stein.IDDSpec.mean, levy_stein.IDDSpec.variance,
+                levy_stein.IDDSpec.std, levy_stein.convert_drift,
+                levy_stein.LevyMeasure.moment, levy_stein.cumulant,
+                levy_stein.TailIntegral, levy_stein.eta,
+                levy_stein.BiasVariable, levy_stein.bias_density,
+                levy_stein.cov_first_order, levy_stein.cacoullos_bounds,
+                levy_stein.posterior_bounds_gamma,
+                levy_stein.posterior_bounds_poisson,
+                levy_stein.esscher_closed, levy_stein.modified_variance,
+                levy_stein.raw_moment, levy_stein.gini_variance_scale,
+                actuarial._nonzero_mean, dist_catalog._cdf_range,
+                dist_catalog._cos_cdf],
+        "method": [levy_stein.LevyMeasure.moment, levy_stein.cumulant],
+        "neg_tilt": [levy_stein.nu_rule, levy_stein.eta_rule],
+    }
+    kept = [(f.__qualname__, name) for name, fns in dropped.items()
+            for f in fns if name in inspect.signature(f).parameters]
+    assert not kept, f"parameters that set nothing: {kept}"
+    # a cfg passed fourth by an old call must fail, not turn the oracle on
+    for f in (levy_stein.cacoullos_bounds, levy_stein.posterior_bounds_gamma,
+              levy_stein.posterior_bounds_poisson):
+        kind = inspect.signature(f).parameters["with_oracle"].kind
+        assert kind is inspect.Parameter.KEYWORD_ONLY, f.__name__
+
+
+def _unused_imports(source: str):
+    """Names a module imports but neither uses nor lists in __all__."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0]
+                         for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+def test_no_unused_imports():
+    # the check itself: a dangling name is flagged, an export is not
+    assert _unused_imports("import math\nfrom x import a, b as c\nc()\n") \
+        == ["a", "math"]
+    assert _unused_imports("from x import a\n__all__ = ['a']\n") == []
+    unused = {path.name: names for path in sorted(SRC.glob("*.py"))
+              if (names := _unused_imports(path.read_text(encoding="utf-8")))}
+    assert not unused, f"imported but never used: {unused}"

@@ -1,6 +1,8 @@
 """Variance bounds: the Cacoullos bracket, Chen's jump bound, posterior
 wrappers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from levy_stein import (
     Gamma,
     InvalidParams,
     Laplace,
+    MCConfig,
     VarianceBounds,
     cacoullos_bounds,
     chen_upper_bound,
@@ -21,7 +24,7 @@ from levy_stein.functions import GAUSS, IDENTITY, SQUARE, make_exp_tilt, \
 from levy_stein.functions import TestFunction as GFunction
 from levy_stein.mc import batch_sizes
 
-from conftest import rel_err
+from conftest import assert_within_se, rel_err
 
 # square without its polynomial tag, to force the sampling path
 SQUARE_MC = GFunction(name="square_mc", f=SQUARE.f, d1=SQUARE.d1,
@@ -125,6 +128,20 @@ def test_tilt_guards():
         chen_upper_bound(Gamma(2.0, 1.5), make_exp_tilt(0.8))
     with pytest.raises(DivergentMoment):
         cacoullos_bounds(Gamma(2.0, 1.5), make_exp_tilt(1.5))
+    # (g(x+u) - g(x))^2 grows only on g's side: 2 kappa = 0.6 passes the
+    # negative decay rate 0.5 but not the positive one, 3, so the bound is
+    # finite, E[e^{2 kappa X}] int (e^{kappa u} - 1)^2 nu(du)
+    # = e^{Psi_0(0.6)} (Psi_0(0.6) - 2 Psi_0(0.3))
+    ap, lp, an, ln_ = 2.0, 3.0, 1.0, 0.5
+
+    def psi0(z):
+        return -ap * math.log1p(-z / lp) - an * math.log1p(z / ln_)
+
+    want = math.exp(psi0(0.6)) * (psi0(0.6) - 2.0 * psi0(0.3))
+    assert want == pytest.approx(0.12528, abs=1e-5)
+    est = chen_upper_bound(BGD(ap, lp, an, ln_), make_exp_tilt(0.3),
+                           MCConfig(n_samples=10**5, seed=1, batch=10**4))
+    assert_within_se(est, want, label="chen upper bound")
 
 
 # -- posterior wrappers ---------------------------------------------------------------

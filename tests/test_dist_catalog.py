@@ -84,14 +84,14 @@ def test_make_spec_roundtrip():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 def test_mean_closed_vs_levy_route(spec):
-    assert mean_levy(spec, QCFG) == pytest.approx(spec.mean(QCFG),
+    assert mean_levy(spec, QCFG) == pytest.approx(spec.mean(),
                                                   rel=1e-8, abs=1e-10)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 def test_variance_is_second_levy_moment(spec):
-    want = spec.measure.moment(2, QCFG, method="quad")
-    assert spec.variance(QCFG) == pytest.approx(want, rel=1e-8)
+    want = integrate_levy(spec.measure, lambda u: u**2, cfg=QCFG)
+    assert spec.variance() == pytest.approx(want, rel=1e-8)
 
 
 def test_gamma_jumps_coefficient_out_of_range_raises():
@@ -103,8 +103,8 @@ def test_gamma_jumps_coefficient_out_of_range_raises():
 
 def test_gamma_closed_moments():
     g = Gamma(2.0, 1.5)
-    assert g.mean(QCFG) == pytest.approx(2.0 / 1.5, rel=1e-14)
-    assert g.variance(QCFG) == pytest.approx(2.0 / 1.5**2, rel=1e-14)
+    assert g.mean() == pytest.approx(2.0 / 1.5, rel=1e-14)
+    assert g.variance() == pytest.approx(2.0 / 1.5**2, rel=1e-14)
 
 
 # -- samplers vs moments ------------------------------------------------------
@@ -116,7 +116,7 @@ def test_sampler_matches_moments(spec):
     n = 200_000
     x = spec.sample(rng, n)
     assert x.shape == (n,)
-    mu, var = spec.mean(QCFG), spec.variance(QCFG)
+    mu, var = spec.mean(), spec.variance()
     se_mean = math.sqrt(var / n)
     assert abs(np.mean(x) - mu) < 5 * se_mean, f"{spec.family} mean off"
     # crude SE for the sample variance via the fourth central moment
@@ -135,7 +135,7 @@ def test_sample_conv_fractional_power(spec):
     x = spec.sample_conv(rng, s)
     assert np.all(x[s == 0.0] == 0.0)
     x = x[s > 0.0]
-    mu, var = spec.mean(QCFG), spec.variance(QCFG)
+    mu, var = spec.mean(), spec.variance()
     assert abs(np.mean(x) - 0.35 * mu) < 5 * math.sqrt(0.35 * var / n) + 1e-9
     c4 = np.mean((x - 0.35 * mu) ** 4)
     se_var = math.sqrt(max(c4 - (0.35 * var) ** 2, 0.0) / n)
@@ -303,7 +303,7 @@ def test_conv_power_preserves_family():
 def test_scalar_cdf_is_cdf_fn(spec):
     """One cdf formula per family: at 50 of the table knots (where a
     tabulated cdf_fn reproduces its knot values) cdf(x) is cdf_fn(x)."""
-    lo, hi = _cdf_range(spec, QCFG)
+    lo, hi = _cdf_range(spec)
     x = np.linspace(lo, hi, 2049)[::41]
     scalar = np.array([spec.cdf(float(v), QCFG) for v in x])
     assert np.max(np.abs(scalar - spec.cdf_fn(QCFG)(x))) < 1e-12
@@ -404,7 +404,7 @@ def test_cdf_monotone_and_limits():
     for spec in (CGMY(1.0, 0.5, 2.0, 3.0), VGD(0.5, 2.0, 3.0, 4.0),
                  CGMY(1.0, 0.02, 2.0, 3.0), GTSD(0.5, 0.5, 1.0, 2.0, 0.5, 3.0)):
         F = spec.cdf_fn(QCFG)
-        lo, hi = _cdf_range(spec, QCFG)
+        lo, hi = _cdf_range(spec)
         x = np.linspace(lo, hi, 301)
         fx = F(x)
         assert np.all(np.diff(fx) >= -1e-12)
@@ -415,13 +415,15 @@ def test_cdf_monotone_and_limits():
 @pytest.mark.parametrize("alpha,lam", [(1.0, 2.0), (0.3, 0.5), (2.0, 5.0)])
 def test_one_sided_half_stable_cdf_is_inverse_gaussian(alpha, lam):
     # a one-sided tempered stable law with beta = 1/2 is inverse Gaussian,
-    # so the series cdf must reproduce the closed IG cdf at the table knots
+    # so the series cdf must reproduce the closed IG cdf at the table knots,
+    # and both give 0 and 1 at -inf and +inf
     ig = InverseGaussian(alpha, lam)
     spec = GTSD(ig.mean(), 0.5, alpha, lam, 0.0, 1.0)
-    lo, hi = _cdf_range(spec, QCFG)
-    x = np.linspace(lo, hi, 2049)[1:-1]
+    lo, hi = _cdf_range(spec)
+    x = np.r_[-np.inf, np.linspace(lo, hi, 2049)[1:-1], np.inf]
     assert np.max(np.abs(spec.cdf_fn(QCFG)(x) - ig.cdf_fn(QCFG)(x))) < 1e-12
-    for v in x[::256]:
+    assert ig.cdf_fn(QCFG)(x[[0, -1]]).tolist() == [0.0, 1.0]
+    for v in x[1::256]:
         assert spec.cdf(float(v), QCFG) == pytest.approx(ig.cdf(float(v)),
                                                          abs=1e-12)
 
@@ -476,10 +478,10 @@ def test_convert_drift_roundtrip():
     spec = GTSD(0.7, 0.5, 1.0, 2.0, 0.5, 3.0)
     mu_unc = convert_drift(spec, to="uncompensated")
     mu_comp = convert_drift(spec, to="compensated")
-    assert mu_comp == pytest.approx(spec.mean(QCFG), rel=1e-10)
+    assert mu_comp == pytest.approx(spec.mean(), rel=1e-10)
     # uncompensated drift + jump mean = mean
-    jump_mean = spec.measure.moment(1, QCFG)
-    assert mu_unc + jump_mean == pytest.approx(spec.mean(QCFG), rel=1e-9)
+    jump_mean = spec.measure.moment(1)
+    assert mu_unc + jump_mean == pytest.approx(spec.mean(), rel=1e-9)
 
 
 def test_esscher_kappa_max():
