@@ -27,8 +27,7 @@ from .dist_catalog import IDDSpec
 from .errors import InvalidParams, ZeroDenominator
 from .functions import TestFunction
 from .identities import _check_tilt_headroom, _nu_inner, cov_identity_rhs
-from .levy_core import DEFAULT_QUAD, QuadratureConfig, cumulant, \
-    exp_moment, nu_rule
+from .levy_core import cumulant, exp_moment, nu_rule
 from .mc import DENOMINATOR, ORACLE, MCConfig, mc_cov, mc_mean, mc_ratio
 
 __all__ = [
@@ -72,8 +71,8 @@ def _nonzero_mean(base: IDDSpec) -> float:
     return mu
 
 
-def wpcp(base: IDDSpec, w: TestFunction, mc: MCConfig = MCConfig(),
-         cfg: QuadratureConfig = DEFAULT_QUAD) -> PremiumReport:
+def wpcp(base: IDDSpec, w: TestFunction,
+         mc: MCConfig = MCConfig()) -> PremiumReport:
     """Weighted premium H_w(X) = E(X) + E[I_1^w(X)] / E[w(X)], Monte Carlo.
 
     I_1^w(x) = int u (w(x+u) - w(x)) nu(du) is closed when w has terms and
@@ -84,7 +83,7 @@ def wpcp(base: IDDSpec, w: TestFunction, mc: MCConfig = MCConfig(),
     """
     _check_tilt_headroom(base, w)
     mean = base.mean()
-    inner = _nu_inner(base.measure, w, 1, cfg)
+    inner = _nu_inner(base.measure, w, 1)
 
     def batch(rng, size):
         x = base.sample(rng, size)
@@ -135,8 +134,7 @@ def raw_moment(base: IDDSpec, n: int) -> float:
 
 
 def generalized_wpcp(base: IDDSpec, n: int, w: TestFunction,
-                     mc: MCConfig = MCConfig(),
-                     cfg: QuadratureConfig = DEFAULT_QUAD) -> PremiumReport:
+                     mc: MCConfig = MCConfig()) -> PremiumReport:
     """H_w^(n)(X) = E[X^n w(X)] / E[w(X)] = E[X^n] + Cov(X^n, w(X)) / E[w(X)].
 
     The covariance comes from the order-n identity, the weight mean from a
@@ -145,7 +143,7 @@ def generalized_wpcp(base: IDDSpec, n: int, w: TestFunction,
     """
     if n < 1:
         raise InvalidParams("premium order n must be a positive integer")
-    cov = cov_identity_rhs(base, n, w, mc, cfg)
+    cov = cov_identity_rhs(base, n, w, mc)
     den = mc_mean(lambda rng, m: np.asarray(w.f(base.sample(rng, m)),
                                             dtype=float), mc, DENOMINATOR)
     if den.value == 0.0:
@@ -159,7 +157,6 @@ def generalized_wpcp(base: IDDSpec, n: int, w: TestFunction,
 
 
 def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
-         cfg: QuadratureConfig = DEFAULT_QUAD,
          method: str = "levy_formula") -> GiniReport:
     """Gini index G = (2/mu) Cov(X, F(X)) of a positive-mean risk.
 
@@ -173,9 +170,9 @@ def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
     mu = _nonzero_mean(base)
     if mu < 0:
         raise InvalidParams("gini index needs a positive mean")
-    F = base.cdf_fn(cfg)
+    F = base.cdf_fn()
     if method == "levy_formula":
-        rule = nu_rule(base.measure, 1, cfg)
+        rule = nu_rule(base.measure, 1)
 
         def batch(rng, size):
             x = base.sample(rng, size)

@@ -28,8 +28,7 @@ from .dist_catalog import Gamma, IDDSpec
 from .errors import DivergentMoment, InvalidParams
 from .functions import TestFunction
 from .identities import _check_tilt_headroom
-from .levy_core import (DEFAULT_QUAD, BiasVariable, QuadratureConfig,
-                        closed_sq_diff, nu_rule)
+from .levy_core import BiasVariable, closed_sq_diff, nu_rule
 from .mc import BOUND, ORACLE, MCConfig, MCEstimate, Welford, batch_sizes, \
     mc_mean, mc_variance, substreams
 
@@ -136,8 +135,7 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
 
 
 def chen_upper_bound(base: IDDSpec, g: TestFunction,
-                     mc: MCConfig = MCConfig(),
-                     cfg: QuadratureConfig = DEFAULT_QUAD) -> MCEstimate:
+                     mc: MCConfig = MCConfig()) -> MCEstimate:
     """E[int (g(X+u) - g(X))^2 nu(du)], the jump form of the upper bound.
 
     The integrand has a double zero at u = 0, which is what keeps the
@@ -149,7 +147,7 @@ def chen_upper_bound(base: IDDSpec, g: TestFunction,
     if g.terms:
         inner = closed_sq_diff(base.measure, g.terms)
     else:
-        inner = partial(nu_rule(base.measure, 0, cfg, tilt=2.0 * g.tilt)
+        inner = partial(nu_rule(base.measure, 0, tilt=2.0 * g.tilt)
                         .shifted_sum_sq_diff, g.f)
 
     def batch(rng, size):

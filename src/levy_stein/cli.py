@@ -1,9 +1,9 @@
 """Batch front-end: parse a task spec, run it, emit a JSON or CSV report.
 
 One invocation does one study. The spec file is plain JSON with top-level
-keys `distribution`, `task`, `mc`, `quadrature`, `output`; test functions
-are chosen from a named registry rather than parsed from expressions, so
-every g and w that can appear in a report has a hand-checked derivative.
+keys `distribution`, `task`, `mc`, `output`; test functions are chosen
+from a named registry rather than parsed from expressions, so every g and
+w that can appear in a report has a hand-checked derivative.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric non-convergence.
 """
@@ -34,7 +34,7 @@ from .functions import G_REGISTRY, W_REGISTRY, TestFunction, get_function
 from .identities import (cov_identity_rhs, cov_oracle, identity_route,
                          inner_route, stein_residual_bgd, stein_residual_cgmy,
                          stein_residual_vgd)
-from .levy_core import QuadratureConfig, cumulant
+from .levy_core import cumulant
 from .mc import MCConfig, MCEstimate, combine_se
 
 TASK_KINDS = ("cumulants", "verify-identity", "bounds", "premium", "gini",
@@ -58,7 +58,6 @@ class TaskSpec:
     base: IDDSpec
     task: dict
     mc: MCConfig
-    quadrature: QuadratureConfig
     output: str
     notes: tuple = ()
 
@@ -187,8 +186,7 @@ def _task_w(task: dict) -> TestFunction:
 def build_spec(doc: dict) -> TaskSpec:
     """Validate a parsed spec document into a TaskSpec."""
     doc = _require_dict(doc, "spec")
-    _check_fields(doc, {"distribution", "task"},
-                  {"mc", "quadrature", "output"}, "spec")
+    _check_fields(doc, {"distribution", "task"}, {"mc", "output"}, "spec")
     notes = []
 
     dist = _require_dict(doc["distribution"], "distribution")
@@ -206,25 +204,6 @@ def build_spec(doc: dict) -> TaskSpec:
         else:
             mc_doc[name] = getattr(defaults, name)
             notes.append(f"mc.{name} not given; default {mc_doc[name]} applied")
-    quad_doc = dict(_require_dict(doc.get("quadrature", {}), "quadrature"))
-    _check_fields(quad_doc, set(),
-                  {"rel_tol", "abs_tol", "max_subdivisions"}, "quadrature")
-    qdefaults = QuadratureConfig()
-    for name in ("rel_tol", "abs_tol"):
-        if name in quad_doc:
-            quad_doc[name] = _as_float(quad_doc[name], f"quadrature.{name}")
-        else:
-            quad_doc[name] = getattr(qdefaults, name)
-            notes.append(
-                f"quadrature.{name} not given; default {quad_doc[name]:g} "
-                "applied")
-    if "max_subdivisions" in quad_doc:
-        quad_doc["max_subdivisions"] = _as_int(quad_doc["max_subdivisions"],
-                                               "quadrature.max_subdivisions")
-    else:
-        quad_doc["max_subdivisions"] = qdefaults.max_subdivisions
-        notes.append("quadrature.max_subdivisions not given; default "
-                     f"{quad_doc['max_subdivisions']} applied")
 
     output = doc.get("output", None)
     if output is None:
@@ -235,11 +214,10 @@ def build_spec(doc: dict) -> TaskSpec:
 
     try:
         mc = MCConfig(**mc_doc)
-        quad = QuadratureConfig(**quad_doc)
     except InvalidParams as exc:
         raise ValidationError(str(exc)) from None
     return TaskSpec(family=dist["family"], base=base, task=task, mc=mc,
-                    quadrature=quad, output=output, notes=tuple(notes))
+                    output=output, notes=tuple(notes))
 
 
 def parse_spec(path: Optional[str] = None) -> TaskSpec:
@@ -290,7 +268,7 @@ def _run_cumulants(spec: TaskSpec):
 def _run_verify_identity(spec: TaskSpec):
     g = _task_g(spec.task)
     n = spec.task["n"]
-    est = cov_identity_rhs(spec.base, n, g, spec.mc, spec.quadrature)
+    est = cov_identity_rhs(spec.base, n, g, spec.mc)
     orc = cov_oracle(spec.base, n, g, spec.mc)
     rows = [_est_row("identity_rhs", est), _est_row("oracle", orc),
             _z_row(est.value - orc.value, combine_se(est, orc))]
@@ -300,7 +278,7 @@ def _run_verify_identity(spec: TaskSpec):
 def _run_bounds(spec: TaskSpec):
     g = _task_g(spec.task)
     vb = cacoullos_bounds(spec.base, g, spec.mc, with_oracle=True)
-    chen = chen_upper_bound(spec.base, g, spec.mc, spec.quadrature)
+    chen = chen_upper_bound(spec.base, g, spec.mc)
     closed = vb.method == "closed_form"
     rows = [
         _row("cacoullos_lower", vb.lower, vb.method,
@@ -324,23 +302,21 @@ def _run_premium(spec: TaskSpec):
         rep = esscher_closed(spec.base, task["kappa"])
     elif principle == "wpcp":
         w = _task_w(task)
-        rep = wpcp(spec.base, w, spec.mc, spec.quadrature)
+        rep = wpcp(spec.base, w, spec.mc)
         routes[rep.principle] = inner_route(spec.base.measure, w)
     elif principle == "modified_variance":
         rep = modified_variance(spec.base)
     else:
         w = _task_w(task)
-        rep = generalized_wpcp(spec.base, task["n"], w, spec.mc,
-                               spec.quadrature)
+        rep = generalized_wpcp(spec.base, task["n"], w, spec.mc)
         routes[rep.principle] = identity_route(spec.base, task["n"], w)
     rows = [_row(rep.principle, rep.value, rep.method, rep.std_error, rep.n)]
     return rows, [], routes
 
 
 def _run_gini(spec: TaskSpec):
-    levy = gini(spec.base, spec.mc, spec.quadrature, method="levy_formula")
-    orc = gini(spec.base, spec.mc, spec.quadrature,
-               method="covariance_oracle")
+    levy = gini(spec.base, spec.mc, method="levy_formula")
+    orc = gini(spec.base, spec.mc, method="covariance_oracle")
     diff = levy.value - orc.value
     se = math.hypot(levy.std_error, orc.std_error)
     rows = [
@@ -368,7 +344,7 @@ def _run_stein(spec: TaskSpec):
     base = spec.base
     routes = {}
     if isinstance(base, CGMY):
-        est = stein_residual_cgmy(base, g, spec.mc, spec.quadrature)
+        est = stein_residual_cgmy(base, g, spec.mc)
         routes["stein_residual"] = inner_route(base.measure, g)
     elif isinstance(base, VGD):
         est = stein_residual_vgd(vgd_to_alt(base), g, spec.mc)
@@ -416,10 +392,6 @@ def run_task(spec: TaskSpec) -> dict:
             "task": dict(spec.task),
             "mc": {"n_samples": spec.mc.n_samples, "seed": spec.mc.seed,
                    "batch": spec.mc.batch},
-            "quadrature": {"rel_tol": spec.quadrature.rel_tol,
-                           "abs_tol": spec.quadrature.abs_tol,
-                           "max_subdivisions":
-                               spec.quadrature.max_subdivisions},
             "output": spec.output,
         },
         "results": rows,

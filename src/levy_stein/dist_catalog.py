@@ -176,17 +176,20 @@ class IDDSpec:
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def cdf(self, x: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+    def cdf(self, x: float) -> float:
         """F(x); for a tabulated law the exact value, not the interpolant."""
+        x = float(x)
+        if not math.isfinite(x):  # nan stays nan, -inf gives 0, +inf 1
+            return float(np.clip(x, 0.0, 1.0))
         f = self._formula_cdf()
         if f is None:
-            return _point_cdf(self, float(x), cfg)
+            return _point_cdf(self, x)
         return float(f(np.asarray([x]))[0])
 
-    def cdf_fn(self, cfg: QuadratureConfig = DEFAULT_QUAD):
+    def cdf_fn(self):
         """Vectorized cdf: closed when the family or its triplet has one,
         else a monotone PCHIP interpolant of `_point_cdf` knot values."""
-        return self._formula_cdf() or _cdf_table(self, cfg)
+        return _finite_only(self._formula_cdf() or _cdf_table(self))
 
     def _formula_cdf(self):
         """The family's closed F, else the triplet's, else None."""
@@ -213,6 +216,23 @@ class IDDSpec:
 
 
 # -- cdf -----------------------------------------------------------------------
+
+
+def _finite_only(f):
+    """The vectorized cdf f, called on the finite entries of x only: nan
+    stays nan, -inf gives 0 and +inf 1 before any lattice, series or
+    quadrature runs."""
+    def cdf(x):
+        x = _as_float_array(x)
+        finite = np.isfinite(x)
+        if finite.all():
+            return f(x)
+        out = np.clip(x, 0.0, 1.0)
+        if finite.any():
+            out[finite] = f(x[finite])
+        return out
+
+    return cdf
 
 
 def _triplet_cdf(spec: IDDSpec):
@@ -295,7 +315,7 @@ def _one_side_cdf(side: TiltedPowerSide, sign: float, b: float):
     return f
 
 
-def _point_cdf(spec: IDDSpec, x: float, cfg: QuadratureConfig) -> float:
+def _point_cdf(spec: IDDSpec, x: float) -> float:
     """Exact F(x) of a law without a closed cdf: the COS series when a side
     has beta > 0, else Ga(coef+, rate+) - Ga(coef-, rate-) shifted by b."""
     m = spec.measure
@@ -303,17 +323,17 @@ def _point_cdf(spec: IDDSpec, x: float, cfg: QuadratureConfig) -> float:
         return _cos_cdf(spec, x)
     pos, neg = m.pos_structure, m.neg_structure
     return _bgd_cdf_scalar(x - convert_drift(spec, "uncompensated"),
-                           pos.coef, pos.rate, neg.coef, neg.rate, cfg)
+                           pos.coef, pos.rate, neg.coef, neg.rate)
 
 
-def _cdf_knots(spec: IDDSpec, lo: float, hi: float, n_knots: int,
-               cfg: QuadratureConfig) -> np.ndarray:
+def _cdf_knots(spec: IDDSpec, lo: float, hi: float,
+               n_knots: int) -> np.ndarray:
     """F at the n_knots equispaced points of [lo, hi] that a CdfTable
     interpolates: one COS pass when a side has beta > 0, else `_point_cdf`
     at each point."""
     if any(side.beta > 0 for _, side in spec.measure.sides()):
         return _cos_cdf_knots(spec, lo, hi, n_knots)
-    return np.array([_point_cdf(spec, float(x), cfg)
+    return np.array([_point_cdf(spec, float(x))
                      for x in np.linspace(lo, hi, n_knots)])
 
 
@@ -321,10 +341,10 @@ class CdfTable:
     """Monotone PCHIP fit of F on [lo, hi] through the `_cdf_knots` values
     at equispaced knots, clamped outside."""
 
-    def __init__(self, spec: IDDSpec, cfg: QuadratureConfig, n_knots: int = 2049):
+    def __init__(self, spec: IDDSpec, n_knots: int = 2049):
         lo, hi = _cdf_range(spec)
         knots = np.linspace(lo, hi, n_knots)
-        vals = np.clip(_cdf_knots(spec, lo, hi, n_knots, cfg), 0.0, 1.0)
+        vals = np.clip(_cdf_knots(spec, lo, hi, n_knots), 0.0, 1.0)
         np.maximum.accumulate(vals, out=vals)
         self.lo, self.hi = lo, hi
         self._interp = PchipInterpolator(knots, vals, extrapolate=False)
@@ -352,8 +372,8 @@ def _cdf_range(spec: IDDSpec) -> Tuple[float, float]:
 
 
 @lru_cache(maxsize=32)
-def _cdf_table(spec: IDDSpec, cfg: QuadratureConfig) -> CdfTable:
-    return CdfTable(spec, cfg)
+def _cdf_table(spec: IDDSpec) -> CdfTable:
+    return CdfTable(spec)
 
 
 # -- Poisson -----------------------------------------------------------------
@@ -597,8 +617,12 @@ class TwoSidedExp(IDDSpec):
 # -- bilateral gamma family ----------------------------------------------------
 
 
-def _bgd_cdf_scalar(x: float, ap: float, lp: float, an: float, ln_: float,
-                    cfg: QuadratureConfig) -> float:
+# subdivisions of each of the two adaptive quadratures in `_bgd_cdf_scalar`
+_BGD_CDF_LIMIT = 2000
+
+
+def _bgd_cdf_scalar(x: float, ap: float, lp: float, an: float,
+                    ln_: float) -> float:
     """P(Ga(ap,lp) - Ga(an,ln) <= x) by conditioning on the negative part.
 
     The characteristic function decays only polynomially (|phi| ~ |t|^-(ap+an)),
@@ -617,9 +641,9 @@ def _bgd_cdf_scalar(x: float, ap: float, lp: float, an: float, ln_: float,
     lo = max(0.0, -x)
     mid = lo + 4.0 / ln_
     out1 = integrate.quad(integrand, lo, mid, epsabs=1e-12, epsrel=1e-10,
-                          limit=cfg.max_subdivisions, full_output=1)
+                          limit=_BGD_CDF_LIMIT, full_output=1)
     out2 = integrate.quad(integrand, mid, np.inf, epsabs=1e-12, epsrel=1e-10,
-                          limit=cfg.max_subdivisions, full_output=1)
+                          limit=_BGD_CDF_LIMIT, full_output=1)
     for out in (out1, out2):
         if len(out) > 3:
             raise NonConvergence("bilateral-gamma cdf quadrature failed: "

@@ -34,14 +34,7 @@ import numpy as np
 from .dist_catalog import BGD, CGMY, IDDSpec, VGDAltParams, vgd_from_alt
 from .errors import DivergentMoment, InvalidParams
 from .functions import TestFunction
-from .levy_core import (
-    DEFAULT_QUAD,
-    BiasVariable,
-    LevyMeasure,
-    QuadratureConfig,
-    closed_inner,
-    nu_rule,
-)
+from .levy_core import BiasVariable, LevyMeasure, closed_inner, nu_rule
 from .mc import ORACLE, MCConfig, MCEstimate, mc_cov, mc_mean
 
 __all__ = [
@@ -125,12 +118,12 @@ def inner_route(measure: LevyMeasure, g: Optional[TestFunction]) -> str:
 
 
 def _nu_inner(measure: LevyMeasure, g: TestFunction, m: int,
-              cfg: QuadratureConfig, subtract: bool = True):
+              subtract: bool = True):
     """x -> int u^m (g(x+u) - [subtract] g(x)) nu(du), on the route that
     `inner_route` names: closed, or a fixed nu-rule (exact over atoms)."""
     if g.terms:
         return closed_inner(measure, g.terms, m, subtract)
-    rule = nu_rule(measure, m, cfg, tilt=g.tilt)
+    rule = nu_rule(measure, m, tilt=g.tilt)
     return partial(rule.shifted_sum, g.f, subtract_at_x=subtract)
 
 
@@ -154,7 +147,6 @@ def identity_route(base: IDDSpec, n: int, g: TestFunction,
 
 def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
                      mc: MCConfig = MCConfig(),
-                     cfg: QuadratureConfig = DEFAULT_QUAD,
                      route: str = "auto") -> MCEstimate:
     """Monte Carlo value of the right-hand side of the order-n identity.
 
@@ -189,7 +181,7 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
 
         return mc_mean(batch, mc)
 
-    inner = {m: _nu_inner(meas, g, m, cfg) for m in range(1, n + 1)}
+    inner = {m: _nu_inner(meas, g, m) for m in range(1, n + 1)}
 
     def batch(rng, size):
         x, y, _ = pair.sample(rng, size)
@@ -235,8 +227,7 @@ def cov_oracle(base: IDDSpec, n: int, g: TestFunction,
 
 
 def stein_residual_cgmy(spec: CGMY, g: TestFunction,
-                        mc: MCConfig = MCConfig(),
-                        cfg: QuadratureConfig = DEFAULT_QUAD) -> MCEstimate:
+                        mc: MCConfig = MCConfig()) -> MCEstimate:
     """E[X g(X) - int u g(X + u) nu(du)] vanishes exactly on the CGMY law.
 
     The inner integral is closed when g has terms and a fixed nu-rule
@@ -246,7 +237,7 @@ def stein_residual_cgmy(spec: CGMY, g: TestFunction,
     if not isinstance(spec, CGMY):
         raise InvalidParams("stein_residual_cgmy expects a CGMY spec")
     _check_tilt_headroom(spec, g)
-    inner = _nu_inner(spec.measure, g, 1, cfg, subtract=False)
+    inner = _nu_inner(spec.measure, g, 1, subtract=False)
 
     def batch(rng, size):
         x = spec.sample(rng, size)

@@ -67,6 +67,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances of the adaptive-quadrature oracle `integrate_levy`."""
+
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
@@ -606,16 +608,13 @@ def _panel_rule(measure: LevyMeasure, m: int, tilt: float,
     return FixedRule(np.concatenate(nodes), np.concatenate(weights))
 
 
-def nu_rule(measure: LevyMeasure, m: int,
-            cfg: QuadratureConfig = DEFAULT_QUAD,
+def nu_rule(measure: LevyMeasure, m: int, *,
             tilt: float = 0.0) -> FixedRule:
     """Fixed rule for int h(u) u^m nu(du) over the support.
 
     h may grow like e^{tilt u}: on the side where tilt u > 0 the rule's
     domain is stretched so the product still decays to ~1e-18 relative.
-    The origin substitution makes u^{m-1-beta} du smooth in t. `cfg` is
-    taken for a tolerance check of the rule against adaptive quadrature,
-    which the builder does not make yet.
+    The origin substitution makes u^{m-1-beta} du smooth in t.
     """
     if measure.is_atomic:
         locs = np.array([l for l, _ in measure.atoms])
@@ -629,8 +628,7 @@ def nu_rule(measure: LevyMeasure, m: int,
         weight=lambda sign, side, w, u: w * u**m * side.density(u) * sign**m)
 
 
-def eta_rule(measure: LevyMeasure, m: int,
-             cfg: QuadratureConfig = DEFAULT_QUAD,
+def eta_rule(measure: LevyMeasure, m: int, *,
              tilt: float = 0.0) -> FixedRule:
     """Fixed rule for int h(v) eta_m(v) dv over the whole line.
 

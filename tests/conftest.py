@@ -4,12 +4,7 @@ assertion helpers for estimator-vs-truth comparisons."""
 import numpy as np
 import pytest
 
-from levy_stein import MCConfig, QuadratureConfig
-
-
-@pytest.fixture
-def quad():
-    return QuadratureConfig()
+from levy_stein import MCConfig
 
 
 @pytest.fixture

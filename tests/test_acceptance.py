@@ -36,12 +36,10 @@ from levy_stein import (
 from levy_stein.cli import build_spec, emit, run_task
 from levy_stein.functions import SQUARE, get_function, make_exp_tilt
 from levy_stein.functions import TestFunction as GFunction
-from levy_stein.levy_core import QuadratureConfig
 
 from conftest import assert_agree, assert_within_se, rel_err
 from test_dist_catalog import ALL_SPECS, IDS, _log_cf
 
-QCFG = QuadratureConfig()
 MC_FULL = MCConfig(n_samples=10**6, seed=2026, batch=10**5)
 MC_FULL_B = MCConfig(n_samples=10**6, seed=2027, batch=10**5)
 
@@ -204,7 +202,7 @@ def test_criterion_7_property_suite():
     spec = CGMY(1.0, 0.5, 2.0, 3.0)
     rng = np.random.Generator(np.random.Philox(11))
     x = np.sort(spec.sample(rng, 10**6))
-    f = spec.cdf_fn(QCFG)(x)
+    f = spec.cdf_fn()(x)
     i = np.arange(1, x.size + 1)
     ks = max(np.max(i / x.size - f), np.max(f - (i - 1) / x.size))
     assert ks <= 0.005

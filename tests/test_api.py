@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import levy_stein
-from levy_stein import actuarial, dist_catalog, errors
+from levy_stein import actuarial, dist_catalog, errors, identities
 from levy_stein.dist_catalog import FAMILIES
 
 SRC = Path(levy_stein.__file__).parent
@@ -93,13 +93,28 @@ def test_no_quadrature_config_where_no_quadrature_runs():
         "method": [levy_stein.LevyMeasure.moment, levy_stein.cumulant],
         "neg_tilt": [levy_stein.nu_rule, levy_stein.eta_rule],
     }
+    # the fixed rules, the estimators built on them and the cdfs set no
+    # tolerance: only the integrate_levy oracle and mean_levy take a cfg
+    dropped["cfg"] += [
+        levy_stein.nu_rule, levy_stein.eta_rule, identities._nu_inner,
+        levy_stein.cov_identity_rhs, levy_stein.stein_residual_cgmy,
+        levy_stein.chen_upper_bound, levy_stein.wpcp,
+        levy_stein.generalized_wpcp, levy_stein.gini,
+        levy_stein.IDDSpec.cdf, levy_stein.IDDSpec.cdf_fn,
+        dist_catalog._point_cdf, dist_catalog._cdf_knots,
+        dist_catalog.CdfTable, dist_catalog._cdf_table,
+        dist_catalog._bgd_cdf_scalar]
     kept = [(f.__qualname__, name) for name, fns in dropped.items()
             for f in fns if name in inspect.signature(f).parameters]
     assert not kept, f"parameters that set nothing: {kept}"
-    # a cfg passed fourth by an old call must fail, not turn the oracle on
-    for f in (levy_stein.cacoullos_bounds, levy_stein.posterior_bounds_gamma,
-              levy_stein.posterior_bounds_poisson):
-        kind = inspect.signature(f).parameters["with_oracle"].kind
+    # a cfg passed fourth by an old call must fail, not turn the oracle on,
+    # and one passed third to a rule builder must fail, not become the tilt
+    for f, name in ((levy_stein.cacoullos_bounds, "with_oracle"),
+                    (levy_stein.posterior_bounds_gamma, "with_oracle"),
+                    (levy_stein.posterior_bounds_poisson, "with_oracle"),
+                    (levy_stein.nu_rule, "tilt"),
+                    (levy_stein.eta_rule, "tilt")):
+        kind = inspect.signature(f).parameters[name].kind
         assert kind is inspect.Parameter.KEYWORD_ONLY, f.__name__
 
 

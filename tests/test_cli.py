@@ -3,6 +3,7 @@
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,13 +42,21 @@ def test_build_spec_defaults_are_noted():
     assert spec.output == "json"
     assert spec.mc.n_samples == 10**6 and spec.mc.batch == 10**5
     noted = "\n".join(spec.notes)
-    for key in ("mc.n_samples", "mc.seed", "mc.batch", "quadrature.rel_tol",
-                "quadrature.abs_tol", "quadrature.max_subdivisions",
-                "output"):
+    for key in ("mc.n_samples", "mc.seed", "mc.batch", "output"):
         assert key in noted
     # explicit values generate no note
     spec2 = build_spec(minimal_doc())
     assert not any(n.startswith("mc.") for n in spec2.notes)
+
+
+def test_readme_spec_example_builds():
+    # the spec example in README's "Command line" section is one that
+    # build_spec accepts, with every optional key given
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert build_spec(json.loads(example)).notes == ()
 
 
 @pytest.mark.parametrize("doc", [
@@ -228,6 +237,13 @@ def test_main_validation_exit_code(tmp_path, capsysbinary):
     captured = capsysbinary.readouterr()
     assert captured.out == b""
     assert b"error:" in captured.err
+
+
+def test_main_rejects_quadrature_block(tmp_path, capsysbinary):
+    # no task reads a tolerance, so the spec has no quadrature block
+    path = write_spec(tmp_path, minimal_doc(quadrature={"rel_tol": 1e-9}))
+    assert main(["run", path]) == 2
+    assert b"quadrature" in capsysbinary.readouterr().err
 
 
 def test_main_bad_override_exit_code(tmp_path, capsysbinary):

@@ -305,8 +305,30 @@ def test_scalar_cdf_is_cdf_fn(spec):
     tabulated cdf_fn reproduces its knot values) cdf(x) is cdf_fn(x)."""
     lo, hi = _cdf_range(spec)
     x = np.linspace(lo, hi, 2049)[::41]
-    scalar = np.array([spec.cdf(float(v), QCFG) for v in x])
-    assert np.max(np.abs(scalar - spec.cdf_fn(QCFG)(x))) < 1e-12
+    scalar = np.array([spec.cdf(float(v)) for v in x])
+    assert np.max(np.abs(scalar - spec.cdf_fn()(x))) < 1e-12
+
+
+# ALL_SPECS plus GTSD at beta = 0 and the two laws whose cdf fell short
+# of 1 at +inf
+LIMIT_SPECS = ALL_SPECS + [GTSD(0.7, 0.0, 1.0, 2.0, 0.5, 3.0),
+                           VGD(0.2, 1.5, 3.0, 4.0),
+                           CompoundPoisson(1.5, GammaJumps(2.0, 3.0))]
+
+
+@pytest.mark.parametrize("spec", LIMIT_SPECS,
+                         ids=[f"{s.family}-{i}" for i, s in
+                              enumerate(LIMIT_SPECS)])
+def test_cdf_at_non_finite_x(spec):
+    # nan -> nan, -inf -> 0, +inf -> exactly 1, without a lattice, series
+    # or quadrature run at them; finite entries beside them are unchanged
+    assert math.isnan(spec.cdf(math.nan))
+    assert (spec.cdf(-math.inf), spec.cdf(math.inf)) == (0.0, 1.0)
+    F = spec.cdf_fn()
+    m = spec.mean()
+    got = F(np.array([np.nan, -np.inf, m, np.inf]))
+    assert np.isnan(got[0])
+    assert got[1:].tolist() == [0.0, F(np.array([m]))[0], 1.0]
 
 
 @pytest.mark.parametrize("spec,want", [
@@ -322,7 +344,7 @@ def test_gamma_cdf_closed(spec, want):
     # one beta = 0 side is a gamma law shifted by b (mirrored on the
     # negative side): closed, where a table would round off the kink at b
     x = np.linspace(-2.0, 10.0, 20_001)
-    assert np.max(np.abs(spec.cdf_fn(QCFG)(x) - want(x))) < 1e-14
+    assert np.max(np.abs(spec.cdf_fn()(x) - want(x))) < 1e-14
 
 
 @pytest.mark.parametrize("spec,b", [
@@ -333,14 +355,14 @@ def test_gamma_cdf_closed(spec, want):
     (GTSD(-0.3, 0.5, 0.0, 2.0, 0.0, 3.0), -0.3),
 ], ids=["gamma", "inverse_gaussian", "poisson", "vgd", "gtsd"])
 def test_zero_measure_cdf_is_step_at_drift(spec, b):
-    assert spec.cdf(b, QCFG) == 1.0
-    assert spec.cdf(np.nextafter(b, -1.0), QCFG) == 0.0
+    assert spec.cdf(b) == 1.0
+    assert spec.cdf(np.nextafter(b, -1.0)) == 0.0
     x = np.linspace(b - 2.0, b + 2.0, 401)
-    assert np.array_equal(spec.cdf_fn(QCFG)(x), (x >= b).astype(float))
+    assert np.array_equal(spec.cdf_fn()(x), (x >= b).astype(float))
 
 
 def test_poisson_cdf_steps():
-    F = Poisson(2.0).cdf_fn(QCFG)
+    F = Poisson(2.0).cdf_fn()
     x = np.array([-0.5, 0.0, 0.7, 1.0, 3.2])
     want = stats.poisson(2.0).cdf(np.floor(x))
     assert np.max(np.abs(F(x) - want)) < 1e-12
@@ -348,7 +370,7 @@ def test_poisson_cdf_steps():
 
 def test_two_sided_exp_cdf_closed():
     a, b = 2.0, 3.0
-    F = TwoSidedExp(a, b).cdf_fn(QCFG)
+    F = TwoSidedExp(a, b).cdf_fn()
     x = np.array([-1.5, -0.2, 0.0, 0.4, 2.0])
     want = np.where(x >= 0,
                     1.0 - (b / (a + b)) * np.exp(-a * x),
@@ -359,7 +381,7 @@ def test_two_sided_exp_cdf_closed():
 def test_atomic_cpd_cdf_enumeration():
     # jumps at 1 and 2.5; P(X <= x) by direct lattice enumeration
     spec = CompoundPoisson(1.5, AtomicJumps(((1.0, 0.4), (2.5, 0.6))))
-    F = spec.cdf_fn(QCFG)
+    F = spec.cdf_fn()
     # brute force over Poisson counts and jump compositions
     want = 0.0
     x0 = 3.6
@@ -386,7 +408,7 @@ def test_cdf_vs_empirical(spec):
     rng = np.random.default_rng(11)
     n = 100_000
     x = np.sort(spec.sample(rng, n))
-    F = spec.cdf_fn(QCFG)
+    F = spec.cdf_fn()
     # atom-aware KS: at each distinct value v compare F(v) with the
     # fraction <= v and the left limit F(v-) with the fraction < v
     vals, counts = np.unique(x, return_counts=True)
@@ -403,7 +425,7 @@ def test_cdf_monotone_and_limits():
     # CGMY(1, 0.02, 2, 3) needs 7.2e6 terms of the cdf series
     for spec in (CGMY(1.0, 0.5, 2.0, 3.0), VGD(0.5, 2.0, 3.0, 4.0),
                  CGMY(1.0, 0.02, 2.0, 3.0), GTSD(0.5, 0.5, 1.0, 2.0, 0.5, 3.0)):
-        F = spec.cdf_fn(QCFG)
+        F = spec.cdf_fn()
         lo, hi = _cdf_range(spec)
         x = np.linspace(lo, hi, 301)
         fx = F(x)
@@ -421,11 +443,11 @@ def test_one_sided_half_stable_cdf_is_inverse_gaussian(alpha, lam):
     spec = GTSD(ig.mean(), 0.5, alpha, lam, 0.0, 1.0)
     lo, hi = _cdf_range(spec)
     x = np.r_[-np.inf, np.linspace(lo, hi, 2049)[1:-1], np.inf]
-    assert np.max(np.abs(spec.cdf_fn(QCFG)(x) - ig.cdf_fn(QCFG)(x))) < 1e-12
-    assert ig.cdf_fn(QCFG)(x[[0, -1]]).tolist() == [0.0, 1.0]
+    assert np.max(np.abs(spec.cdf_fn()(x) - ig.cdf_fn()(x))) < 1e-12
+    assert ig.cdf_fn()(x[[0, -1]]).tolist() == [0.0, 1.0]
     for v in x[1::256]:
-        assert spec.cdf(float(v), QCFG) == pytest.approx(ig.cdf(float(v)),
-                                                         abs=1e-12)
+        assert spec.cdf(float(v)) == pytest.approx(ig.cdf(float(v)),
+                                                   abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -436,16 +458,16 @@ def test_cdf_past_jump_count_cap_raises(spec):
     # 10 000 Poisson terms cover about 9 000 expected jumps; past that the
     # cdf is refused, not truncated to a distribution that sums to ~0
     with pytest.raises(NonConvergence, match="10 000 terms"):
-        spec.cdf_fn(QCFG)
+        spec.cdf_fn()
 
 
 def test_poisson_cdf_exact_past_jump_count_cap():
     # Poisson keeps its closed cdf, which needs no jump-count lattice
     lam = 20_000.0
     x = np.linspace(lam - 600.0, lam + 600.0, 2401)
-    F = Poisson(lam).cdf_fn(QCFG)(x)
+    F = Poisson(lam).cdf_fn()(x)
     assert np.max(np.abs(F - stats.poisson(lam).cdf(np.floor(x)))) < 1e-12
-    assert Poisson(lam).cdf(lam, QCFG) == pytest.approx(0.50188, abs=1e-5)
+    assert Poisson(lam).cdf(lam) == pytest.approx(0.50188, abs=1e-5)
 
 
 def test_cdf_series_too_long_raises_promptly():
@@ -453,9 +475,9 @@ def test_cdf_series_too_long_raises_promptly():
     spec = CGMY(0.6, 0.02, 2.0, 3.0)
     t0 = time.perf_counter()
     with pytest.raises(NonConvergence, match="beta=0.02"):
-        spec.cdf_fn(QCFG)
+        spec.cdf_fn()
     with pytest.raises(NonConvergence, match="N = 3.56e"):
-        spec.cdf(0.0, QCFG)
+        spec.cdf(0.0)
     assert time.perf_counter() - t0 < 5.0
 
 

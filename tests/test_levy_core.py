@@ -214,7 +214,7 @@ def test_bias_variable_even_k_two_sided_rejected():
     (InverseGaussian(1.5, 2.0).measure, 1),
 ])
 def test_nu_rule_matches_adaptive(meas, m):
-    rule = nu_rule(meas, m, QCFG)
+    rule = nu_rule(meas, m)
     for h in (np.cos, lambda u: 1.0 / (1.0 + u * u)):
         got = rule.integrate(h)
         pos, _ = integrate.quad(
@@ -229,7 +229,7 @@ def test_nu_rule_matches_adaptive(meas, m):
 def test_nu_rule_m0_double_zero_integrand():
     # m = 0 is only meaningful against integrands with a double zero at 0
     meas = Gamma(2.0, 1.5).measure
-    rule = nu_rule(meas, 0, QCFG)
+    rule = nu_rule(meas, 0)
     got = rule.integrate(lambda u: np.sin(u) ** 2)
     want, _ = integrate.quad(
         lambda u: math.sin(u) ** 2 * meas.density(u), 0, np.inf, limit=200)
@@ -239,7 +239,7 @@ def test_nu_rule_m0_double_zero_integrand():
 def test_nu_rule_tilt_stretches_tail():
     # Ga(2,2) measure: int u e^{1.5u} nu(du) = 2 int e^{-u/2} du = 4
     meas = Gamma(2.0, 2.0).measure
-    rule = nu_rule(meas, 1, QCFG, tilt=1.5)
+    rule = nu_rule(meas, 1, tilt=1.5)
     got = rule.integrate(lambda u: np.exp(1.5 * u))
     assert rel_err(got, 4.0) < 1e-9
 
@@ -247,7 +247,7 @@ def test_nu_rule_tilt_stretches_tail():
 @pytest.mark.parametrize("m", [1, 2])
 def test_eta_rule_matches_adaptive(m):
     meas = CGMY(1.0, 0.5, 2.0, 3.0).measure
-    rule = eta_rule(meas, m, QCFG)
+    rule = eta_rule(meas, m)
     t = TailIntegral(meas, m)
     got = rule.integrate(np.cos)
     pos, _ = integrate.quad(lambda v: math.cos(v) * t.pos(v), 0, np.inf,
@@ -262,17 +262,17 @@ def test_nu_rule_rejects_non_finite_weights(beta):
     # near beta = 1 the origin substitution u = u_break * t^p (p >= 67)
     # leaves floating range; the rule must refuse rather than return NaN
     with pytest.raises(NonConvergence, match="beta="):
-        nu_rule(CGMY(1.0, beta, 2.0, 3.0).measure, 1, QCFG)
+        nu_rule(CGMY(1.0, beta, 2.0, 3.0).measure, 1)
 
 
 def test_eta_rule_rejects_atomic():
     with pytest.raises(AtomicMeasure):
-        eta_rule(Poisson(2.0).measure, 1, QCFG)
+        eta_rule(Poisson(2.0).measure, 1)
 
 
 def test_shifted_sum_subtract():
     meas = Poisson(2.0).measure
-    rule = nu_rule(meas, 1, QCFG)
+    rule = nu_rule(meas, 1)
     x = np.array([0.0, 1.0, 2.5])
     # int u (g(x+u) - g(x)) nu(du) with g = x^2, atom at 1 mass 2:
     # 2 * ((x+1)^2 - x^2) = 2 * (2x + 1)
@@ -353,7 +353,7 @@ def test_closed_inner_where_eta_rule_is_off():
     meas = CGMY(1.0, 0.9, 0.1, 0.2).measure
     xs = np.array([-0.8, 0.5])
     closed = closed_inner(meas, SIN.terms, 1)(xs)
-    rule = eta_rule(meas, 1, QCFG).shifted_sum(np.cos, xs)
+    rule = eta_rule(meas, 1).shifted_sum(np.cos, xs)
     for x, val, r in zip(xs, closed, rule):
         want = integrate_levy(meas, lambda u: u * _sin_diff(x, u), cfg=QCFG)
         assert rel_err(val, want) < 1e-8
@@ -457,10 +457,10 @@ def test_fixed_rules_against_psi(rule, shape, beta, lam, m):
     meas = _tilted(shape, beta, lam)
     psi = complex(exp_moment(meas, m, 1j, subtract_one=True))
     if rule == "nu":
-        r = nu_rule(meas, m, QCFG)
+        r = nu_rule(meas, m)
         got = r.integrate(lambda u: np.cos(u) - 1.0) + 1j * r.integrate(np.sin)
     else:
         # int g'(v) eta_m(v) dv = int u^m (g(u) - g(0)) nu(du), g = e^{iv}
-        r = eta_rule(meas, m, QCFG)
+        r = eta_rule(meas, m)
         got = r.integrate(lambda v: -np.sin(v)) + 1j * r.integrate(np.cos)
     assert abs(got - psi) <= RULE_TOL * abs(psi), abs(got - psi) / abs(psi)
