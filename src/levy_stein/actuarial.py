@@ -102,7 +102,8 @@ def esscher_closed(base: IDDSpec, kappa: float) -> PremiumReport:
     """
     if kappa <= 0:
         raise InvalidParams("esscher tilt kappa must be strictly positive")
-    kmax = base.esscher_kappa_max()
+    # E[e^{kappa X}] is finite below the right tail's decay rate
+    kmax = base.tail_rates()[1]
     if math.isfinite(kmax) and kappa > TILT_MARGIN * kmax:
         raise InvalidParams(
             f"esscher tilt kappa={kappa} beyond {TILT_MARGIN} * kappa_max "

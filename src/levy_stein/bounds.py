@@ -29,8 +29,8 @@ from .errors import DivergentMoment, InvalidParams
 from .functions import TestFunction
 from .identities import _check_tilt_headroom
 from .levy_core import BiasVariable, closed_sq_diff, nu_rule
-from .mc import BOUND, ORACLE, MCConfig, MCEstimate, Welford, batch_sizes, \
-    mc_mean, mc_variance, substreams
+from .mc import BOUND, ESTIMATE, ORACLE, MCConfig, MCEstimate, _accumulate, \
+    mc_mean, mc_variance
 
 __all__ = [
     "VarianceBounds",
@@ -114,17 +114,17 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
                               method="closed_form", oracle=oracle)
 
     bv = BiasVariable(base.measure, 1)
-    acc_t = Welford()
-    acc_t2 = Welford()
-    for rng, m in zip(substreams(mc), batch_sizes(mc)):
-        w = base.sample(rng, m) + bv.sample(rng, m)
-        t = np.asarray(g.d1(w), dtype=float)
+
+    def batch(rng, m):
+        t = np.asarray(g.d1(base.sample(rng, m) + bv.sample(rng, m)),
+                       dtype=float)
         if not np.all(np.isfinite(t)):
             raise DivergentMoment(
                 f"g'={g.name} produced non-finite values at X + Y_1")
-        acc_t.add_batch(t)
-        acc_t2.add_batch(t * t)
-    et, et2 = acc_t.estimate(), acc_t2.estimate()
+        return t, t * t
+
+    pooled, _ = _accumulate(batch, mc, ESTIMATE)
+    et, et2 = pooled.mean_estimate(0), pooled.mean_estimate(1)
     lower = var * et.value**2
     upper = var * et2.value
     # delta method on x -> x^2 for the lower edge

@@ -27,7 +27,7 @@ from . import __version__
 from .actuarial import (esscher_closed, generalized_wpcp, gini,
                         gini_variance_scale, modified_variance, wpcp)
 from .bounds import cacoullos_bounds, chen_upper_bound
-from .dist_catalog import BGD, CGMY, VGD, IDDSpec, make_spec, vgd_to_alt
+from .dist_catalog import BGD, CGMY, VGD, IDDSpec, make_spec
 from .errors import (InvalidParams, NumericFailure, ParseError,
                      ValidationError, ValidationFailure)
 from .functions import G_REGISTRY, W_REGISTRY, TestFunction, get_function
@@ -347,7 +347,7 @@ def _run_stein(spec: TaskSpec):
         est = stein_residual_cgmy(base, g, spec.mc)
         routes["stein_residual"] = inner_route(base.measure, g)
     elif isinstance(base, VGD):
-        est = stein_residual_vgd(vgd_to_alt(base), g, spec.mc)
+        est = stein_residual_vgd(base, g, spec.mc)
     elif isinstance(base, BGD):
         est = stein_residual_bgd(base, g, spec.mc)
     else:

@@ -195,15 +195,6 @@ class IDDSpec:
         """The family's closed F, else the triplet's, else None."""
         return self._closed_cdf() or _triplet_cdf(self)
 
-    def esscher_kappa_max(self) -> float:
-        """Supremum of tilts kappa with E[e^{kappa X}] < inf.
-
-        Atomic and purely negative measures tilt for every kappa > 0; a
-        tilted-power positive side caps it at its decay rate.
-        """
-        pos = self.measure.pos_structure
-        return pos.rate if pos is not None else math.inf
-
     def tail_rates(self) -> Tuple[float, float]:
         """(left, right) exponential decay rates of the Lévy tails."""
         m = self.measure

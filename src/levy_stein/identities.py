@@ -31,7 +31,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dist_catalog import BGD, CGMY, IDDSpec, VGDAltParams, vgd_from_alt
+from .dist_catalog import BGD, CGMY, VGD, IDDSpec, vgd_to_alt
 from .errors import DivergentMoment, InvalidParams
 from .functions import TestFunction
 from .levy_core import BiasVariable, LevyMeasure, closed_inner, nu_rule
@@ -246,17 +246,19 @@ def stein_residual_cgmy(spec: CGMY, g: TestFunction,
     return mc_mean(batch, mc)
 
 
-def stein_residual_vgd(params: VGDAltParams, g: TestFunction,
+def stein_residual_vgd(spec: VGD, g: TestFunction,
                        mc: MCConfig = MCConfig()) -> MCEstimate:
-    """Second-order Stein residual in the (mu0, sigma2, r, theta)
-    parametrization:
+    """Second-order Stein residual, written in the (mu0, sigma2, r, theta)
+    parametrization of `vgd_to_alt`:
 
         E[ sigma2 (X-mu0) g'' + (sigma2 r + 2 theta (X-mu0)) g'
            + (r theta - (X-mu0)) g ] = 0.
     """
-    spec = vgd_from_alt(params)
+    if not isinstance(spec, VGD):
+        raise InvalidParams("stein_residual_vgd expects a VGD spec")
     _check_tilt_headroom(spec, g)
-    s2, r, th, mu0 = params.sigma2, params.r, params.theta, params.mu0
+    alt = vgd_to_alt(spec)
+    s2, r, th, mu0 = alt.sigma2, alt.r, alt.theta, alt.mu0
 
     def batch(rng, size):
         x = spec.sample(rng, size)

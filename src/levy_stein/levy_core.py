@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammainc, gammaincc, gammainccinv, gammaln
+from scipy.special import gammaincc, gammainccinv, gammaln
 
 from .errors import (
     AtomicMeasure,
@@ -141,13 +141,6 @@ class TiltedPowerSide:
         if self.coef == 0.0:
             return np.zeros_like(u)
         return self.moment(k) * gammaincc(k - self.beta, self.rate * u)
-
-    def partial_moment(self, k: int, u) -> np.ndarray:
-        """int_0^u y^k (density) dy, vectorized."""
-        u = np.asarray(u, dtype=float)
-        if self.coef == 0.0:
-            return np.zeros_like(u)
-        return self.moment(k) * gammainc(k - self.beta, self.rate * u)
 
     def exp_moment(self, m: int, z, subtract_one: bool = False) -> np.ndarray:
         """int_0^inf u^m (e^{zu} - [subtract_one]) (density) du, complex z.

@@ -1,9 +1,9 @@
-"""Monte Carlo plumbing: configs, estimates, mergeable accumulators.
+"""Monte Carlo plumbing: configs, estimates, one mergeable accumulator.
 
-Estimates are built batch by batch. Each batch gets its own counter-derived
-substream (SeedSequence.spawn + Philox), and batch accumulators merge
-associatively (Chan et al. update), so a run is deterministic for a fixed
-seed and fixed batch size regardless of how batches would be scheduled.
+Every estimator runs one batch loop. Batch sizes differ by at most one, and
+each batch draws from its own counter-derived substream (SeedSequence.spawn
++ Philox) into one accumulator, `Moments`, that merges into the pooled one
+by Chan's update; so a run is deterministic for a fixed seed and batch size.
 
 Estimates that are set side by side draw from different roles (ESTIMATE,
 ORACLE, DENOMINATOR, BOUND). All roles derive from the one
@@ -13,7 +13,7 @@ each other, and none of them with any role of another seed.
 Standard errors: plain-mean estimators report sample std / sqrt(n). Ratio
 and covariance estimators are not sample means; for those the SE comes from
 the spread of per-batch statistics (batch means), while the point value is
-computed from the pooled sample.
+computed from the pooled sample; both are read from the accumulators.
 """
 
 from __future__ import annotations
@@ -65,17 +65,17 @@ class MCEstimate:
 
 
 # batch-means SEs need several chunks, so cfg.batch acts as a cap on the
-# chunk size and runs are subdivided to at least this many pieces
+# chunk size and runs are subdivided to at least this many pieces; they
+# weight every chunk alike, so chunk sizes differ by at most one
 _MIN_BATCHES = 8
 
 
 def batch_sizes(cfg: MCConfig) -> Iterator[int]:
     size = min(cfg.batch, max(1, cfg.n_samples // _MIN_BATCHES))
-    remaining = cfg.n_samples
-    while remaining > 0:
-        m = min(size, remaining)
-        yield m
-        remaining -= m
+    k = -(-cfg.n_samples // size)
+    q, r = divmod(cfg.n_samples, k)
+    for i in range(k):
+        yield q + 1 if i < r else q
 
 
 # Stream roles: the estimate itself, the independent check held against it,
@@ -96,99 +96,75 @@ def substreams(cfg: MCConfig,
         yield np.random.Generator(np.random.Philox(child))
 
 
-class Welford:
-    """Mergeable mean/variance accumulator (Chan's parallel update)."""
+class Moments:
+    """Count, means and co-moments of k jointly drawn columns, mergeable by
+    the pairwise update of Chan, Golub & LeVeque (1983). comoment[i][j] is
+    the sum of (x_i - mean_i)(x_j - mean_j) over the rows seen."""
 
-    def __init__(self):
+    def __init__(self, k: int):
         self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
+        self.mean = [0.0] * k
+        self.comoment = [[0.0] * k for _ in range(k)]
 
-    def add_batch(self, x: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float)
-        m = x.size
-        if m == 0:
-            return
+    @classmethod
+    def of(cls, columns) -> "Moments":
+        """The moments of one batch, given as k arrays of equal length."""
+        cols = [np.asarray(c, dtype=float) for c in columns]
+        acc = cls(len(cols))
+        if cols[0].size == 0:
+            return acc
+        acc.n = cols[0].size
         # an overflow leaves a non-finite mean or SE, which MCEstimate
         # raises as DivergentMoment
         with np.errstate(over="ignore", invalid="ignore"):
-            b_mean = float(x.mean())
-            b_m2 = float(np.square(x - b_mean).sum())
-        delta = b_mean - self.mean
-        tot = self.n + m
-        self.mean += delta * m / tot
-        self.m2 += b_m2 + delta * delta * self.n * m / tot
-        self.n = tot
+            acc.mean = [float(c.mean()) for c in cols]
+            dev = [c - mu for c, mu in zip(cols, acc.mean)]
+            for i, di in enumerate(dev):
+                acc.comoment[i][i] = float(np.square(di).sum())
+                for j in range(i + 1, len(dev)):
+                    acc.comoment[i][j] = acc.comoment[j][i] = \
+                        float((di * dev[j]).sum())
+        return acc
 
-    def merge(self, other: "Welford") -> None:
+    def merge(self, other: "Moments") -> None:
         if other.n == 0:
             return
-        delta = other.mean - self.mean
-        tot = self.n + other.n
-        self.mean += delta * other.n / tot
-        self.m2 += other.m2 + delta * delta * self.n * other.n / tot
+        m, tot = other.n, self.n + other.n
+        delta = [b - a for a, b in zip(self.mean, other.mean)]
+        for i, di in enumerate(delta):
+            for j in range(i, len(delta)):
+                self.comoment[i][j] += (other.comoment[i][j]
+                                        + di * delta[j] * self.n * m / tot)
+                self.comoment[j][i] = self.comoment[i][j]
+            self.mean[i] += di * m / tot
         self.n = tot
 
-    @property
-    def variance(self) -> float:
-        if self.n < 2:
-            return 0.0
-        return self.m2 / (self.n - 1)
+    def cov(self, i: int = 0, j: int = 0) -> float:
+        """Sample covariance of columns i and j (variance when i == j)."""
+        return self.comoment[i][j] / (self.n - 1) if self.n > 1 else 0.0
 
-    def estimate(self) -> MCEstimate:
-        se = np.sqrt(self.variance / self.n) if self.n > 0 else 0.0
-        return MCEstimate(value=self.mean, std_error=float(se), n=self.n)
+    def mean_estimate(self, i: int = 0) -> MCEstimate:
+        """The mean of column i with SE sample std / sqrt(n)."""
+        se = math.sqrt(self.cov(i, i) / self.n) if self.n > 0 else 0.0
+        return MCEstimate(value=self.mean[i], std_error=se, n=self.n)
 
 
-class BivariateWelford:
-    """Mergeable accumulator for means, variances and the cross moment."""
-
-    def __init__(self):
-        self.n = 0
-        self.mean_x = 0.0
-        self.mean_y = 0.0
-        self.m2x = 0.0
-        self.m2y = 0.0
-        self.cxy = 0.0
-
-    def add_batch(self, x: np.ndarray, y: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        m = x.size
-        if m == 0:
-            return
-        bx = float(x.mean())
-        by = float(y.mean())
-        dx = x - bx
-        dy = y - by
-        b_m2x = float(np.square(dx).sum())
-        b_m2y = float(np.square(dy).sum())
-        b_cxy = float((dx * dy).sum())
-        tot = self.n + m
-        ddx = bx - self.mean_x
-        ddy = by - self.mean_y
-        w = self.n * m / tot
-        self.m2x += b_m2x + ddx * ddx * w
-        self.m2y += b_m2y + ddy * ddy * w
-        self.cxy += b_cxy + ddx * ddy * w
-        self.mean_x += ddx * m / tot
-        self.mean_y += ddy * m / tot
-        self.n = tot
-
-    @property
-    def covariance(self) -> float:
-        if self.n < 2:
-            return 0.0
-        return self.cxy / (self.n - 1)
+def _accumulate(batch_fn, cfg: MCConfig, role: int):
+    """Draw every batch of the role's substreams; batch_fn(rng, m) returns
+    the batch's k columns. Returns the pooled moments and each batch's."""
+    batches = [Moments.of(batch_fn(rng, m))
+               for rng, m in zip(substreams(cfg, role), batch_sizes(cfg))]
+    pooled = Moments(len(batches[0].mean))
+    for b in batches:
+        pooled.merge(b)
+    return pooled, batches
 
 
 def mc_mean(batch_fn: Callable[[np.random.Generator, int], np.ndarray],
             cfg: MCConfig, role: int = ESTIMATE) -> MCEstimate:
     """Estimate E[Z] where batch_fn draws a batch of Z values."""
-    acc = Welford()
-    for rng, m in zip(substreams(cfg, role), batch_sizes(cfg)):
-        acc.add_batch(batch_fn(rng, m))
-    return acc.estimate()
+    pooled, _ = _accumulate(lambda rng, m: (batch_fn(rng, m),), cfg, role)
+    return pooled.mean_estimate()
 
 
 def mc_cov(batch_fn: Callable[[np.random.Generator, int],
@@ -200,54 +176,35 @@ def mc_cov(batch_fn: Callable[[np.random.Generator, int],
     per-batch covariances over sqrt(#batches), which stays valid when the
     statistic is not itself a sample mean.
     """
-    acc = BivariateWelford()
-    per_batch = []
-    for rng, m in zip(substreams(cfg, role), batch_sizes(cfg)):
-        x, y = batch_fn(rng, m)
-        acc.add_batch(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.size >= 2:
-            per_batch.append(float(np.cov(x, y, ddof=1)[0, 1]))
-    se = _batch_se(per_batch)
-    return MCEstimate(value=acc.covariance, std_error=se, n=acc.n)
+    pooled, batches = _accumulate(batch_fn, cfg, role)
+    se = _batch_se([b.cov(0, 1) for b in batches if b.n >= 2])
+    return MCEstimate(value=pooled.cov(0, 1), std_error=se, n=pooled.n)
 
 
 def mc_ratio(batch_fn: Callable[[np.random.Generator, int],
                                 Tuple[np.ndarray, np.ndarray]],
              cfg: MCConfig) -> MCEstimate:
     """Estimate E[num]/E[den]; batch-means SE, pooled-ratio value."""
-    num = Welford()
-    den = Welford()
-    per_batch = []
-    for rng, m in zip(substreams(cfg), batch_sizes(cfg)):
-        a, b = batch_fn(rng, m)
-        num.add_batch(a)
-        den.add_batch(b)
-        bm = float(np.asarray(b, dtype=float).mean())
-        if bm != 0.0:
-            per_batch.append(float(np.asarray(a, dtype=float).mean()) / bm)
-    if den.mean == 0.0:
+    pooled, batches = _accumulate(batch_fn, cfg, ESTIMATE)
+    num, den = pooled.mean
+    if den == 0.0:
         raise ZeroDenominator("ratio estimator: denominator mean is zero")
-    se = _batch_se(per_batch)
-    return MCEstimate(value=num.mean / den.mean, std_error=se, n=num.n)
+    se = _batch_se([b.mean[0] / b.mean[1] for b in batches
+                    if b.mean[1] != 0.0])
+    return MCEstimate(value=num / den, std_error=se, n=pooled.n)
 
 
 def mc_variance(batch_fn: Callable[[np.random.Generator, int], np.ndarray],
                 cfg: MCConfig, role: int = ESTIMATE) -> MCEstimate:
     """Estimate Var(Z); pooled sample variance, batch-means SE."""
-    acc = Welford()
-    per_batch = []
-    for rng, m in zip(substreams(cfg, role), batch_sizes(cfg)):
-        z = np.asarray(batch_fn(rng, m), dtype=float)
-        acc.add_batch(z)
-        if z.size >= 2:
-            per_batch.append(float(np.var(z, ddof=1)))
-    return MCEstimate(value=acc.variance, std_error=_batch_se(per_batch),
-                      n=acc.n)
+    pooled, batches = _accumulate(lambda rng, m: (batch_fn(rng, m),), cfg,
+                                  role)
+    se = _batch_se([b.cov() for b in batches if b.n >= 2])
+    return MCEstimate(value=pooled.cov(), std_error=se, n=pooled.n)
 
 
 def _batch_se(values) -> float:
+    """Batch-means SE: the spread of per-batch statistics over sqrt(k)."""
     k = len(values)
     if k < 2:
         return 0.0

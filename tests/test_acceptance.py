@@ -30,7 +30,6 @@ from levy_stein import (
     stein_residual_bgd,
     stein_residual_cgmy,
     stein_residual_vgd,
-    vgd_to_alt,
     wpcp,
 )
 from levy_stein.cli import build_spec, emit, run_task
@@ -137,13 +136,13 @@ def test_criterion_5_stein_residual_suite():
                            "log1psq")]
     cgmy = CGMY(1.0, 0.5, 3.0, 4.0)
     bgd = BGD(2.0, 3.0, 1.0, 4.0)
-    vgd_alt = vgd_to_alt(VGD(0.5, 2.0, 3.0, 4.0))
+    vgd = VGD(0.5, 2.0, 3.0, 4.0)
     bad = []
     for g in g_bank:
         for label, est in (
                 ("cgmy", stein_residual_cgmy(cgmy, g, mc)),
                 ("bgd", stein_residual_bgd(bgd, g, mc)),
-                ("vgd", stein_residual_vgd(vgd_alt, g, mc))):
+                ("vgd", stein_residual_vgd(vgd, g, mc))):
             if abs(est.z) > 4.0:
                 bad.append(f"{label}/{g.name}: z = {est.z:.2f}")
     assert not bad, "; ".join(bad)

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import levy_stein
@@ -129,13 +130,17 @@ def _unused_imports(source: str):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
+    return sorted(imported - used - _exported(tree))
+
+
+def _exported(tree) -> set:
+    """The names a module's __all__ lists."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
-    return sorted(imported - used - exported)
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def test_no_unused_imports():
@@ -146,3 +151,39 @@ def test_no_unused_imports():
     unused = {path.name: names for path in sorted(SRC.glob("*.py"))
               if (names := _unused_imports(path.read_text(encoding="utf-8")))}
     assert not unused, f"imported but never used: {unused}"
+
+
+def _dead_definitions(*sources: str):
+    """Functions and methods that no source names, in code or in a string
+    such as a docstring, and no __all__ lists."""
+    defined, referenced = set(), set()
+    for tree in map(ast.parse, sources):
+        referenced |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                referenced |= set(re.findall(r"\w+", node.value))
+    dunder = {name for name in defined
+              if name.startswith("__") and name.endswith("__")}
+    return sorted(defined - referenced - dunder)
+
+
+def test_no_dead_definitions():
+    # the check itself: an unreferenced function or method is flagged; a
+    # called one, a dunder, an export and one a docstring names are not
+    assert _dead_definitions(
+        "def f(): pass\ndef g(): pass\n"
+        "class A:\n    def __init__(self): pass\n    def m(self): pass\n",
+        "g()\n") == ["f", "m"]
+    assert _dead_definitions(
+        "def f(): pass\n__all__ = ['f']\n"
+        "class A:\n    'A.m draws.'\n    def m(self): pass\n") == []
+    dead = _dead_definitions(*(path.read_text(encoding="utf-8")
+                               for path in sorted(SRC.glob("*.py"))))
+    assert not dead, f"defined but never referenced: {dead}"

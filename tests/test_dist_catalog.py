@@ -507,6 +507,7 @@ def test_convert_drift_roundtrip():
 
 
 def test_esscher_kappa_max():
-    assert Gamma(2.0, 1.5).esscher_kappa_max() == pytest.approx(1.5)
-    assert BGD(2.0, 3.0, 1.0, 4.0).esscher_kappa_max() == pytest.approx(3.0)
-    assert math.isinf(Poisson(2.0).esscher_kappa_max())
+    # the Esscher tilt is capped by the right tail's decay rate
+    assert Gamma(2.0, 1.5).tail_rates()[1] == pytest.approx(1.5)
+    assert BGD(2.0, 3.0, 1.0, 4.0).tail_rates()[1] == pytest.approx(3.0)
+    assert math.isinf(Poisson(2.0).tail_rates()[1])

@@ -25,7 +25,6 @@ from levy_stein import (
     stein_residual_bgd,
     stein_residual_cgmy,
     stein_residual_vgd,
-    vgd_to_alt,
 )
 from levy_stein.functions import GAUSS, IDENTITY, LOG1PSQ, SIN, SQUARE, \
     make_exp_tilt
@@ -166,8 +165,7 @@ def test_stein_residual_cgmy(mc_medium):
 
 
 def test_stein_residual_vgd(mc_medium):
-    alt = vgd_to_alt(VGD(0.5, 2.0, 3.0, 4.0))
-    est = stein_residual_vgd(alt, SQUARE, mc_medium)
+    est = stein_residual_vgd(VGD(0.5, 2.0, 3.0, 4.0), SQUARE, mc_medium)
     assert abs(est.z) <= 4.0
 
 
@@ -181,6 +179,8 @@ def test_stein_residual_type_checks():
         stein_residual_cgmy(Gamma(2.0, 1.5), SIN)
     with pytest.raises(InvalidParams):
         stein_residual_bgd(Gamma(2.0, 1.5), SIN)
+    with pytest.raises(InvalidParams):
+        stein_residual_vgd(Gamma(2.0, 1.5), SIN)
 
 
 # -- integrability guards ----------------------------------------------------------

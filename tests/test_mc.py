@@ -14,10 +14,9 @@ from levy_stein.mc import (
     DENOMINATOR,
     ESTIMATE,
     ORACLE,
-    BivariateWelford,
     MCConfig,
     MCEstimate,
-    Welford,
+    Moments,
     batch_sizes,
     combine_se,
     mc_cov,
@@ -27,7 +26,7 @@ from levy_stein.mc import (
     substreams,
 )
 
-from conftest import assert_within_se
+from conftest import assert_within_se, rel_err
 
 
 # -- configs and estimates -----------------------------------------------------
@@ -64,7 +63,8 @@ def test_mcestimate_z(value, se, want):
 @pytest.mark.parametrize("n, batch", [
     (10_000, 100_000),   # cap above n: subdivision kicks in
     (10_000, 1_000),
-    (123_457, 10_000),   # ragged tail chunk
+    (123_457, 10_000),   # n not a multiple of the cap
+    (1_001, 100_000),    # one more than 8 chunks of 125
     (1_000, 1),
 ])
 def test_batch_sizes_partition(n, batch):
@@ -72,6 +72,10 @@ def test_batch_sizes_partition(n, batch):
     sizes = list(batch_sizes(cfg))
     assert sum(sizes) == n
     assert all(1 <= m <= batch for m in sizes)
+    # batch means weight every chunk alike, so no chunk is a runt
+    assert max(sizes) - min(sizes) <= 1
+    size = min(batch, max(1, n // 8))
+    assert len(sizes) == -(-n // size)
     # the cap never collapses the run into too few chunks
     assert len(sizes) >= min(8, n)
 
@@ -116,47 +120,65 @@ def test_roles_draw_from_distinct_streams():
 def test_welford_matches_numpy():
     rng = np.random.default_rng(0)
     x = rng.gamma(2.0, 1.5, size=10_001)
-    acc = Welford()
-    for chunk in np.array_split(x, 7):
-        acc.add_batch(chunk)
-    assert acc.n == x.size
-    assert abs(acc.mean - x.mean()) < 1e-12
-    assert abs(acc.variance - np.var(x, ddof=1)) < 1e-10
-    est = acc.estimate()
-    assert abs(est.std_error - np.std(x, ddof=1) / math.sqrt(x.size)) < 1e-12
+    y = np.sin(x) + rng.standard_normal(x.size)
+    for cols in ((x,), (x, y)):
+        acc = Moments(len(cols))
+        for chunk in zip(*(np.array_split(c, 7) for c in cols)):
+            acc.merge(Moments.of(chunk))
+        assert acc.n == x.size
+        for i, c in enumerate(cols):
+            assert abs(acc.mean[i] - c.mean()) < 1e-12
+            assert abs(acc.cov(i, i) - np.var(c, ddof=1)) < 1e-10
+            est = acc.mean_estimate(i)
+            assert est.value == acc.mean[i] and est.n == x.size
+            assert abs(est.std_error
+                       - np.std(c, ddof=1) / math.sqrt(x.size)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=60),
        st.lists(st.floats(-50, 50), min_size=2, max_size=60))
 def test_welford_merge_matches_pooled(xs, ys):
-    # merge(A, B) must equal accumulating the concatenation
-    a, b, both = Welford(), Welford(), Welford()
-    a.add_batch(np.array(xs))
-    b.add_batch(np.array(ys))
-    both.add_batch(np.array(xs + ys))
-    a.merge(b)
-    assert a.n == both.n
-    assert abs(a.mean - both.mean) < 1e-9 * (1 + abs(both.mean))
-    assert abs(a.variance - both.variance) < 1e-8 * (1 + both.variance)
+    # merge(A, B) must equal accumulating the concatenation, for one column
+    # and for two (the second column is the cosine of the first)
+    for k in (1, 2):
+        def moments(v):
+            v = np.array(v)
+            return Moments.of((v, np.cos(v))[:k])
+        a, both = moments(xs), moments(xs + ys)
+        a.merge(moments(ys))
+        assert a.n == both.n
+        for i in range(k):
+            assert (abs(a.mean[i] - both.mean[i])
+                    < 1e-9 * (1 + abs(both.mean[i])))
+        scale = 1 + max(both.cov(i, i) for i in range(k))
+        for i in range(k):
+            for j in range(k):
+                assert abs(a.cov(i, j) - both.cov(i, j)) < 1e-8 * scale
+                assert a.comoment[i][j] == a.comoment[j][i]
 
 
 def test_welford_merge_empty_is_noop():
-    acc = Welford()
-    acc.add_batch(np.array([1.0, 2.0, 3.0]))
-    acc.merge(Welford())
-    acc.add_batch(np.array([]))
-    assert acc.n == 3 and abs(acc.mean - 2.0) < 1e-15
+    for k in (1, 2):
+        acc = Moments.of([np.array([1.0, 2.0, 3.0])] * k)
+        acc.merge(Moments(k))
+        acc.merge(Moments.of([np.array([])] * k))
+        assert acc.n == 3
+        assert all(abs(mu - 2.0) < 1e-15 for mu in acc.mean)
+        assert all(c == 2.0 for row in acc.comoment for c in row)
 
 
 def test_bivariate_welford_matches_numpy():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(5_000)
     y = 0.3 * x + rng.standard_normal(5_000)
-    acc = BivariateWelford()
+    acc = Moments(2)
     for cx, cy in zip(np.array_split(x, 5), np.array_split(y, 5)):
-        acc.add_batch(cx, cy)
-    assert abs(acc.covariance - np.cov(x, y, ddof=1)[0, 1]) < 1e-12
+        acc.merge(Moments.of((cx, cy)))
+    want = np.cov(x, y, ddof=1)
+    assert abs(acc.cov(0, 1) - want[0, 1]) < 1e-12
+    assert acc.cov(1, 0) == acc.cov(0, 1)
+    assert abs(acc.cov(1, 1) - want[1, 1]) < 1e-12
 
 
 # -- estimators -----------------------------------------------------------------
@@ -204,6 +226,53 @@ def test_mc_ratio(mc_medium):
 def test_mc_ratio_zero_denominator(mc_small):
     with pytest.raises(ZeroDenominator):
         mc_ratio(lambda rng, m: (np.ones(m), np.zeros(m)), mc_small)
+
+
+def _tilted_gamma(rng, m):
+    """(X w, w) with X ~ Ga(2, 1.5) and the Esscher weight w = e^{0.3 X}."""
+    x = rng.gamma(2.0, 1.0 / 1.5, m)
+    w = np.exp(0.3 * x)
+    return x * w, w
+
+
+def test_batch_means_match_a_second_pass():
+    # each batch-means SE equals the one taken from a second pass over the
+    # draws: np.cov, np.var and the ratio of means of each batch
+    cfg = MCConfig(n_samples=10_007, seed=3, batch=1_000)
+    batches = [_tilted_gamma(rng, m)
+               for rng, m in zip(substreams(cfg), batch_sizes(cfg))]
+    assert len({a.size for a, _ in batches}) == 2  # 3 x 910 + 8 x 909
+
+    def se(values):
+        return np.std(values, ddof=1) / math.sqrt(len(values))
+
+    want = {
+        "cov": se([np.cov(a, w, ddof=1)[0, 1] for a, w in batches]),
+        "variance": se([np.var(a, ddof=1) for a, _ in batches]),
+        "ratio": se([np.mean(a) / np.mean(w) for a, w in batches]),
+    }
+    got = {
+        "cov": mc_cov(_tilted_gamma, cfg),
+        "variance": mc_variance(lambda rng, m: _tilted_gamma(rng, m)[0], cfg),
+        "ratio": mc_ratio(_tilted_gamma, cfg),
+    }
+    for name, est in got.items():
+        assert rel_err(est.std_error, want[name]) < 1e-12, name
+    a, w = (np.concatenate(c) for c in zip(*batches))
+    assert rel_err(got["cov"].value, np.cov(a, w, ddof=1)[0, 1]) < 1e-12
+    assert rel_err(got["variance"].value, np.var(a, ddof=1)) < 1e-12
+    assert rel_err(got["ratio"].value, np.mean(a) / np.mean(w)) < 1e-12
+
+
+def test_ratio_se_has_no_runt_batch():
+    # n = 1001 is cut into 9 chunks; a 1-draw chunk weighted like the
+    # others would nearly double the batch-means SE
+    def median_se(n):
+        return np.median([
+            mc_ratio(_tilted_gamma, MCConfig(n_samples=n, seed=s)).std_error
+            for s in range(50)])
+
+    assert abs(median_se(1_001) / median_se(1_000) - 1.0) < 0.15
 
 
 def test_combine_se():
