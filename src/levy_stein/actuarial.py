@@ -108,7 +108,7 @@ def esscher_closed(base: IDDSpec, kappa: float) -> PremiumReport:
         raise InvalidParams(
             f"esscher tilt kappa={kappa} beyond {TILT_MARGIN} * kappa_max "
             f"= {TILT_MARGIN * kmax:.6g} for this family")
-    delta = float(exp_moment(base.measure, 1, kappa, subtract_one=True).real)
+    delta = float(exp_moment(base.measure, 1, kappa).real)
     return PremiumReport(principle=f"esscher({kappa:g})",
                          value=base.mean() + delta, method="closed_form")
 

@@ -5,6 +5,12 @@ keys `distribution`, `task`, `mc`, `output`; test functions are chosen
 from a named registry rather than parsed from expressions, so every g and
 w that can appear in a report has a hand-checked derivative.
 
+One table, `_FIELDS`, lists the fields each task kind and each premium
+principle requires, and `functions.PARAMS` the parameter each g or w takes
+(kappa for exp_tilt, c for shift). A task must carry exactly the fields its
+kind, principle and function name there: a missing one, or one that would
+set nothing, is a validation failure.
+
 Exit codes: 0 success, 2 validation failure, 3 numeric non-convergence.
 """
 
@@ -30,7 +36,8 @@ from .bounds import cacoullos_bounds, chen_upper_bound
 from .dist_catalog import BGD, CGMY, VGD, IDDSpec, make_spec
 from .errors import (InvalidParams, NumericFailure, ParseError,
                      ValidationError, ValidationFailure)
-from .functions import G_REGISTRY, W_REGISTRY, TestFunction, get_function
+from .functions import (G_REGISTRY, PARAMS, W_REGISTRY, TestFunction,
+                        get_function)
 from .identities import (cov_identity_rhs, cov_oracle, identity_route,
                          inner_route, stein_residual_bgd, stein_residual_cgmy,
                          stein_residual_vgd)
@@ -41,14 +48,20 @@ TASK_KINDS = ("cumulants", "verify-identity", "bounds", "premium", "gini",
               "stein")
 PRINCIPLES = ("esscher", "wpcp", "modified_variance", "generalized_wpcp")
 
-# required / optional fields per task kind, beyond "kind" itself
-_TASK_FIELDS = {
-    "cumulants": ({"k_max"}, set()),
-    "verify-identity": ({"n", "g_name"}, {"kappa"}),
-    "bounds": ({"g_name"}, {"kappa"}),
-    "premium": ({"principle"}, {"kappa", "c", "w_name", "n"}),
-    "gini": (set(), set()),
-    "stein": ({"g_name"}, {"kappa"}),
+# the fields each task kind, and each premium principle, requires besides
+# "kind"; a g_name or w_name also requires the parameters its function
+# takes (functions.PARAMS). A task takes no other field.
+_FIELDS = {
+    "cumulants": ("k_max",),
+    "verify-identity": ("n", "g_name"),
+    "bounds": ("g_name",),
+    "premium": ("principle",),
+    "gini": (),
+    "stein": ("g_name",),
+    "esscher": ("kappa",),
+    "wpcp": ("w_name",),
+    "modified_variance": (),
+    "generalized_wpcp": ("n", "w_name"),
 }
 
 
@@ -99,88 +112,51 @@ def _check_fields(doc: dict, required, optional, where: str) -> None:
         raise ParseError(f"{where}: {'; '.join(bits)}")
 
 
-def _parse_task(doc: dict) -> dict:
-    doc = dict(_require_dict(doc, "task"))
-    kind = doc.pop("kind", None)
-    if kind not in TASK_KINDS:
-        raise ValidationError(
-            f"task.kind must be one of {', '.join(TASK_KINDS)}; got {kind!r}")
-    required, optional = _TASK_FIELDS[kind]
-    _check_fields(doc, required, optional, f"task ({kind})")
-    task = {"kind": kind}
-    if kind == "cumulants":
-        k_max = _as_int(doc["k_max"], "task.k_max")
-        if k_max < 1:
-            raise ValidationError("task.k_max must be a positive integer")
-        task["k_max"] = k_max
-    elif kind in ("verify-identity", "bounds", "stein"):
-        name = doc["g_name"]
-        if name not in G_REGISTRY:
+def _positive_int(value, name: str) -> int:
+    value = _as_int(value, name)
+    if value < 1:
+        raise ValidationError(f"{name} must be a positive integer")
+    return value
+
+
+def _one_of(names):
+    def parse(value, name: str) -> str:
+        if not isinstance(value, str) or value not in names:
             raise ValidationError(
-                f"task.g_name {name!r} not in registry "
-                f"({', '.join(G_REGISTRY)})")
-        task["g_name"] = name
-        if "kappa" in doc:
-            task["kappa"] = _as_float(doc["kappa"], "task.kappa")
-        if kind == "verify-identity":
-            n = _as_int(doc["n"], "task.n")
-            if n < 1:
-                raise ValidationError("task.n must be a positive integer")
-            task["n"] = n
-        # resolve now so unknown/missing function parameters fail at parse
-        _task_g(task)
-    elif kind == "premium":
-        task.update(_parse_premium(doc))
+                f"{name} must be one of {', '.join(names)}; got {value!r}")
+        return value
+    return parse
+
+
+# how each task field is read; the four choices name further fields
+_CHOICES = {"kind": TASK_KINDS, "principle": PRINCIPLES,
+            "g_name": G_REGISTRY, "w_name": W_REGISTRY}
+_PARSE = {"k_max": _positive_int, "n": _positive_int,
+          "kappa": _as_float, "c": _as_float,
+          **{name: _one_of(names) for name, names in _CHOICES.items()}}
+# the fields a kind, principle or function name adds; no name is in both
+_TAKES = {**_FIELDS, **PARAMS}
+
+
+def _parse_task(doc: dict) -> dict:
+    doc = _require_dict(doc, "task")
+    task, fields = {}, ["kind"]
+    # the chosen kind, principle and function each append the fields they
+    # take, which this loop then reads in turn
+    for name in fields:
+        if name in doc:
+            task[name] = _PARSE[name](doc[name], f"task.{name}")
+            if name in _CHOICES:
+                fields += _TAKES[task[name]]
+    chosen = [task[name] for name in _CHOICES if name in task]
+    _check_fields(doc, set(fields), set(), " ".join(["task", *chosen]))
     return task
 
 
-def _parse_premium(doc: dict) -> dict:
-    principle = doc.get("principle")
-    if principle not in PRINCIPLES:
-        raise ValidationError(
-            f"task.principle must be one of {', '.join(PRINCIPLES)}; "
-            f"got {principle!r}")
-    out = {"principle": principle}
-    allowed = {"principle"}
-    if principle == "esscher":
-        allowed |= {"kappa"}
-        if "kappa" not in doc:
-            raise ValidationError("esscher principle requires task.kappa")
-        out["kappa"] = _as_float(doc["kappa"], "task.kappa")
-    elif principle in ("wpcp", "generalized_wpcp"):
-        allowed |= {"w_name", "kappa", "c"}
-        name = doc.get("w_name")
-        if name not in W_REGISTRY:
-            raise ValidationError(
-                f"task.w_name must be one of {', '.join(W_REGISTRY)}; "
-                f"got {name!r}")
-        out["w_name"] = name
-        if "kappa" in doc:
-            out["kappa"] = _as_float(doc["kappa"], "task.kappa")
-        if "c" in doc:
-            out["c"] = _as_float(doc["c"], "task.c")
-        if principle == "generalized_wpcp":
-            allowed |= {"n"}
-            if "n" not in doc:
-                raise ValidationError("generalized_wpcp requires task.n")
-            n = _as_int(doc["n"], "task.n")
-            if n < 1:
-                raise ValidationError("task.n must be a positive integer")
-            out["n"] = n
-        _task_w(out)
-    extra = sorted(set(doc) - allowed)
-    if extra:
-        raise ParseError(f"task (premium {principle}): unexpected {extra}")
-    return out
-
-
-def _task_g(task: dict) -> TestFunction:
-    return get_function(task["g_name"], kappa=task.get("kappa"))
-
-
-def _task_w(task: dict) -> TestFunction:
-    return get_function(task["w_name"], kappa=task.get("kappa"),
-                        c=task.get("c"))
+def _task_function(task: dict) -> TestFunction:
+    """The g or w a task names, with the parameters that function takes."""
+    name = task["g_name"] if "g_name" in task else task["w_name"]
+    return get_function(name, **{p: task[p] for p in PARAMS[name]})
 
 
 def build_spec(doc: dict) -> TaskSpec:
@@ -266,7 +242,7 @@ def _run_cumulants(spec: TaskSpec):
 
 
 def _run_verify_identity(spec: TaskSpec):
-    g = _task_g(spec.task)
+    g = _task_function(spec.task)
     n = spec.task["n"]
     est = cov_identity_rhs(spec.base, n, g, spec.mc)
     orc = cov_oracle(spec.base, n, g, spec.mc)
@@ -276,7 +252,7 @@ def _run_verify_identity(spec: TaskSpec):
 
 
 def _run_bounds(spec: TaskSpec):
-    g = _task_g(spec.task)
+    g = _task_function(spec.task)
     vb = cacoullos_bounds(spec.base, g, spec.mc, with_oracle=True)
     chen = chen_upper_bound(spec.base, g, spec.mc)
     closed = vb.method == "closed_form"
@@ -301,13 +277,13 @@ def _run_premium(spec: TaskSpec):
     if principle == "esscher":
         rep = esscher_closed(spec.base, task["kappa"])
     elif principle == "wpcp":
-        w = _task_w(task)
+        w = _task_function(task)
         rep = wpcp(spec.base, w, spec.mc)
         routes[rep.principle] = inner_route(spec.base.measure, w)
     elif principle == "modified_variance":
         rep = modified_variance(spec.base)
     else:
-        w = _task_w(task)
+        w = _task_function(task)
         rep = generalized_wpcp(spec.base, task["n"], w, spec.mc)
         routes[rep.principle] = identity_route(spec.base, task["n"], w)
     rows = [_row(rep.principle, rep.value, rep.method, rep.std_error, rep.n)]
@@ -340,7 +316,7 @@ def _run_gini(spec: TaskSpec):
 
 
 def _run_stein(spec: TaskSpec):
-    g = _task_g(spec.task)
+    g = _task_function(spec.task)
     base = spec.base
     routes = {}
     if isinstance(base, CGMY):

@@ -138,8 +138,7 @@ class IDDSpec:
         uncompensated drift; vectorised over real t."""
         t = _as_float_array(t)
         b = convert_drift(self, "uncompensated")
-        return np.exp(1j * t * b
-                      + exp_moment(self.measure, 0, 1j * t, subtract_one=True))
+        return np.exp(1j * t * b + exp_moment(self.measure, 0, 1j * t))
 
     def std(self) -> float:
         return math.sqrt(self.variance())
@@ -328,14 +327,18 @@ def _cdf_knots(spec: IDDSpec, lo: float, hi: float,
                      for x in np.linspace(lo, hi, n_knots)])
 
 
+# knots of every CdfTable, equispaced over its range
+_CDF_KNOTS = 2049
+
+
 class CdfTable:
     """Monotone PCHIP fit of F on [lo, hi] through the `_cdf_knots` values
-    at equispaced knots, clamped outside."""
+    at the _CDF_KNOTS equispaced knots, clamped outside."""
 
-    def __init__(self, spec: IDDSpec, n_knots: int = 2049):
+    def __init__(self, spec: IDDSpec):
         lo, hi = _cdf_range(spec)
-        knots = np.linspace(lo, hi, n_knots)
-        vals = np.clip(_cdf_knots(spec, lo, hi, n_knots), 0.0, 1.0)
+        knots = np.linspace(lo, hi, _CDF_KNOTS)
+        vals = np.clip(_cdf_knots(spec, lo, hi, _CDF_KNOTS), 0.0, 1.0)
         np.maximum.accumulate(vals, out=vals)
         self.lo, self.hi = lo, hi
         self._interp = PchipInterpolator(knots, vals, extrapolate=False)
@@ -707,7 +710,7 @@ class VGDAltParams:
 
     def __post_init__(self):
         _require(self.sigma2 > 0, "sigma2 must be strictly positive")
-        _require(self.r > 0, "r must be strictly positive")
+        _require(self.r >= 0, "r must be nonnegative")
 
 
 def vgd_from_alt(p: VGDAltParams) -> VGD:

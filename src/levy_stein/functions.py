@@ -3,7 +3,7 @@
 The estimators only accept functions from this registry: every entry carries
 hand-coded first and second derivatives, so there is no numerical
 differentiation anywhere in the identity machinery. Parametrized entries
-(exp_tilt, shift) are built on lookup.
+(exp_tilt, shift) are built on lookup from the parameters `PARAMS` declares.
 
 Entries that are exponential polynomials (id, square, sin, exp_tilt, shift,
 one) also carry that description as terms a x^p e^{zx}, with complex a and
@@ -181,26 +181,28 @@ _FIXED = {
     "log1psq": LOG1PSQ,
 }
 
+_MADE = {"exp_tilt": make_exp_tilt, "shift": make_shift}
 
-def get_function(name: str, kappa: Optional[float] = None,
-                 c: Optional[float] = None) -> TestFunction:
-    """Look up a registry function by name.
+# the parameters each registry function takes: exp_tilt its kappa, shift
+# its c, the fixed functions none
+PARAMS = {**{name: () for name in _FIXED}, "exp_tilt": ("kappa",),
+          "shift": ("c",)}
 
-    exp_tilt requires kappa; shift requires c. Unknown names are rejected so
-    spec files cannot smuggle in arbitrary expressions.
+
+def get_function(name: str, **params: float) -> TestFunction:
+    """Look up a registry function by name, with exactly the parameters
+    `PARAMS` declares for it: exp_tilt takes kappa, shift takes c, the
+    others take none. Unknown names, missing parameters and parameters the
+    function does not take are rejected, so a spec cannot smuggle in an
+    arbitrary expression or a parameter that sets nothing.
     """
-    if name == "exp_tilt":
-        if kappa is None:
-            raise ValidationError("exp_tilt requires a 'kappa' parameter")
-        return make_exp_tilt(kappa)
-    if name == "shift":
-        if c is None:
-            raise ValidationError("shift requires a 'c' parameter")
-        return make_shift(c)
-    try:
-        return _FIXED[name]
-    except KeyError:
-        known = sorted(set(G_REGISTRY) | set(W_REGISTRY))
+    if name not in PARAMS:
         raise ValidationError(
-            f"unknown function {name!r}; known names: {', '.join(known)}"
-        ) from None
+            f"unknown function {name!r}; known names: "
+            f"{', '.join(sorted(PARAMS))}")
+    takes = PARAMS[name]
+    if sorted(params) != sorted(takes):
+        raise ValidationError(
+            f"{name} takes {list(takes) or 'no parameter'}; "
+            f"got {sorted(params)}")
+    return _MADE[name](**params) if takes else _FIXED[name]

@@ -142,14 +142,12 @@ class TiltedPowerSide:
             return np.zeros_like(u)
         return self.moment(k) * gammaincc(k - self.beta, self.rate * u)
 
-    def exp_moment(self, m: int, z, subtract_one: bool = False) -> np.ndarray:
-        """int_0^inf u^m (e^{zu} - [subtract_one]) (density) du, complex z.
+    def exp_moment(self, m: int, z) -> np.ndarray:
+        """Psi_m(z) = int_0^inf u^m (e^{zu} - 1) (density) du, complex z.
 
-        Closed form c Gamma(s) rate^{-s} (1 - z/rate)^{-s}, s = m - beta,
-        minus c Gamma(s) rate^{-s} when subtract_one; that difference is
-        taken as an expm1 so it keeps its digits for small z, and at s = 0
-        it is the limit -c log(1 - z/rate). Needs Re z < rate; without
-        subtract_one it also needs s > 0.
+        Closed form c Gamma(s) rate^{-s} ((1 - z/rate)^{-s} - 1),
+        s = m - beta, taken as an expm1 so it keeps its digits for small z;
+        at s = 0 it is the limit -c log(1 - z/rate). Needs Re z < rate.
         """
         z = np.asarray(z, dtype=complex)
         if np.any(z.real >= self.rate):
@@ -157,24 +155,25 @@ class TiltedPowerSide:
                 f"exponential moment at Re z = {np.max(z.real)} diverges: the "
                 f"tilted-power side decays at rate {self.rate}")
         s = m - self.beta
-        if s <= 0 and not subtract_one:
-            raise DivergentMoment(
-                f"moment of order {m} diverges (beta={self.beta})")
         w = -z / self.rate
         # log(1 + w); numpy's complex log1p forms |1 + w| directly and
         # loses the digits of a small w, so the real part goes through
-        # the real log1p
+        # the real log1p. Near the pole that sum cancels instead, so where
+        # |1 + w| < 1/4 the log takes 1 + w as (rate - z)/rate, whose
+        # difference is exact there
         log1p_w = (0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2)
                    + 1j * np.arctan2(w.imag, 1.0 + w.real))
+        near = np.abs(1.0 + w) < 0.25
+        if np.any(near):
+            log1p_w = np.where(near, np.log((self.rate - z) / self.rate),
+                               log1p_w)
         if s == 0:
             return -self.coef * log1p_w
         # c Gamma(s) rate^{-s} is the plain moment for s > 0, which stays in
         # range when Gamma(s) alone does not (gamma jumps of large shape)
         scale = (self.moment(m) if s > 0
                  else self.coef * math.gamma(s) * self.rate**-s)
-        if subtract_one:
-            return scale * np.expm1(-s * log1p_w)
-        return scale * np.exp(-s * log1p_w)
+        return scale * np.expm1(-s * log1p_w)
 
 
 class LevyMeasure:
@@ -355,9 +354,8 @@ def _quad_improper(f, a, b, cfg: QuadratureConfig) -> float:
 
 
 def integrate_levy(measure: LevyMeasure, integrand: Callable[[float], float],
-                   region: str = "both",
                    cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """int integrand(u) nu(du) over the requested region.
+    """int integrand(u) nu(du) over R \\ {0}.
 
     Atomic measures are summed exactly. Continuous sides are integrated
     against `measure.density` with adaptive quadrature, split at |u| = 1 to
@@ -366,23 +364,17 @@ def integrate_levy(measure: LevyMeasure, integrand: Callable[[float], float],
     must make integrand * nu absolutely integrable, which catalog callers
     guarantee by always carrying a u^k factor, k >= 1.
     """
-    if region not in ("pos", "neg", "both"):
-        raise InvalidParams(f"unknown region {region!r}")
     if measure.is_atomic:
-        total = 0.0
-        for loc, mass in measure.atoms:
-            if (region == "pos" and loc < 0) or (region == "neg" and loc > 0):
-                continue
-            total += mass * float(integrand(loc))
-        return total
+        return sum((mass * float(integrand(loc))
+                    for loc, mass in measure.atoms), 0.0)
 
     def f(u):
         return float(integrand(u)) * float(measure.density(u))
 
     pieces = []
-    if region != "neg" and measure.pos_structure is not None:
+    if measure.pos_structure is not None:
         pieces += [(0.0, 1.0), (1.0, np.inf)]
-    if region != "pos" and measure.neg_structure is not None:
+    if measure.neg_structure is not None:
         pieces += [(-np.inf, -1.0), (-1.0, 0.0)]
     return sum((_quad_improper(f, a, b, cfg) for a, b in pieces), 0.0)
 
@@ -649,23 +641,20 @@ def eta_rule(measure: LevyMeasure, m: int, *,
 # -- closed inner integrals ------------------------------------------------
 
 
-def exp_moment(measure: LevyMeasure, m: int, z,
-               subtract_one: bool = False) -> np.ndarray:
-    """int u^m (e^{zu} - [subtract_one]) nu(du), vectorised over complex z.
+def exp_moment(measure: LevyMeasure, m: int, z) -> np.ndarray:
+    """Psi_m(z) = int u^m (e^{zu} - 1) nu(du), vectorised over complex z.
 
-    With subtract_one this is Psi_m(z), finite for every m >= 0 because
-    beta < 1; the plain moment needs m - beta > 0. Atoms give finite sums,
-    and the negative side is the positive formula mirrored: (-1)^m times its
+    Finite for every m >= 0 because beta < 1. Atoms give finite sums, and
+    the negative side is the positive formula mirrored: (-1)^m times its
     value at -z.
     """
     z = np.asarray(z, dtype=complex)
     if measure.is_atomic:
         out = np.zeros_like(z)
         for loc, mass in measure.atoms:
-            e = np.expm1(z * loc) if subtract_one else np.exp(z * loc)
-            out = out + mass * loc**m * e
+            out = out + mass * loc**m * np.expm1(z * loc)
         return out
-    return sum(sign**m * side.exp_moment(m, sign * z, subtract_one)
+    return sum(sign**m * side.exp_moment(m, sign * z)
                for sign, side in measure.sides())
 
 
@@ -732,7 +721,7 @@ def _integrate_monomials(measure: LevyMeasure, monomials) -> ClosedInner:
     coef = defaultdict(complex)
     plain = defaultdict(complex)
     for c, i, zx, q, zu in monomials:
-        coef[i, zx] += c * complex(exp_moment(measure, q, zu, True))
+        coef[i, zx] += c * complex(exp_moment(measure, q, zu))
         if q:
             plain[i, zx, q] += c
     for (i, zx, q), c in plain.items():

@@ -6,7 +6,8 @@ import re
 from pathlib import Path
 
 import levy_stein
-from levy_stein import actuarial, dist_catalog, errors, identities
+from levy_stein import (actuarial, dist_catalog, errors, identities,
+                        levy_core)
 from levy_stein.dist_catalog import FAMILIES
 
 SRC = Path(levy_stein.__file__).parent
@@ -105,6 +106,13 @@ def test_no_quadrature_config_where_no_quadrature_runs():
         dist_catalog._point_cdf, dist_catalog._cdf_knots,
         dist_catalog.CdfTable, dist_catalog._cdf_table,
         dist_catalog._bgd_cdf_scalar]
+    # parameters that every caller set to one value: exp_moment is Psi_m,
+    # the oracle integrates over all of R \\ {0}, and a cdf table has a
+    # fixed knot count
+    dropped["subtract_one"] = [levy_core.exp_moment,
+                               levy_stein.TiltedPowerSide.exp_moment]
+    dropped["region"] = [levy_stein.integrate_levy]
+    dropped["n_knots"] = [dist_catalog.CdfTable]
     kept = [(f.__qualname__, name) for name, fns in dropped.items()
             for f in fns if name in inspect.signature(f).parameters]
     assert not kept, f"parameters that set nothing: {kept}"

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from levy_stein import Gamma
-from levy_stein.cli import build_spec, emit, main, parse_spec, run_task
+from levy_stein.cli import (_FIELDS, _PARSE, _RUNNERS, PRINCIPLES,
+                            TASK_KINDS, build_spec, emit, main, parse_spec,
+                            run_task)
 from levy_stein.errors import NonConvergence, ParseError, ValidationError, \
     ValidationFailure
+from levy_stein.functions import G_REGISTRY, PARAMS, W_REGISTRY
 from levy_stein.mc import substreams
 
 
@@ -89,6 +92,67 @@ def test_readme_spec_example_builds():
 def test_build_spec_rejects(doc):
     with pytest.raises(ValidationFailure):
         build_spec(doc)
+
+
+# every task the README's table admits: each kind (and principle) with its
+# fields, and a g or w from the registry with the parameter it takes
+FUNCTION_PARAMS = {"exp_tilt": {"kappa": 0.5}, "shift": {"c": 1.0}}
+TASK_SHAPES = [
+    {"kind": "cumulants", "k_max": 2},
+    {"kind": "verify-identity", "n": 1, "g_name": None},
+    {"kind": "bounds", "g_name": None},
+    {"kind": "premium", "principle": "esscher", "kappa": 0.5},
+    {"kind": "premium", "principle": "wpcp", "w_name": None},
+    {"kind": "premium", "principle": "modified_variance"},
+    {"kind": "premium", "principle": "generalized_wpcp", "n": 1,
+     "w_name": None},
+    {"kind": "gini"},
+    {"kind": "stein", "g_name": None},
+]
+# a well-typed value for each field a task can carry besides "kind"
+FIELD_VALUES = {"k_max": 2, "n": 1, "g_name": "sin", "w_name": "one",
+                "principle": "wpcp", "kappa": 0.5, "c": 1.0}
+
+
+def _minimal_tasks():
+    for shape in TASK_SHAPES:
+        registry = (G_REGISTRY if "g_name" in shape
+                    else W_REGISTRY if "w_name" in shape else (None,))
+        for name in registry:
+            task = dict(shape)
+            if name is not None:
+                task["g_name" if "g_name" in shape else "w_name"] = name
+                task.update(FUNCTION_PARAMS.get(name, {}))
+            yield task
+
+
+@pytest.mark.parametrize("task", list(_minimal_tasks()),
+                         ids=lambda t: "-".join(v for k, v in t.items()
+                                                if isinstance(v, str)))
+def test_task_takes_exactly_its_fields(task):
+    # the minimal task builds, and adding any other task field, even one
+    # of the right type, fails validation (exit 2) and names that field;
+    # among these are kappa on bounds/sin and verify-identity/square, c on
+    # wpcp/one and generalized_wpcp/exp_tilt, and kappa on wpcp/shift
+    assert build_spec(minimal_doc(task=task)).task == task
+    for field, value in FIELD_VALUES.items():
+        if field not in task:
+            with pytest.raises(ValidationFailure, match=f"'{field}'"):
+                build_spec(minimal_doc(task={**task, field: value}))
+
+
+def test_task_tables_cover_one_another():
+    # every kind has a runner and a row of the field table, every principle
+    # a row; kind, principle and function names share one lookup, so they
+    # must not overlap; and every field the tables name has a parser
+    assert list(_RUNNERS) == list(TASK_KINDS)
+    assert list(_FIELDS) == list(TASK_KINDS) + list(PRINCIPLES)
+    assert set(PARAMS) == set(G_REGISTRY) | set(W_REGISTRY)
+    assert not set(_FIELDS) & set(PARAMS)
+    named = {f for fields in (*_FIELDS.values(), *PARAMS.values())
+             for f in fields}
+    assert named | {"kind"} == set(_PARSE)
+    assert named == set(FIELD_VALUES)
 
 
 def test_parse_spec_reports_json_location(tmp_path):
@@ -319,6 +383,27 @@ def test_main_point_mass_at_zero_exit_codes(tmp_path, capsysbinary, dist,
     assert main(["run", path]) == code
     if code:
         assert capsysbinary.readouterr().out == b""
+
+
+@pytest.mark.parametrize("dist", [
+    {"family": "vgd", "params": {"mu0": 0.3, "alpha": 0.0, "lam_pos": 3.0,
+                                 "lam_neg": 4.0}},
+    {"family": "bgd", "params": {"alpha_pos": 0.0, "lam_pos": 3.0,
+                                 "alpha_neg": 0.0, "lam_neg": 4.0}},
+    {"family": "cgmy", "params": {"alpha": 0.0, "beta": 0.5, "lam_pos": 2.0,
+                                  "lam_neg": 3.0}},
+], ids=["vgd", "bgd", "cgmy"])
+def test_main_stein_on_point_mass(tmp_path, capsysbinary, dist):
+    # a zero shape leaves a point mass, on which the Stein residual is
+    # exactly 0 (for VGD, X = mu0 and r = 2 alpha = 0)
+    doc = minimal_doc(distribution=dist, task={"kind": "stein",
+                                               "g_name": "sin"},
+                      mc={"n_samples": 2000, "seed": 1})
+    path = write_spec(tmp_path, doc)
+    assert main(["run", path]) == 0
+    rows = {r["name"]: r["value"]
+            for r in json.loads(capsysbinary.readouterr().out)["results"]}
+    assert rows["stein_residual"] == 0.0 and rows["z_score"] == 0.0
 
 
 def test_main_gini_with_too_long_cdf_series_exits_numeric(tmp_path,

@@ -4,13 +4,15 @@ callables f, d1, d2 and the exponential-polynomial terms."""
 import numpy as np
 import pytest
 
+from levy_stein.errors import ValidationError
 from levy_stein.functions import (G_REGISTRY, W_REGISTRY, derivative,
                                   get_function, make_exp_tilt, make_shift)
 from levy_stein.levy_core import eval_terms
 
 ENTRIES = [get_function(name) for name in
            ("one", "id", "square", "sin", "gauss", "log1psq")] + [
-    make_exp_tilt(0.5), make_exp_tilt(-0.7), make_shift(1.5), make_shift(0.0)]
+    get_function("exp_tilt", kappa=0.5), make_exp_tilt(-0.7),
+    get_function("shift", c=1.5), make_shift(0.0)]
 
 # d1_poly and tilt as they were written out by hand before the terms
 HAND = {
@@ -52,3 +54,16 @@ def test_derived_d1_poly_and_tilt_match_hand_values(g):
     d1_poly, tilt = HAND[g.name]
     assert g.d1_poly == d1_poly
     assert g.tilt == tilt
+
+
+@pytest.mark.parametrize("name,params", [
+    ("exp_tilt", {}), ("shift", {}),                      # missing
+    ("sin", {"kappa": 0.5}), ("one", {"c": 1.0}),         # not taken
+    ("shift", {"kappa": 0.5}), ("exp_tilt", {"c": 1.0}),
+    ("exp_tilt", {"kappa": 0.5, "c": 1.0}),
+    ("cube", {}),                                         # unknown
+])
+def test_get_function_takes_exactly_its_parameters(name, params):
+    with pytest.raises(ValidationError, match=name):
+        get_function(name, **params)
+

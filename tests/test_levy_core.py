@@ -60,12 +60,37 @@ def test_tps_tail_monotone_and_positive(beta, rate):
 
 
 def test_tps_tilted_moment():
+    # Psi_1(0.7) = int u^{-0.3} (e^{-1.3 u} - e^{-2 u}) du; exponents
+    # combined by hand so the reference integrand cannot overflow
     side = TiltedPowerSide(coef=1.0, beta=0.3, rate=2.0)
     got = complex(side.exp_moment(1, 0.7)).real
-    # exponents combined by hand so the reference integrand cannot overflow
     want, _ = integrate.quad(
-        lambda u: u**(-0.3) * math.exp(-1.3 * u), 0, np.inf)
+        lambda u: u**(-0.3) * (math.exp(-1.3 * u) - math.exp(-2.0 * u)),
+        0, np.inf)
     assert rel_err(got, want) < 1e-10
+
+
+GAMMA_A, GAMMA_B = 2.0, 1.5  # the gamma side: a u^{-1} e^{-b u}
+HALF_C, HALF_LAM = 0.8, 2.0  # the beta = 1/2 side: c u^{-3/2} e^{-lam u}
+
+
+@pytest.mark.parametrize("z_over_rate", [0.9, 0.99, 0.999, 0.99999,
+                                         0.999 + 0.001j])
+def test_exp_moment_near_the_pole(z_over_rate):
+    # Psi_1 against its closed forms a (1/(b - z) - 1/b) and
+    # c Gamma(1/2) ((lam - z)^{-1/2} - lam^{-1/2}); the log of 1 - z/rate
+    # cancels as z nears the rate unless it is formed from rate - z
+    for side, want in (
+            (TiltedPowerSide(GAMMA_A, 0.0, GAMMA_B),
+             lambda z: GAMMA_A * (1.0 / (GAMMA_B - z) - 1.0 / GAMMA_B)),
+            (TiltedPowerSide(HALF_C, 0.5, HALF_LAM),
+             lambda z: HALF_C * math.sqrt(math.pi)
+             * ((HALF_LAM - z) ** -0.5 - HALF_LAM ** -0.5))):
+        z = z_over_rate * side.rate
+        if not z.imag:
+            z = z.real
+        got = complex(side.exp_moment(1, z))
+        assert abs(got - want(z)) <= 1e-14 * abs(want(z)), (side, z)
 
 
 # -- LevyMeasure / tail integrals ------------------------------------------
@@ -312,7 +337,7 @@ def _delta_reference(meas, kappa):
 ])
 def test_tilted_first_moment_delta(base, kappa):
     meas = base.measure
-    delta = complex(exp_moment(meas, 1, kappa, subtract_one=True))
+    delta = complex(exp_moment(meas, 1, kappa))
     want = _delta_reference(meas, kappa)
     assert rel_err(delta.real, want) < 1e-9 and delta.imag == 0.0
     assert esscher_closed(base, kappa).method == "closed_form"
@@ -389,22 +414,18 @@ def test_closed_forms_against_adaptive(base, g):
     CompoundPoisson(1.5, GammaJumps(2.0, 3.0)), Poisson(2.0),
 ], ids=lambda b: f"{b.family}-{getattr(b, 'beta', '')}")
 def test_exp_moment_tilt_matches_closed_delta(base):
-    # Psi_1(kappa) is the Esscher shift; the plain moment is C_1's jump part.
-    # The quadrature reference is good to about 2e-13 here (CGMY, beta 0.5)
+    # Psi_1(kappa) is the Esscher shift, and Psi_m(0) = 0. The quadrature
+    # reference is good to about 2e-13 here (CGMY, beta 0.5)
     meas = base.measure
-    psi = exp_moment(meas, 1, np.array([0.5, 0.0]), subtract_one=True)
+    psi = exp_moment(meas, 1, np.array([0.5, 0.0]))
     assert rel_err(psi[0].real, _delta_reference(meas, 0.5)) < 1e-12
     assert psi[0].imag == 0.0 and psi[1] == 0.0
-    plain = exp_moment(meas, 2, 0.0)
-    assert rel_err(complex(plain).real, meas.moment(2)) < 1e-14
 
 
 def test_exp_moment_rejects_divergent():
     meas = CGMY(1.0, 0.5, 2.0, 3.0).measure
     with pytest.raises(DivergentMoment):
-        exp_moment(meas, 1, 2.5, subtract_one=True)
-    with pytest.raises(DivergentMoment):
-        exp_moment(meas, 0, 1j)  # int (e^{iu}) nu(du) without the -1
+        exp_moment(meas, 1, 2.5)
     with pytest.raises(InvalidParams):
         closed_inner(meas, SIN.terms, 0, subtract=False)
 
@@ -454,7 +475,7 @@ def _rule_cases():
 @pytest.mark.parametrize("rule,shape,beta,lam,m", list(_rule_cases()))
 def test_fixed_rules_against_psi(rule, shape, beta, lam, m):
     meas = _tilted(shape, beta, lam)
-    psi = complex(exp_moment(meas, m, 1j, subtract_one=True))
+    psi = complex(exp_moment(meas, m, 1j))
     if rule == "nu":
         r = nu_rule(meas, m)
         got = r.integrate(lambda u: np.cos(u) - 1.0) + 1j * r.integrate(np.sin)
