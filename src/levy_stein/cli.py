@@ -33,7 +33,7 @@ from . import __version__
 from .actuarial import (esscher_closed, generalized_wpcp, gini,
                         gini_variance_scale, modified_variance, wpcp)
 from .bounds import cacoullos_bounds, chen_upper_bound
-from .dist_catalog import BGD, CGMY, VGD, IDDSpec, make_spec
+from .dist_catalog import BGD, CGMY, VGD, IDDSpec, cdf_route, make_spec
 from .errors import (InvalidParams, NumericFailure, ParseError,
                      ValidationError, ValidationFailure)
 from .functions import (G_REGISTRY, PARAMS, W_REGISTRY, TestFunction,
@@ -389,6 +389,8 @@ def run_task(spec: TaskSpec) -> dict:
         },
         "warnings": warnings,
     }
+    if spec.task["kind"] == "gini":  # the F(X) behind both gini rows
+        report["diagnostics"]["cdf"] = cdf_route(spec.base)
     return _rendered(report)
 
 

@@ -26,13 +26,13 @@ from functools import cached_property, lru_cache
 from typing import ClassVar, Tuple, Union
 
 import numpy as np
-from scipy import integrate
 from scipy.fft import dst
 from scipy.interpolate import PchipInterpolator
 from scipy.special import (
     gamma as gamma_fn,
     gammainc,
     gammaincc,
+    gammainccinv,
     gammaln,
     log_ndtr,
     ndtr,
@@ -66,6 +66,7 @@ __all__ = [
     "GTSD",
     "FAMILIES",
     "make_spec",
+    "cdf_route",
     "convert_drift",
     "mean_levy",
     "vgd_from_alt",
@@ -94,7 +95,9 @@ class IDDSpec:
     (s_i b, 0, s_i nu), per entry of the array s; it is the hot path of the
     joint coupling, and `sample` is the case s = 1. `cdf_fn` returns a
     vectorized F: a family's `_closed_cdf`, else the triplet's closed form
-    (`_triplet_cdf`), else a table of exact point values (`_point_cdf`).
+    (`_triplet_cdf`), else a table of knot values (`_cdf_knots`: the COS
+    series when a side has beta > 0, the double-exponential rule of
+    `_gamma_diff_cdf` for two beta = 0 sides); `cdf_route` names the route.
     `cdf` is F at one point, never the table's interpolant.
     """
 
@@ -176,7 +179,8 @@ class IDDSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def cdf(self, x: float) -> float:
-        """F(x); for a tabulated law the exact value, not the interpolant."""
+        """F(x); for a tabulated law the table's knot rule run at x
+        (`_point_cdf`), not the interpolant."""
         x = float(x)
         if not math.isfinite(x):  # nan stays nan, -inf gives 0, +inf 1
             return float(np.clip(x, 0.0, 1.0))
@@ -187,7 +191,7 @@ class IDDSpec:
 
     def cdf_fn(self):
         """Vectorized cdf: closed when the family or its triplet has one,
-        else a monotone PCHIP interpolant of `_point_cdf` knot values."""
+        else a monotone PCHIP interpolant of the `_cdf_knots` values."""
         return _finite_only(self._formula_cdf() or _cdf_table(self))
 
     def _formula_cdf(self):
@@ -307,24 +311,22 @@ def _one_side_cdf(side: TiltedPowerSide, sign: float, b: float):
 
 def _point_cdf(spec: IDDSpec, x: float) -> float:
     """Exact F(x) of a law without a closed cdf: the COS series when a side
-    has beta > 0, else Ga(coef+, rate+) - Ga(coef-, rate-) shifted by b."""
-    m = spec.measure
-    if any(side.beta > 0 for _, side in m.sides()):
-        return _cos_cdf(spec, x)
-    pos, neg = m.pos_structure, m.neg_structure
-    return _bgd_cdf_scalar(x - convert_drift(spec, "uncompensated"),
-                           pos.coef, pos.rate, neg.coef, neg.rate)
-
-
-def _cdf_knots(spec: IDDSpec, lo: float, hi: float,
-               n_knots: int) -> np.ndarray:
-    """F at the n_knots equispaced points of [lo, hi] that a CdfTable
-    interpolates: one COS pass when a side has beta > 0, else `_point_cdf`
-    at each point."""
+    has beta > 0, else, both sides at beta = 0, the double-exponential rule
+    of `_gamma_diff_cdf` at the one point."""
     if any(side.beta > 0 for _, side in spec.measure.sides()):
-        return _cos_cdf_knots(spec, lo, hi, n_knots)
-    return np.array([_point_cdf(spec, float(x))
-                     for x in np.linspace(lo, hi, n_knots)])
+        return _cos_cdf(spec, x)
+    return float(_gamma_diff_cdf(spec, [x])[0][0])
+
+
+def _cdf_knots(spec: IDDSpec, lo: float, hi: float, n_knots: int):
+    """F at the n_knots equispaced points of [lo, hi] that a CdfTable
+    interpolates, the rule that computed them and its error estimate: one
+    COS pass, without an estimate, when a side has beta > 0, else one pass
+    of the double-exponential rule over every knot."""
+    if any(side.beta > 0 for _, side in spec.measure.sides()):
+        return _cos_cdf_knots(spec, lo, hi, n_knots), "cos", None
+    vals, err = _gamma_diff_cdf(spec, np.linspace(lo, hi, n_knots))
+    return vals, "double_exponential", err
 
 
 # knots of every CdfTable, equispaced over its range
@@ -333,15 +335,21 @@ _CDF_KNOTS = 2049
 
 class CdfTable:
     """Monotone PCHIP fit of F on [lo, hi] through the `_cdf_knots` values
-    at the _CDF_KNOTS equispaced knots, clamped outside."""
+    at the _CDF_KNOTS equispaced knots, clamped outside; `knot_rule` and
+    `knot_error` name the rule behind the knot values and its estimate."""
 
     def __init__(self, spec: IDDSpec):
         lo, hi = _cdf_range(spec)
         knots = np.linspace(lo, hi, _CDF_KNOTS)
-        vals = np.clip(_cdf_knots(spec, lo, hi, _CDF_KNOTS), 0.0, 1.0)
+        vals, self.knot_rule, self.knot_error = _cdf_knots(spec, lo, hi,
+                                                           _CDF_KNOTS)
+        vals = np.clip(vals, 0.0, 1.0)
         np.maximum.accumulate(vals, out=vals)
         self.lo, self.hi = lo, hi
-        self._interp = PchipInterpolator(knots, vals, extrapolate=False)
+        # a slope of ~1e-320 between tail knots overflows PCHIP's harmonic
+        # mean of slopes to inf; its reciprocal, derivative 0, is the limit
+        with np.errstate(over="ignore"):
+            self._interp = PchipInterpolator(knots, vals, extrapolate=False)
 
     def __call__(self, x):
         x = _as_float_array(x)
@@ -368,6 +376,21 @@ def _cdf_range(spec: IDDSpec) -> Tuple[float, float]:
 @lru_cache(maxsize=32)
 def _cdf_table(spec: IDDSpec) -> CdfTable:
     return CdfTable(spec)
+
+
+def cdf_route(spec: IDDSpec) -> dict:
+    """How `cdf_fn` evaluates F: route 'closed' (the family's own form),
+    'triplet' (the triplet's closed form) or 'table'; a table adds its
+    range, knot count, knot rule ('cos' or 'double_exponential') and the
+    rule's error estimate (None for the COS series)."""
+    if spec._closed_cdf() is not None:
+        return {"route": "closed"}
+    if _triplet_cdf(spec) is not None:
+        return {"route": "triplet"}
+    table = _cdf_table(spec)
+    return {"route": "table", "range": [table.lo, table.hi],
+            "knots": _CDF_KNOTS, "knot_rule": table.knot_rule,
+            "knot_error_estimate": table.knot_error}
 
 
 # -- Poisson -----------------------------------------------------------------
@@ -610,40 +633,79 @@ class TwoSidedExp(IDDSpec):
 
 # -- bilateral gamma family ----------------------------------------------------
 
+# The double-exponential rule of `_gamma_diff_cdf` halves its step until two
+# levels agree to _DE_TOL at every point, and refuses the cdf past
+# _DE_MAX_LEVEL halvings; its nodes leave out at most _DE_TAIL of the mass,
+# and _DE_BLOCK bounds the points x nodes evaluated at once.
+_DE_TOL, _DE_MAX_LEVEL, _DE_TAIL, _DE_BLOCK = 1e-13, 8, 1e-20, 1 << 12
 
-# subdivisions of each of the two adaptive quadratures in `_bgd_cdf_scalar`
-_BGD_CDF_LIMIT = 2000
 
+def _gamma_diff_cdf(spec: IDDSpec, x):
+    """F at the array x of b + G+ - G-, for G+- ~ Ga(coef, rate) the jumps of
+    two beta = 0 sides and b the uncompensated drift, and the error estimate
+    max |I_h - I_{h/2}| of the last two levels.
 
-def _bgd_cdf_scalar(x: float, ap: float, lp: float, an: float,
-                    ln_: float) -> float:
-    """P(Ga(ap,lp) - Ga(an,ln) <= x) by conditioning on the negative part.
-
-    The characteristic function decays only polynomially (|phi| ~ |t|^-(ap+an)),
-    so inversion integrals truncate badly; this nonoscillatory form costs one
-    well-behaved quadrature per point instead.
+    With t = x - b, F = int_0^inf P(a+, l+ u) f-(u - t) du for t <= 0, P the
+    regularized incomplete gamma function and f- the density of G-; for
+    t > 0 the sides swap, at -t, to give 1 - F, so each tail comes directly.
+    The one singular point is u = 0 for every t, so one exp-sinh node set
+    u = s exp(pi/2 sinh tau), s = 1/(l+ + l-), serves all points (Takahasi &
+    Mori, Publ. RIMS 9, 1974), and each halving of the step reuses it.
     """
-    log_norm = an * math.log(ln_) - gammaln(an)
+    (_, pos), (_, neg) = spec.measure.sides()
+    if pos.beta != 0 or neg.beta != 0:
+        raise InvalidParams("the two-sided gamma cdf needs beta = 0 on both "
+                            f"sides, not {pos.beta:g} and {neg.beta:g}")
+    t = _as_float_array(x) - convert_drift(spec, "uncompensated")
+    log_s = -math.log(pos.rate + neg.rate)
+    # u_lo: P(a, rate u) <= (rate u)^a / Gamma(a + 1) <= _DE_TAIL below it on
+    # both sides; u_hi: both gamma laws leave at most _DE_TAIL above it
+    log_ends = np.array([
+        min((math.log(_DE_TAIL) + gammaln(sd.coef + 1.0)) / sd.coef
+            - math.log(sd.rate) for sd in (pos, neg)),
+        max(math.log(gammainccinv(sd.coef, _DE_TAIL) / sd.rate)
+            for sd in (pos, neg))])
+    tau_lo, tau_hi = np.arcsinh((log_ends - log_s) / (0.5 * math.pi))
+    h, sums, prev = (tau_hi - tau_lo) / 16.0, np.zeros_like(t), None
+    tau = tau_lo + h * np.arange(17.0)
+    for level in range(_DE_MAX_LEVEL + 1):
+        for on, cdf_side, pdf_side in ((t <= 0, pos, neg), (t > 0, neg, pos)):
+            sums[on] += _de_sums(tau, log_s, np.abs(t[on]), cdf_side, pdf_side)
+        if prev is not None:
+            err = float(np.max(np.abs(h * sums - prev)))
+            if err <= _DE_TOL:
+                return np.where(t <= 0, h * sums, 1.0 - h * sums), err
+        prev, h = h * sums, 0.5 * h
+        tau = tau_lo + h * np.arange(1.0, 32 << level, 2.0)  # the new nodes
+    raise NonConvergence(f"cdf rule of {spec!r}: its last two levels differ "
+                         f"by {err:.3g} > {_DE_TOL:g}", error_estimate=err)
 
-    def integrand(v):
-        if x + v <= 0:
-            return 0.0
-        fa = math.exp(log_norm + (an - 1.0) * math.log(v) - ln_ * v) if v > 0 else (
-            0.0 if an > 1 else np.inf)
-        return float(gammainc(ap, lp * (x + v))) * fa
 
-    lo = max(0.0, -x)
-    mid = lo + 4.0 / ln_
-    out1 = integrate.quad(integrand, lo, mid, epsabs=1e-12, epsrel=1e-10,
-                          limit=_BGD_CDF_LIMIT, full_output=1)
-    out2 = integrate.quad(integrand, mid, np.inf, epsabs=1e-12, epsrel=1e-10,
-                          limit=_BGD_CDF_LIMIT, full_output=1)
-    for out in (out1, out2):
-        if len(out) > 3:
-            raise NonConvergence("bilateral-gamma cdf quadrature failed: "
-                                 + out[3].strip(), value=out[0],
-                                 error_estimate=out[1])
-    return min(max(out1[0] + out2[0], 0.0), 1.0)
+def _de_sums(tau, log_s, dist, cdf_side, pdf_side):
+    """Per point d of dist >= 0, the sum over the nodes tau of P(a, rate u)
+    f(u + d) du/dtau: P the cdf of cdf_side's gamma law, f the density of
+    pdf_side's, in logs where u underflows."""
+    log_u = log_s + 0.5 * math.pi * np.sinh(tau)
+    a, c, rate = cdf_side.coef, pdf_side.coef, pdf_side.rate
+    log_y = log_u + math.log(cdf_side.rate)
+    # below y = e^-40, P(a, y) = y^a / Gamma(a + 1) to double precision,
+    # taken in logs since y or y^a may underflow
+    with np.errstate(divide="ignore"):
+        log_p = np.where(log_y < -40.0, a * np.minimum(log_y, -40.0)
+                         - gammaln(a + 1.0), np.log(gammainc(a, np.exp(log_y))))
+    node = (log_p + log_u + np.log(0.5 * math.pi * np.cosh(tau))
+            + c * math.log(rate) - gammaln(c))
+    u, out, step = np.exp(log_u), np.empty_like(dist), _DE_BLOCK // tau.size + 1
+    for i in range(0, dist.size, step):
+        v = u + dist[i:i + step, None]
+        with np.errstate(divide="ignore"):
+            e = np.log(v)
+        e[dist[i:i + step] == 0] = log_u  # u may round to 0; log u may not
+        e *= c - 1.0
+        e += node
+        e -= np.multiply(v, rate, out=v)
+        out[i:i + step] = np.exp(e, out=e).sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)

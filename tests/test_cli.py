@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levy_stein import Gamma
+from levy_stein import Gamma, dist_catalog
 from levy_stein.cli import (_FIELDS, _PARSE, _RUNNERS, PRINCIPLES,
                             TASK_KINDS, build_spec, emit, main, parse_spec,
                             run_task)
@@ -524,4 +524,37 @@ def test_report_names_inner_routes(dist, task, routes):
     first = emit(run_task(spec), "json")
     assert json.loads(first)["diagnostics"]["inner_routes"] == routes
     # the routes, like every other field, are byte-identical across runs
+    assert emit(run_task(spec), "json") == first
+
+
+@pytest.mark.parametrize("dist,route,rule", [
+    (None, "triplet", None),
+    ({"family": "inverse_gaussian", "params": {"alpha": 1.5, "lam": 2.0}},
+     "closed", None),
+    ({"family": "bgd", "params": {"alpha_pos": 2.0, "lam_pos": 3.0,
+                                  "alpha_neg": 1.0, "lam_neg": 4.0}},
+     "table", "double_exponential"),
+    (CGMY_HALF, "table", "cos"),
+], ids=["gamma", "inverse_gaussian", "bgd", "cgmy"])
+def test_gini_report_names_its_cdf(dist, route, rule):
+    over = {"mc": {"n_samples": 2000, "seed": 3, "batch": 250}}
+    if dist is not None:
+        over["distribution"] = dist
+    spec = build_spec(minimal_doc(**over))
+    first = emit(run_task(spec), "json")
+    cdf = json.loads(first)["diagnostics"]["cdf"]
+    assert cdf["route"] == route
+    if rule is None:
+        assert cdf == {"route": route}
+    else:
+        assert set(cdf) == {"route", "range", "knots", "knot_rule",
+                            "knot_error_estimate"}
+        assert cdf["knots"] == 2049 and cdf["knot_rule"] == rule
+        lo, hi = cdf["range"]
+        assert lo < spec.base.mean() < hi
+        err = cdf["knot_error_estimate"]
+        # the COS series has no estimate; the rule met its tolerance
+        assert err is None if rule == "cos" else 0 <= err <= 1e-13
+    # byte-identical when the table is built again
+    dist_catalog._cdf_table.cache_clear()
     assert emit(run_task(spec), "json") == first

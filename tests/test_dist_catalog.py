@@ -9,16 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
-from scipy.special import gammainc, gammaincc
+from scipy import integrate, stats
+from scipy.special import betainc, gammainc, gammaincc, gammaincinv
 
 from levy_stein import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
-                        DivergentMoment, Gamma, GammaJumps, InverseGaussian,
-                        Laplace, NonConvergence, Poisson, QuadratureConfig,
-                        TwoSidedExp, ValidationError, convert_drift,
-                        cumulant, integrate_levy, make_spec, mean_levy,
-                        vgd_from_alt, vgd_to_alt)
-from levy_stein.dist_catalog import VGDAltParams, _cdf_range, _open_unit
+                        DivergentMoment, Gamma, GammaJumps, InvalidParams,
+                        InverseGaussian, Laplace, NonConvergence, Poisson,
+                        QuadratureConfig, TwoSidedExp, ValidationError,
+                        convert_drift, cumulant, integrate_levy, make_spec,
+                        mean_levy, vgd_from_alt, vgd_to_alt)
+from levy_stein import dist_catalog
+from levy_stein.dist_catalog import (VGDAltParams, _cdf_knots, _cdf_range,
+                                     _cdf_table, _gamma_diff_cdf, _open_unit)
 
 QCFG = QuadratureConfig()
 
@@ -283,7 +285,6 @@ def test_conv_power_semigroup(spec):
 
 
 def test_conv_power_rejects_outside_unit_interval():
-    from levy_stein import InvalidParams
     with pytest.raises(InvalidParams):
         Gamma(2.0, 1.5).conv_power(2.0)
     with pytest.raises(InvalidParams):
@@ -424,7 +425,8 @@ def test_cdf_vs_empirical(spec):
 def test_cdf_monotone_and_limits():
     # CGMY(1, 0.02, 2, 3) needs 7.2e6 terms of the cdf series
     for spec in (CGMY(1.0, 0.5, 2.0, 3.0), VGD(0.5, 2.0, 3.0, 4.0),
-                 CGMY(1.0, 0.02, 2.0, 3.0), GTSD(0.5, 0.5, 1.0, 2.0, 0.5, 3.0)):
+                 CGMY(1.0, 0.02, 2.0, 3.0), GTSD(0.5, 0.5, 1.0, 2.0, 0.5, 3.0),
+                 BGD(0.5, 3.0, 0.5, 4.0)):
         F = spec.cdf_fn()
         lo, hi = _cdf_range(spec)
         x = np.linspace(lo, hi, 301)
@@ -432,6 +434,95 @@ def test_cdf_monotone_and_limits():
         assert np.all(np.diff(fx) >= -1e-12)
         assert fx[1] < 1e-3 and fx[-2] > 1 - 1e-3
         assert np.all((fx >= 0) & (fx <= 1))
+
+
+def _gamma_diff_cdf_reference(t, ap, lp, an, ln_):
+    """P(Ga(ap, lp) - Ga(an, ln_) <= t) by the quantile transform of one
+    side: for t <= 0, F = int_0^1 Q(an, ln_ (W(p) + |t|)) dp with W the
+    quantile function of Ga(ap, lp) and Q the upper regularized incomplete
+    gamma function; for t > 0 the sides swap and the integral is 1 - F."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    for left, (a_q, l_q, a_w, l_w) in ((True, (an, ln_, ap, lp)),
+                                       (False, (ap, lp, an, ln_))):
+        on = (t <= 0) == left
+        if on.any():
+            d = np.abs(t[on])
+            val, _ = integrate.quad_vec(
+                lambda p: gammaincc(a_q, l_q * (gammaincinv(a_w, p) / l_w + d)),
+                0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=10_000,
+                norm="max")
+            out[on] = val if left else 1.0 - val
+    return out
+
+
+# two-sided beta = 0 laws: shapes down to 0.01 and up to (200, 150), rates
+# skewed 400 to 1, and a drift
+GAMMA_DIFF_SPECS = [
+    BGD(2.0, 3.0, 1.0, 4.0), BGD(1.5, 3.0, 1.5, 4.0), BGD(0.5, 3.0, 0.5, 4.0),
+    BGD(0.2, 1.0, 0.1, 2.0), BGD(0.05, 3.0, 0.05, 4.0),
+    BGD(0.01, 3.0, 0.01, 4.0), BGD(0.01, 1.0, 2.0, 5.0), BGD(5.0, 1.0, 7.0, 2.0),
+    BGD(3.0, 0.05, 2.0, 20.0), BGD(200.0, 3.0, 150.0, 4.0),
+    VGD(0.2, 1.5, 3.0, 4.0),
+]
+
+
+@pytest.mark.parametrize("spec", GAMMA_DIFF_SPECS, ids=str)
+def test_gamma_diff_cdf_knots_against_quantile_reference(spec):
+    lo, hi = _cdf_range(spec)
+    vals, rule, err = _cdf_knots(spec, lo, hi, 2049)
+    assert rule == "double_exponential" and err <= 1e-13
+    pos, neg = spec.measure.pos_structure, spec.measure.neg_structure
+    x = np.linspace(lo, hi, 2049)
+    want = _gamma_diff_cdf_reference(x - convert_drift(spec, "uncompensated"),
+                                     pos.coef, pos.rate, neg.coef, neg.rate)
+    assert np.max(np.abs(vals - want)) <= 1e-11
+    # the scalar cdf runs the same rule on one point
+    table = spec.cdf_fn()(x[::128])
+    for v, f in zip(x[::128], table):
+        assert spec.cdf(v) == pytest.approx(f, abs=1e-12)
+
+
+def test_large_shape_bgd_cdf_finds_the_bulk():
+    # conditioning on G- ~ Ga(150, 4), the whole value comes from its bulk
+    # near 37, far from the kink of the integrand at v = 0
+    x = 8.087389224116606
+    spec = BGD(200.0, 3.0, 150.0, 4.0)
+    g_pos, g_neg = stats.gamma(200.0, scale=1 / 3.0), stats.gamma(150.0,
+                                                               scale=0.25)
+    cuts = g_neg.ppf([1e-16, 0.01, 0.5, 0.99, 1 - 1e-16])
+    want = sum(integrate.quad(lambda v: g_pos.cdf(x + v) * g_neg.pdf(v), a, b,
+                              epsabs=1e-16, epsrel=1e-12, limit=500)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+    assert want == pytest.approx(5.82567733e-5, rel=1e-8)
+    assert spec.cdf(x) == pytest.approx(want, rel=1e-9)
+
+
+def test_gamma_diff_cdf_exact_at_the_drift():
+    # F(b) = P(G+ <= G-) = I_{l+/(l+ + l-)}(a+, a-), the regularized
+    # incomplete beta function: the integrand's endpoint singularity at its
+    # strongest, u^(a+ + a- - 1) with a+ + a- = 0.02
+    for spec in (BGD(0.01, 3.0, 0.01, 4.0), BGD(0.5, 3.0, 0.5, 4.0),
+                 BGD(2.0, 3.0, 1.0, 4.0)):
+        ap, lp, an, ln_ = (spec.alpha_pos, spec.lam_pos, spec.alpha_neg,
+                           spec.lam_neg)
+        assert spec.cdf(0.0) == pytest.approx(betainc(ap, an, lp / (lp + ln_)),
+                                              abs=1e-13)
+
+
+def test_gamma_diff_cdf_past_level_cap_raises(monkeypatch):
+    monkeypatch.setattr(dist_catalog, "_DE_MAX_LEVEL", 1)
+    spec = BGD(2.0, 3.0, 1.0, 4.0)
+    with pytest.raises(NonConvergence, match="last two levels differ"):
+        spec.cdf(0.3)
+    _cdf_table.cache_clear()
+    with pytest.raises(NonConvergence, match="last two levels differ"):
+        spec.cdf_fn()
+
+
+def test_gamma_diff_cdf_needs_beta_zero_on_both_sides():
+    with pytest.raises(InvalidParams, match="beta = 0 on both sides"):
+        _gamma_diff_cdf(CGMY(1.0, 0.5, 2.0, 3.0), [0.0])
 
 
 @pytest.mark.parametrize("alpha,lam", [(1.0, 2.0), (0.3, 0.5), (2.0, 5.0)])
