@@ -340,28 +340,40 @@ class CdfTable:
 
     def __init__(self, spec: IDDSpec):
         lo, hi = _cdf_range(spec)
-        knots = np.linspace(lo, hi, _CDF_KNOTS)
+        self._knots = np.linspace(lo, hi, _CDF_KNOTS)
         vals, self.knot_rule, self.knot_error = _cdf_knots(spec, lo, hi,
                                                            _CDF_KNOTS)
         vals = np.clip(vals, 0.0, 1.0)
         np.maximum.accumulate(vals, out=vals)
         self.lo, self.hi = lo, hi
+        self._step = (hi - lo) / (_CDF_KNOTS - 1)
         # a slope of ~1e-320 between tail knots overflows PCHIP's harmonic
         # mean of slopes to inf; its reciprocal, derivative 0, is the limit
         with np.errstate(over="ignore"):
-            self._interp = PchipInterpolator(knots, vals, extrapolate=False)
+            # the cubic on [knots[k], knots[k+1]], highest power first
+            self._coef = PchipInterpolator(self._knots, vals).c
 
     def __call__(self, x):
+        """F at x: the PCHIP cubic inside (lo, hi), 0 at or below lo, 1 at
+        or above hi, nan at nan. The knots are equispaced, so one division
+        finds each point's interval, and one comparison each way settles
+        scipy's PPoly convention knots[k] <= x < knots[k+1]; the cubic is
+        summed in PPoly's order, so the values are PchipInterpolator's bit
+        for bit."""
         x = _as_float_array(x)
-        out = np.empty_like(x)
-        below = x <= self.lo
-        above = x >= self.hi
-        mid = ~(below | above)
-        out[below] = 0.0
-        out[above] = 1.0
-        if np.any(mid):
-            out[mid] = self._interp(x[mid])
-        return out
+        inside = (x > self.lo) & (x < self.hi)
+        # points outside read the first cubic at s = 0, kept finite, and
+        # are replaced by their clamp
+        xi = np.where(inside, x, self.lo)
+        k = np.minimum(((xi - self.lo) / self._step).astype(np.intp),
+                       _CDF_KNOTS - 2)
+        k -= xi < self._knots[k]
+        k += xi >= self._knots[k + 1]
+        s = xi - self._knots[k]
+        c0, c1, c2, c3 = self._coef.take(k, axis=1)
+        s2 = s * s
+        f = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+        return np.where(inside, f, np.heaviside(x - self.hi, 1.0))
 
 
 def _cdf_range(spec: IDDSpec) -> Tuple[float, float]:
@@ -373,7 +385,10 @@ def _cdf_range(spec: IDDSpec) -> Tuple[float, float]:
     return lo, hi
 
 
-@lru_cache(maxsize=32)
+# a gini task reads one law's table three times (its levy formula, its
+# oracle and `cdf_route`); a table is ~85 KB, so only the last two laws
+# stay, and a process that meets many laws does not grow with them
+@lru_cache(maxsize=2)
 def _cdf_table(spec: IDDSpec) -> CdfTable:
     return CdfTable(spec)
 

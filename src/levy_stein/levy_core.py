@@ -510,24 +510,56 @@ class FixedRule:
     def shifted_sum(self, h, x: np.ndarray, subtract_at_x: bool = False):
         """sum_q w_q h(x + u_q) (optionally minus h(x) sum_q w_q), vectorized.
 
-        Loops over nodes, not samples, to keep memory at O(len(x)).
+        h gets at most _BLOCK points a call (`_node_values`), so memory
+        stays at O(len(x) + _BLOCK).
         """
-        x = np.asarray(x, dtype=float)
-        acc = np.zeros_like(x)
-        for u_q, w_q in zip(self.nodes, self.weights):
-            acc += w_q * h(x + u_q)
-        if subtract_at_x:
-            acc -= self.weights.sum() * h(x)
-        return acc
+        def chunk_sum(xs):
+            acc = np.zeros_like(xs)
+            for w_q, h_q in self._node_values(h, xs):
+                acc += w_q * h_q
+            if subtract_at_x:
+                acc -= self.weights.sum() * h(xs)
+            return acc
+
+        return _by_chunks(chunk_sum, x)
 
     def shifted_sum_sq_diff(self, h, x: np.ndarray):
         """sum_q w_q (h(x + u_q) - h(x))^2, vectorized (Chen's bound)."""
-        x = np.asarray(x, dtype=float)
-        hx = h(x)
-        acc = np.zeros_like(x)
-        for u_q, w_q in zip(self.nodes, self.weights):
-            acc += w_q * np.square(h(x + u_q) - hx)
-        return acc
+        def chunk_sum(xs):
+            hx = h(xs)
+            acc = np.zeros_like(xs)
+            for w_q, h_q in self._node_values(h, xs):
+                acc += w_q * np.square(h_q - hx)
+            return acc
+
+        return _by_chunks(chunk_sum, x)
+
+    def _node_values(self, h, xs: np.ndarray):
+        """(w_q, h(xs + u_q)) for each node in order, xs flat with 1 to
+        _BLOCK entries: h runs once per block of _BLOCK // len(xs) nodes,
+        on the block's shifted points. h acts entry by entry, so callers
+        that add the terms in node order get a per-node loop's sum bit for
+        bit."""
+        step = _BLOCK // xs.size
+        for lo in range(0, self.nodes.size, step):
+            u = self.nodes[lo:lo + step]
+            hu = np.reshape(h((u[:, None] + xs).ravel()), (u.size, xs.size))
+            yield from zip(self.weights[lo:lo + step], hu)
+
+
+# entries of x + u that FixedRule's sums hand h at once (32 KB of floats)
+_BLOCK = 1 << 12
+
+
+def _by_chunks(chunk_sum, x) -> np.ndarray:
+    """chunk_sum over the entries of x, at most _BLOCK at a time, in the
+    shape of x."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _BLOCK):
+        out[lo:lo + _BLOCK] = chunk_sum(flat[lo:lo + _BLOCK])
+    return out.reshape(x.shape)
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levy_stein import Gamma, dist_catalog
+from levy_stein import Gamma, dist_catalog, levy_core
 from levy_stein.cli import (_FIELDS, _PARSE, _RUNNERS, PRINCIPLES,
                             TASK_KINDS, build_spec, emit, main, parse_spec,
                             run_task)
@@ -558,3 +558,31 @@ def test_gini_report_names_its_cdf(dist, route, rule):
     # byte-identical when the table is built again
     dist_catalog._cdf_table.cache_clear()
     assert emit(run_task(spec), "json") == first
+
+
+def test_gini_builds_its_table_once(monkeypatch):
+    # the levy formula, the oracle and cdf_route share one table
+    builds = []
+    init = dist_catalog.CdfTable.__init__
+
+    def counted(self, spec):
+        builds.append(spec)
+        init(self, spec)
+
+    monkeypatch.setattr(dist_catalog.CdfTable, "__init__", counted)
+    dist_catalog._cdf_table.cache_clear()
+    bgd = {"family": "bgd", "params": {"alpha_pos": 2.0, "lam_pos": 3.0,
+                                       "alpha_neg": 1.0, "lam_neg": 4.0}}
+    run_task(build_spec(minimal_doc(
+        distribution=bgd, mc={"n_samples": 2000, "seed": 3, "batch": 250})))
+    assert len(builds) == 1
+
+
+def test_gini_report_is_the_per_node_report(monkeypatch):
+    # _BLOCK = 1 hands the cdf one point of x + u a call, as a loop over
+    # nodes and samples would
+    spec = build_spec(minimal_doc(
+        mc={"n_samples": 1000, "seed": 3, "batch": 500}))
+    blocked = emit(run_task(spec), "json")
+    monkeypatch.setattr(levy_core, "_BLOCK", 1)
+    assert emit(run_task(spec), "json") == blocked

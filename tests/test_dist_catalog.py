@@ -4,12 +4,14 @@ Levy route, samplers vs moments, convolution powers, cdfs."""
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.interpolate import PchipInterpolator
 from scipy.special import betainc, gammainc, gammaincc, gammaincinv
 
 from levy_stein import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
@@ -518,6 +520,31 @@ def test_gamma_diff_cdf_past_level_cap_raises(monkeypatch):
     _cdf_table.cache_clear()
     with pytest.raises(NonConvergence, match="last two levels differ"):
         spec.cdf_fn()
+
+
+@pytest.mark.parametrize("spec,rule", [
+    (CGMY(1.0, 0.5, 2.0, 3.0), "cos"),
+    (BGD(2.0, 3.0, 1.0, 4.0), "double_exponential"),
+])
+def test_table_equals_pchip_interpolator(spec, rule):
+    table = _cdf_table(spec)
+    lo, hi = table.lo, table.hi
+    knots = np.linspace(lo, hi, 2049)
+    vals, got_rule, _ = _cdf_knots(spec, lo, hi, 2049)
+    assert got_rule == rule
+    pchip = PchipInterpolator(knots, np.maximum.accumulate(np.clip(vals, 0, 1)))
+    x = np.concatenate([
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        0.5 * (knots[1:] + knots[:-1]),
+        [lo - 1.0, hi + 1.0, -1e300, 1e300]])
+    want = np.where(x <= lo, 0.0,
+                    np.where(x >= hi, 1.0, pchip(np.clip(x, lo, hi))))
+    assert np.array_equal(table(x), want)
+    assert table(x[1000]) == want[1000]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = table(np.array([np.nan, -np.inf, np.inf]))
+    assert np.isnan(got[0]) and got[1:].tolist() == [0.0, 1.0]
 
 
 def test_gamma_diff_cdf_needs_beta_zero_on_both_sides():

@@ -17,6 +17,7 @@ from levy_stein import (GTSD, AtomicJumps, AtomicMeasure, BiasVariable,
                         TailIntegral, TiltedPowerSide, bias_density, cumulant,
                         esscher_closed, eta, eta_rule, integrate_levy,
                         nu_rule)
+from levy_stein import levy_core
 from levy_stein.dist_catalog import BGD, CGMY
 from levy_stein.functions import SIN, SQUARE, make_shift
 from levy_stein.levy_core import closed_inner, closed_sq_diff, exp_moment
@@ -302,6 +303,49 @@ def test_shifted_sum_subtract():
     # 2 * ((x+1)^2 - x^2) = 2 * (2x + 1)
     got = rule.shifted_sum(lambda y: y * y, x, subtract_at_x=True)
     assert np.allclose(got, 2.0 * (2 * x + 1), rtol=1e-13)
+
+
+def _per_node_sums(rule, h, x):
+    """shifted_sum without and with subtract_at_x, and shifted_sum_sq_diff,
+    as a loop of one h call per node."""
+    x = np.asarray(x, dtype=float)
+    hx = h(x)
+    plain, sq = np.zeros_like(x), np.zeros_like(x)
+    for u_q, w_q in zip(rule.nodes, rule.weights):
+        h_q = h(x + u_q)
+        plain += w_q * h_q
+        sq += w_q * np.square(h_q - hx)
+    return plain, plain - rule.weights.sum() * hx, sq
+
+
+BLOCKED_X = {
+    "one": np.array([0.3]),
+    "block": np.linspace(-4.0, 6.0, levy_core._BLOCK),
+    "block+1": np.linspace(-4.0, 6.0, levy_core._BLOCK + 1),
+    "0-d": np.array(0.7),
+    "2-d": np.linspace(-3.0, 5.0, 300).reshape(20, 15),
+}
+
+
+@pytest.mark.parametrize("spec", [
+    CGMY(1.0, 0.5, 2.0, 3.0),
+    CompoundPoisson(1.5, AtomicJumps(((1.0, 0.4), (2.5, 0.6)))),
+], ids=["cgmy", "atomic"])
+@pytest.mark.parametrize("size", list(BLOCKED_X))
+def test_blocked_sums_equal_per_node_sums(spec, size):
+    rule, F, x = nu_rule(spec.measure, 1), spec.cdf_fn(), BLOCKED_X[size]
+    sizes = []
+
+    def h(y):
+        sizes.append(np.size(y))
+        return F(y)
+
+    got = (rule.shifted_sum(h, x), rule.shifted_sum(h, x, subtract_at_x=True),
+           rule.shifted_sum_sq_diff(h, x))
+    assert max(sizes) <= levy_core._BLOCK
+    for g, want in zip(got, _per_node_sums(rule, F, x)):
+        assert g.shape == x.shape
+        assert np.array_equal(g, want)
 
 
 # -- tilted first moment -----------------------------------------------------
