@@ -93,7 +93,9 @@ class IDDSpec:
     `levy_core.cumulant`, all exact for every catalog family.
     `sample_conv(rng, s)` draws one variate of X^{*s_i}, whose triplet is
     (s_i b, 0, s_i nu), per entry of the array s; it is the hot path of the
-    joint coupling, and `sample` is the case s = 1. `cdf_fn` returns a
+    joint coupling. `sample(rng, size)` is its scalar case
+    `sample_conv(rng, 1.0, size)`: one power s = 1 for all `size` variates,
+    which numpy's samplers take without an array of ones. `cdf_fn` returns a
     vectorized F: a family's `_closed_cdf`, else the triplet's closed form
     (`_triplet_cdf`), else a table of knot values (`_cdf_knots`: the COS
     series when a side has beta > 0, the double-exponential rule of
@@ -147,20 +149,26 @@ class IDDSpec:
         return math.sqrt(self.variance())
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.sample_conv(rng, np.ones(size))
+        return self.sample_conv(rng, 1.0, size)
 
-    def sample_conv(self, rng: np.random.Generator, s: np.ndarray) -> np.ndarray:
+    def sample_conv(self, rng: np.random.Generator, s,
+                    size=None) -> np.ndarray:
         """Exact draws of X^{*s_i}: b s_i plus the jumps of s_i nu, with b
         the uncompensated drift. An atom (loc, mass) adds loc Poisson(s_i
         mass); a side with beta = 0 adds Ga(s_i coef, rate); one with
         beta < 0 (gamma jumps) adds Ga(-beta N, rate) for N ~ Poisson(s_i
-        int nu); the sides with beta > 0 add `_tempered_sums`."""
+        int nu); the sides with beta > 0 add `_tempered_sums`.
+
+        s is an array with one power per variate, or one power for all
+        `size` variates; numpy's samplers take the scalar parameter as is,
+        and draw the same variates as from an array of equal entries."""
         s = _as_float_array(s)
+        shape = s.shape if size is None else size
         m = self.measure
-        jumps = np.zeros_like(s)
+        jumps = np.zeros(shape)
         if m.is_atomic:
             for loc, mass in m.atoms:
-                jumps += loc * rng.poisson(s * mass)
+                jumps += loc * rng.poisson(s * mass, shape)
         # (coef, rate) of the positive and negative sides with beta > 0,
         # which share one beta in every catalog family
         stable, beta = [(0.0, 1.0), (0.0, 1.0)], 0.0
@@ -168,11 +176,12 @@ class IDDSpec:
             if side.beta > 0:
                 stable[sign < 0], beta = (side.coef, side.rate), side.beta
                 continue
-            shape = (s * side.coef if side.beta == 0 else
-                     -side.beta * rng.poisson(s * side.moment(0)))
-            jumps += sign * rng.gamma(shape, 1.0 / side.rate)
+            k = (s * side.coef if side.beta == 0 else
+                 -side.beta * rng.poisson(s * side.moment(0), shape))
+            jumps += sign * rng.gamma(k, 1.0 / side.rate, shape)
         if beta > 0:
-            jumps += _tempered_sums(rng, s, beta, *stable)
+            jumps += _tempered_sums(rng, np.broadcast_to(s, shape), beta,
+                                    *stable)
         return jumps + convert_drift(self, "uncompensated") * s
 
     def params(self) -> dict:
@@ -548,13 +557,18 @@ class InverseGaussian(IDDSpec):
         shape = 2.0 * math.pi * (s * self.alpha) ** 2
         return m, shape
 
-    def sample_conv(self, rng, s):
+    def sample_conv(self, rng, s, size=None):
         # numpy's Wald sampler: one variate per draw, where the derived
-        # sampler would sum several tempered-stable pieces
+        # sampler would sum several tempered-stable pieces. X^{*0} = 0
+        # takes no draw, and numpy rejects a Wald mean of 0.
         s = _as_float_array(s)
-        out = np.zeros_like(s)
+        shape = s.shape if size is None else size
         nz = s * self.alpha > 0
-        out[nz] = rng.wald(*self._ig_params(s[nz]))
+        if nz.all():
+            return rng.wald(*self._ig_params(s), shape)
+        out = np.zeros(shape)
+        nz = np.broadcast_to(nz, shape)
+        out[nz] = rng.wald(*self._ig_params(np.broadcast_to(s, shape)[nz]))
         return out
 
     def _closed_cdf(self):

@@ -11,16 +11,18 @@ independent) and
     I_m(x) = int g'(x + v) eta_m(v) dv = int u^m (g(x+u) - g(x)) nu(du).
 
 The two expressions for I_m are a Fubini identity; every estimator here
-uses the nu-form, and the tests cross-check it against the eta-form. When g
-is an exponential polynomial (it carries terms) the nu-form is closed: an
-exponential polynomial in x again, evaluated per sample. Otherwise it runs
-through a fixed nu-rule, an exact sum for atomic measures. For measures
-supported on the positive half-line, I_m(x) = C_{m+1} E[g'(x + Y_m)] with
-Y_m the bias variable of order m, which gives a quadrature-free sampling
-route.
+uses the nu-form, and the tests cross-check it against the eta-form. The
+route is chosen by g. When g is an exponential polynomial (it carries
+terms) the nu-form is closed, on every support: an exponential polynomial
+in x again, evaluated per sample. Otherwise, for measures supported on the
+positive half-line, I_m(x) = C_{m+1} E[g'(x + Y_m)] with Y_m the bias
+variable of order m, which gives a quadrature-free sampling route; on other
+supports the nu-form runs through a fixed nu-rule, an exact sum for atomic
+measures.
 
 The outer integral over s is handled by drawing s ~ U(0,1) per sample,
-which keeps the estimator unbiased without any grid.
+which keeps the estimator unbiased without any grid. At n = 1 only X_s
+enters, and it has the law of X, so X is drawn directly.
 """
 
 from __future__ import annotations
@@ -129,11 +131,18 @@ def _nu_inner(measure: LevyMeasure, g: TestFunction, m: int,
 
 def identity_route(base: IDDSpec, n: int, g: TestFunction,
                    route: str = "auto") -> str:
-    """The inner-integral route of `cov_identity_rhs`: 'bias', 'closed',
-    'atoms' or 'rule'."""
+    """The inner-integral route of `cov_identity_rhs`: 'closed', 'bias',
+    'atoms' or 'rule'.
+
+    'auto' routes by what g is: 'closed' whenever g has terms, on any
+    support; otherwise the bias variables on positive support, and a fixed
+    rule (exact over 'atoms') elsewhere. 'bias' may be asked for with any
+    g; 'quadrature' is the nu-form, closed or by rule.
+    """
     meas = base.measure
     if route == "auto":
-        route = "bias" if meas.support == "positive" else "quadrature"
+        route = ("bias" if not g.terms and meas.support == "positive"
+                 else "quadrature")
     if route == "bias":
         if meas.support != "positive" and n > 1:
             raise InvalidParams(
@@ -153,8 +162,12 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
     route 'bias' draws the inner integral through equilibrium variables
     (positive support; two-sided only at n = 1), 'quadrature' evaluates
     the nu-form of I_m in closed form when g has terms, and otherwise with
-    fixed nu-rules (exact sums for atomic measures); 'auto' picks
-    whichever is natural for the measure. `identity_route` names the pick.
+    fixed nu-rules (exact sums for atomic measures); 'auto' picks by g, as
+    `identity_route` says, and names the pick.
+
+    At n = 1 the sum has the one term I_1(X_s), and X_s has the law of X:
+    each batch draws X once with `sample`, not the coupled pair. For n >= 2
+    `JointPairSampler` draws (X_s, Y_s) with s ~ U(0, 1) per sample.
     """
     if n < 1:
         raise InvalidParams("identity order n must be a positive integer")
@@ -168,45 +181,40 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
     if route == "bias":
         bank: Dict[int, BiasVariable] = {
             m: BiasVariable(meas, m) for m in range(1, n + 1)}
-        consts = {m: bank[m].normalizer for m in bank}
+        # I_m(x) = C_{m+1} E[g'(x + Y_m)], summed in units of C_{n+1}: the
+        # k = 0 term carries no factor, and a constant g' leaves SE 0
+        scale = bank[n].normalizer
 
-        def batch(rng, size):
-            x, y, _ = pair.sample(rng, size)
-            z = np.zeros(size)
-            for k in range(n):
-                m = n - k
-                shift = bank[m].sample(rng, size)
-                z += binom[k] * y**k * consts[m] * g.d1(x + shift)
-            return z
+        def inner(rng, m, x):
+            shift = bank[m].sample(rng, x.size)
+            return bank[m].normalizer / scale * g.d1(x + shift)
+    else:
+        scale = 1.0
+        closed_or_rule = {m: _nu_inner(meas, g, m) for m in range(1, n + 1)}
 
-        return mc_mean(batch, mc)
-
-    inner = {m: _nu_inner(meas, g, m) for m in range(1, n + 1)}
+        def inner(rng, m, x):
+            return closed_or_rule[m](x)
 
     def batch(rng, size):
-        x, y, _ = pair.sample(rng, size)
-        z = np.zeros(size)
-        for k in range(n):
-            z += binom[k] * y**k * inner[n - k](x)
+        if n == 1:
+            x, y = base.sample(rng, size), None
+        else:
+            x, y, _ = pair.sample(rng, size)
+        z = inner(rng, n, x)
+        for k in range(1, n):
+            z += binom[k] * y**k * inner(rng, n - k, x)
         return z
 
-    return mc_mean(batch, mc)
+    est = mc_mean(batch, mc)
+    return MCEstimate(scale * est.value, scale * est.std_error, est.n)
 
 
 def cov_first_order(base: IDDSpec, g: TestFunction,
                     mc: MCConfig = MCConfig()) -> MCEstimate:
     """Cov(X, g(X)) = Var(X) * E[g'(X + Y_1)]; valid for every catalog
-    family, since the first-order bias variable exists two-sided."""
-    _check_tilt_headroom(base, g)
-    bv = BiasVariable(base.measure, 1)
-    var = base.variance()
-
-    def batch(rng, size):
-        x = base.sample(rng, size)
-        return g.d1(x + bv.sample(rng, size))
-
-    est = mc_mean(batch, mc)
-    return MCEstimate(var * est.value, var * est.std_error, est.n)
+    family, since the first-order bias variable exists two-sided. It is
+    the n = 1 bias route of `cov_identity_rhs`."""
+    return cov_identity_rhs(base, 1, g, mc, route="bias")
 
 
 def cov_oracle(base: IDDSpec, n: int, g: TestFunction,

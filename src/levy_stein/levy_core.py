@@ -708,23 +708,36 @@ class ClosedInner:
 
 
 def eval_terms(terms, x) -> np.ndarray:
-    """Re sum a x^p e^{zx} over terms (a, p, z), vectorised over real x."""
-    x = np.asarray(x, dtype=float)
+    """Re sum a x^p e^{zx} over terms (a, p, z), vectorised over real x.
+
+    Each distinct z is evaluated in real arithmetic, with no complex
+    temporaries: for P the polynomial of its terms,
+    Re P(x) e^{zx} = e^{Re z x} (Re P(x) cos(Im z x) - Im P(x) sin(Im z x)).
+    x is taken `_BLOCK` entries at a time, so the temporaries stay small
+    whatever the length of x.
+    """
     by_z = defaultdict(dict)
     for a, p, z in terms:
         poly = by_z[complex(z)]
         poly[p] = poly.get(p, 0j) + complex(a)
-    out = np.zeros_like(x)
-    for z, poly in by_z.items():
-        val = np.polynomial.polynomial.polyval(
-            x, [poly.get(p, 0j) for p in range(max(poly) + 1)])
-        if z.imag:
-            out += (val * np.exp(z * x)).real
-        elif z.real:
-            out += val.real * np.exp(z.real * x)
-        else:
-            out += val.real
-    return out
+    polys = [(z, np.array([poly.get(p, 0j) for p in range(max(poly) + 1)]))
+             for z, poly in by_z.items()]
+    polyval = np.polynomial.polynomial.polyval
+
+    def chunk_sum(xs):
+        out = np.zeros_like(xs)
+        for z, coef in polys:
+            val = polyval(xs, coef.real)
+            if z.imag:
+                w = z.imag * xs
+                val *= np.cos(w)
+                val -= polyval(xs, coef.imag) * np.sin(w)
+            if z.real:
+                val *= np.exp(z.real * xs)
+            out += val
+        return out
+
+    return _by_chunks(chunk_sum, x)
 
 
 def _shifted(terms, m: int, subtract: bool):

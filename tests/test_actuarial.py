@@ -137,8 +137,9 @@ def test_generalized_wpcp_reduces_to_wpcp(mc_medium):
 
 def test_generalized_wpcp_denominator_draws_its_own_streams(sample_spy,
                                                            mc_small):
-    # the numerator's pair sampler draws through sample_conv, so every
-    # recorded draw is the denominator's
+    # at n = 2 the numerator's pair sampler draws through sample_conv, so
+    # every recorded draw is the denominator's (at n = 1 the numerator
+    # would draw X through sample too)
     draws = sample_spy(Gamma)
     spec = Gamma(2.0, 1.0)
     generalized_wpcp(spec, 2, make_shift(1.0), mc_small)

@@ -15,7 +15,7 @@ from levy_stein.cli import (_FIELDS, _PARSE, _RUNNERS, PRINCIPLES,
 from levy_stein.errors import NonConvergence, ParseError, ValidationError, \
     ValidationFailure
 from levy_stein.functions import G_REGISTRY, PARAMS, W_REGISTRY
-from levy_stein.mc import substreams
+from levy_stein.mc import batch_sizes, substreams
 
 
 def minimal_doc(**over):
@@ -467,18 +467,52 @@ def test_main_reads_stdin(monkeypatch, capsysbinary):
 
 
 def test_verify_identity_oracle_replays_no_estimate_stream(sample_spy):
-    # the identity draws its pairs through sample_conv, so every recorded
-    # draw is the oracle's; its first batch must be neither the estimate
-    # stream's first batch of this seed nor that of the next seed
+    # at n = 1 the identity draws X with sample, one call per batch, so the
+    # oracle's first batch is the first recorded draw after the estimate's
+    # batches; at n = 2 it draws its pairs through sample_conv, so every
+    # recorded draw is the oracle's. The oracle's first batch must be
+    # neither the estimate stream's first batch of this seed nor that of
+    # the next seed
     draws = sample_spy(Gamma)
+    for n in (1, 2):
+        draws.clear()
+        spec = build_spec(minimal_doc(
+            task={"kind": "verify-identity", "n": n, "g_name": "sin"}))
+        run_task(spec)
+        oracle_first = draws[0]
+        if n == 1:
+            rng = next(substreams(spec.mc))
+            assert np.array_equal(
+                draws[0], spec.base.sample(rng, draws[0].size))
+            oracle_first = draws[len(list(batch_sizes(spec.mc)))]
+        for seed in (spec.mc.seed, spec.mc.seed + 1):
+            rng = next(substreams(replace(spec.mc, seed=seed)))
+            assert not np.array_equal(
+                oracle_first, spec.base.sample(rng, oracle_first.size)), \
+                (n, seed)
+
+
+def test_first_order_identity_draws_only_x(sample_spy, monkeypatch):
+    # at n = 1 the right-hand side reads only X_s, which has the law of X:
+    # it draws n_samples variates through sample, one call per batch, and
+    # sample_conv runs only as sample's scalar case, never for the pair
+    draws = sample_spy(Gamma)
+    powers = []
+    conv = Gamma.sample_conv
+
+    def counted(self, rng, s, size=None):
+        powers.append(s)
+        return conv(self, rng, s, size)
+
+    monkeypatch.setattr(Gamma, "sample_conv", counted)
     spec = build_spec(minimal_doc(
         task={"kind": "verify-identity", "n": 1, "g_name": "sin"}))
     run_task(spec)
-    oracle_first = draws[0]
-    for seed in (spec.mc.seed, spec.mc.seed + 1):
-        rng = next(substreams(replace(spec.mc, seed=seed)))
-        assert not np.array_equal(
-            oracle_first, spec.base.sample(rng, oracle_first.size)), seed
+    n_batches = len(list(batch_sizes(spec.mc)))
+    # the estimate's batches, then the oracle's
+    assert len(draws) == 2 * n_batches
+    assert sum(x.size for x in draws[:n_batches]) == spec.mc.n_samples
+    assert powers == [1.0] * len(draws)
 
 
 CGMY_HALF = {"family": "cgmy", "params": {
@@ -492,10 +526,10 @@ TILT = {"w_name": "exp_tilt", "kappa": 0.5}
     (CGMY_HALF, {"kind": "verify-identity", "n": 1, "g_name": "gauss"},
      {"identity_rhs": "rule"}),
     (None, {"kind": "verify-identity", "n": 1, "g_name": "sin"},
-     {"identity_rhs": "bias"}),
+     {"identity_rhs": "closed"}),
     ({"family": "poisson", "params": {"lam": 2.0}},
      {"kind": "verify-identity", "n": 1, "g_name": "sin"},
-     {"identity_rhs": "bias"}),
+     {"identity_rhs": "closed"}),
     (CGMY_HALF, {"kind": "bounds", "g_name": "sin"},
      {"cacoullos_lower": "bias", "cacoullos_upper": "bias",
       "chen_upper": "closed"}),
@@ -506,7 +540,7 @@ TILT = {"w_name": "exp_tilt", "kappa": 0.5}
      {"wpcp(exp_tilt(0.5))": "closed"}),
     (None, {"kind": "premium", "principle": "generalized_wpcp", "n": 2,
             **TILT},
-     {"generalized_wpcp(n=2, exp_tilt(0.5))": "bias"}),
+     {"generalized_wpcp(n=2, exp_tilt(0.5))": "closed"}),
     (CGMY_HALF, {"kind": "stein", "g_name": "sin"},
      {"stein_residual": "closed"}),
     ({"family": "vgd", "params": {"mu0": 0.2, "alpha": 1.5, "lam_pos": 3.0,
@@ -515,6 +549,9 @@ TILT = {"w_name": "exp_tilt", "kappa": 0.5}
     ({"family": "poisson", "params": {"lam": 2.0}}, {"kind": "gini"},
      {"gini_levy_formula": "atoms"}),
     (None, {"kind": "gini"}, {"gini_levy_formula": "rule"}),
+    # g without terms keeps the bias route on positive support
+    (None, {"kind": "verify-identity", "n": 1, "g_name": "log1psq"},
+     {"identity_rhs": "bias"}),
 ])
 def test_report_names_inner_routes(dist, task, routes):
     over = {"task": task, "mc": {"n_samples": 2000, "seed": 3, "batch": 250}}

@@ -197,6 +197,24 @@ def test_tempered_sample_conv_is_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=SAMPLER_IDS)
+@pytest.mark.parametrize("seed", [3, 41])
+def test_scalar_power_draws_as_array_power(spec, seed):
+    # sample is sample_conv's scalar case s = 1; numpy's samplers draw the
+    # same variates from a scalar parameter as from an array of equal
+    # entries, so every scalar power matches its array form bit for bit
+    n = 2_000
+
+    def rng():
+        return np.random.Generator(np.random.Philox(seed))
+
+    assert np.array_equal(spec.sample(rng(), n),
+                          spec.sample_conv(rng(), np.ones(n)))
+    for s in (0.35, 0.0):
+        assert np.array_equal(spec.sample_conv(rng(), s, n),
+                              spec.sample_conv(rng(), np.full(n, s))), s
+
+
 def test_open_unit_excludes_both_ends():
     class Extremes:
         def random(self, out):

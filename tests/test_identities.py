@@ -9,8 +9,10 @@ import pytest
 from levy_stein import (
     BGD,
     CGMY,
+    CompoundPoisson,
     DivergentMoment,
     Gamma,
+    GammaJumps,
     InvalidParams,
     InverseGaussian,
     JointPairSampler,
@@ -28,6 +30,7 @@ from levy_stein import (
 )
 from levy_stein.functions import GAUSS, IDENTITY, LOG1PSQ, SIN, SQUARE, \
     make_exp_tilt
+from levy_stein.identities import identity_route
 
 from conftest import assert_agree, assert_within_se
 
@@ -93,6 +96,30 @@ def test_gamma_second_order_routes_agree():
     a = cov_identity_rhs(spec, 2, SIN, MC_A, route="bias")
     b = cov_identity_rhs(spec, 2, SIN, MC_B, route="quadrature")
     assert_agree(a, b, label="gamma n=2 routes")
+
+
+# seeds and sizes fixed before the first run; the two routes draw from
+# independent streams
+MC_CLOSED = MCConfig(n_samples=40_000, seed=61, batch=5_000)
+MC_BIAS = MCConfig(n_samples=40_000, seed=62, batch=5_000)
+
+
+@pytest.mark.parametrize("spec", [
+    Gamma(2.0, 1.5),
+    Poisson(2.0),
+    CompoundPoisson(1.5, GammaJumps(2.0, 3.0)),
+    InverseGaussian(1.0, 2.0),
+], ids=lambda s: s.family)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("g", [SIN, SQUARE, make_exp_tilt(0.3)],
+                         ids=lambda g: g.name)
+def test_closed_and_bias_routes_agree(spec, n, g):
+    # on positive support, g with terms now takes the closed route; the
+    # bias route stays callable and estimates the same right-hand side
+    closed = cov_identity_rhs(spec, n, g, MC_CLOSED)
+    bias = cov_identity_rhs(spec, n, g, MC_BIAS, route="bias")
+    assert identity_route(spec, n, g) == "closed"
+    assert_agree(closed, bias, label=f"{spec.family} n={n} {g.name}")
 
 
 def test_route_validation():

@@ -416,6 +416,27 @@ def test_closed_inner_matches_adaptive(shape, beta, lam, m):
         assert abs(val - want) <= 1e-8 * abs(want) + 1e-12, (x, val, want)
 
 
+@pytest.mark.parametrize("z", [0.7, -1.2, 1.3j, -0.4 + 2.1j, 0.0],
+                         ids=["real", "real-neg", "imag", "complex", "zero"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_eval_terms_matches_complex_arithmetic(z, degree):
+    # eval_terms works in real arithmetic; the reference below is the
+    # complex sum Re sum a x^p e^{zx}, held to 1e-14 of the sum of the
+    # terms' moduli (elementwise relative error is unbounded where the
+    # sum cancels). A second z shares no polynomial with the first; x
+    # runs over an array longer than one `_BLOCK` and a 0-d point.
+    coefs = [0.8 - 1.1j, -0.3 + 0.5j, 1.7j, -0.9][:degree + 1]
+    terms = [(a, p, z) for p, a in enumerate(coefs)] + [(0.6 + 0.2j, 1, 0.5j)]
+    for x in (np.linspace(-4.0, 4.0, 5001), np.float64(1.5)):
+        parts = [complex(a) * x**p * np.exp(complex(z) * x)
+                 for a, p, z in terms]
+        want = sum(part.real for part in parts)
+        scale = sum(np.abs(part) for part in parts)
+        got = levy_core.eval_terms(terms, x)
+        assert np.shape(got) == np.shape(x)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
 def test_closed_inner_where_eta_rule_is_off():
     # CGMY(1, .9, .1, .2): the eta-rule misses I_1 by about 3.6e-3 relative
     meas = CGMY(1.0, 0.9, 0.1, 0.2).measure
