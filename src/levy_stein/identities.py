@@ -20,9 +20,15 @@ variable of order m, which gives a quadrature-free sampling route; on other
 supports the nu-form runs through a fixed nu-rule, an exact sum for atomic
 measures.
 
-The outer integral over s is handled by drawing s ~ U(0,1) per sample,
-which keeps the estimator unbiased without any grid. At n = 1 only X_s
-enters, and it has the law of X, so X is drawn directly.
+At n <= 2 the outer integral over s is closed. X_s has the law of X, and
+Y_s enters only at n = 2, once, where the bridge property of the Lévy
+process gives E[Y_s | X_s] = (1 - s) E X + s X_s; integrated over s,
+
+    Cov(X^2, g(X)) = E[ I_2(X) + (E X + X) I_1(X) ],
+
+so X is drawn directly. For n >= 3 the outer integral is handled by drawing
+s ~ U(0,1) per sample with the coupled pair, which keeps the estimator
+unbiased without any grid.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ import numpy as np
 from .dist_catalog import BGD, CGMY, VGD, IDDSpec, vgd_to_alt
 from .errors import DivergentMoment, InvalidParams
 from .functions import TestFunction
-from .levy_core import BiasVariable, LevyMeasure, closed_inner, nu_rule
+from .levy_core import (BiasVariable, ClosedInner, LevyMeasure,
+                        closed_inner, nu_rule)
 from .mc import ORACLE, MCConfig, MCEstimate, mc_cov, mc_mean
 
 __all__ = [
@@ -60,6 +67,9 @@ class JointPairSampler:
     its own s ~ U(0, 1) (the Monte Carlo form of int_0^1 ... ds). Marginally
     X_s ~ X and Y_s ~ X for every s; only the dependence varies, from
     independence at s = 0 to X_s = Y_s at s = 1.
+
+    `cov_identity_rhs` draws it for n >= 3; at n <= 2 the integral over s
+    is closed and X alone is drawn.
     """
 
     def __init__(self, base: IDDSpec, s: Optional[float] = None):
@@ -129,6 +139,19 @@ def _nu_inner(measure: LevyMeasure, g: TestFunction, m: int,
     return partial(rule.shifted_sum, g.f, subtract_at_x=subtract)
 
 
+def _closed_low_order(measure: LevyMeasure, terms, n: int,
+                      mu: float) -> ClosedInner:
+    """The whole integrand at n <= 2 as one exponential polynomial in x:
+    I_1(x) at n = 1, and I_2(x) + (mu + x) I_1(x) at n = 2, where each
+    term (a, p, z) of I_1 gives (a mu, p, z) and (a, p + 1, z). Each
+    distinct z then costs one exponential per entry, not one per I_m."""
+    low = closed_inner(measure, terms, 1)
+    if n == 1:
+        return low
+    return ClosedInner(closed_inner(measure, terms, 2).terms + tuple(
+        t for a, p, z in low.terms for t in ((a * mu, p, z), (a, p + 1, z))))
+
+
 def identity_route(base: IDDSpec, n: int, g: TestFunction,
                    route: str = "auto") -> str:
     """The inner-integral route of `cov_identity_rhs`: 'closed', 'bias',
@@ -165,18 +188,28 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
     fixed nu-rules (exact sums for atomic measures); 'auto' picks by g, as
     `identity_route` says, and names the pick.
 
-    At n = 1 the sum has the one term I_1(X_s), and X_s has the law of X:
-    each batch draws X once with `sample`, not the coupled pair. For n >= 2
-    `JointPairSampler` draws (X_s, Y_s) with s ~ U(0, 1) per sample.
+    At n <= 2 each batch draws X once with `sample`, not the coupled
+    pair: X_s has the law of X, and at n = 2 the factor Y_s of I_1(X_s)
+    is replaced by E[Y_s | X_s] = (1 - s) mu + s X_s integrated over s,
+    giving E[I_2(X) + (mu + X) I_1(X)] (see the module docstring). That is
+    the pair estimator's conditional mean, so its variance is no larger.
+    On the closed route the integrand is one exponential polynomial in X.
+    For n >= 3 `JointPairSampler` draws (X_s, Y_s) with s ~ U(0, 1) per
+    sample.
     """
     if n < 1:
         raise InvalidParams("identity order n must be a positive integer")
     _moment_precheck(base, n)
     _check_tilt_headroom(base, g)
     route = identity_route(base, n, g, route)
+    meas = base.measure
+    mu = base.mean()
+    if route == "closed" and n <= 2:
+        whole = _closed_low_order(meas, g.terms, n, mu)
+        return mc_mean(lambda rng, size: whole(base.sample(rng, size)), mc)
+
     pair = JointPairSampler(base)
     binom = [math.comb(n, k) for k in range(n)]
-    meas = base.measure
 
     if route == "bias":
         bank: Dict[int, BiasVariable] = {
@@ -196,10 +229,12 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
             return closed_or_rule[m](x)
 
     def batch(rng, size):
-        if n == 1:
-            x, y = base.sample(rng, size), None
-        else:
+        if n > 2:
             x, y, _ = pair.sample(rng, size)
+        else:
+            # X_s has the law of X; at n = 2, E[Y_s | X_s] integrated over s
+            x = base.sample(rng, size)
+            y = 0.5 * (mu + x) if n == 2 else None
         z = inner(rng, n, x)
         for k in range(1, n):
             z += binom[k] * y**k * inner(rng, n - k, x)

@@ -453,6 +453,12 @@ class BiasVariable:
         return vals
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        # one side carrying all of C_{k+1}: no side draw and no masks
+        if not self._mass_neg:
+            return rng.random(size) * self._sample_v(rng, size, positive=True)
+        if not self._mass_pos:
+            return -rng.random(size) * self._sample_v(rng, size,
+                                                      positive=False)
         p_pos = self._mass_pos / self.normalizer
         side_pos = rng.random(size) < p_pos
         u = rng.random(size)

@@ -137,15 +137,17 @@ def test_generalized_wpcp_reduces_to_wpcp(mc_medium):
 
 def test_generalized_wpcp_denominator_draws_its_own_streams(sample_spy,
                                                            mc_small):
-    # at n = 2 the numerator's pair sampler draws through sample_conv, so
-    # every recorded draw is the denominator's (at n = 1 the numerator
-    # would draw X through sample too)
+    # at n = 2 the numerator draws X through sample, one call per batch, so
+    # the denominator's first draw is the first recorded after the
+    # numerator's batches
     draws = sample_spy(Gamma)
     spec = Gamma(2.0, 1.0)
     generalized_wpcp(spec, 2, make_shift(1.0), mc_small)
-    den_first = draws[0]
+    n_batches = len(list(batch_sizes(mc_small)))
     estimate_first = spec.sample(next(substreams(mc_small)),
                                  next(batch_sizes(mc_small)))
+    assert np.array_equal(draws[0], estimate_first)
+    den_first = draws[n_batches]
     assert not np.array_equal(den_first, estimate_first)
 
 

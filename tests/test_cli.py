@@ -467,20 +467,20 @@ def test_main_reads_stdin(monkeypatch, capsysbinary):
 
 
 def test_verify_identity_oracle_replays_no_estimate_stream(sample_spy):
-    # at n = 1 the identity draws X with sample, one call per batch, so the
+    # at n <= 2 the identity draws X with sample, one call per batch, so the
     # oracle's first batch is the first recorded draw after the estimate's
-    # batches; at n = 2 it draws its pairs through sample_conv, so every
+    # batches; at n = 3 it draws its pairs through sample_conv, so every
     # recorded draw is the oracle's. The oracle's first batch must be
     # neither the estimate stream's first batch of this seed nor that of
     # the next seed
     draws = sample_spy(Gamma)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         draws.clear()
         spec = build_spec(minimal_doc(
             task={"kind": "verify-identity", "n": n, "g_name": "sin"}))
         run_task(spec)
         oracle_first = draws[0]
-        if n == 1:
+        if n <= 2:
             rng = next(substreams(spec.mc))
             assert np.array_equal(
                 draws[0], spec.base.sample(rng, draws[0].size))
@@ -492,10 +492,10 @@ def test_verify_identity_oracle_replays_no_estimate_stream(sample_spy):
                 (n, seed)
 
 
-def test_first_order_identity_draws_only_x(sample_spy, monkeypatch):
-    # at n = 1 the right-hand side reads only X_s, which has the law of X:
-    # it draws n_samples variates through sample, one call per batch, and
-    # sample_conv runs only as sample's scalar case, never for the pair
+def _assert_identity_draws_only_x(sample_spy, monkeypatch, n):
+    # the right-hand side draws n_samples variates through sample, one call
+    # per batch, and sample_conv runs only as sample's scalar case, never
+    # for the pair
     draws = sample_spy(Gamma)
     powers = []
     conv = Gamma.sample_conv
@@ -506,13 +506,24 @@ def test_first_order_identity_draws_only_x(sample_spy, monkeypatch):
 
     monkeypatch.setattr(Gamma, "sample_conv", counted)
     spec = build_spec(minimal_doc(
-        task={"kind": "verify-identity", "n": 1, "g_name": "sin"}))
+        task={"kind": "verify-identity", "n": n, "g_name": "sin"}))
     run_task(spec)
     n_batches = len(list(batch_sizes(spec.mc)))
     # the estimate's batches, then the oracle's
     assert len(draws) == 2 * n_batches
     assert sum(x.size for x in draws[:n_batches]) == spec.mc.n_samples
     assert powers == [1.0] * len(draws)
+
+
+def test_first_order_identity_draws_only_x(sample_spy, monkeypatch):
+    # at n = 1 the right-hand side reads only X_s, which has the law of X
+    _assert_identity_draws_only_x(sample_spy, monkeypatch, 1)
+
+
+def test_second_order_identity_draws_only_x(sample_spy, monkeypatch):
+    # at n = 2 it reads X_s and the mean of Y_s given X_s, (mu + X_s) / 2
+    # once integrated over s
+    _assert_identity_draws_only_x(sample_spy, monkeypatch, 2)
 
 
 CGMY_HALF = {"family": "cgmy", "params": {

@@ -9,6 +9,8 @@ import pytest
 from levy_stein import (
     BGD,
     CGMY,
+    GTSD,
+    AtomicJumps,
     CompoundPoisson,
     DivergentMoment,
     Gamma,
@@ -19,6 +21,7 @@ from levy_stein import (
     Laplace,
     MCConfig,
     Poisson,
+    TwoSidedExp,
     VGD,
     cov_first_order,
     cov_identity_rhs,
@@ -31,8 +34,11 @@ from levy_stein import (
 from levy_stein.functions import GAUSS, IDENTITY, LOG1PSQ, SIN, SQUARE, \
     make_exp_tilt
 from levy_stein.identities import identity_route
+from levy_stein.levy_core import closed_inner
+from levy_stein.mc import mc_mean
 
 from conftest import assert_agree, assert_within_se
+from test_dist_catalog import SAMPLER_IDS, SAMPLER_SPECS
 
 MC_A = MCConfig(n_samples=100_000, seed=51, batch=20_000)
 MC_B = MCConfig(n_samples=100_000, seed=52, batch=20_000)  # independent stream
@@ -122,6 +128,49 @@ def test_closed_and_bias_routes_agree(spec, n, g):
     assert_agree(closed, bias, label=f"{spec.family} n={n} {g.name}")
 
 
+# the base laws of the benchmark's small-sweep workload
+SWEEP_SPECS = [
+    Poisson(2.0),
+    CompoundPoisson(1.5, GammaJumps(2.0, 3.0)),
+    CompoundPoisson(1.2, AtomicJumps(((1.0, 0.6), (2.0, 0.4)))),
+    Gamma(2.0, 1.5),
+    InverseGaussian(1.0, 2.0),
+    Laplace(0.5, 1.0),
+    TwoSidedExp(1.0, 3.0),
+    BGD(2.0, 3.0, 1.0, 4.0),
+    VGD(0.2, 1.5, 3.0, 4.0),
+    CGMY(1.0, 0.5, 2.0, 3.0),
+    GTSD(0.5, 0.5, 1.0, 2.0, 0.5, 3.0),
+]
+# seeds and sizes fixed before the first run, on independent streams
+MC_X_ONLY = MCConfig(n_samples=40_000, seed=81, batch=5_000)
+MC_PAIR = MCConfig(n_samples=40_000, seed=82, batch=5_000)
+
+
+def _pair_rhs_order_two(spec, g, mc):
+    """The order-2 right-hand side from the coupled pair, s ~ U(0, 1) per
+    sample: the mean of I_2(X_s) + 2 Y_s I_1(X_s)."""
+    i1, i2 = (closed_inner(spec.measure, g.terms, m) for m in (1, 2))
+
+    def batch(rng, size):
+        x, y, _ = sample_joint(spec, rng, size)
+        return i2(x) + 2.0 * y * i1(x)
+
+    return mc_mean(batch, mc)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS,
+                         ids=[f"{s.family}-{i}" for i, s in
+                              enumerate(SWEEP_SPECS)])
+@pytest.mark.parametrize("g", [SIN, SQUARE], ids=lambda g: g.name)
+def test_second_order_x_only_agrees_with_pair(spec, g):
+    # n = 2 draws X alone and uses E[Y_s | X_s] integrated over s; it
+    # estimates what the coupled pair estimates
+    x_only = cov_identity_rhs(spec, 2, g, MC_X_ONLY)
+    pair = _pair_rhs_order_two(spec, g, MC_PAIR)
+    assert_agree(x_only, pair, label=f"{spec.family} n=2 {g.name}")
+
+
 def test_route_validation():
     with pytest.raises(InvalidParams):
         cov_identity_rhs(Laplace(0.3, 0.8), 2, SQUARE, route="bias")
@@ -174,6 +223,19 @@ def test_joint_pair_poisson_cross_moment():
     prod = x * y
     se = np.std(prod, ddof=1) / math.sqrt(n)
     assert abs(np.mean(prod) - 5.0) < 4 * se
+
+
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=SAMPLER_IDS)
+@pytest.mark.parametrize("s", [0.25, 0.7])
+def test_joint_pair_bridge_mean(spec, s):
+    # with X_s = A + C and Y_s = B + C, E[C | A + C] = s (A + C) (the
+    # bridge property of a Lévy process), so E[Y_s | X_s] = (1 - s) mu +
+    # s X_s. Weighting the residual by cos(X_s) tests the conditional mean,
+    # which holds only if sample_conv draws true convolution powers
+    rng = np.random.default_rng(73)
+    x, y, _ = sample_joint(spec, rng, 100_000, s=s)
+    r = (y - (1.0 - s) * spec.mean() - s * x) * np.cos(x)
+    assert abs(np.mean(r)) <= 4.0 * np.std(r, ddof=1) / math.sqrt(r.size)
 
 
 def test_joint_pair_rejects_bad_s():

@@ -223,6 +223,16 @@ def test_bias_sampler_moments():
     assert abs(np.mean(u) - 0.5) < 5 * uniform().std() / math.sqrt(len(u))
 
 
+def test_bias_sampler_negative_side_mirrors_positive():
+    # nu on the negative half-line only: Y_1 is -Exp(rate), every draw
+    # from the one side that carries C_2
+    rate = 1.5
+    meas = LevyMeasure.from_tilted(neg=TiltedPowerSide(2.0, 0.0, rate))
+    y = BiasVariable(meas, 1).sample(np.random.default_rng(8), 200_000)
+    assert y.max() < 0
+    assert abs(np.mean(y) + 1 / rate) < 5 * (1 / rate) / math.sqrt(len(y))
+
+
 def test_bias_variable_even_k_two_sided_rejected():
     from levy_stein import InvalidParams
     with pytest.raises(InvalidParams):
