@@ -27,7 +27,7 @@ from .dist_catalog import IDDSpec
 from .errors import InvalidParams, ZeroDenominator
 from .functions import TestFunction
 from .identities import _check_tilt_headroom, _nu_inner, cov_identity_rhs
-from .levy_core import cumulant, exp_moment, nu_rule
+from .levy_core import cumulant, exp_moment, moments_from_cumulants, nu_rule
 from .mc import DENOMINATOR, ORACLE, MCConfig, mc_cov, mc_mean, mc_ratio
 
 __all__ = [
@@ -123,15 +123,12 @@ def modified_variance(base: IDDSpec) -> PremiumReport:
 
 def raw_moment(base: IDDSpec, n: int) -> float:
     """E[X^n] from the cumulants via the standard recursion
-    m_j = sum_i C(j-1, i-1) c_i m_{j-i}."""
+    m_j = sum_i C(j-1, i-1) c_i m_{j-i} (`moments_from_cumulants`)."""
     if n < 1:
         raise InvalidParams("moment order must be a positive integer")
-    cums = [cumulant(base, k) for k in range(1, n + 1)]
-    moments = [1.0]
-    for j in range(1, n + 1):
-        moments.append(sum(math.comb(j - 1, i - 1) * cums[i - 1] * moments[j - i]
-                           for i in range(1, j + 1)))
-    return moments[n]
+    *_, moment = moments_from_cumulants(
+        [cumulant(base, k) for k in range(1, n + 1)])
+    return moment
 
 
 def generalized_wpcp(base: IDDSpec, n: int, w: TestFunction,

@@ -20,20 +20,33 @@ variable of order m, which gives a quadrature-free sampling route; on other
 supports the nu-form runs through a fixed nu-rule, an exact sum for atomic
 measures.
 
-At n <= 2 the outer integral over s is closed. X_s has the law of X, and
-Y_s enters only at n = 2, once, where the bridge property of the Lévy
-process gives E[Y_s | X_s] = (1 - s) E X + s X_s; integrated over s,
+For g with terms the outer integral over s is closed at every n. With
+g = e^{zx}, I_m(x) = e^{zx} Psi_m(z), and under the tilt e^{z X_s} the
+pair's Y_s has cumulants (1 - s) kappa_j(0) + s kappa_j(z), where
+kappa_1(z) = E X + Psi_1(z) and kappa_j(z) = C_j + Psi_j(z). So
 
-    Cov(X^2, g(X)) = E[ I_2(X) + (E X + X) I_1(X) ],
+    Cov(X^n, e^{zX}) = E[ Phi_n(z) e^{zX} ],
+    Phi_n(z) = sum_{k<n} C(n,k) Psi_{n-k}(z) int_0^1 B_k(c(s)) ds,
 
-so X is drawn directly. For n >= 3 the outer integral is handled by drawing
-s ~ U(0,1) per sample with the coupled pair, which keeps the estimator
+with B_k the complete Bell polynomial of the mixed cumulants c(s); a term
+x^p e^{zx} takes the p-th z-derivative. The whole integrand is one
+exponential polynomial in x, and X is drawn directly. Off the closed route
+(g without terms, or the bias route asked for by name) X is still drawn
+alone at n <= 2: X_s has the law of X, and Y_s enters only at n = 2, once,
+where the bridge property of the Lévy process gives
+E[Y_s | X_s] = (1 - s) E X + s X_s; integrated over s,
+
+    Cov(X^2, g(X)) = E[ I_2(X) + (E X + X) I_1(X) ].
+
+The coupled pair serves only g without terms at n >= 3 (and the bias route
+by name), with s ~ U(0,1) drawn per sample, which keeps the estimator
 unbiased without any grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import partial
 from typing import Dict, Optional
 
@@ -43,7 +56,8 @@ from .dist_catalog import BGD, CGMY, VGD, IDDSpec, vgd_to_alt
 from .errors import DivergentMoment, InvalidParams
 from .functions import TestFunction
 from .levy_core import (BiasVariable, ClosedInner, LevyMeasure,
-                        closed_inner, nu_rule)
+                        closed_inner, exp_moment, moments_from_cumulants,
+                        nu_rule)
 from .mc import ORACLE, MCConfig, MCEstimate, mc_cov, mc_mean
 
 __all__ = [
@@ -68,8 +82,9 @@ class JointPairSampler:
     X_s ~ X and Y_s ~ X for every s; only the dependence varies, from
     independence at s = 0 to X_s = Y_s at s = 1.
 
-    `cov_identity_rhs` draws it for n >= 3; at n <= 2 the integral over s
-    is closed and X alone is drawn.
+    `cov_identity_rhs` draws it only for g without terms at n >= 3 (and
+    on the bias route asked for by name); otherwise the integral over s is
+    closed and X alone is drawn.
     """
 
     def __init__(self, base: IDDSpec, s: Optional[float] = None):
@@ -139,17 +154,89 @@ def _nu_inner(measure: LevyMeasure, g: TestFunction, m: int,
     return partial(rule.shifted_sum, g.f, subtract_at_x=subtract)
 
 
-def _closed_low_order(measure: LevyMeasure, terms, n: int,
-                      mu: float) -> ClosedInner:
-    """The whole integrand at n <= 2 as one exponential polynomial in x:
-    I_1(x) at n = 1, and I_2(x) + (mu + x) I_1(x) at n = 2, where each
-    term (a, p, z) of I_1 gives (a mu, p, z) and (a, p + 1, z). Each
-    distinct z then costs one exponential per entry, not one per I_m."""
-    low = closed_inner(measure, terms, 1)
-    if n == 1:
-        return low
-    return ClosedInner(closed_inner(measure, terms, 2).terms + tuple(
-        t for a, p, z in low.terms for t in ((a * mu, p, z), (a, p + 1, z))))
+def _series_mul(a, b):
+    """Product of power series in t truncated to their common length;
+    coefficients run along the first axis, the rest broadcast."""
+    out = a[0] * b
+    for i in range(1, len(a)):
+        out[i:] += a[i] * b[:-i]
+    return out
+
+
+def _overflow(n: int) -> DivergentMoment:
+    return DivergentMoment(
+        f"the order-{n} identity's closed integrand overflows the range of "
+        "a double")
+
+
+def _phi_derivatives(measure: LevyMeasure, mu: float, n: int, z: complex,
+                     deg: int) -> np.ndarray:
+    """Phi_n^(j)(z), j = 0..deg, for
+
+        Phi_n(z) = sum_{k<n} C(n,k) Psi_{n-k}(z) int_0^1 B_k(c(s)) ds,
+
+    where B_k is the complete Bell polynomial and c_j(s) = (1 - s) kappa_j(0)
+    + s kappa_j(z) are the cumulants of Y_s under the tilt e^{z X_s}. It
+    works in power series of t around z, built from int u^q e^{zu} nu(du) =
+    C_q + Psi_q(z): the t^i coefficient of Psi_m(z + t) is
+    (C_{m+i} + Psi_{m+i}(z)) / i!, and kappa_j(z) is Psi_j(z) plus its value
+    at z = 0, mu or C_j. The s-integrand has degree n - 1 in s, so
+    ceil(n / 2) Gauss-Legendre nodes integrate it exactly. The Bell
+    recursion makes O(n^2) series products and stops at the first moment
+    beyond the range of a double.
+    """
+    at_z = np.array([0j] + [complex(exp_moment(measure, q, z))
+                            for q in range(1, n + deg + 1)])
+    tilted = at_z.copy()
+    tilted[2:] += [measure.moment(q) for q in range(2, n + deg + 1)]
+    fact = np.array([math.factorial(i) for i in range(deg + 1)], dtype=float)
+    # row m: the series of Psi_m(z + t), m = 0..n (row 0 is unused)
+    psi = tilted[np.arange(n + 1)[:, None] + np.arange(deg + 1)] / fact
+    psi[:, 0] = at_z[:n + 1]
+    nodes, weights = np.polynomial.legendre.leggauss((n + 1) // 2)
+    s = 0.5 * (nodes + 1.0)
+    cums = []
+    for j in range(1, n):
+        c = psi[j][:, None] * s
+        c[0] += mu if j == 1 else measure.moment(j)
+        cums.append(c)
+    mean_bell = [np.eye(deg + 1)[0]]
+    for m in moments_from_cumulants(cums, _series_mul):
+        if not np.isfinite(m).all():
+            raise _overflow(n)
+        mean_bell.append(0.5 * m @ weights)
+    return fact * sum(math.comb(n, k) * _series_mul(psi[n - k], mean_bell[k])
+                      for k in range(n))
+
+
+def _closed_integrand(base: IDDSpec, terms, n: int) -> ClosedInner:
+    """The order-n right-hand side as one exponential polynomial h in x,
+    Cov(X^n, g(X)) = E[h(X)] for g = Re sum of terms (a, p, z).
+
+    For g = e^{zx} the identity's right-hand side is E[Phi_n(z) e^{zX}]
+    (`_phi_derivatives`), and x^p e^{zx} = d^p/dz^p e^{zx} gives
+    sum_j C(p, j) Phi_n^(j)(z) x^{p-j} e^{zx}. Terms are gathered by
+    (power, z), so each distinct z costs one exponential per entry. A
+    coefficient beyond the range of a double raises DivergentMoment.
+    """
+    terms = [(complex(a), p, complex(z)) for a, p, z in terms]
+    deg = defaultdict(int)
+    for _, p, z in terms:
+        deg[z] = max(deg[z], p)
+    coef = defaultdict(complex)
+    with np.errstate(all="ignore"):
+        try:
+            phi = {z: _phi_derivatives(base.measure, base.mean(), n, z, top)
+                   for z, top in deg.items()}
+        except OverflowError:  # C(n, k) beyond the range of a double
+            raise _overflow(n) from None
+        for a, p, z in terms:
+            for j in range(p + 1):
+                coef[p - j, z] += a * math.comb(p, j) * phi[z][j]
+    if not all(np.isfinite(c) for c in coef.values()):
+        raise _overflow(n)
+    return ClosedInner(tuple((complex(c), p, z) for (p, z), c in coef.items()
+                             if c))
 
 
 def identity_route(base: IDDSpec, n: int, g: TestFunction,
@@ -188,14 +275,15 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
     fixed nu-rules (exact sums for atomic measures); 'auto' picks by g, as
     `identity_route` says, and names the pick.
 
-    At n <= 2 each batch draws X once with `sample`, not the coupled
-    pair: X_s has the law of X, and at n = 2 the factor Y_s of I_1(X_s)
+    On the closed route each batch draws X once with `sample`, at every n:
+    the integrand is the exponential polynomial Phi_n(z) e^{zx} per term
+    of g, differentiated in z for powers of x (see the module docstring
+    and `_closed_integrand`). Off the closed route X is drawn alone at
+    n <= 2: X_s has the law of X, and at n = 2 the factor Y_s of I_1(X_s)
     is replaced by E[Y_s | X_s] = (1 - s) mu + s X_s integrated over s,
-    giving E[I_2(X) + (mu + X) I_1(X)] (see the module docstring). That is
-    the pair estimator's conditional mean, so its variance is no larger.
-    On the closed route the integrand is one exponential polynomial in X.
-    For n >= 3 `JointPairSampler` draws (X_s, Y_s) with s ~ U(0, 1) per
-    sample.
+    giving E[I_2(X) + (mu + X) I_1(X)], the pair estimator's conditional
+    mean. Only there, at n >= 3, `JointPairSampler` draws (X_s, Y_s) with
+    s ~ U(0, 1) per sample.
     """
     if n < 1:
         raise InvalidParams("identity order n must be a positive integer")
@@ -204,8 +292,8 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
     route = identity_route(base, n, g, route)
     meas = base.measure
     mu = base.mean()
-    if route == "closed" and n <= 2:
-        whole = _closed_low_order(meas, g.terms, n, mu)
+    if route == "closed":
+        whole = _closed_integrand(base, g.terms, n)
         return mc_mean(lambda rng, size: whole(base.sample(rng, size)), mc)
 
     pair = JointPairSampler(base)

@@ -29,6 +29,7 @@ through the fixed nu-rule (`nu_rule`); `eta_rule` is its eta-form check.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -55,6 +56,7 @@ __all__ = [
     "integrate_levy",
     "eta",
     "cumulant",
+    "moments_from_cumulants",
     "bias_density",
     "nu_rule",
     "eta_rule",
@@ -399,6 +401,23 @@ def cumulant(spec, k: int) -> float:
     if k == 1:
         return float(spec.mean())
     return spec.measure.moment(k)
+
+
+def moments_from_cumulants(cums, mul=operator.mul):
+    """Yields the raw moments m_1, ..., m_n from cumulants [c_1, ..., c_n]
+    by the complete Bell recursion m_j = sum_i C(j-1, i-1) c_i m_{j-i},
+    m_0 = 1, each as soon as it is known.
+
+    mul(c, m) multiplies a scaled cumulant into a moment, so the entries may
+    be numbers, arrays, or truncated power series with a product of their
+    own.
+    """
+    moments = []
+    for j in range(1, len(cums) + 1):
+        moments.append(sum(
+            mul(math.comb(j - 1, i - 1) * cums[i - 1], moments[j - i - 1])
+            if i < j else cums[j - 1] for i in range(1, j + 1)))
+        yield moments[-1]
 
 
 # -- bias variables --------------------------------------------------------

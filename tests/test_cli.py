@@ -467,20 +467,20 @@ def test_main_reads_stdin(monkeypatch, capsysbinary):
 
 
 def test_verify_identity_oracle_replays_no_estimate_stream(sample_spy):
-    # at n <= 2 the identity draws X with sample, one call per batch, so the
-    # oracle's first batch is the first recorded draw after the estimate's
-    # batches; at n = 3 it draws its pairs through sample_conv, so every
-    # recorded draw is the oracle's. The oracle's first batch must be
-    # neither the estimate stream's first batch of this seed nor that of
-    # the next seed
+    # for g with terms (sin) the identity draws X with sample at every n,
+    # one call per batch, so the oracle's first batch is the first recorded
+    # draw after the estimate's batches; log1psq has no terms, and at n = 3
+    # its bias route draws the pairs through sample_conv, so every recorded
+    # draw is the oracle's. The oracle's first batch must be neither the
+    # estimate stream's first batch of this seed nor that of the next seed
     draws = sample_spy(Gamma)
-    for n in (1, 2, 3):
+    for n, g_name in ((1, "sin"), (2, "sin"), (3, "sin"), (3, "log1psq")):
         draws.clear()
         spec = build_spec(minimal_doc(
-            task={"kind": "verify-identity", "n": n, "g_name": "sin"}))
+            task={"kind": "verify-identity", "n": n, "g_name": g_name}))
         run_task(spec)
         oracle_first = draws[0]
-        if n <= 2:
+        if g_name == "sin":
             rng = next(substreams(spec.mc))
             assert np.array_equal(
                 draws[0], spec.base.sample(rng, draws[0].size))
@@ -489,7 +489,7 @@ def test_verify_identity_oracle_replays_no_estimate_stream(sample_spy):
             rng = next(substreams(replace(spec.mc, seed=seed)))
             assert not np.array_equal(
                 oracle_first, spec.base.sample(rng, oracle_first.size)), \
-                (n, seed)
+                (n, g_name, seed)
 
 
 def _assert_identity_draws_only_x(sample_spy, monkeypatch, n):
@@ -524,6 +524,12 @@ def test_second_order_identity_draws_only_x(sample_spy, monkeypatch):
     # at n = 2 it reads X_s and the mean of Y_s given X_s, (mu + X_s) / 2
     # once integrated over s
     _assert_identity_draws_only_x(sample_spy, monkeypatch, 2)
+
+
+def test_third_order_identity_draws_only_x(sample_spy, monkeypatch):
+    # at n = 3 Y_s enters twice; for g with terms the s-integral is closed
+    # through the cumulants of Y_s under the tilt e^{z X_s}
+    _assert_identity_draws_only_x(sample_spy, monkeypatch, 3)
 
 
 CGMY_HALF = {"family": "cgmy", "params": {

@@ -33,8 +33,11 @@ from levy_stein import (
 )
 from levy_stein.functions import GAUSS, IDENTITY, LOG1PSQ, SIN, SQUARE, \
     make_exp_tilt
-from levy_stein.identities import identity_route
-from levy_stein.levy_core import closed_inner
+from levy_stein.actuarial import raw_moment
+from levy_stein.dist_catalog import convert_drift
+from levy_stein.identities import _closed_integrand, identity_route
+from levy_stein.levy_core import (closed_inner, exp_moment,
+                                  moments_from_cumulants)
 from levy_stein.mc import mc_mean
 
 from conftest import assert_agree, assert_within_se
@@ -169,6 +172,77 @@ def test_second_order_x_only_agrees_with_pair(spec, g):
     x_only = cov_identity_rhs(spec, 2, g, MC_X_ONLY)
     pair = _pair_rhs_order_two(spec, g, MC_PAIR)
     assert_agree(x_only, pair, label=f"{spec.family} n=2 {g.name}")
+
+
+# seeds and sizes fixed before the first run, on independent streams
+MC_X_ONLY_3 = MCConfig(n_samples=40_000, seed=91, batch=5_000)
+MC_PAIR_3 = MCConfig(n_samples=40_000, seed=92, batch=5_000)
+
+
+def _pair_rhs_order_three(spec, g, mc):
+    """The order-3 right-hand side from the coupled pair, s ~ U(0, 1) per
+    sample: the mean of I_3(X_s) + 3 Y_s I_2(X_s) + 3 Y_s^2 I_1(X_s)."""
+    i1, i2, i3 = (closed_inner(spec.measure, g.terms, m) for m in (1, 2, 3))
+
+    def batch(rng, size):
+        x, y, _ = sample_joint(spec, rng, size)
+        return i3(x) + 3.0 * y * i2(x) + 3.0 * y**2 * i1(x)
+
+    return mc_mean(batch, mc)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS,
+                         ids=[f"{s.family}-{i}" for i, s in
+                              enumerate(SWEEP_SPECS)])
+@pytest.mark.parametrize("g", [SIN, SQUARE], ids=lambda g: g.name)
+def test_third_order_x_only_agrees_with_pair(spec, g):
+    # n = 3 draws X alone, with s integrated out through the cumulants of
+    # Y_s under the tilt; it estimates what the coupled pair estimates, and
+    # with no larger error bar
+    x_only = cov_identity_rhs(spec, 3, g, MC_X_ONLY_3)
+    pair = _pair_rhs_order_three(spec, g, MC_PAIR_3)
+    assert_agree(x_only, pair, label=f"{spec.family} n=3 {g.name}")
+    assert x_only.std_error <= pair.std_error
+
+
+def _xp_exp_mean(spec, p, z):
+    """E[X^p e^{zX}] = M(z) B_p(kappa_1(z), ..., kappa_p(z)), with
+    kappa_1(z) = mu + Psi_1(z), kappa_j(z) = C_j + Psi_j(z) and
+    M(z) = exp(z b + Psi_0(z)), b the uncompensated drift."""
+    meas = spec.measure
+    kappa = [spec.mean() + complex(exp_moment(meas, 1, z))] + [
+        meas.moment(j) + complex(exp_moment(meas, j, z))
+        for j in range(2, p + 1)]
+    bell = list(moments_from_cumulants(kappa))[-1] if p else 1.0
+    drift = convert_drift(spec, "uncompensated")
+    return np.exp(z * drift + complex(exp_moment(meas, 0, z))) * bell
+
+
+def _cov_xn_g(spec, n, g):
+    """Cov(X^n, g(X)): from raw moments for square, else term by term as
+    E[X^{n+p} e^{zX}] - E[X^n] E[X^p e^{zX}]."""
+    if g is SQUARE:
+        return raw_moment(spec, n + 2) - raw_moment(spec, n) * raw_moment(
+            spec, 2)
+    return sum((a * (_xp_exp_mean(spec, n + p, z)
+                     - raw_moment(spec, n) * _xp_exp_mean(spec, p, z))).real
+               for a, p, z in g.terms)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS,
+                         ids=[f"{s.family}-{i}" for i, s in
+                              enumerate(SWEEP_SPECS)])
+@pytest.mark.parametrize("g", [SIN, SQUARE, make_exp_tilt(0.3)],
+                         ids=lambda g: g.name)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_integrand_mean_is_the_covariance(spec, g, n):
+    # the closed route's integrand h has Cov(X^n, g(X)) = E[h(X)]; both
+    # sides in closed form, with no Monte Carlo
+    h = _closed_integrand(spec, g.terms, n)
+    mean = sum((complex(a) * _xp_exp_mean(spec, p, complex(z))).real
+               for a, p, z in h.terms)
+    want = _cov_xn_g(spec, n, g)
+    assert abs(mean - want) <= 1e-12 * abs(want), (mean, want)
 
 
 def test_route_validation():
