@@ -12,8 +12,7 @@ from .bounds import (VarianceBounds, cacoullos_bounds, chen_upper_bound,
 from .dist_catalog import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
                            Gamma, GammaJumps, IDDSpec, InverseGaussian,
                            Laplace, Poisson, TwoSidedExp, VGDAltParams,
-                           convert_drift, make_spec, mean_levy, vgd_from_alt,
-                           vgd_to_alt)
+                           convert_drift, make_spec, vgd_from_alt, vgd_to_alt)
 from .errors import (AtomicMeasure, DivergentMoment, InvalidParams,
                      LevySteinError, NonConvergence, NumericFailure,
                      ParseError, ValidationError,
@@ -23,9 +22,9 @@ from .functions import (G_REGISTRY, W_REGISTRY, TestFunction, get_function,
 from .identities import (JointPairSampler, cov_first_order, cov_identity_rhs,
                          cov_oracle, sample_joint, stein_residual_bgd,
                          stein_residual_cgmy, stein_residual_vgd)
-from .levy_core import (BiasVariable, LevyMeasure, QuadratureConfig,
-                        TailIntegral, TiltedPowerSide, bias_density,
-                        cumulant, eta, eta_rule, integrate_levy, nu_rule)
+from .levy_core import (BiasVariable, LevyMeasure, TailIntegral,
+                        TiltedPowerSide, bias_density, cumulant, eta,
+                        eta_rule, nu_rule)
 from .mc import MCConfig, MCEstimate, combine_se, mc_cov, mc_mean, mc_ratio, mc_variance
 
 __all__ = [
@@ -35,14 +34,13 @@ __all__ = [
     "AtomicMeasure", "ZeroDenominator", "ParseError",
     "ValidationError", "NonConvergence", "DivergentMoment",
     # core
-    "QuadratureConfig", "TiltedPowerSide", "LevyMeasure", "TailIntegral",
-    "eta", "integrate_levy", "cumulant", "BiasVariable", "bias_density",
-    "nu_rule", "eta_rule",
+    "TiltedPowerSide", "LevyMeasure", "TailIntegral", "eta", "cumulant",
+    "BiasVariable", "bias_density", "nu_rule", "eta_rule",
     # catalog
     "IDDSpec", "Poisson", "CompoundPoisson", "AtomicJumps", "GammaJumps",
     "Gamma", "InverseGaussian", "Laplace", "TwoSidedExp", "BGD", "VGD",
     "VGDAltParams", "CGMY", "GTSD", "vgd_from_alt", "vgd_to_alt",
-    "convert_drift", "mean_levy", "make_spec",
+    "convert_drift", "make_spec",
     # functions
     "TestFunction", "get_function", "make_exp_tilt", "make_shift",
     "G_REGISTRY", "W_REGISTRY",

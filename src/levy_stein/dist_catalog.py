@@ -27,7 +27,6 @@ from typing import ClassVar, Tuple, Union
 
 import numpy as np
 from scipy.fft import dst
-from scipy.interpolate import PchipInterpolator
 from scipy.special import (
     gamma as gamma_fn,
     gammainc,
@@ -40,14 +39,7 @@ from scipy.special import (
 
 from .errors import (DivergentMoment, InvalidParams, NonConvergence,
                      ValidationError)
-from .levy_core import (
-    DEFAULT_QUAD,
-    LevyMeasure,
-    QuadratureConfig,
-    TiltedPowerSide,
-    exp_moment,
-    integrate_levy,
-)
+from .levy_core import LevyMeasure, TiltedPowerSide, exp_moment
 
 __all__ = [
     "IDDSpec",
@@ -68,7 +60,6 @@ __all__ = [
     "make_spec",
     "cdf_route",
     "convert_drift",
-    "mean_levy",
     "vgd_from_alt",
     "vgd_to_alt",
 ]
@@ -342,6 +333,42 @@ def _cdf_knots(spec: IDDSpec, lo: float, hi: float, n_knots: int):
 _CDF_KNOTS = 2049
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """PCHIP's end slope: the one-sided three-point formula, 0 where its
+    sign is not that of the end interval's slope m0, and 3 m0 where the
+    slopes change sign and it exceeds 3 |m0| (Moler's pchiptx)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x, y):
+    """Coefficients of the monotone PCHIP cubics through (x, y), 3 knots or
+    more, highest power first: column k is the cubic in x - x[k] on
+    [x[k], x[k+1]]. The inner slopes are the weighted harmonic mean of the
+    neighbouring secants, 0 where one is 0 or their signs differ (Fritsch &
+    Carlson 1980; Fritsch & Butland 1984). The arithmetic and its order are
+    scipy's PchipInterpolator's, so the coefficients are its `.c` bit for
+    bit."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    monotone = ((np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0)
+                & (m[:-1] != 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][monotone] = 1.0 / whmean[monotone]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 class CdfTable:
     """Monotone PCHIP fit of F on [lo, hi] through the `_cdf_knots` values
     at the _CDF_KNOTS equispaced knots, clamped outside; `knot_rule` and
@@ -360,7 +387,7 @@ class CdfTable:
         # mean of slopes to inf; its reciprocal, derivative 0, is the limit
         with np.errstate(over="ignore"):
             # the cubic on [knots[k], knots[k+1]], highest power first
-            self._coef = PchipInterpolator(self._knots, vals).c
+            self._coef = _pchip_coefficients(self._knots, vals)
 
     def __call__(self, x):
         """F at x: the PCHIP cubic inside (lo, hi), 0 at or below lo, 1 at
@@ -1078,15 +1105,6 @@ def convert_drift(spec: IDDSpec, to: str) -> float:
     if to == "compensated":
         return spec.drift0 + jump_mean
     return spec.drift0 - jump_mean
-
-
-def mean_levy(spec: IDDSpec, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """E(X) recomputed from the Lévy triplet: drift0 plus (for uncompensated
-    families) int u nu(du) evaluated by quadrature, not from the family's
-    closed form. Used for representation cross-checks."""
-    if spec.drift_convention == "compensated":
-        return spec.drift0
-    return spec.drift0 + integrate_levy(spec.measure, lambda u: u, cfg=cfg)
 
 
 FAMILIES = {

@@ -13,8 +13,9 @@ can be negative. That is a feature of the definition, not a bug.
 A measure is either finitely many atoms or one tilted-power side per
 half-line (density alpha |u|^{-1-beta} e^{-rate |u|}); every catalog family
 is one of the two. Tail integrals and moments then have closed forms
-through the upper incomplete gamma function, and adaptive quadrature of
-the density is kept only as an independent oracle for them.
+through the upper incomplete gamma function. The density
+(`LevyMeasure.density`) is kept for the adaptive-quadrature oracle of the
+test suite (`tests/quad_oracle.py`), which checks them independently.
 
 The same holds for exponential moments: int u^m e^{zu} nu(du) is a finite
 sum over atoms or c Gamma(m-beta) (rate-z)^{beta-m} per side, for complex
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaincc, gammainccinv, gammaln
 
 from .errors import (
@@ -46,14 +46,12 @@ from .errors import (
 )
 
 __all__ = [
-    "QuadratureConfig",
     "TiltedPowerSide",
     "LevyMeasure",
     "TailIntegral",
     "BiasVariable",
     "FixedRule",
     "ClosedInner",
-    "integrate_levy",
     "eta",
     "cumulant",
     "moments_from_cumulants",
@@ -65,24 +63,6 @@ __all__ = [
     "closed_sq_diff",
     "eval_terms",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances of the adaptive-quadrature oracle `integrate_levy`."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise InvalidParams("quadrature tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise InvalidParams("max_subdivisions must be positive")
-
-
-DEFAULT_QUAD = QuadratureConfig()
 
 
 def _in_double_range(k: int, moment: Callable[[], float]) -> float:
@@ -271,8 +251,8 @@ class LevyMeasure:
         """int u^k nu(du) over the whole line, k >= 1, in closed form: a sum
         over atoms, or c Gamma(k-beta) rate^{beta-k} per tilted-power side.
 
-        `integrate_levy(measure, lambda u: u**k)` is the quadrature oracle
-        for it.
+        The test suite's `quad_oracle.integrate_levy(measure, lambda u:
+        u**k)` is the quadrature oracle for it.
         """
         if k < 1:
             raise InvalidParams("moment order must be a positive integer")
@@ -338,47 +318,6 @@ class TailIntegral:
         if np.any(neg):
             out[neg] = self.neg(u[neg])
         return out if out.ndim else float(out)
-
-
-def _quad_improper(f, a, b, cfg: QuadratureConfig) -> float:
-    """scipy adaptive Gauss-Kronrod with the configured budget."""
-    out = integrate.quad(f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                         limit=cfg.max_subdivisions, full_output=1)
-    val, abserr = out[0], out[1]
-    if len(out) > 3:
-        raise NonConvergence(
-            f"quadrature on ({a}, {b}) did not reach tolerance: {out[3].strip()}",
-            value=val, error_estimate=abserr)
-    if not np.isfinite(val):
-        raise NonConvergence(f"quadrature on ({a}, {b}) returned {val}",
-                             value=val, error_estimate=abserr)
-    return val
-
-
-def integrate_levy(measure: LevyMeasure, integrand: Callable[[float], float],
-                   cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """int integrand(u) nu(du) over R \\ {0}.
-
-    Atomic measures are summed exactly. Continuous sides are integrated
-    against `measure.density` with adaptive quadrature, split at |u| = 1 to
-    isolate the origin panel where the density may be singular. This is the
-    independent oracle for the closed forms and fixed rules; the integrand
-    must make integrand * nu absolutely integrable, which catalog callers
-    guarantee by always carrying a u^k factor, k >= 1.
-    """
-    if measure.is_atomic:
-        return sum((mass * float(integrand(loc))
-                    for loc, mass in measure.atoms), 0.0)
-
-    def f(u):
-        return float(integrand(u)) * float(measure.density(u))
-
-    pieces = []
-    if measure.pos_structure is not None:
-        pieces += [(0.0, 1.0), (1.0, np.inf)]
-    if measure.neg_structure is not None:
-        pieces += [(-np.inf, -1.0), (-1.0, 0.0)]
-    return sum((_quad_improper(f, a, b, cfg) for a, b in pieces), 0.0)
 
 
 def eta(measure: LevyMeasure, k: int, u: float) -> float:

@@ -2,7 +2,10 @@
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import levy_stein
@@ -10,7 +13,23 @@ from levy_stein import (actuarial, dist_catalog, errors, identities,
                         levy_core)
 from levy_stein.dist_catalog import FAMILIES
 
+import quad_oracle
+
 SRC = Path(levy_stein.__file__).parent
+
+
+def test_cli_loads_neither_quadrature_nor_interpolation():
+    # the package's numbers need neither scipy's adaptive quadrature nor
+    # its interpolators; a fresh interpreter shows what importing the CLI
+    # loads
+    code = ("import sys, levy_stein.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.interpolate') if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_all_exports_resolve():
@@ -96,7 +115,8 @@ def test_no_quadrature_config_where_no_quadrature_runs():
         "neg_tilt": [levy_stein.nu_rule, levy_stein.eta_rule],
     }
     # the fixed rules, the estimators built on them and the cdfs set no
-    # tolerance: only the integrate_levy oracle and mean_levy take a cfg
+    # tolerance: only the test suite's quadrature oracle (quad_oracle's
+    # integrate_levy and mean_levy) takes a cfg
     dropped["cfg"] += [
         levy_stein.nu_rule, levy_stein.eta_rule, identities._nu_inner,
         levy_stein.cov_identity_rhs, levy_stein.stein_residual_cgmy,
@@ -111,7 +131,7 @@ def test_no_quadrature_config_where_no_quadrature_runs():
     # fixed knot count
     dropped["subtract_one"] = [levy_core.exp_moment,
                                levy_stein.TiltedPowerSide.exp_moment]
-    dropped["region"] = [levy_stein.integrate_levy]
+    dropped["region"] = [quad_oracle.integrate_levy]
     dropped["n_knots"] = [dist_catalog.CdfTable]
     kept = [(f.__qualname__, name) for name, fns in dropped.items()
             for f in fns if name in inspect.signature(f).parameters]

@@ -521,8 +521,9 @@ def test_first_order_identity_draws_only_x(sample_spy, monkeypatch):
 
 
 def test_second_order_identity_draws_only_x(sample_spy, monkeypatch):
-    # at n = 2 it reads X_s and the mean of Y_s given X_s, (mu + X_s) / 2
-    # once integrated over s
+    # at n = 2 sin is closed: it reads X alone and averages
+    # Phi_2(z) e^{zX}, with s integrated out through the cumulants of Y_s
+    # under the tilt e^{z X_s}
     _assert_identity_draws_only_x(sample_spy, monkeypatch, 2)
 
 

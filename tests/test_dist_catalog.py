@@ -17,12 +17,13 @@ from scipy.special import betainc, gammainc, gammaincc, gammaincinv
 from levy_stein import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
                         DivergentMoment, Gamma, GammaJumps, InvalidParams,
                         InverseGaussian, Laplace, NonConvergence, Poisson,
-                        QuadratureConfig, TwoSidedExp, ValidationError,
-                        convert_drift, cumulant, integrate_levy, make_spec,
-                        mean_levy, vgd_from_alt, vgd_to_alt)
+                        TwoSidedExp, ValidationError, convert_drift,
+                        cumulant, make_spec, vgd_from_alt, vgd_to_alt)
 from levy_stein import dist_catalog
 from levy_stein.dist_catalog import (VGDAltParams, _cdf_knots, _cdf_range,
                                      _cdf_table, _gamma_diff_cdf, _open_unit)
+
+from quad_oracle import QuadratureConfig, integrate_levy, mean_levy
 
 QCFG = QuadratureConfig()
 
@@ -563,6 +564,43 @@ def test_table_equals_pchip_interpolator(spec, rule):
         warnings.simplefilter("error")
         got = table(np.array([np.nan, -np.inf, np.inf]))
     assert np.isnan(got[0]) and got[1:].tolist() == [0.0, 1.0]
+
+
+# (x, y, first knot's slope): the end slopes hit both shape clamps, to 0
+# where the one-sided formula turns against the end secant and to 3 m0
+# where the secants change sign; the tail step of 1e-320 overflows the
+# harmonic mean of slopes, as in a cdf table's far tail
+@pytest.mark.parametrize("x,y,d0", [
+    ([0.0, 1.0, 3.0], [0.0, 0.5, 2.0], 1.25 / 3.0),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 5.0, 6.0], 0.0),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -9.0, -8.0], 3.0),
+    (np.linspace(0.0, 1.0, 8), [0.0, 0.0, 0.2, 0.2, 0.2, 0.7, 1.0, 1.0], 0.0),
+    (np.linspace(-2.0, 2.0, 9),
+     [0.0, 0.0, 1e-320, 2e-320, 0.3, 0.6, 0.9, 1.0, 1.0], 0.0),
+], ids=["three-knots", "end-slope-to-zero", "end-slope-to-3m0",
+        "flat-runs", "tiny-tail-step"])
+def test_pchip_coefficients_equal_pchip_interpolator(x, y, d0):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):
+        want = PchipInterpolator(x, y).c
+        got = dist_catalog._pchip_coefficients(x, y)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got[2, 0] == d0
+
+
+def test_pchip_coefficients_on_random_grids():
+    # uneven steps down to 1e-300, flat runs and sign changes
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(3, 30))
+        scale = rng.choice([1e-300, 1e-3, 1.0])
+        x = np.cumsum(scale * rng.choice([0.01, 1.0, 9.0], n)
+                      * (rng.random(n) + 0.1))
+        y = scale * np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+        with np.errstate(all="ignore"):
+            want = PchipInterpolator(x, y).c
+            got = dist_catalog._pchip_coefficients(x, y)
+        assert np.array_equal(got, want, equal_nan=True), (x, y)
 
 
 def test_gamma_diff_cdf_needs_beta_zero_on_both_sides():

@@ -167,8 +167,10 @@ def _pair_rhs_order_two(spec, g, mc):
                               enumerate(SWEEP_SPECS)])
 @pytest.mark.parametrize("g", [SIN, SQUARE], ids=lambda g: g.name)
 def test_second_order_x_only_agrees_with_pair(spec, g):
-    # n = 2 draws X alone and uses E[Y_s | X_s] integrated over s; it
-    # estimates what the coupled pair estimates
+    # sin and square have terms, so n = 2 takes the closed route: it draws
+    # X alone and averages Phi_2(z) e^{zX} (its z-derivatives for a term
+    # x^p e^{zx}), with s integrated out through the cumulants of Y_s under
+    # the tilt e^{zX_s}; it estimates what the coupled pair estimates
     x_only = cov_identity_rhs(spec, 2, g, MC_X_ONLY)
     pair = _pair_rhs_order_two(spec, g, MC_PAIR)
     assert_agree(x_only, pair, label=f"{spec.family} n=2 {g.name}")

@@ -13,16 +13,16 @@ from scipy.stats import expon, laplace, uniform
 from levy_stein import (GTSD, AtomicJumps, AtomicMeasure, BiasVariable,
                         CompoundPoisson, DivergentMoment, Gamma, GammaJumps,
                         InvalidParams, InverseGaussian, Laplace, LevyMeasure,
-                        NonConvergence, Poisson, QuadratureConfig,
-                        TailIntegral, TiltedPowerSide, bias_density, cumulant,
-                        esscher_closed, eta, eta_rule, integrate_levy,
-                        nu_rule)
+                        NonConvergence, Poisson, TailIntegral,
+                        TiltedPowerSide, bias_density, cumulant,
+                        esscher_closed, eta, eta_rule, nu_rule)
 from levy_stein import levy_core
 from levy_stein.dist_catalog import BGD, CGMY
 from levy_stein.functions import SIN, SQUARE, make_shift
 from levy_stein.levy_core import closed_inner, closed_sq_diff, exp_moment
 
 from conftest import rel_err
+from quad_oracle import QuadratureConfig, integrate_levy
 from test_dist_catalog import ALL_SPECS
 
 QCFG = QuadratureConfig()
