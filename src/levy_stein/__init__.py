@@ -20,8 +20,9 @@ from .errors import (AtomicMeasure, DivergentMoment, InvalidParams,
 from .functions import (G_REGISTRY, W_REGISTRY, TestFunction, get_function,
                         make_exp_tilt, make_shift)
 from .identities import (JointPairSampler, cov_first_order, cov_identity_rhs,
-                         cov_oracle, sample_joint, stein_residual_bgd,
-                         stein_residual_cgmy, stein_residual_vgd)
+                         cov_oracle, sample_joint, stein_residual,
+                         stein_residual_bgd, stein_residual_cgmy,
+                         stein_residual_vgd)
 from .levy_core import (BiasVariable, LevyMeasure, TailIntegral,
                         TiltedPowerSide, bias_density, cumulant, eta,
                         eta_rule, nu_rule)
@@ -49,8 +50,8 @@ __all__ = [
     "combine_se",
     # identities
     "JointPairSampler", "sample_joint", "cov_identity_rhs", "cov_first_order",
-    "cov_oracle", "stein_residual_cgmy", "stein_residual_vgd",
-    "stein_residual_bgd",
+    "cov_oracle", "stein_residual", "stein_residual_cgmy",
+    "stein_residual_vgd", "stein_residual_bgd",
     # bounds
     "VarianceBounds", "cacoullos_bounds", "chen_upper_bound",
     "posterior_bounds_gamma", "posterior_bounds_poisson",

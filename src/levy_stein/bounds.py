@@ -5,7 +5,8 @@ The bracket is
 
     Var(X) (E[g'(X + Y_1)])^2  <=  Var(g(X))  <=  Var(X) E[(g'(X + Y_1))^2],
 
-with Y_1 the first-order bias variable of the Lévy measure. Lower and upper
+with Y_1 the first-order bias variable of the Lévy measure. For polynomial
+g both edges are closed moments of X + Y_1; otherwise lower and upper
 estimates share the same draws of (X, Y_1), so their ordering holds sample
 by sample and the bracket cannot cross from Monte Carlo noise alone.
 
@@ -23,12 +24,14 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .dist_catalog import Gamma, IDDSpec
 from .errors import DivergentMoment, InvalidParams
 from .functions import TestFunction
 from .identities import _check_tilt_headroom
-from .levy_core import BiasVariable, closed_sq_diff, nu_rule
+from .levy_core import (BiasVariable, closed_sq_diff, cumulant,
+                        moments_from_cumulants, nu_rule)
 from .mc import BOUND, ESTIMATE, ORACLE, MCConfig, MCEstimate, _accumulate, \
     mc_mean, mc_variance
 
@@ -56,26 +59,14 @@ class VarianceBounds:
                 f"variance bounds cross: lower {self.lower} > upper {self.upper}")
 
 
-def _gamma_raw_moment(a: float, b: float, j: int) -> float:
-    """E[X^j] for X ~ Ga(a, b)."""
-    if j == 0:
-        return 1.0
-    return math.exp(math.lgamma(a + j) - math.lgamma(a)) / b**j
-
-
-def _poly_mean(coeffs, moment) -> float:
-    """E[p(X)] for p given lowest-order-first, via a raw-moment oracle."""
-    return sum(c * moment(j) for j, c in enumerate(coeffs))
-
-
-def _poly_square(coeffs):
-    """Coefficients of p(x)^2, lowest order first."""
-    n = len(coeffs)
-    out = [0.0] * (2 * n - 1)
-    for i, ci in enumerate(coeffs):
-        for j, cj in enumerate(coeffs):
-            out[i + j] += ci * cj
-    return tuple(out)
+def _bias_sum_moments(base: IDDSpec, deg: int) -> np.ndarray:
+    """E[(X + Y_1)^j], j = 0..deg: X's raw moments from its cumulants, and
+    E[Y_1^k] = C_{k+2} / ((k + 1) C_2), on every family."""
+    c = [cumulant(base, k) for k in range(1, deg + 3)]  # C_1 .. C_{deg+2}
+    mx = [1.0, *moments_from_cumulants(c[:deg])]
+    my = [c[k + 1] / ((k + 1) * c[1]) for k in range(deg + 1)]
+    return np.array([sum(math.comb(j, i) * mx[i] * my[j - i]
+                         for i in range(j + 1)) for j in range(deg + 1)])
 
 
 def cacoullos_bounds(base: IDDSpec, g: TestFunction,
@@ -83,9 +74,8 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
                      with_oracle: bool = False) -> VarianceBounds:
     """The variance bracket for Var(g(X)).
 
-    Closed form when it is exact, read from the terms of g: affine g on any
-    family (both sides equal (g')^2 Var(X)), and polynomial g on the gamma
-    family, where X + Y_1 is again gamma with the shape bumped by one.
+    Closed form for polynomial g on every family, from the moments of
+    X + Y_1 (`_bias_sum_moments`); for affine g both edges are (g')^2 Var(X).
     Everything else is Monte Carlo with shared draws. A point mass (Var(X)
     = 0) gives the closed bracket [0, 0]. `with_oracle` attaches a direct
     sample-variance estimate of Var(g(X)) from the independent ORACLE
@@ -100,17 +90,12 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
         return VarianceBounds(lower=0.0, upper=0.0, method="closed_form",
                               oracle=oracle)
 
-    if g.d1_poly is not None and len(g.d1_poly) == 1:
-        c = g.d1_poly[0]
-        return VarianceBounds(lower=var * c * c, upper=var * c * c,
-                              method="closed_form", oracle=oracle)
-
-    if g.d1_poly is not None and isinstance(base, Gamma) and base.a > 0:
-        a, b = base.a, base.b
-        mean_d1 = _poly_mean(g.d1_poly, lambda j: _gamma_raw_moment(a + 1, b, j))
-        mean_d1sq = _poly_mean(_poly_square(g.d1_poly),
-                               lambda j: _gamma_raw_moment(a + 1, b, j))
-        return VarianceBounds(lower=var * mean_d1**2, upper=var * mean_d1sq,
+    if g.d1_poly is not None:
+        d1sq = P.polypow(g.d1_poly, 2)
+        moment = _bias_sum_moments(base, len(d1sq) - 1)
+        mean_d1 = float(np.dot(g.d1_poly, moment[:len(g.d1_poly)]))
+        return VarianceBounds(lower=var * (mean_d1 * mean_d1),
+                              upper=var * float(np.dot(d1sq, moment)),
                               method="closed_form", oracle=oracle)
 
     bv = BiasVariable(base.measure, 1)

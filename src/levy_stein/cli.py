@@ -33,13 +33,13 @@ from . import __version__
 from .actuarial import (esscher_closed, generalized_wpcp, gini,
                         gini_variance_scale, modified_variance, wpcp)
 from .bounds import cacoullos_bounds, chen_upper_bound
-from .dist_catalog import BGD, CGMY, VGD, IDDSpec, cdf_route, make_spec
+from .dist_catalog import IDDSpec, cdf_route, make_spec
 from .errors import (InvalidParams, NumericFailure, ParseError,
                      ValidationError, ValidationFailure)
 from .functions import (G_REGISTRY, PARAMS, W_REGISTRY, TestFunction,
                         get_function)
 from .identities import (cov_identity_rhs, cov_oracle, identity_route,
-                         inner_route, stein_residual_bgd, stein_residual_cgmy,
+                         inner_route, stein_residual, stein_residual_bgd,
                          stein_residual_vgd)
 from .levy_core import cumulant
 from .mc import MCConfig, MCEstimate, combine_se
@@ -319,17 +319,15 @@ def _run_stein(spec: TaskSpec):
     g = _task_function(spec.task)
     base = spec.base
     routes = {}
-    if isinstance(base, CGMY):
-        est = stein_residual_cgmy(base, g, spec.mc)
-        routes["stein_residual"] = inner_route(base.measure, g)
-    elif isinstance(base, VGD):
+    # vgd and bgd report the paper's second-order residuals, which need no
+    # inner integral; every other family the triplet's first-order one
+    if base.family == "vgd":
         est = stein_residual_vgd(base, g, spec.mc)
-    elif isinstance(base, BGD):
+    elif base.family == "bgd":
         est = stein_residual_bgd(base, g, spec.mc)
     else:
-        raise ValidationError(
-            "stein task needs family cgmy, vgd or bgd; got "
-            f"{spec.family!r}")
+        est = stein_residual(base, g, spec.mc)
+        routes["stein_residual"] = inner_route(base.measure, g)
     rows = [_est_row("stein_residual", est),
             _z_row(est.value, est.std_error)]
     return rows, [], routes

@@ -52,7 +52,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dist_catalog import BGD, CGMY, VGD, IDDSpec, vgd_to_alt
+from .dist_catalog import BGD, VGD, IDDSpec, convert_drift, vgd_to_alt
 from .errors import DivergentMoment, InvalidParams
 from .functions import TestFunction
 from .levy_core import (BiasVariable, ClosedInner, LevyMeasure,
@@ -68,6 +68,7 @@ __all__ = [
     "inner_route",
     "cov_first_order",
     "cov_oracle",
+    "stein_residual",
     "stein_residual_cgmy",
     "stein_residual_vgd",
     "stein_residual_bgd",
@@ -357,30 +358,33 @@ def cov_oracle(base: IDDSpec, n: int, g: TestFunction,
 # -- Stein-type characterizing residuals ---------------------------------------
 
 
-def stein_residual_cgmy(spec: CGMY, g: TestFunction,
-                        mc: MCConfig = MCConfig()) -> MCEstimate:
-    """E[X g(X) - int u g(X + u) nu(du)] vanishes exactly on the CGMY law.
-
-    The inner integral is closed when g has terms and a fixed nu-rule
-    otherwise, so the residual is a plain mean whose MC error the caller
-    can read off the estimate.
+def stein_residual(spec: IDDSpec, g: TestFunction,
+                   mc: MCConfig = MCConfig()) -> MCEstimate:
+    """E[(X - b) g(X) - int u g(X + u) nu(du)] vanishes exactly on every
+    IDD law, with b its uncompensated drift: b = 0 for CGMY, and Poisson
+    gives Chen's E[X g(X)] = lam E[g(X + 1)]. The inner integral is closed
+    when g has terms and a fixed nu-rule otherwise, so the residual is a
+    plain mean whose MC error the caller can read off the estimate.
     """
-    if not isinstance(spec, CGMY):
-        raise InvalidParams("stein_residual_cgmy expects a CGMY spec")
     _check_tilt_headroom(spec, g)
+    b = convert_drift(spec, "uncompensated")
     inner = _nu_inner(spec.measure, g, 1, subtract=False)
 
     def batch(rng, size):
         x = spec.sample(rng, size)
-        return x * g.f(x) - inner(x)
+        return (x - b) * g.f(x) - inner(x)
 
     return mc_mean(batch, mc)
 
 
+# the CGMY case (b = 0) under its earlier name
+stein_residual_cgmy = stein_residual
+
+
 def stein_residual_vgd(spec: VGD, g: TestFunction,
                        mc: MCConfig = MCConfig()) -> MCEstimate:
-    """Second-order Stein residual, written in the (mu0, sigma2, r, theta)
-    parametrization of `vgd_to_alt`:
+    """The paper's second-order Stein residual for the variance gamma law,
+    written in the (mu0, sigma2, r, theta) parametrization of `vgd_to_alt`:
 
         E[ sigma2 (X-mu0) g'' + (sigma2 r + 2 theta (X-mu0)) g'
            + (r theta - (X-mu0)) g ] = 0.
@@ -402,7 +406,7 @@ def stein_residual_vgd(spec: VGD, g: TestFunction,
 
 def stein_residual_bgd(spec: BGD, g: TestFunction,
                        mc: MCConfig = MCConfig()) -> MCEstimate:
-    """Second-order Stein residual for the bilateral gamma law:
+    """The paper's second-order Stein residual for the bilateral gamma law:
 
         E[ X g'' + ((a+ + a-) - (l+ - l-) X) g'
            + ((a+ l- - a- l+) - l+ l- X) g ] = 0.

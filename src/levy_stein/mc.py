@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Iterator, Tuple
 
 import numpy as np
@@ -34,6 +35,10 @@ class MCConfig:
     batch: int = 10**5  # upper bound on chunk size, see batch_sizes
 
     def __post_init__(self):
+        for name in ("n_samples", "seed", "batch"):
+            value = getattr(self, name)  # bool is an Integral, a float not
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise InvalidParams(f"{name} must be an integer, not {value!r}")
         if self.n_samples < 10**3:
             raise InvalidParams("n_samples must be at least 1e3")
         if self.batch < 1:

@@ -4,7 +4,32 @@ assertion helpers for estimator-vs-truth comparisons."""
 import numpy as np
 import pytest
 
-from levy_stein import MCConfig
+from levy_stein import MCConfig, make_spec
+
+# the base laws of the benchmark's small-sweep workload (perfbench/specs.py
+# BASE), one per catalog entry, as (family, params) documents
+SMALL_SWEEP = {
+    "poisson": ("poisson", {"lam": 2.0}),
+    "cp_gamma": ("compound_poisson", {
+        "rate": 1.5, "jumps": {"kind": "gamma", "a": 2.0, "b": 3.0}}),
+    "cp_atoms": ("compound_poisson", {
+        "rate": 1.2,
+        "jumps": {"kind": "atoms", "atoms": [[1.0, 0.6], [2.0, 0.4]]}}),
+    "gamma": ("gamma", {"a": 2.0, "b": 1.5}),
+    "inverse_gaussian": ("inverse_gaussian", {"alpha": 1.0, "lam": 2.0}),
+    "laplace": ("laplace", {"mu0": 0.5, "delta": 1.0}),
+    "two_sided_exp": ("two_sided_exp", {"a": 1.0, "b": 3.0}),
+    "bgd": ("bgd", {"alpha_pos": 2.0, "lam_pos": 3.0, "alpha_neg": 1.0,
+                    "lam_neg": 4.0}),
+    "vgd": ("vgd", {"mu0": 0.2, "alpha": 1.5, "lam_pos": 3.0,
+                    "lam_neg": 4.0}),
+    "cgmy": ("cgmy", {"alpha": 1.0, "beta": 0.5, "lam_pos": 2.0,
+                      "lam_neg": 3.0}),
+    "gtsd": ("gtsd", {"mu": 0.5, "beta": 0.5, "alpha_pos": 1.0,
+                      "lam_pos": 2.0, "alpha_neg": 0.5, "lam_neg": 3.0}),
+}
+SMALL_SWEEP_SPECS = {entry: make_spec(*doc)
+                     for entry, doc in SMALL_SWEEP.items()}
 
 
 @pytest.fixture

@@ -215,3 +215,46 @@ def test_no_dead_definitions():
     dead = _dead_definitions(*(path.read_text(encoding="utf-8")
                                for path in sorted(SRC.glob("*.py"))))
     assert not dead, f"defined but never referenced: {dead}"
+
+
+def _family_checks(source: str, allowed=frozenset()):
+    """The `isinstance(_, C)` calls with C a catalog family class, as
+    'function: C', outside the functions named in `allowed`."""
+    families = {cls.__name__ for cls in FAMILIES.values()}
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name not in allowed:
+                    visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance"
+                    and len(child.args) == 2):
+                kinds = child.args[1]
+                for kind in getattr(kinds, "elts", [kinds]):
+                    name = getattr(kind, "id", getattr(kind, "attr", None))
+                    if name in families:
+                        found.append(f"{where}: {name}")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_no_dispatch_on_family_classes():
+    # every job is read off the triplet, so only the catalog itself and
+    # the input checks of the paper's family-specific Stein residuals may
+    # test for a family class; the check itself comes first
+    assert _family_checks(
+        "def f(x):\n    return isinstance(x, (int, dc.CGMY))\n"
+        "def g(x):\n    return isinstance(x, VGD)\n",
+        allowed={"g"}) == ["f: CGMY"]
+    allowed = {"stein_residual_vgd", "stein_residual_bgd"}
+    found = {path.name: hits for path in sorted(SRC.glob("*.py"))
+             if path.name != "dist_catalog.py"
+             and (hits := _family_checks(path.read_text(encoding="utf-8"),
+                                         allowed))}
+    assert not found, f"dispatch on a family class: {found}"

@@ -24,7 +24,7 @@ from levy_stein.functions import GAUSS, IDENTITY, SQUARE, make_exp_tilt, \
 from levy_stein.functions import TestFunction as GFunction
 from levy_stein.mc import batch_sizes
 
-from conftest import assert_within_se, rel_err
+from conftest import SMALL_SWEEP_SPECS, assert_within_se, rel_err
 
 # square without its polynomial tag, to force the sampling path
 SQUARE_MC = GFunction(name="square_mc", f=SQUARE.f, d1=SQUARE.d1,
@@ -55,6 +55,21 @@ def test_affine_g_bracket_is_tight(g):
     var = spec.variance()
     assert rel_err(vb.lower, var) < 1e-12
     assert vb.lower == vb.upper
+
+
+MC_BRACKET = MCConfig(n_samples=10**5, seed=43, batch=10**4)
+
+
+@pytest.mark.parametrize("entry", list(SMALL_SWEEP_SPECS))
+def test_polynomial_bracket_closed_on_every_family(entry):
+    # the closed moments of X + Y_1 against the bias-variable draws
+    spec = SMALL_SWEEP_SPECS[entry]
+    vb = cacoullos_bounds(spec, SQUARE)
+    assert vb.method == "closed_form"
+    nb = cacoullos_bounds(spec, SQUARE_MC, MC_BRACKET)
+    assert nb.method == "numeric"
+    assert abs(vb.lower - nb.lower) <= 4 * nb.lower_se, entry
+    assert abs(vb.upper - nb.upper) <= 4 * nb.upper_se, entry
 
 
 # -- sampling path ----------------------------------------------------------------

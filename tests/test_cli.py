@@ -17,6 +17,8 @@ from levy_stein.errors import NonConvergence, ParseError, ValidationError, \
 from levy_stein.functions import G_REGISTRY, PARAMS, W_REGISTRY
 from levy_stein.mc import batch_sizes, substreams
 
+from conftest import SMALL_SWEEP
+
 
 def minimal_doc(**over):
     doc = {
@@ -214,10 +216,17 @@ def test_gini_two_sided_support_warns():
     assert any("not a Lorenz-Gini" in w for w in rep["warnings"])
 
 
-def test_stein_task_needs_supported_family():
-    spec = build_spec(minimal_doc(task={"kind": "stein", "g_name": "sin"}))
-    with pytest.raises(ValidationError, match="cgmy, vgd or bgd"):
-        run_task(spec)
+def test_stein_task_runs_on_every_family(tmp_path, capsysbinary):
+    # the first-order residual comes from the triplet of any family; vgd
+    # and bgd report their second-order one
+    docs = {family: params for family, params in SMALL_SWEEP.values()}
+    assert set(docs) == set(dist_catalog.FAMILIES)
+    codes = {family: main(["run", write_spec(tmp_path, minimal_doc(
+        distribution={"family": family, "params": params},
+        task={"kind": "stein", "g_name": "sin"},
+        mc={"n_samples": 2000, "seed": 1}))])
+        for family, params in docs.items()}
+    assert set(codes.values()) == {0}, codes
 
 
 def test_verify_identity_report():

@@ -27,6 +27,7 @@ from levy_stein import (
     cov_identity_rhs,
     cov_oracle,
     sample_joint,
+    stein_residual,
     stein_residual_bgd,
     stein_residual_cgmy,
     stein_residual_vgd,
@@ -40,7 +41,7 @@ from levy_stein.levy_core import (closed_inner, exp_moment,
                                   moments_from_cumulants)
 from levy_stein.mc import mc_mean
 
-from conftest import assert_agree, assert_within_se
+from conftest import SMALL_SWEEP_SPECS, assert_agree, assert_within_se
 from test_dist_catalog import SAMPLER_IDS, SAMPLER_SPECS
 
 MC_A = MCConfig(n_samples=100_000, seed=51, batch=20_000)
@@ -339,9 +340,25 @@ def test_stein_residual_bgd(mc_medium):
     assert abs(est.z) <= 4.0
 
 
+MC_STEIN = MCConfig(n_samples=10**5, seed=41, batch=10**4)
+
+
+@pytest.mark.parametrize("g", [SIN, SQUARE, GAUSS, LOG1PSQ],
+                         ids=lambda g: g.name)
+@pytest.mark.parametrize("entry", list(SMALL_SWEEP_SPECS))
+def test_stein_residual_vanishes_on_every_family(entry, g):
+    # E[(X - b) g(X)] = E int u g(X + u) nu(du) on every IDD law: a check
+    # of each sampler against its triplet, closed for sin and square and
+    # by the nu-rule (exact over atoms) for gauss and log1psq
+    est = stein_residual(SMALL_SWEEP_SPECS[entry], g, MC_STEIN)
+    assert abs(est.z) <= 4.0, f"{entry}/{g.name}: z = {est.z:.2f}"
+
+
+def test_stein_residual_cgmy_is_the_general_residual():
+    assert stein_residual_cgmy is stein_residual
+
+
 def test_stein_residual_type_checks():
-    with pytest.raises(InvalidParams):
-        stein_residual_cgmy(Gamma(2.0, 1.5), SIN)
     with pytest.raises(InvalidParams):
         stein_residual_bgd(Gamma(2.0, 1.5), SIN)
     with pytest.raises(InvalidParams):

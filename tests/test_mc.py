@@ -43,6 +43,21 @@ def test_mcconfig_rejects(kwargs):
         MCConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["n_samples", "seed", "batch"])
+@pytest.mark.parametrize("value", [1.5, 5000.0, True, "5000", None])
+def test_mcconfig_rejects_non_integers(field, value):
+    # seed=1.5 would run as seed 1, and n_samples=1e5 or batch=100.5 would
+    # fail later inside batch_sizes
+    with pytest.raises(InvalidParams, match=field):
+        MCConfig(**{"n_samples": 10_000, field: value})
+
+
+@pytest.mark.parametrize("field", ["n_samples", "seed", "batch"])
+def test_mcconfig_takes_numpy_integers(field):
+    cfg = MCConfig(**{"n_samples": 10_000, field: np.int64(5000)})
+    assert getattr(cfg, field) == 5000
+
+
 def test_mcestimate_rejects_negative_se():
     with pytest.raises(InvalidParams):
         MCEstimate(value=1.0, std_error=-0.1, n=100)
