@@ -42,7 +42,7 @@ from .identities import (cov_identity_rhs, cov_oracle, identity_route,
                          inner_route, stein_residual, stein_residual_bgd,
                          stein_residual_vgd)
 from .levy_core import cumulant
-from .mc import MCConfig, MCEstimate, combine_se
+from .mc import MCConfig, MCEstimate, combine_se, z_score
 
 TASK_KINDS = ("cumulants", "verify-identity", "bounds", "premium", "gini",
               "stein")
@@ -231,8 +231,7 @@ def _est_row(name: str, est: MCEstimate) -> dict:
 
 
 def _z_row(diff: float, se: float) -> dict:
-    z = diff / se if se > 0 else 0.0
-    return _row("z_score", z, "numeric", se)
+    return _row("z_score", z_score(diff, se), "numeric", se)
 
 
 def _run_cumulants(spec: TaskSpec):
@@ -406,6 +405,11 @@ def _rendered(obj):
     return obj
 
 
+def _csv_number(value) -> str:
+    # a non-finite value arrives rendered as text, 'inf' or 'nan'
+    return value if isinstance(value, str) else f"{value:.12g}"
+
+
 def emit(report: dict, fmt: str) -> bytes:
     """Serialize a report deterministically."""
     if fmt == "json":
@@ -420,8 +424,8 @@ def emit(report: dict, fmt: str) -> bytes:
             se = row["std_error"]
             writer.writerow([
                 row["name"],
-                f"{row['value']:.12g}",
-                "" if se is None else f"{se:.12g}",
+                _csv_number(row["value"]),
+                "" if se is None else _csv_number(se),
                 row["method"],
                 "" if row["n"] is None else row["n"],
             ])

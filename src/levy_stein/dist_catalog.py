@@ -82,16 +82,15 @@ class IDDSpec:
     X^{*s} multiplies by s. `mean`, `variance`, `cf`, `conv_power` and the
     cdf are derived from these here, and every cumulant by
     `levy_core.cumulant`, all exact for every catalog family.
-    `sample_conv(rng, s)` draws one variate of X^{*s_i}, whose triplet is
-    (s_i b, 0, s_i nu), per entry of the array s; it is the hot path of the
-    joint coupling. `sample(rng, size)` is its scalar case
-    `sample_conv(rng, 1.0, size)`: one power s = 1 for all `size` variates,
-    which numpy's samplers take without an array of ones. `cdf_fn` returns a
-    vectorized F: a family's `_closed_cdf`, else the triplet's closed form
-    (`_triplet_cdf`), else a table of knot values (`_cdf_knots`: the COS
-    series when a side has beta > 0, the double-exponential rule of
-    `_gamma_diff_cdf` for two beta = 0 sides); `cdf_route` names the route.
-    `cdf` is F at one point, never the table's interpolant.
+    `sample_conv(rng, s, size)` draws `size` variates of X^{*s}, whose
+    triplet is (s b, 0, s nu), at one power s per call; the coupled pair
+    draws its shares with it. `sample(rng, size)` is its case s = 1.
+    `cdf_fn` returns a vectorized F: a family's `_closed_cdf`, else the
+    triplet's closed form (`_triplet_cdf`), else a table of knot values
+    (`_cdf_knots`: the COS series when a side has beta > 0, the
+    double-exponential rule of `_gamma_diff_cdf` for two beta = 0 sides);
+    `cdf_route` names the route. `cdf` is F at one point, never the table's
+    interpolant.
     """
 
     family: ClassVar[str] = "?"
@@ -142,37 +141,31 @@ class IDDSpec:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.sample_conv(rng, 1.0, size)
 
-    def sample_conv(self, rng: np.random.Generator, s,
-                    size=None) -> np.ndarray:
-        """Exact draws of X^{*s_i}: b s_i plus the jumps of s_i nu, with b
-        the uncompensated drift. An atom (loc, mass) adds loc Poisson(s_i
-        mass); a side with beta = 0 adds Ga(s_i coef, rate); one with
-        beta < 0 (gamma jumps) adds Ga(-beta N, rate) for N ~ Poisson(s_i
-        int nu); the sides with beta > 0 add `_tempered_sums`.
-
-        s is an array with one power per variate, or one power for all
-        `size` variates; numpy's samplers take the scalar parameter as is,
-        and draw the same variates as from an array of equal entries."""
-        s = _as_float_array(s)
-        shape = s.shape if size is None else size
+    def sample_conv(self, rng: np.random.Generator, s: float,
+                    size: int) -> np.ndarray:
+        """`size` exact draws of X^{*s}: b s plus the jumps of s nu, with b
+        the uncompensated drift. An atom (loc, mass) adds loc Poisson(s
+        mass); a side with beta = 0 adds Ga(s coef, rate); one with beta < 0
+        (gamma jumps) adds Ga(-beta N, rate) for N ~ Poisson(s int nu); the
+        sides with beta > 0 add `_tempered_sums`."""
+        s = float(s)
         m = self.measure
-        jumps = np.zeros(shape)
+        jumps = np.zeros(size)
         if m.is_atomic:
             for loc, mass in m.atoms:
-                jumps += loc * rng.poisson(s * mass, shape)
-        # (coef, rate) of the positive and negative sides with beta > 0,
-        # which share one beta in every catalog family
+                jumps += loc * rng.poisson(s * mass, size)
+        # (coef, rate) of the positive and negative sides of s nu with
+        # beta > 0, which share one beta in every catalog family
         stable, beta = [(0.0, 1.0), (0.0, 1.0)], 0.0
         for sign, side in m.sides():
             if side.beta > 0:
-                stable[sign < 0], beta = (side.coef, side.rate), side.beta
+                stable[sign < 0], beta = (s * side.coef, side.rate), side.beta
                 continue
             k = (s * side.coef if side.beta == 0 else
-                 -side.beta * rng.poisson(s * side.moment(0), shape))
-            jumps += sign * rng.gamma(k, 1.0 / side.rate, shape)
+                 -side.beta * rng.poisson(s * side.moment(0), size))
+            jumps += sign * rng.gamma(k, 1.0 / side.rate, size)
         if beta > 0:
-            jumps += _tempered_sums(rng, np.broadcast_to(s, shape), beta,
-                                    *stable)
+            jumps += _tempered_sums(rng, size, beta, *stable)
         return jumps + convert_drift(self, "uncompensated") * s
 
     def params(self) -> dict:
@@ -579,24 +572,18 @@ class InverseGaussian(IDDSpec):
         return LevyMeasure.from_tilted(pos=TiltedPowerSide(self.alpha, 0.5, self.lam))
 
     def _ig_params(self, s=1.0):
-        """(mean, shape) of X^{*s}, elementwise for an array s."""
+        """(mean, shape) of X^{*s}."""
         m = s * self.alpha * math.sqrt(math.pi / self.lam)
         shape = 2.0 * math.pi * (s * self.alpha) ** 2
         return m, shape
 
-    def sample_conv(self, rng, s, size=None):
+    def sample_conv(self, rng, s, size):
         # numpy's Wald sampler: one variate per draw, where the derived
         # sampler would sum several tempered-stable pieces. X^{*0} = 0
         # takes no draw, and numpy rejects a Wald mean of 0.
-        s = _as_float_array(s)
-        shape = s.shape if size is None else size
-        nz = s * self.alpha > 0
-        if nz.all():
-            return rng.wald(*self._ig_params(s), shape)
-        out = np.zeros(shape)
-        nz = np.broadcast_to(nz, shape)
-        out[nz] = rng.wald(*self._ig_params(np.broadcast_to(s, shape)[nz]))
-        return out
+        if s * self.alpha == 0:
+            return np.zeros(size)
+        return rng.wald(*self._ig_params(s), size)
 
     def _closed_cdf(self):
         if self.alpha == 0:
@@ -848,8 +835,8 @@ def vgd_to_alt(spec: VGD) -> VGDAltParams:
 
 # -- tempered stable sampling --------------------------------------------------
 
-# Pieces drawn per round of `_tempered_sums`: its arrays stay this long
-# whatever the coefficients and the number of entries.
+# Candidate pieces drawn per block of `_tempered_sums`: its arrays stay this
+# long whatever the coefficients and the number of draws.
 _PIECE_CHUNK = 1 << 13
 
 
@@ -862,82 +849,72 @@ def _open_unit(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tempered_sums(rng: np.random.Generator, s: np.ndarray, beta: float,
+def _tempered_sums(rng: np.random.Generator, size: int, beta: float,
                    pos: Tuple[float, float],
                    neg: Tuple[float, float]) -> np.ndarray:
-    """Exact draws of P_i - N_i, where P_i and N_i are the (uncompensated)
-    jump sums of the Lévy densities coef s_i u^{-1-beta} e^{-rate u}, u > 0,
+    """`size` exact draws of P - N, where P and N are the (uncompensated)
+    jump sums of the Lévy densities coef u^{-1-beta} e^{-rate u}, u > 0,
     for (coef, rate) = pos and neg, 0 < beta < 1.
 
-    Each side of entry i is a sum of k_i = ceil(m_i) independent pieces,
-    m_i = coef s_i |Gamma(-beta)| rate^beta. A piece is the positive
-    beta-stable variate of Lévy density (coef s_i / k_i) u^{-1-beta},
-    (coef s_i |Gamma(-beta)| / k_i)^{1/beta} S with S from Kanter's
-    representation, kept when an independent Exp(1) is at least rate times
-    it: a kept piece is exactly exponentially tilted, and a piece is kept
-    with probability e^{-m_i / k_i} >= e^{-1} (Kawai & Masuda 2011).
-    Rejected pieces are drawn again until none is left. The work is
-    proportional to the total mass, so it grows like |Gamma(-beta)| ~ 1/beta
-    as beta -> 0 (and like 1/(1 - beta) as beta -> 1).
+    Each side of a draw sums k = ceil(m) pieces, m = coef |Gamma(-beta)|
+    rate^beta. A candidate is the beta-stable piece of Lévy density
+    (coef / k) u^{-1-beta} from Kanter's representation, kept, and then
+    exactly tilted, when an independent Exp(1) is at least rate times it:
+    with probability p = e^{-m/k} >= e^{-1} (Kawai & Masuda 2011). The
+    candidates are i.i.d., so the kept ones in stream order are i.i.d.
+    tilted pieces whichever draw each fills: blocks of candidates sized
+    from p (at most `_PIECE_CHUNK`) cover the pieces still missing but for
+    a shortfall beyond 4 standard deviations, and kept piece j goes to draw
+    j // k. The work grows with m, like 1/beta as beta -> 0 and like
+    1/(1 - beta) as beta -> 1.
     """
-    n = s.size
-    rates = np.array([pos[1], neg[1]])
-    mass = (np.array([pos[0], neg[0]])[:, None] * -gamma_fn(-beta)
-            * rates[:, None] ** beta * s).ravel()
-    k = np.ceil(mass)
-    # log(rate * piece) = log(m/k)/beta + log S (m/k = 1 for no pieces)
-    log_scale = np.log(np.divide(mass, k, out=np.ones_like(mass),
-                                 where=k > 0)) / beta
-    # slot j (side j // n, entry j % n) owns pieces begins[j]..ends[j] - 1
-    ends = np.cumsum(k.astype(np.int64))
-    begins = ends - k.astype(np.int64)
-    n_pieces = int(ends[-1]) if n else 0
     # Kanter: S = [sin(beta U)/sin U] [sin((1-beta) U)/(sin U E)]^power
     power = (1.0 - beta) / beta
     kanter = np.array([1.0, -1.0 / beta, power])
     half_angles = 0.5 * np.pi * np.array([[beta], [1.0], [1.0 - beta]])
-    sums = np.zeros(2 * n)
-    # the rounds share their work arrays: arrays of this size allocated
-    # afresh would be paged in anew every round
-    size = 3 * min(_PIECE_CHUNK, n_pieces)
-    v_buf, x_buf, y_buf = np.empty((3, size))
-    pending = np.empty(0, dtype=np.intp)
-    start = 0
-    # a piece below the smallest double is 0 to working precision
-    with np.errstate(under="ignore"):
-        while pending.size or start < n_pieces:
-            slots = pending
-            if start < n_pieces:  # top the round up with fresh pieces
-                stop = min(n_pieces, start + _PIECE_CHUNK - pending.size)
-                first, last = np.searchsorted(ends, (start, stop - 1),
-                                              side="right")
-                seg = slice(first, last + 1)
-                slots = np.concatenate([pending, np.repeat(
-                    np.arange(first, last + 1), np.minimum(ends[seg], stop)
-                    - np.maximum(begins[seg], start))])
-                start = stop
-            v, x, y = (buf[:3 * slots.size].reshape(3, slots.size)
-                       for buf in (v_buf, x_buf, y_buf))
-            _open_unit(rng, v)
-            # with tau = tan(a/2) at the angles a = beta U, U, (1 - beta) U
-            # for U = pi v[0], tau + 1/tau = 2/sin(a); log S weights the logs
-            # of the three by -kanter, whose sum 0 cancels the 2s
-            np.tan(np.multiply(half_angles, v[0], out=x), out=x)
-            x += np.divide(1.0, x, out=y)
-            np.log(x, out=x)
-            # log E and log E' of the exponentials -log v[1] and -log v[2]
-            log_e = np.log(v[1:], out=v[1:])
-            np.log(np.negative(log_e, out=log_e), out=log_e)
-            t = log_scale[slots] - power * log_e[0] - kanter @ x
-            keep = t <= log_e[1]
-            # capped so that rejected pieces, weighted 0, cannot overflow;
-            # binned over the slots of this round only
-            low = slots.min()
-            kept = np.bincount(slots - low,
-                               np.exp(np.minimum(t, log_e[1])) * keep)
-            sums[low:low + kept.size] += kept
-            pending = slots[~keep]
-    return sums[:n] / rates[0] - sums[n:] / rates[1]
+    # the blocks share their work arrays: arrays allocated afresh would be
+    # paged in anew every block
+    v_buf, x_buf, y_buf = np.empty((3, 3 * _PIECE_CHUNK))
+    out = np.zeros(size)
+    for sign, (coef, rate) in ((1.0, pos), (-1.0, neg)):
+        mass = coef * -gamma_fn(-beta) * rate**beta
+        k = math.ceil(mass)
+        if k == 0:
+            continue
+        # log(rate * piece) = log(m/k)/beta + log S
+        log_scale, keep_p = math.log(mass / k) / beta, math.exp(-mass / k)
+        sums, n_pieces, done = np.zeros(size), size * k, 0
+        # a piece below the smallest double is 0 to working precision
+        with np.errstate(under="ignore"):
+            while done < n_pieces:
+                missing = n_pieces - done
+                b = min(_PIECE_CHUNK, math.ceil(
+                    (missing + 4.0 * math.sqrt(missing)) / keep_p))
+                v, x, y = (buf[:3 * b].reshape(3, b)
+                           for buf in (v_buf, x_buf, y_buf))
+                _open_unit(rng, v)
+                # with tau = tan(a/2) at the angles a = beta U, U,
+                # (1 - beta) U for U = pi v[0], tau + 1/tau = 2/sin(a);
+                # log S weights the logs of the three by -kanter, whose sum
+                # 0 cancels the 2s
+                np.tan(np.multiply(half_angles, v[0], out=x), out=x)
+                x += np.divide(1.0, x, out=y)
+                # E = -log v[1] and E' = -log v[2]; S holds E^-power as it
+                # holds (2/sin((1 - beta) U))^-power, so E joins that row
+                np.log(v[1:], out=v[1:])
+                x[2] *= np.negative(v[1], out=v[1])
+                np.log(x, out=x)
+                t = np.subtract(log_scale, kanter @ x, out=y[0])
+                log_e = np.log(np.negative(v[2], out=v[2]), out=v[2])
+                # kept pieces, their logs at most log E' and so finite
+                kept = np.exp(np.compress(t <= log_e, t)[:missing])
+                first = done // k
+                binned = np.bincount(
+                    np.arange(done, done + kept.size) // k - first, kept)
+                sums[first:first + binned.size] += binned
+                done += kept.size
+        out += sign / rate * sums
+    return out
 
 
 @dataclass(frozen=True)

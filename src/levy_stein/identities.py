@@ -39,8 +39,8 @@ E[Y_s | X_s] = (1 - s) E X + s X_s; integrated over s,
     Cov(X^2, g(X)) = E[ I_2(X) + (E X + X) I_1(X) ].
 
 The coupled pair serves only g without terms at n >= 3 (and the bias route
-by name), with s ~ U(0,1) drawn per sample, which keeps the estimator
-unbiased without any grid.
+by name), drawn at the ceil(n / 2) Gauss-Legendre nodes in s, which are
+exact: the s-integrand has degree at most n - 1 (`JointPairSampler`).
 """
 
 from __future__ import annotations
@@ -78,37 +78,49 @@ __all__ = [
 class JointPairSampler:
     """Draws the coupled pair (X_s, Y_s) with a shared component of weight s.
 
-    s may be a fixed value in [0, 1] or None, in which case each sample gets
-    its own s ~ U(0, 1) (the Monte Carlo form of int_0^1 ... ds). Marginally
-    X_s ~ X and Y_s ~ X for every s; only the dependence varies, from
-    independence at s = 0 to X_s = Y_s at s = 1.
-
-    `cov_identity_rhs` draws it only for g without terms at n >= 3 (and
-    on the bias route asked for by name); otherwise the integral over s is
-    closed and X alone is drawn.
+    Marginally X_s ~ X and Y_s ~ X for every s; only the dependence varies,
+    from independence at s = 0 to X_s = Y_s at s = 1. At a fixed s every
+    entry has that s. With s None the pair stands for int_0^1 ... ds in the
+    order-`order` identity: a batch is split into near-equal shares, one at
+    each of the ceil(order / 2) Gauss-Legendre nodes s_j, weighted so that
+    its mean is sum_j w_j (share mean). That is exact: E[Y_s^k | X_s] is a
+    polynomial of degree at most k in s, so the order-n integrand has
+    degree at most n - 1. `cov_identity_rhs` draws it only for g without
+    terms at n >= 3, and on the bias route asked for by name.
     """
 
-    def __init__(self, base: IDDSpec, s: Optional[float] = None):
+    def __init__(self, base: IDDSpec, s: Optional[float] = None,
+                 order: int = 2):
         if s is not None and not 0.0 <= s <= 1.0:
             raise InvalidParams(f"coupling weight s={s} outside [0, 1]")
+        if order < 1:
+            raise InvalidParams(f"identity order {order} is not positive")
         self.base = base
-        self.s = s
+        if s is None:
+            nodes, weights = np.polynomial.legendre.leggauss((order + 1) // 2)
+            self.nodes, self.weights = 0.5 * (nodes + 1.0), 0.5 * weights
+        else:
+            self.nodes, self.weights = [float(s)], [1.0]
 
     def sample(self, rng: np.random.Generator, size: int):
-        """Returns (x, y, s) arrays of the given size."""
-        if self.s is None:
-            s = rng.random(size)
-        else:
-            s = np.full(size, float(self.s))
-        a = self.base.sample_conv(rng, 1.0 - s)
-        b = self.base.sample_conv(rng, 1.0 - s)
-        c = self.base.sample_conv(rng, s)
-        return a + c, b + c, s
+        """(x, y, w) of the given size, share by share (A, B ~
+        X^{*(1 - s_j)}, C ~ X^{*s_j}), w_j size / (share size) per entry."""
+        k = len(self.nodes)
+        if size < k:
+            raise InvalidParams(
+                f"a batch of {size} cannot cover {k} Gauss-Legendre nodes")
+        parts = []
+        for j, (s, weight) in enumerate(zip(self.nodes, self.weights)):
+            m = size // k + (j < size % k)
+            a, b, c = (self.base.sample_conv(rng, p, m)
+                       for p in (1.0 - s, 1.0 - s, s))
+            parts.append((a + c, b + c, np.full(m, weight * size / m)))
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def sample_joint(base: IDDSpec, rng: np.random.Generator, size: int,
-                 s: Optional[float] = None):
-    return JointPairSampler(base, s).sample(rng, size)
+                 s: Optional[float] = None, order: int = 2):
+    return JointPairSampler(base, s, order).sample(rng, size)
 
 
 def _check_tilt_headroom(base: IDDSpec, g: TestFunction, power: int = 1):
@@ -283,8 +295,9 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
     n <= 2: X_s has the law of X, and at n = 2 the factor Y_s of I_1(X_s)
     is replaced by E[Y_s | X_s] = (1 - s) mu + s X_s integrated over s,
     giving E[I_2(X) + (mu + X) I_1(X)], the pair estimator's conditional
-    mean. Only there, at n >= 3, `JointPairSampler` draws (X_s, Y_s) with
-    s ~ U(0, 1) per sample.
+    mean. Only there, at n >= 3, `JointPairSampler` draws (X_s, Y_s) at
+    the Gauss-Legendre nodes in s; the SE treats its weighted entries as
+    one sample, which can only overstate it.
     """
     if n < 1:
         raise InvalidParams("identity order n must be a positive integer")
@@ -297,7 +310,7 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
         whole = _closed_integrand(base, g.terms, n)
         return mc_mean(lambda rng, size: whole(base.sample(rng, size)), mc)
 
-    pair = JointPairSampler(base)
+    pair = JointPairSampler(base, order=n)
     binom = [math.comb(n, k) for k in range(n)]
 
     if route == "bias":
@@ -319,15 +332,15 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
 
     def batch(rng, size):
         if n > 2:
-            x, y, _ = pair.sample(rng, size)
+            x, y, w = pair.sample(rng, size)
         else:
             # X_s has the law of X; at n = 2, E[Y_s | X_s] integrated over s
-            x = base.sample(rng, size)
+            x, w = base.sample(rng, size), 1.0
             y = 0.5 * (mu + x) if n == 2 else None
         z = inner(rng, n, x)
         for k in range(1, n):
             z += binom[k] * y**k * inner(rng, n - k, x)
-        return z
+        return w * z
 
     est = mc_mean(batch, mc)
     return MCEstimate(scale * est.value, scale * est.std_error, est.n)

@@ -63,10 +63,14 @@ class MCEstimate:
 
     @property
     def z(self) -> float:
-        """Value in SE units; 0 when both value and SE vanish."""
-        if self.std_error == 0.0:
-            return 0.0 if self.value == 0.0 else float("inf")
-        return self.value / self.std_error
+        return z_score(self.value, self.std_error)
+
+
+def z_score(value: float, std_error: float) -> float:
+    """Value in SE units; at SE 0, 0 for a zero value and inf otherwise."""
+    if std_error == 0.0:
+        return 0.0 if value == 0.0 else math.inf
+    return value / std_error
 
 
 # batch-means SEs need several chunks, so cfg.batch acts as a cap on the

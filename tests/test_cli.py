@@ -15,7 +15,7 @@ from levy_stein.cli import (_FIELDS, _PARSE, _RUNNERS, PRINCIPLES,
 from levy_stein.errors import NonConvergence, ParseError, ValidationError, \
     ValidationFailure
 from levy_stein.functions import G_REGISTRY, PARAMS, W_REGISTRY
-from levy_stein.mc import batch_sizes, substreams
+from levy_stein.mc import MCEstimate, batch_sizes, substreams
 
 from conftest import SMALL_SWEEP
 
@@ -413,6 +413,24 @@ def test_main_stein_on_point_mass(tmp_path, capsysbinary, dist):
     rows = {r["name"]: r["value"]
             for r in json.loads(capsysbinary.readouterr().out)["results"]}
     assert rows["stein_residual"] == 0.0 and rows["z_score"] == 0.0
+
+
+@pytest.mark.parametrize("fmt,want", [("json", "inf"), ("csv", "inf")])
+def test_z_row_of_a_gap_at_zero_se_is_inf(tmp_path, capsysbinary,
+                                          monkeypatch, fmt, want):
+    # z reads 0 at SE 0 only when the gap is 0 too (as MCEstimate.z); a
+    # nonzero gap that no error covers is infinitely many SEs away
+    monkeypatch.setattr("levy_stein.cli.stein_residual",
+                        lambda *args: MCEstimate(0.25, 0.0, 2000))
+    doc = minimal_doc(task={"kind": "stein", "g_name": "sin"},
+                      mc={"n_samples": 2000, "seed": 1}, output=fmt)
+    assert main(["run", write_spec(tmp_path, doc)]) == 0
+    out = capsysbinary.readouterr().out.decode()
+    if fmt == "json":
+        rows = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+        assert rows["stein_residual"] == 0.25 and rows["z_score"] == want
+    else:
+        assert out.splitlines()[-1].split(",")[:2] == ["z_score", want]
 
 
 def test_main_gini_with_too_long_cdf_series_exits_numeric(tmp_path,

@@ -19,7 +19,7 @@ from levy_stein import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
                         InverseGaussian, Laplace, NonConvergence, Poisson,
                         TwoSidedExp, ValidationError, convert_drift,
                         cumulant, make_spec, vgd_from_alt, vgd_to_alt)
-from levy_stein import dist_catalog
+from levy_stein import JointPairSampler, dist_catalog
 from levy_stein.dist_catalog import (VGDAltParams, _cdf_knots, _cdf_range,
                                      _cdf_table, _gamma_diff_cdf, _open_unit)
 
@@ -132,19 +132,20 @@ def test_sampler_matches_moments(spec):
 
 @pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=SAMPLER_IDS)
 def test_sample_conv_fractional_power(spec):
-    """A draw of X^{*s} has mean s*mu and variance s*var; X^{*0} is 0."""
+    """At one power s per call X^{*s} has cumulants s C_j: the sample mean
+    and variance are held against s C_1 and s C_2, with SEs from s C_2 and
+    s C_4; X^{*0} is exactly 0."""
     rng = np.random.default_rng(7)
     n = 100_000
-    s = np.full(n + n // 10, 0.35)
-    s[::11] = 0.0
-    x = spec.sample_conv(rng, s)
-    assert np.all(x[s == 0.0] == 0.0)
-    x = x[s > 0.0]
-    mu, var = spec.mean(), spec.variance()
-    assert abs(np.mean(x) - 0.35 * mu) < 5 * math.sqrt(0.35 * var / n) + 1e-9
-    c4 = np.mean((x - 0.35 * mu) ** 4)
-    se_var = math.sqrt(max(c4 - (0.35 * var) ** 2, 0.0) / n)
-    assert abs(np.var(x) - 0.35 * var) < 5 * se_var + 1e-9
+    assert np.all(spec.sample_conv(rng, 0.0, 1_000) == 0.0)
+    c1, c2, c4 = (cumulant(spec, k) for k in (1, 2, 4))
+    for s in (0.25, 0.5, 1.0):
+        x = spec.sample_conv(rng, s, n)
+        assert x.shape == (n,)
+        z_mean = (x.mean() - s * c1) / math.sqrt(s * c2 / n)
+        z_var = ((np.var(x, ddof=1) - s * c2)
+                 / math.sqrt((s * c4 + 2.0 * (s * c2) ** 2) / n))
+        assert abs(z_mean) <= 5.0 and abs(z_var) <= 5.0, (s, z_mean, z_var)
 
 
 # -- the exact tempered-stable sampler ----------------------------------------
@@ -162,6 +163,18 @@ def test_one_sided_half_stable_sampler_is_inverse_gaussian(alpha, lam):
     assert ks.pvalue > 1e-3, f"KS {ks.statistic:.2e}, p {ks.pvalue:.2e}"
 
 
+@pytest.mark.parametrize("alpha,lam", [(1.0, 2.0), (0.3, 0.5), (2.0, 5.0)])
+def test_half_stable_conv_power_is_inverse_gaussian(alpha, lam):
+    # X^{*0.3} of the half-stable GTSD of InverseGaussian(alpha, lam) is
+    # InverseGaussian(0.3 alpha, lam)
+    spec = GTSD(InverseGaussian(alpha, lam).mean(), 0.5, alpha, lam, 0.0, 1.0)
+    m, shape = InverseGaussian(0.3 * alpha, lam)._ig_params()
+    x = spec.sample_conv(np.random.Generator(np.random.Philox(2025)), 0.3,
+                         200_000)
+    ks = stats.kstest(x, stats.invgauss(m / shape, scale=shape).cdf)
+    assert ks.pvalue > 1e-3, f"KS {ks.statistic:.2e}, p {ks.pvalue:.2e}"
+
+
 @given(beta=st.floats(0.05, 0.95), mu=st.floats(-1.0, 1.0),
        alpha_pos=st.floats(0.1, 2.0), alpha_neg=st.floats(0.0, 2.0),
        lam_pos=st.floats(0.5, 5.0), lam_neg=st.floats(0.5, 5.0),
@@ -170,15 +183,18 @@ def test_one_sided_half_stable_sampler_is_inverse_gaussian(alpha, lam):
 def test_sample_conv_matches_mixture_cumulants(beta, mu, alpha_pos,
                                                alpha_neg, lam_pos, lam_neg,
                                                seed):
-    """Given s_i ~ U(0, 1), X_i ~ X^{*s_i} has cumulants s_i C_k; the
-    sample mean and variance are held against s-bar C1 and
-    s-bar C2 + Var(s) C1^2, with SEs from C2..C4."""
+    """Draws at eight powers s_j ~ U(0, 1), one call each and pooled,
+    have cumulants s_i C_k entry by entry; the sample mean and variance
+    are held against s-bar C1 and s-bar C2 + Var(s) C1^2, with SEs from
+    C2..C4."""
     spec = GTSD(mu, beta, alpha_pos, lam_pos, alpha_neg, lam_neg)
     c1, c2, c3, c4 = (cumulant(spec, k) for k in (1, 2, 3, 4))
     rng = np.random.Generator(np.random.Philox(seed))
-    n = 20_000
-    s = rng.random(n)
-    x = spec.sample_conv(rng, s)
+    n, calls = 20_000, 8
+    powers = rng.random(calls)
+    s = np.repeat(powers, n // calls)
+    x = np.concatenate([spec.sample_conv(rng, p, n // calls)
+                        for p in powers])
     assert np.all(np.isfinite(x))
     z_mean = (x.mean() - s.mean() * c1) / math.sqrt(s.mean() * c2 / n)
     d = c1 * (s - s.mean())
@@ -190,30 +206,37 @@ def test_sample_conv_matches_mixture_cumulants(beta, mu, alpha_pos,
 
 
 def test_tempered_sample_conv_is_deterministic():
-    # about 1.4e5 pieces: several rounds of the chunked loop
+    # about 9e4 pieces a side: many blocks of the pooled loop
     spec = CGMY(5.0, 0.5, 2.0, 3.0)
-    s = np.random.default_rng(1).random(5_000)
-    a = spec.sample_conv(np.random.Generator(np.random.Philox(9)), s)
-    b = spec.sample_conv(np.random.Generator(np.random.Philox(9)), s)
+    a = spec.sample_conv(np.random.Generator(np.random.Philox(9)), 0.7, 5_000)
+    b = spec.sample_conv(np.random.Generator(np.random.Philox(9)), 0.7, 5_000)
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=SAMPLER_IDS)
 @pytest.mark.parametrize("seed", [3, 41])
 def test_scalar_power_draws_as_array_power(spec, seed):
-    # sample is sample_conv's scalar case s = 1; numpy's samplers draw the
-    # same variates from a scalar parameter as from an array of equal
-    # entries, so every scalar power matches its array form bit for bit
-    n = 2_000
+    # the pair's batch carries an array of powers, the Gauss-Legendre node
+    # of each entry's share; it is drawn share by share at one scalar power
+    # per call (A, B ~ X^{*(1 - s_j)}, then C ~ X^{*s_j}), so scalar calls
+    # replay it bit for bit. sample is sample_conv's case s = 1
+    n = 2_001  # shares of 1001 and 1000 at the two nodes of order 4
 
     def rng():
         return np.random.Generator(np.random.Philox(seed))
 
     assert np.array_equal(spec.sample(rng(), n),
-                          spec.sample_conv(rng(), np.ones(n)))
-    for s in (0.35, 0.0):
-        assert np.array_equal(spec.sample_conv(rng(), s, n),
-                              spec.sample_conv(rng(), np.full(n, s))), s
+                          spec.sample_conv(rng(), 1.0, n))
+    pair = JointPairSampler(spec, order=4)
+    x, y, w = pair.sample(rng(), n)
+    r, lo = rng(), 0
+    for s, weight, m in zip(pair.nodes, pair.weights, (1001, 1000)):
+        a, b = (spec.sample_conv(r, 1.0 - s, m) for _ in range(2))
+        c = spec.sample_conv(r, s, m)
+        assert np.array_equal(x[lo:lo + m], a + c)
+        assert np.array_equal(y[lo:lo + m], b + c)
+        assert np.all(w[lo:lo + m] == weight * n / m)
+        lo += m
 
 
 def test_open_unit_excludes_both_ends():
@@ -231,6 +254,24 @@ def test_tempered_sampler_finite_at_beta_ends(beta):
     with np.errstate(all="raise"):
         x = CGMY(1.0, beta, 2.0, 3.0).sample(rng, 10**5)
     assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("size", [125, 800])
+def test_tempered_sampler_takes_few_blocks(monkeypatch, size):
+    # every piece of a side is kept with one probability, so blocks sized
+    # from it keep the side's pieces in two or three draws of candidates
+    calls = []
+    real = dist_catalog._open_unit
+
+    def counted(rng, out):
+        calls.append(out.shape)
+        return real(rng, out)
+
+    monkeypatch.setattr(dist_catalog, "_open_unit", counted)
+    x = CGMY(1.0, 0.5, 2.0, 3.0).sample(
+        np.random.Generator(np.random.Philox(5)), size)
+    assert np.all(np.isfinite(x))
+    assert len(calls) <= 6, calls  # at most 3 a side
 
 
 def test_tempered_sampler_memory_is_bounded():

@@ -2,9 +2,12 @@
 covariances, the coupled pair, and the Stein residuals."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from levy_stein import (
     BGD,
@@ -41,8 +44,13 @@ from levy_stein.levy_core import (closed_inner, exp_moment,
                                   moments_from_cumulants)
 from levy_stein.mc import mc_mean
 
-from conftest import SMALL_SWEEP_SPECS, assert_agree, assert_within_se
+from conftest import (SMALL_SWEEP, SMALL_SWEEP_SPECS, assert_agree,
+                      assert_within_se)
 from test_dist_catalog import SAMPLER_IDS, SAMPLER_SPECS
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+from reference import Reference  # noqa: E402
 
 MC_A = MCConfig(n_samples=100_000, seed=51, batch=20_000)
 MC_B = MCConfig(n_samples=100_000, seed=52, batch=20_000)  # independent stream
@@ -152,13 +160,14 @@ MC_PAIR = MCConfig(n_samples=40_000, seed=82, batch=5_000)
 
 
 def _pair_rhs_order_two(spec, g, mc):
-    """The order-2 right-hand side from the coupled pair, s ~ U(0, 1) per
-    sample: the mean of I_2(X_s) + 2 Y_s I_1(X_s)."""
+    """The order-2 right-hand side from the coupled pair at the midpoint
+    s = 1/2, the one Gauss-Legendre node of order 2: the mean of
+    I_2(X_s) + 2 Y_s I_1(X_s)."""
     i1, i2 = (closed_inner(spec.measure, g.terms, m) for m in (1, 2))
 
     def batch(rng, size):
-        x, y, _ = sample_joint(spec, rng, size)
-        return i2(x) + 2.0 * y * i1(x)
+        x, y, w = sample_joint(spec, rng, size, order=2)
+        return w * (i2(x) + 2.0 * y * i1(x))
 
     return mc_mean(batch, mc)
 
@@ -183,13 +192,14 @@ MC_PAIR_3 = MCConfig(n_samples=40_000, seed=92, batch=5_000)
 
 
 def _pair_rhs_order_three(spec, g, mc):
-    """The order-3 right-hand side from the coupled pair, s ~ U(0, 1) per
-    sample: the mean of I_3(X_s) + 3 Y_s I_2(X_s) + 3 Y_s^2 I_1(X_s)."""
+    """The order-3 right-hand side from the coupled pair at the two
+    Gauss-Legendre nodes of order 3: the weighted mean of
+    I_3(X_s) + 3 Y_s I_2(X_s) + 3 Y_s^2 I_1(X_s)."""
     i1, i2, i3 = (closed_inner(spec.measure, g.terms, m) for m in (1, 2, 3))
 
     def batch(rng, size):
-        x, y, _ = sample_joint(spec, rng, size)
-        return i3(x) + 3.0 * y * i2(x) + 3.0 * y**2 * i1(x)
+        x, y, w = sample_joint(spec, rng, size, order=3)
+        return w * (i3(x) + 3.0 * y * i2(x) + 3.0 * y**2 * i1(x))
 
     return mc_mean(batch, mc)
 
@@ -270,9 +280,9 @@ def test_identity_deterministic(mc_small):
 
 def test_joint_pair_s_one_is_diagonal():
     rng = np.random.default_rng(3)
-    x, y, s = sample_joint(Gamma(2.0, 1.5), rng, 5_000, s=1.0)
+    x, y, w = sample_joint(Gamma(2.0, 1.5), rng, 5_000, s=1.0)
     assert np.array_equal(x, y)
-    assert np.all(s == 1.0)
+    assert np.all(w == 1.0)
 
 
 def test_joint_pair_s_zero_is_independent():
@@ -315,11 +325,114 @@ def test_joint_pair_bridge_mean(spec, s):
     assert abs(np.mean(r)) <= 4.0 * np.std(r, ddof=1) / math.sqrt(r.size)
 
 
+def _fit_degree(f, degree):
+    """Largest residual of the least-squares polynomial of `degree` through
+    f at nine nodes in (0, 1), relative to max |f|."""
+    s = (np.arange(9) + 0.5) / 9
+    vals = np.array([f(v) for v in s])
+    fit = np.polynomial.polynomial.Polynomial.fit(s, vals, degree)
+    return np.max(np.abs(fit(s) - vals)) / np.max(np.abs(vals))
+
+
+def _y_moment(k, c_moment, b_moment):
+    """E[(B + C)^k] for independent B and C, from their raw moments."""
+    return sum(math.comb(k, j) * c_moment(j) * b_moment(k - j)
+               for j in range(k + 1))
+
+
+def _poisson_y_moment(lam, s, x, k):
+    """E[Y_s^k | X_s = x] for Poisson(lam): X_s = A + C, Y_s = B + C with
+    A, B ~ Poisson((1 - s) lam) and C ~ Poisson(s lam); given X_s = x, C
+    has the pmf of the joint law (binomial thinning), and B is
+    independent of both."""
+    c = np.arange(x + 1)
+    pc = stats.poisson.pmf(c, s * lam) * stats.poisson.pmf(x - c,
+                                                           (1.0 - s) * lam)
+    pc /= pc.sum()
+    b = np.arange(80)
+    pb = stats.poisson.pmf(b, (1.0 - s) * lam)
+    return _y_moment(k, lambda j: pc @ c**j, lambda j: pb @ b**j)
+
+
+@pytest.mark.parametrize("x", [0, 1, 3, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_poisson_pair_conditional_moment_is_polynomial_in_s(x, k):
+    # E[Y_s^k | X_s = x] has degree k in s, so the ceil(n / 2)
+    # Gauss-Legendre nodes of the pair are exact at order n
+    assert _fit_degree(lambda s: _poisson_y_moment(2.0, s, x, k), k) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pair_nodes_integrate_the_s_integrand_exactly(n):
+    # the pair's rule against an adaptive quadrature in s of
+    # E[Y_s^k h(X_s)], k < n, for Poisson(2) and h = log1psq, summed
+    # exactly over x; a rule of the same node count that is not
+    # Gauss-Legendre (the midpoints, say) misses the k = 2 terms
+    lam, xs = 2.0, np.arange(41)
+    px = stats.poisson.pmf(xs, lam) * np.log1p(xs**2.0)
+    pair = JointPairSampler(Poisson(lam), order=n)
+    for k in range(1, n):
+        def f(s):
+            return sum(p * _poisson_y_moment(lam, s, x, k)
+                       for x, p in zip(xs, px))
+
+        exact = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+        rule = sum(w * f(s) for s, w in zip(pair.nodes, pair.weights))
+        assert abs(rule - exact) <= 1e-11 * abs(exact), (k, rule, exact)
+
+
+@pytest.mark.parametrize("x", [0.3, 1.0, 4.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_gamma_pair_conditional_moment_is_polynomial_in_s(x, k):
+    # Gamma(a, rate): given X_s = x, C has density proportional to
+    # f_C(c) f_A(x - c) on (0, x), integrated here; the two gamma densities
+    # Ga(s a, rate) at c and Ga((1 - s) a, rate) at x - c share the factor
+    # e^{-rate x}, which cancels. B ~ Ga((1 - s) a, rate) is independent
+    a, rate = 2.5, 1.5
+
+    def moment(s):
+        def cond(j):
+            # c^j against the weight c^{s a - 1} (x - c)^{(1 - s) a - 1},
+            # whose singular ends the algebraic-weight rule integrates
+            return integrate.quad(lambda c: c**j, 0.0, x, weight="alg",
+                                  wvar=(s * a - 1.0, (1.0 - s) * a - 1.0),
+                                  epsabs=0.0, epsrel=1e-12)[0]
+
+        norm = cond(0)
+        fb = stats.gamma((1.0 - s) * a, scale=1.0 / rate)
+        return _y_moment(k, lambda j: cond(j) / norm, fb.moment)
+
+    assert _fit_degree(moment, k) < 1e-9
+
+
+# seeds and sizes fixed before the first run
+MC_PAIR_REF = MCConfig(n_samples=200_000, seed=97, batch=20_000)
+
+
+@pytest.mark.parametrize("entry", ["poisson", "cp_gamma", "cp_atoms", "gamma",
+                                   "inverse_gaussian"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_gauss_legendre_pair_bias_route_matches_reference(entry, n):
+    # log1psq has no terms, so its bias route at n >= 3 draws the pair at
+    # the Gauss-Legendre nodes; held against the benchmark's reference,
+    # computed from scipy densities and series without the package
+    family, params = SMALL_SWEEP[entry]
+    spec = SMALL_SWEEP_SPECS[entry]
+    est = cov_identity_rhs(spec, n, LOG1PSQ, MC_PAIR_REF, route="bias")
+    truth = Reference(family, params).cov_xn_g(n, "log1psq")
+    assert_within_se(est, truth, label=f"{entry} n={n} log1psq")
+
+
 def test_joint_pair_rejects_bad_s():
     with pytest.raises(InvalidParams):
         JointPairSampler(Gamma(2.0, 1.5), s=1.2)
     with pytest.raises(InvalidParams):
         JointPairSampler(Gamma(2.0, 1.5), s=-0.01)
+    with pytest.raises(InvalidParams):
+        JointPairSampler(Gamma(2.0, 1.5), order=0)
+    with pytest.raises(InvalidParams, match="cannot cover 3"):
+        JointPairSampler(Gamma(2.0, 1.5), order=6).sample(
+            np.random.default_rng(1), 2)
 
 
 # -- Stein residuals --------------------------------------------------------------
