@@ -25,7 +25,7 @@ from .identities import (JointPairSampler, cov_first_order, cov_identity_rhs,
                          stein_residual_vgd)
 from .levy_core import (BiasVariable, LevyMeasure, TailIntegral,
                         TiltedPowerSide, bias_density, cumulant, eta,
-                        eta_rule, nu_rule)
+                        eta_rule, exp_poly_mean, nu_rule)
 from .mc import MCConfig, MCEstimate, combine_se, mc_cov, mc_mean, mc_ratio, mc_variance
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "ValidationError", "NonConvergence", "DivergentMoment",
     # core
     "TiltedPowerSide", "LevyMeasure", "TailIntegral", "eta", "cumulant",
-    "BiasVariable", "bias_density", "nu_rule", "eta_rule",
+    "BiasVariable", "bias_density", "nu_rule", "eta_rule", "exp_poly_mean",
     # catalog
     "IDDSpec", "Poisson", "CompoundPoisson", "AtomicJumps", "GammaJumps",
     "Gamma", "InverseGaussian", "Laplace", "TwoSidedExp", "BGD", "VGD",

@@ -1,34 +1,26 @@
 """Premium principles and the Gini index, computed from the Lévy measure.
 
-The weighted premium of a positive-mean risk X under a weight w is
+The weighted premium H_w^(n)(X) = E[X^n w(X)] / E[w(X)] (n = 1: H_w) is
+closed for every registry weight: each is an exponential polynomial, and
+E[X^q e^{zX}] comes from the cumulants of X under the tilt e^{zX}
+(`levy_core.exp_poly_mean`). With w = e^{kappa x} it is the Esscher premium
+E(X) + Psi_1(kappa), Psi_1(kappa) = int u (e^{kappa u} - 1) nu(du).
 
-    H_w(X) = E[X w(X)] / E[w(X)] = E(X) + Cov(X, w(X)) / E[w(X)],
-
-and the covariance is evaluated through the first-order identity
-Cov(X, w(X)) = E[ int u (w(X+u) - w(X)) nu(du) ], so the premium is read off
-the Lévy measure rather than fitted to the distribution. With w = e^{kappa x}
-this is the Esscher premium, which also has a closed form for every catalog
-family through Psi_1(kappa) = int u (e^{kappa u} - 1) nu(du).
-
-The Gini index admits the same treatment with w replaced by the cdf:
-G = (2/mu) Cov(X, F(X)); `gini` computes it either that way (the covariance
-oracle) or through the Lévy formula with the inner integral against nu.
+The Gini index G = (2/mu) Cov(X, F(X)) is Monte Carlo: `gini` computes it
+through the Lévy formula with the inner integral against nu, or as a plain
+sample covariance (the oracle).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .dist_catalog import IDDSpec
-from .errors import InvalidParams, ZeroDenominator
-from .functions import TestFunction
-from .identities import _check_tilt_headroom, _nu_inner, cov_identity_rhs
-from .levy_core import cumulant, exp_moment, moments_from_cumulants, nu_rule
-from .mc import DENOMINATOR, ORACLE, MCConfig, mc_cov, mc_mean, mc_ratio
+from .errors import DivergentMoment, InvalidParams, ZeroDenominator
+from .functions import ONE, TestFunction
+from .levy_core import exp_moment, exp_poly_mean, nu_rule
+from .mc import ORACLE, MCConfig, mc_cov, mc_mean
 
 __all__ = [
     "PremiumReport",
@@ -42,8 +34,8 @@ __all__ = [
     "raw_moment",
 ]
 
-# tilts are kept strictly inside the convergence strip; at the boundary the
-# premium is infinite and just short of it the MC variance explodes
+# Esscher tilts are kept strictly inside the convergence strip, with a
+# margin: at the boundary the premium is infinite
 TILT_MARGIN = 0.999
 
 
@@ -51,9 +43,7 @@ TILT_MARGIN = 0.999
 class PremiumReport:
     principle: str
     value: float
-    method: str  # 'closed_form' or 'numeric'
-    std_error: Optional[float] = None
-    n: Optional[int] = None
+    method: str  # 'closed_form': every principle is closed, and draws nothing
 
 
 @dataclass(frozen=True)
@@ -71,27 +61,10 @@ def _nonzero_mean(base: IDDSpec) -> float:
     return mu
 
 
-def wpcp(base: IDDSpec, w: TestFunction,
-         mc: MCConfig = MCConfig()) -> PremiumReport:
-    """Weighted premium H_w(X) = E(X) + E[I_1^w(X)] / E[w(X)], Monte Carlo.
-
-    I_1^w(x) = int u (w(x+u) - w(x)) nu(du) is closed when w has terms and
-    a fixed rule otherwise (exact for atomic measures), so each sample
-    contributes a deterministic inner value; only the outer expectation is
-    sampled. For w = e^{kappa x} the closed I_1^w(x) is w(x) Psi_1(kappa),
-    so every sample's ratio is the Esscher shift of `esscher_closed`.
-    """
-    _check_tilt_headroom(base, w)
-    mean = base.mean()
-    inner = _nu_inner(base.measure, w, 1)
-
-    def batch(rng, size):
-        x = base.sample(rng, size)
-        return inner(x), w.f(x)
-
-    est = mc_ratio(batch, mc)
-    return PremiumReport(principle=f"wpcp({w.name})", value=mean + est.value,
-                         method="numeric", std_error=est.std_error, n=est.n)
+def wpcp(base: IDDSpec, w: TestFunction) -> PremiumReport:
+    """Weighted premium H_w(X) = E[X w(X)] / E[w(X)]: `generalized_wpcp` at
+    n = 1. For w = e^{kappa x} it is the Esscher premium."""
+    return replace(generalized_wpcp(base, 1, w), principle=f"wpcp({w.name})")
 
 
 def esscher_closed(base: IDDSpec, kappa: float) -> PremiumReport:
@@ -122,36 +95,29 @@ def modified_variance(base: IDDSpec) -> PremiumReport:
 
 
 def raw_moment(base: IDDSpec, n: int) -> float:
-    """E[X^n] from the cumulants via the standard recursion
-    m_j = sum_i C(j-1, i-1) c_i m_{j-i} (`moments_from_cumulants`)."""
+    """E[X^n] from the cumulants: `exp_poly_mean` of the weight one, that is
+    the complete Bell polynomial of C_1, ..., C_n."""
     if n < 1:
         raise InvalidParams("moment order must be a positive integer")
-    *_, moment = moments_from_cumulants(
-        [cumulant(base, k) for k in range(1, n + 1)])
-    return moment
+    return exp_poly_mean(base, ONE.terms, n)
 
 
-def generalized_wpcp(base: IDDSpec, n: int, w: TestFunction,
-                     mc: MCConfig = MCConfig()) -> PremiumReport:
-    """H_w^(n)(X) = E[X^n w(X)] / E[w(X)] = E[X^n] + Cov(X^n, w(X)) / E[w(X)].
-
-    The covariance comes from the order-n identity, the weight mean from a
-    plain MC mean on the independent DENOMINATOR streams; the SE combines
-    the two by the delta method.
-    """
+def generalized_wpcp(base: IDDSpec, n: int,
+                     w: TestFunction) -> PremiumReport:
+    """H_w^(n)(X) = E[X^n w(X)] / E[w(X)], both means from `exp_poly_mean`."""
     if n < 1:
         raise InvalidParams("premium order n must be a positive integer")
-    cov = cov_identity_rhs(base, n, w, mc)
-    den = mc_mean(lambda rng, m: np.asarray(w.f(base.sample(rng, m)),
-                                            dtype=float), mc, DENOMINATOR)
-    if den.value == 0.0:
+    if not w.terms:
+        raise InvalidParams(f"weight {w.name} is not an exponential "
+                            "polynomial, so its premium has no closed form")
+    den = exp_poly_mean(base, w.terms)
+    if den == 0.0:
         raise ZeroDenominator("weight has zero mean under the risk law")
-    mn = raw_moment(base, n)
-    value = mn + cov.value / den.value
-    se = math.hypot(cov.std_error / den.value,
-                    cov.value * den.std_error / den.value**2)
+    value = exp_poly_mean(base, w.terms, n) / den
+    if not math.isfinite(value):
+        raise DivergentMoment("premium overflows the range of a double")
     return PremiumReport(principle=f"generalized_wpcp(n={n}, {w.name})",
-                         value=value, method="numeric", std_error=se, n=cov.n)
+                         value=value, method="closed_form")
 
 
 def gini(base: IDDSpec, mc: MCConfig = MCConfig(),

@@ -272,21 +272,15 @@ def _run_bounds(spec: TaskSpec):
 def _run_premium(spec: TaskSpec):
     task = spec.task
     principle = task["principle"]
-    routes = {}
     if principle == "esscher":
         rep = esscher_closed(spec.base, task["kappa"])
     elif principle == "wpcp":
-        w = _task_function(task)
-        rep = wpcp(spec.base, w, spec.mc)
-        routes[rep.principle] = inner_route(spec.base.measure, w)
+        rep = wpcp(spec.base, _task_function(task))
     elif principle == "modified_variance":
         rep = modified_variance(spec.base)
     else:
-        w = _task_function(task)
-        rep = generalized_wpcp(spec.base, task["n"], w, spec.mc)
-        routes[rep.principle] = identity_route(spec.base, task["n"], w)
-    rows = [_row(rep.principle, rep.value, rep.method, rep.std_error, rep.n)]
-    return rows, [], routes
+        rep = generalized_wpcp(spec.base, task["n"], _task_function(task))
+    return [_row(rep.principle, rep.value, rep.method)], [], {}
 
 
 def _run_gini(spec: TaskSpec):

@@ -59,6 +59,7 @@ __all__ = [
     "nu_rule",
     "eta_rule",
     "exp_moment",
+    "exp_poly_mean",
     "closed_inner",
     "closed_sq_diff",
     "eval_terms",
@@ -652,6 +653,43 @@ def exp_moment(measure: LevyMeasure, m: int, z) -> np.ndarray:
         return out
     return sum(sign**m * side.exp_moment(m, sign * z)
                for sign, side in measure.sides())
+
+
+def exp_poly_mean(spec, terms, n: int = 0) -> float:
+    """E[X^n g(X)] for g = Re sum of terms (a, p, z), in closed form.
+
+    Under the tilt e^{zX}, X has cumulants kappa_1(z) = E X + Psi_1(z) and
+    kappa_j(z) = C_j + Psi_j(z), so E[X^q e^{zX}] = M(z) B_q(kappa_1(z), ...,
+    kappa_q(z)), with M(z) = E[e^{zX}] = exp(z b + Psi_0(z)), b the
+    uncompensated drift and B_q the complete Bell polynomial
+    (`moments_from_cumulants`): one recursion per distinct z. A z beyond a
+    Lévy decay rate, or a value beyond the range of a double, raises
+    DivergentMoment.
+    """
+    from .dist_catalog import convert_drift  # dist_catalog imports this module
+
+    if n < 0:
+        raise InvalidParams("moment order must be a nonnegative integer")
+    by_z = defaultdict(list)
+    for a, p, z in terms:
+        by_z[complex(z)].append((complex(a), n + p))
+    measure, value = spec.measure, 0j
+    try:
+        with np.errstate(all="ignore"):
+            for z, parts in by_z.items():
+                psi = [complex(exp_moment(measure, j, z))
+                       for j in range(max(q for _, q in parts) + 1)]
+                bell = [1.0, *moments_from_cumulants([
+                    psi[j] + (spec.mean() if j == 1 else measure.moment(j))
+                    for j in range(1, len(psi))])]
+                value += (np.exp(z * convert_drift(spec, "uncompensated")
+                                 + psi[0]) * sum(a * bell[q] for a, q in parts))
+    except OverflowError:  # C(q - 1, i - 1) beyond the range of a double
+        value = math.inf
+    if not np.isfinite(value):
+        raise DivergentMoment(
+            f"E[X^{n} g(X)] of order {n} overflows the range of a double")
+    return float(value.real)
 
 
 @dataclass(frozen=True)

@@ -70,12 +70,12 @@ def test_criterion_2_esscher_closed_vs_wpcp():
     for spec, kappa, h in ESSCHER_CASES:
         closed = esscher_closed(spec, kappa)
         assert rel_err(closed.value, h(kappa)) < 1e-12, spec.family
-        numeric = wpcp(spec, make_exp_tilt(kappa), MC_FULL)
-        # the tilt factorizes out of the inner integral, so the numeric
-        # path is nearly deterministic; keep a roundoff floor beside the SE
-        tol = 4.0 * numeric.std_error + 1e-9 * abs(closed.value)
-        assert abs(numeric.value - closed.value) <= tol, (
-            f"{spec.family}: wpcp {numeric.value} vs closed {closed.value}")
+        # E[X e^{kappa X}] / E[e^{kappa X}] from the tilted cumulants is
+        # the same premium by a second closed route
+        weighted = wpcp(spec, make_exp_tilt(kappa))
+        assert weighted.method == "closed_form", spec.family
+        assert rel_err(weighted.value, closed.value) < 1e-12, (
+            f"{spec.family}: wpcp {weighted.value} vs closed {closed.value}")
 
 
 def test_criterion_3_bias_density_identifications():

@@ -1,34 +1,43 @@
 """Premium principles and the Gini index."""
 
 import math
+from functools import partial
 
-import numpy as np
 import pytest
 
 from levy_stein import (
     BGD,
     CGMY,
     GTSD,
+    W_REGISTRY,
     CompoundPoisson,
+    DivergentMoment,
     Gamma,
     GammaJumps,
+    IDDSpec,
     InvalidParams,
     InverseGaussian,
+    Laplace,
     MCConfig,
+    MCEstimate,
     Poisson,
     ZeroDenominator,
+    cov_identity_rhs,
     esscher_closed,
     generalized_wpcp,
+    get_function,
     gini,
     gini_variance_scale,
     modified_variance,
     raw_moment,
     wpcp,
 )
-from levy_stein.functions import ONE, make_exp_tilt, make_shift
-from levy_stein.mc import batch_sizes, substreams
+from levy_stein.functions import (GAUSS, ONE, PARAMS, make_exp_tilt,
+                                  make_shift)
+from levy_stein.levy_core import exp_poly_mean
 
-from conftest import assert_agree, assert_within_se, rel_err
+from conftest import (SMALL_SWEEP_SPECS, assert_agree, assert_within_se,
+                      rel_err)
 
 
 # -- Esscher, closed ------------------------------------------------------------
@@ -79,81 +88,138 @@ def test_esscher_continuous_at_zero():
 # -- weighted premiums ------------------------------------------------------------
 
 
-def test_wpcp_unit_weight_is_mean(mc_small):
+def test_wpcp_unit_weight_is_mean():
     spec = Gamma(2.0, 1.5)
-    rep = wpcp(spec, ONE, mc_small)
-    # delta-w quadrature cancels to roundoff, not to exact zero
-    assert abs(rep.value - spec.mean()) < 1e-12
-    assert rep.std_error < 1e-12
+    rep = wpcp(spec, ONE)
+    # E[X * 1] / E[1] is the first Bell moment, C_1 itself
+    assert rep.value == spec.mean()
+    assert rep.method == "closed_form"
 
 
-def test_wpcp_shift_weight(mc_medium):
+def test_wpcp_shift_weight():
     # H = E[X(X+c)] / E[X+c] = (m2 + c m1) / (m1 + c)
-    rep = wpcp(Gamma(2.0, 1.0), make_shift(1.0), mc_medium)
-    assert_within_se(rep, 8.0 / 3.0, floor=1e-9, label="wpcp shift")
+    rep = wpcp(Gamma(2.0, 1.0), make_shift(1.0))
+    assert rel_err(rep.value, 8.0 / 3.0) < 1e-12
 
 
-def test_wpcp_esscher_weight_matches_closed(mc_medium):
+def test_wpcp_esscher_weight_matches_closed():
     spec = Gamma(2.0, 1.0)
-    rep = wpcp(spec, make_exp_tilt(0.3), mc_medium)
+    rep = wpcp(spec, make_exp_tilt(0.3))
     closed = esscher_closed(spec, 0.3)
-    assert_within_se(rep, closed.value, floor=1e-9, label="wpcp vs esscher")
+    assert rel_err(rep.value, closed.value) < 1e-12
 
 
 @pytest.mark.parametrize("spec,kappa", [
     (Gamma(2.0, 1.5), 0.5), (InverseGaussian(1.0, 2.0), 0.5),
     (CGMY(1.0, 0.5, 2.0, 3.0), 0.5), (GTSD(0.5, 0.5, 1.0, 2.0, 0.5, 3.0), 0.5),
 ], ids=lambda v: getattr(v, "family", str(v)))
-def test_wpcp_esscher_weight_is_the_closed_premium(spec, kappa, mc_small):
-    # the closed inner integral of e^{kappa x} is e^{kappa x} Psi_1(kappa),
-    # so every sample's ratio is the Esscher shift itself, to roundoff
-    rep = wpcp(spec, make_exp_tilt(kappa), mc_small)
+def test_wpcp_esscher_weight_is_the_closed_premium(spec, kappa):
+    # E[X e^{kappa X}] / E[e^{kappa X}] is kappa_1(kappa) = E X + Psi_1(kappa)
+    rep = wpcp(spec, make_exp_tilt(kappa))
     closed = esscher_closed(spec, kappa)
     assert rel_err(rep.value, closed.value) < 1e-13
-    # still reported as the Monte Carlo row it is
-    assert rep.method == "numeric" and rep.n == mc_small.n_samples
+    assert rep.method == "closed_form"
 
 
-def test_wpcp_loading_nonnegative(mc_medium):
+def test_wpcp_loading_nonnegative():
     # increasing weights load the premium above the mean
     spec = Gamma(2.0, 1.0)
-    assert wpcp(spec, make_exp_tilt(0.3), mc_medium).value > spec.mean()
-    assert wpcp(spec, make_shift(0.5), mc_medium).value > spec.mean()
+    assert wpcp(spec, make_exp_tilt(0.3)).value > spec.mean()
+    assert wpcp(spec, make_shift(0.5)).value > spec.mean()
 
 
-def test_generalized_wpcp_order_two(mc_medium):
+def test_generalized_wpcp_order_two():
     # n = 2, w = x + 1 on Ga(2, 1): (m3 + m2) / (m1 + 1) = 30 / 3
-    rep = generalized_wpcp(Gamma(2.0, 1.0), 2, make_shift(1.0), mc_medium)
-    assert_within_se(rep, 10.0, floor=1e-9, label="generalized n=2")
+    rep = generalized_wpcp(Gamma(2.0, 1.0), 2, make_shift(1.0))
+    assert rel_err(rep.value, 10.0) < 1e-12
+    assert rep.method == "closed_form"
 
 
-def test_generalized_wpcp_reduces_to_wpcp(mc_medium):
+def test_generalized_wpcp_reduces_to_wpcp():
     spec = Gamma(2.0, 1.0)
     w = make_shift(1.0)
-    a = generalized_wpcp(spec, 1, w, mc_medium)
-    b = wpcp(spec, w, MCConfig(n_samples=100_000, seed=52, batch=20_000))
-    assert_agree(a, b, floor=1e-9, label="generalized n=1 vs wpcp")
+    assert generalized_wpcp(spec, 1, w).value == wpcp(spec, w).value
 
 
-def test_generalized_wpcp_denominator_draws_its_own_streams(sample_spy,
-                                                           mc_small):
-    # at n = 2 the numerator draws X through sample, one call per batch, so
-    # the denominator's first draw is the first recorded after the
-    # numerator's batches
-    draws = sample_spy(Gamma)
-    spec = Gamma(2.0, 1.0)
-    generalized_wpcp(spec, 2, make_shift(1.0), mc_small)
-    n_batches = len(list(batch_sizes(mc_small)))
-    estimate_first = spec.sample(next(substreams(mc_small)),
-                                 next(batch_sizes(mc_small)))
-    assert np.array_equal(draws[0], estimate_first)
-    den_first = draws[n_batches]
-    assert not np.array_equal(den_first, estimate_first)
+def test_premiums_draw_nothing(sample_spy, monkeypatch):
+    # both premiums are closed on every catalog family and weight: no
+    # variate is drawn, neither by sample nor by sample_conv
+    draws = sample_spy(IDDSpec)
+
+    def no_draw(self, rng, s, size):
+        raise AssertionError(f"{self.family} drew variates")
+
+    for cls in (IDDSpec, InverseGaussian):
+        monkeypatch.setattr(cls, "sample_conv", no_draw)
+    for spec in SMALL_SWEEP_SPECS.values():
+        for name in W_REGISTRY:
+            w = get_function(name, **{p: 0.3 for p in PARAMS[name]})
+            reps = [wpcp(spec, w), generalized_wpcp(spec, 2, w)]
+            assert {r.method for r in reps} == {"closed_form"}
+    assert draws == []
+
+
+def test_premium_weight_without_terms():
+    for premium in (wpcp, partial(generalized_wpcp, n=2)):
+        with pytest.raises(InvalidParams, match="exponential polynomial"):
+            premium(Gamma(2.0, 1.0), w=GAUSS)
+
+
+def test_premium_zero_weight_mean():
+    # E[X + 1] = 0 under La(-1, 1)
+    spec = Laplace(-1.0, 1.0)
+    for premium in (wpcp, partial(generalized_wpcp, n=2)):
+        with pytest.raises(ZeroDenominator):
+            premium(spec, w=make_shift(1.0))
+
+
+def test_premium_overflow_names_the_order():
+    # X^400 e^{0.3 X} under Poisson(2) has no double value: raised, not inf
+    with pytest.raises(DivergentMoment, match="of order 400"):
+        generalized_wpcp(Poisson(2.0), 400, make_exp_tilt(0.3))
+    with pytest.raises(DivergentMoment, match="of order 400"):
+        raw_moment(Poisson(2.0), 400)
+    # both means finite, E[X + c] subnormal: the ratio leaves the range
+    with pytest.raises(DivergentMoment, match="premium overflows"):
+        wpcp(Laplace(-1e-300 + 1e-315, 1.0), make_shift(1e-300))
 
 
 def test_generalized_wpcp_order_validation():
     with pytest.raises(InvalidParams):
         generalized_wpcp(Gamma(2.0, 1.0), 0, make_shift(1.0))
+
+
+PREMIUM_WEIGHTS = [make_shift(1.0), make_exp_tilt(0.3)]
+
+
+@pytest.mark.parametrize("w", PREMIUM_WEIGHTS, ids=lambda w: w.name)
+@pytest.mark.parametrize("entry", sorted(SMALL_SWEEP_SPECS))
+def test_premium_is_the_identity_premium(entry, w):
+    # E[X^n w] / E[w] = E[X^n] + Cov(X^n, w(X)) / E[w], the covariance from
+    # the order-n identity, within 4 of its SEs; for w = x + 1 at n <= 2 the
+    # identity's integrand is a constant, so its SE is roundoff and a
+    # roundoff floor stands beside it
+    spec = SMALL_SWEEP_SPECS[entry]
+    mc = MCConfig(n_samples=20_000, seed=2211, batch=2_500)
+    den = exp_poly_mean(spec, w.terms)
+    for n in (1, 2):
+        rep = generalized_wpcp(spec, n, w)
+        cov = cov_identity_rhs(spec, n, w, mc)
+        assert_within_se(MCEstimate(raw_moment(spec, n) + cov.value / den,
+                                    cov.std_error / abs(den), cov.n),
+                         rep.value, floor=1e-12 * abs(rep.value),
+                         label=f"{entry} n={n} {w.name}")
+
+
+@pytest.mark.parametrize("entry", sorted(SMALL_SWEEP_SPECS))
+def test_wpcp_is_generalized_at_one_and_esscher_under_tilt(entry):
+    spec = SMALL_SWEEP_SPECS[entry]
+    for w in PREMIUM_WEIGHTS:
+        assert rel_err(wpcp(spec, w).value,
+                       generalized_wpcp(spec, 1, w).value) < 1e-12
+    for kappa in (0.3, 0.5):
+        assert rel_err(wpcp(spec, make_exp_tilt(kappa)).value,
+                       esscher_closed(spec, kappa).value) < 1e-12
 
 
 def test_modified_variance_closed():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -466,13 +467,14 @@ def test_main_cumulant_overflow_exits_numeric(tmp_path, capsysbinary, task):
 
 @pytest.mark.parametrize("task", [
     {"kind": "verify-identity", "n": 200, "g_name": "square"},
-    {"kind": "premium", "principle": "generalized_wpcp", "n": 200,
+    {"kind": "premium", "principle": "generalized_wpcp", "n": 400,
      "w_name": "exp_tilt", "kappa": 0.3},
 ], ids=["verify-identity", "generalized_wpcp"])
 def test_main_monte_carlo_overflow_exits_numeric(tmp_path, capsysbinary,
                                                  task):
     # every cumulant of poisson(2) is finite, but X^200 leaves the double
-    # range in the accumulators: exit 3, not a value with SE nan
+    # range in the accumulators, and the closed E[X^400 e^{0.3 X}] leaves
+    # it in the Bell recursion: exit 3, not a value with SE nan or an inf
     doc = minimal_doc(distribution={"family": "poisson",
                                     "params": {"lam": 2.0}},
                       task=task, mc={"n_samples": 2000, "seed": 1})
@@ -581,11 +583,10 @@ TILT = {"w_name": "exp_tilt", "kappa": 0.5}
     (None, {"kind": "bounds", "g_name": "square"},
      {"cacoullos_lower": "closed", "cacoullos_upper": "closed",
       "chen_upper": "closed"}),
-    (CGMY_HALF, {"kind": "premium", "principle": "wpcp", **TILT},
-     {"wpcp(exp_tilt(0.5))": "closed"}),
+    # the premiums are closed sums with no inner integral, as esscher is
+    (CGMY_HALF, {"kind": "premium", "principle": "wpcp", **TILT}, {}),
     (None, {"kind": "premium", "principle": "generalized_wpcp", "n": 2,
-            **TILT},
-     {"generalized_wpcp(n=2, exp_tilt(0.5))": "closed"}),
+            **TILT}, {}),
     (CGMY_HALF, {"kind": "stein", "g_name": "sin"},
      {"stein_residual": "closed"}),
     ({"family": "vgd", "params": {"mu0": 0.2, "alpha": 1.5, "lam_pos": 3.0,
@@ -607,6 +608,27 @@ def test_report_names_inner_routes(dist, task, routes):
     assert json.loads(first)["diagnostics"]["inner_routes"] == routes
     # the routes, like every other field, are byte-identical across runs
     assert emit(run_task(spec), "json") == first
+
+
+@pytest.mark.parametrize("dist,task,want", [
+    # Ga(2, 1): E[X^2 (X + 1)] / E[X + 1] = (24 + 6) / 3
+    (None, {"kind": "premium", "principle": "generalized_wpcp", "n": 2,
+            "w_name": "shift", "c": 1.0}, 10.0),
+    # CGMY(1, 1/2, 2, 3): the Esscher premium, the mean of the tilted law
+    (CGMY_HALF, {"kind": "premium", "principle": "wpcp", **TILT},
+     math.gamma(0.5) * (1.5 ** -0.5 - 3.5 ** -0.5)),
+], ids=["generalized_wpcp", "wpcp"])
+def test_premium_rows_are_closed(dist, task, want):
+    over = {"task": task, "mc": {"n_samples": 2000, "seed": 3, "batch": 250}}
+    if dist is not None:
+        over["distribution"] = dist
+    report = run_task(build_spec(minimal_doc(**over)))
+    row, = report["results"]
+    assert row["method"] == "closed_form"
+    assert row["std_error"] is None and row["n"] is None
+    assert report["diagnostics"]["max_std_error"] is None
+    # the report keeps 12 significant digits
+    assert abs(row["value"] - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("dist,route,rule", [

@@ -505,6 +505,42 @@ def test_exp_moment_rejects_divergent():
         closed_inner(meas, SIN.terms, 0, subtract=False)
 
 
+@pytest.mark.parametrize("z", [0.0, 0.3, -0.7, 1j, 0.4 - 2j])
+def test_exp_poly_mean_gamma_closed_form(z):
+    # Ga(a, b): E[X^q e^{zX}] = (a)_q b^a / (b - z)^{a + q}, so
+    # E[X^n Re(c x^p e^{zx})] is one such term per power
+    a, b, c = 2.0, 1.5, 0.6 - 0.8j
+    spec = Gamma(a, b)
+    for n in range(4):
+        for p in range(3):
+            q = n + p
+            want = (c * math.gamma(a + q) / math.gamma(a) * b**a
+                    / (b - z) ** (a + q)).real
+            got = levy_core.exp_poly_mean(spec, [(c, p, z)], n)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (n, p)
+
+
+def test_exp_poly_mean_sums_terms_and_checks_its_input():
+    # x + 2 under Poisson(2) at n = 2: E[X^3] + 2 E[X^2] = 22 + 12
+    spec = Poisson(2.0)
+    assert levy_core.exp_poly_mean(
+        spec, make_shift(2.0).terms, 2) == pytest.approx(34.0, rel=1e-15)
+    assert levy_core.exp_poly_mean(spec, (), 3) == 0.0
+    with pytest.raises(InvalidParams):
+        levy_core.exp_poly_mean(spec, SIN.terms, -1)
+    # e^{1.5 x} under Ga(2, 1.5) sits on the boundary of the strip
+    with pytest.raises(DivergentMoment):
+        levy_core.exp_poly_mean(Gamma(2.0, 1.5), [(1.0, 0, 1.5)])
+    # M(800) = exp(2 (e^800 - 1)) and X^250 leave the range of a double
+    with pytest.raises(DivergentMoment, match="of order 0"):
+        levy_core.exp_poly_mean(spec, [(1.0, 0, 800.0)])
+    with pytest.raises(DivergentMoment, match="overflows the range"):
+        levy_core.exp_poly_mean(spec, SIN.terms, 250)
+    # the Bell recursion's C(1099, 549) has no double value either
+    with pytest.raises(DivergentMoment, match="of order 1100"):
+        levy_core.exp_poly_mean(Gamma(2.0, 1e3), [(1.0, 0, 0.0)], 1100)
+
+
 # The fixed rules against Psi_m(i) = int u^m (e^{iu} - 1) nu(du) over the
 # same grid, extended to beta in {0.97, 0.99}. Cases past the tolerance are
 # the failures that the FOUND lines of CHANGES.md describe: decay rates
