@@ -5,33 +5,29 @@ The bracket is
 
     Var(X) (E[g'(X + Y_1)])^2  <=  Var(g(X))  <=  Var(X) E[(g'(X + Y_1))^2],
 
-with Y_1 the first-order bias variable of the Lévy measure. For polynomial
-g both edges are closed moments of X + Y_1; otherwise lower and upper
+with Y_1 the first-order bias variable of the Lévy measure. Both edges are
+first-order covariances, Cov(X, g(X))^2 / Var(X) and Cov(X, H(X)) with
+H' = (g')^2, closed sums for g with terms; otherwise lower and upper
 estimates share the same draws of (X, Y_1), so their ordering holds sample
 by sample and the bracket cannot cross from Monte Carlo noise alone.
 
 Chen's upper bound E[int (g(X+u) - g(X))^2 nu(du)] is looser in general but
-needs no bias variable and holds for any support. Its inner integral is
-closed when g has exponential-polynomial terms, and a fixed nu-rule
-otherwise.
+needs no bias variable and holds for any support. It is closed for g with
+terms; otherwise a fixed nu-rule gives its inner integral.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .dist_catalog import Gamma, IDDSpec
 from .errors import DivergentMoment, InvalidParams
-from .functions import TestFunction
-from .identities import _check_tilt_headroom
-from .levy_core import (BiasVariable, closed_sq_diff, cumulant,
-                        moments_from_cumulants, nu_rule)
+from .functions import TestFunction, antiderivative, derivative, squared
+from .identities import _check_tilt_headroom, _closed_integrand
+from .levy_core import BiasVariable, closed_sq_diff, exp_poly_mean, nu_rule
 from .mc import BOUND, ESTIMATE, ORACLE, MCConfig, MCEstimate, _accumulate, \
     mc_mean, mc_variance
 
@@ -59,14 +55,10 @@ class VarianceBounds:
                 f"variance bounds cross: lower {self.lower} > upper {self.upper}")
 
 
-def _bias_sum_moments(base: IDDSpec, deg: int) -> np.ndarray:
-    """E[(X + Y_1)^j], j = 0..deg: X's raw moments from its cumulants, and
-    E[Y_1^k] = C_{k+2} / ((k + 1) C_2), on every family."""
-    c = [cumulant(base, k) for k in range(1, deg + 3)]  # C_1 .. C_{deg+2}
-    mx = [1.0, *moments_from_cumulants(c[:deg])]
-    my = [c[k + 1] / ((k + 1) * c[1]) for k in range(deg + 1)]
-    return np.array([sum(math.comb(j, i) * mx[i] * my[j - i]
-                         for i in range(j + 1)) for j in range(deg + 1)])
+def _closed_cov_x(base: IDDSpec, terms) -> float:
+    """Cov(X, f(X)), f = Re sum of terms: the order-1 closed integrand's
+    mean, so E X never enters a subtraction."""
+    return exp_poly_mean(base, _closed_integrand(base, terms, 1).terms)
 
 
 def cacoullos_bounds(base: IDDSpec, g: TestFunction,
@@ -74,12 +66,11 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
                      with_oracle: bool = False) -> VarianceBounds:
     """The variance bracket for Var(g(X)).
 
-    Closed form for polynomial g on every family, from the moments of
-    X + Y_1 (`_bias_sum_moments`); for affine g both edges are (g')^2 Var(X).
-    Everything else is Monte Carlo with shared draws. A point mass (Var(X)
-    = 0) gives the closed bracket [0, 0]. `with_oracle` attaches a direct
-    sample-variance estimate of Var(g(X)) from the independent ORACLE
-    streams.
+    Closed form for g with terms on every family, from `_closed_cov_x`;
+    for affine g both edges are (g')^2 Var(X). g without terms is Monte
+    Carlo with shared draws. A point mass (Var(X) = 0) gives the closed
+    bracket [0, 0]. `with_oracle` attaches a direct sample-variance
+    estimate of Var(g(X)) from the independent ORACLE streams.
     """
     # the upper edge integrates (g')^2 ~ e^{2 tilt x}
     _check_tilt_headroom(base, g, power=2)
@@ -90,12 +81,11 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
         return VarianceBounds(lower=0.0, upper=0.0, method="closed_form",
                               oracle=oracle)
 
-    if g.d1_poly is not None:
-        d1sq = P.polypow(g.d1_poly, 2)
-        moment = _bias_sum_moments(base, len(d1sq) - 1)
-        mean_d1 = float(np.dot(g.d1_poly, moment[:len(g.d1_poly)]))
-        return VarianceBounds(lower=var * (mean_d1 * mean_d1),
-                              upper=var * float(np.dot(d1sq, moment)),
+    if g.terms:
+        slope = _closed_cov_x(base, g.terms) / var  # E[g'(X + Y_1)]
+        h = antiderivative(squared(derivative(g.terms)))  # H' = (g')^2
+        return VarianceBounds(lower=var * (slope * slope),
+                              upper=_closed_cov_x(base, h),
                               method="closed_form", oracle=oracle)
 
     bv = BiasVariable(base.measure, 1)
@@ -125,20 +115,17 @@ def chen_upper_bound(base: IDDSpec, g: TestFunction,
 
     The integrand has a double zero at u = 0, which is what keeps the
     integral finite even though nu itself may be infinite near the origin.
-    It draws from the BOUND streams, independent of the bracket's.
+    For g with terms it is a closed sum, with SE 0 and n 0 (no draws);
+    otherwise it draws from the BOUND streams, independent of the bracket's.
     """
     # (g(x+u) - g(x))^2 grows at twice the rate of g, on g's side only
     _check_tilt_headroom(base, g, power=2)
     if g.terms:
-        inner = closed_sq_diff(base.measure, g.terms)
-    else:
-        inner = partial(nu_rule(base.measure, 0, tilt=2.0 * g.tilt)
-                        .shifted_sum_sq_diff, g.f)
-
-    def batch(rng, size):
-        return inner(base.sample(rng, size))
-
-    return mc_mean(batch, mc, BOUND)
+        inner = closed_sq_diff(base.measure, g.terms).terms
+        return MCEstimate(exp_poly_mean(base, inner), 0.0, 0)
+    rule = nu_rule(base.measure, 0, tilt=2.0 * g.tilt)
+    return mc_mean(lambda rng, size: rule.shifted_sum_sq_diff(
+        g.f, base.sample(rng, size)), mc, BOUND)
 
 
 def posterior_bounds_gamma(k: float, a: float, b: float, n: int, xbar: float,

@@ -227,6 +227,8 @@ def _row(name: str, value: float, method: str,
 
 
 def _est_row(name: str, est: MCEstimate) -> dict:
+    if est.n == 0:  # nothing drawn: a closed value
+        return _row(name, est.value, "closed_form")
     return _row(name, est.value, "numeric", est.std_error, est.n)
 
 

@@ -8,14 +8,16 @@ differentiation anywhere in the identity machinery. Parametrized entries
 Entries that are exponential polynomials (id, square, sin, exp_tilt, shift,
 one) also carry that description as terms a x^p e^{zx}, with complex a and
 z and g = Re sum of the terms. The inner integrals against the Lévy measure
-are then closed (levy_core.closed_inner); gauss and log1psq carry no terms
-and keep the fixed quadrature rules.
+are then closed (levy_core.closed_inner), as are the bounds; gauss and
+log1psq carry no terms and keep the fixed quadrature rules.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from math import perm
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -41,14 +43,39 @@ def derivative(terms) -> Tuple[Term, ...]:
     return tuple(out)
 
 
+def antiderivative(terms) -> Tuple[Term, ...]:
+    """Terms of a primitive of sum(terms): x^{p+1} / (p + 1) for x^p, and
+    sum_j (-1)^j p! / (p-j)! x^{p-j} e^{zx} / z^{j+1} for x^p e^{zx}."""
+    out = []
+    for a, p, z in terms:
+        if z == 0:
+            out.append(Term(a / (p + 1), p + 1, z))
+        else:
+            out += [Term((-1) ** j * perm(p, j) * a / z ** (j + 1), p - j, z)
+                    for j in range(p + 1)]
+    return tuple(out)
+
+
+def squared(terms) -> Tuple[Term, ...]:
+    """Terms of (Re D)^2 for D = sum(terms): Re(D D + D conj(D)) / 2,
+    gathered by power and exponent."""
+    conj = [(complex(a).conjugate(), p, complex(z).conjugate())
+            for a, p, z in terms]
+    out = defaultdict(complex)
+    for a1, p1, z1 in terms:
+        for a2, p2, z2 in (*terms, *conj):
+            out[p1 + p2, complex(z1 + z2)] += 0.5 * a1 * a2
+    return tuple(Term(a, p, z) for (p, z), a in out.items() if a)
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """A smooth scalar function with its first two derivatives.
 
     terms, when present, describe the same function as an exponential
     polynomial Re sum a x^p e^{zx}; the closed inner integrals, the closed
-    variance brackets, d1_poly and tilt all come from them. f, d1 and d2
-    stay hand-coded real callables, which the sampling routes evaluate.
+    bounds and tilt all come from them. f, d1 and d2 stay hand-coded real
+    callables, which the sampling routes evaluate.
     """
 
     name: str
@@ -56,19 +83,6 @@ class TestFunction:
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
     terms: Tuple[Term, ...] = ()
-
-    @property
-    def d1_poly(self) -> Optional[Tuple[float, ...]]:
-        """Coefficients of g' as a polynomial, lowest order first, when g is
-        a polynomial (every term has z = 0); None otherwise."""
-        if not self.terms or any(t.z != 0 for t in self.terms):
-            return None
-        coeffs = [0.0] * max(1, max(t.p for t in self.terms))
-        for a, p, _ in derivative(self.terms):
-            coeffs[p] += a.real
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs.pop()
-        return tuple(coeffs)
 
     @property
     def tilt(self) -> float:
@@ -108,18 +122,13 @@ def _log1psq_d2(x):
 def make_exp_tilt(kappa: float) -> TestFunction:
     """w(x) = e^{kappa x}; the Esscher weight."""
     kappa = float(kappa)
-
-    def f(x):
-        return np.exp(kappa * x)
-
-    def d1(x):
-        return kappa * np.exp(kappa * x)
-
-    def d2(x):
-        return kappa * kappa * np.exp(kappa * x)
-
-    return TestFunction(name=f"exp_tilt({kappa:g})", f=f, d1=d1, d2=d2,
-                        terms=(Term(1.0, 0, kappa),))
+    return TestFunction(
+        name=f"exp_tilt({kappa:g})",
+        f=lambda x: np.exp(kappa * x),
+        d1=lambda x: kappa * np.exp(kappa * x),
+        d2=lambda x: kappa * kappa * np.exp(kappa * x),
+        terms=(Term(1.0, 0, kappa),),
+    )
 
 
 def make_shift(c: float) -> TestFunction:

@@ -2,6 +2,8 @@
 wrappers."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -19,16 +21,26 @@ from levy_stein import (
     posterior_bounds_gamma,
     posterior_bounds_poisson,
 )
-from levy_stein.functions import GAUSS, IDENTITY, SQUARE, make_exp_tilt, \
-    make_shift
+from levy_stein.functions import GAUSS, IDENTITY, SIN, SQUARE, \
+    make_exp_tilt, make_shift
 from levy_stein.functions import TestFunction as GFunction
+from levy_stein.levy_core import BiasVariable
 from levy_stein.mc import batch_sizes
 
-from conftest import SMALL_SWEEP_SPECS, assert_within_se, rel_err
+from conftest import SMALL_SWEEP, SMALL_SWEEP_SPECS, rel_err
 
-# square without its polynomial tag, to force the sampling path
-SQUARE_MC = GFunction(name="square_mc", f=SQUARE.f, d1=SQUARE.d1,
-                      d2=SQUARE.d2)
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+from reference import Reference  # noqa: E402
+
+
+def _without_terms(g):
+    """g without its exponential-polynomial terms, which forces the
+    bias-variable bracket and the nu-rule Chen bound."""
+    return GFunction(name=f"{g.name}_mc", f=g.f, d1=g.d1, d2=g.d2)
+
+
+SQUARE_MC = _without_terms(SQUARE)
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -70,6 +82,52 @@ def test_polynomial_bracket_closed_on_every_family(entry):
     assert nb.method == "numeric"
     assert abs(vb.lower - nb.lower) <= 4 * nb.lower_se, entry
     assert abs(vb.upper - nb.upper) <= 4 * nb.upper_se, entry
+
+
+# seed and size fixed before the first run
+MC_ROUTES = MCConfig(n_samples=10**5, seed=43, batch=10**4)
+EXP_TILT = make_exp_tilt(0.3)
+
+
+@pytest.mark.parametrize("g", [SIN, EXP_TILT], ids=lambda g: g.name)
+@pytest.mark.parametrize("entry", list(SMALL_SWEEP_SPECS))
+def test_closed_bounds_match_the_sampling_routes(entry, g):
+    # the closed bracket and Chen bound against the Monte Carlo routes
+    # they replace for g with terms
+    spec = SMALL_SWEEP_SPECS[entry]
+    vb = cacoullos_bounds(spec, g)
+    chen = chen_upper_bound(spec, g)
+    assert vb.method == "closed_form" and chen.n == 0
+    nb = cacoullos_bounds(spec, _without_terms(g), MC_ROUTES)
+    nchen = chen_upper_bound(spec, _without_terms(g), MC_ROUTES)
+    assert nb.method == "numeric" and nchen.n == MC_ROUTES.n_samples
+    assert abs(vb.lower - nb.lower) <= 4 * nb.lower_se, entry
+    assert abs(vb.upper - nb.upper) <= 4 * nb.upper_se, entry
+    assert abs(chen.value - nchen.value) <= 4 * nchen.std_error, entry
+    if g is SIN:
+        var = Reference(*SMALL_SWEEP[entry]).var_g("sin")
+        assert vb.lower <= var <= vb.upper, entry
+
+
+@pytest.mark.parametrize("entry", list(SMALL_SWEEP_SPECS))
+def test_bounds_with_terms_draw_only_the_oracle(entry, sample_spy,
+                                                monkeypatch, mc_small):
+    spec = SMALL_SWEEP_SPECS[entry]
+    draws = sample_spy(type(spec))
+
+    def no_bias_draws(self, rng, size):
+        raise AssertionError("a bound on g with terms drew a bias variable")
+
+    monkeypatch.setattr(BiasVariable, "sample", no_bias_draws)
+    n_batches = len(list(batch_sizes(mc_small)))
+    for g in (IDENTITY, SQUARE, SIN, EXP_TILT, make_shift(1.0)):
+        draws.clear()
+        vb = cacoullos_bounds(spec, g, mc_small, with_oracle=True)
+        chen = chen_upper_bound(spec, g, mc_small)
+        assert vb.method == "closed_form" and chen.n == 0, g.name
+        # one pass of the variance oracle, and nothing else
+        assert len(draws) == n_batches, g.name
+        assert vb.oracle.n == mc_small.n_samples
 
 
 # -- sampling path ----------------------------------------------------------------
@@ -154,9 +212,9 @@ def test_tilt_guards():
 
     want = math.exp(psi0(0.6)) * (psi0(0.6) - 2.0 * psi0(0.3))
     assert want == pytest.approx(0.12528, abs=1e-5)
-    est = chen_upper_bound(BGD(ap, lp, an, ln_), make_exp_tilt(0.3),
-                           MCConfig(n_samples=10**5, seed=1, batch=10**4))
-    assert_within_se(est, want, label="chen upper bound")
+    est = chen_upper_bound(BGD(ap, lp, an, ln_), make_exp_tilt(0.3))
+    assert est.n == 0
+    assert rel_err(est.value, want) < 1e-12
 
 
 # -- posterior wrappers ---------------------------------------------------------------

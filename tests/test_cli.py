@@ -578,7 +578,7 @@ TILT = {"w_name": "exp_tilt", "kappa": 0.5}
      {"kind": "verify-identity", "n": 1, "g_name": "sin"},
      {"identity_rhs": "closed"}),
     (CGMY_HALF, {"kind": "bounds", "g_name": "sin"},
-     {"cacoullos_lower": "bias", "cacoullos_upper": "bias",
+     {"cacoullos_lower": "closed", "cacoullos_upper": "closed",
       "chen_upper": "closed"}),
     (None, {"kind": "bounds", "g_name": "square"},
      {"cacoullos_lower": "closed", "cacoullos_upper": "closed",

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from levy_stein.errors import ValidationError
-from levy_stein.functions import (G_REGISTRY, W_REGISTRY, derivative,
-                                  get_function, make_exp_tilt, make_shift)
+from levy_stein.functions import (G_REGISTRY, W_REGISTRY, antiderivative,
+                                  derivative, get_function, make_exp_tilt,
+                                  make_shift, squared)
 from levy_stein.levy_core import eval_terms
 
 ENTRIES = [get_function(name) for name in
@@ -14,7 +15,8 @@ ENTRIES = [get_function(name) for name in
     get_function("exp_tilt", kappa=0.5), make_exp_tilt(-0.7),
     get_function("shift", c=1.5), make_shift(0.0)]
 
-# d1_poly and tilt as they were written out by hand before the terms
+# g' as polynomial coefficients, lowest order first (None unless g is a
+# polynomial), and tilt, as they were written out by hand before the terms
 HAND = {
     "one": ((0.0,), 0.0),
     "id": ((1.0,), 0.0),
@@ -42,7 +44,10 @@ def test_terms_reproduce_callables(g):
         return
     x = np.linspace(-3.0, 3.0, 241)
     d1 = derivative(g.terms)
-    for terms, fn in ((g.terms, g.f), (d1, g.d1), (derivative(d1), g.d2)):
+    for terms, fn in ((g.terms, g.f), (d1, g.d1), (derivative(d1), g.d2),
+                      # the primitive differentiates back, and (g')^2
+                      (derivative(antiderivative(g.terms)), g.f),
+                      (squared(d1), lambda x: np.square(g.d1(x)))):
         want = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
         got = eval_terms(terms, x)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0,
@@ -51,8 +56,15 @@ def test_terms_reproduce_callables(g):
 
 @pytest.mark.parametrize("g", ENTRIES, ids=lambda g: g.name)
 def test_derived_d1_poly_and_tilt_match_hand_values(g):
+    # the derivative terms of a polynomial g spell out g' exactly
     d1_poly, tilt = HAND[g.name]
-    assert g.d1_poly == d1_poly
+    polynomial = bool(g.terms) and all(t.z == 0 for t in g.terms)
+    assert polynomial == (d1_poly is not None)
+    if polynomial:
+        got = np.zeros(len(d1_poly))
+        for a, p, _ in derivative(g.terms):
+            got[p] += a.real
+        assert tuple(got) == d1_poly
     assert g.tilt == tilt
 
 
