@@ -4,9 +4,9 @@ representations and cross-checked by Monte Carlo."""
 
 __version__ = "0.1.0"
 
-from .actuarial import (GiniReport, PremiumReport, esscher_closed,
-                        generalized_wpcp, gini, gini_variance_scale,
-                        modified_variance, raw_moment, wpcp)
+from .actuarial import (esscher_closed, generalized_wpcp, gini,
+                        gini_variance_scale, modified_variance, raw_moment,
+                        wpcp)
 from .bounds import (VarianceBounds, cacoullos_bounds, chen_upper_bound,
                      posterior_bounds_gamma, posterior_bounds_poisson)
 from .dist_catalog import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
@@ -56,7 +56,6 @@ __all__ = [
     "VarianceBounds", "cacoullos_bounds", "chen_upper_bound",
     "posterior_bounds_gamma", "posterior_bounds_poisson",
     # actuarial
-    "PremiumReport", "GiniReport", "wpcp", "esscher_closed",
-    "modified_variance", "raw_moment", "generalized_wpcp", "gini",
-    "gini_variance_scale",
+    "wpcp", "esscher_closed", "modified_variance", "raw_moment",
+    "generalized_wpcp", "gini", "gini_variance_scale",
 ]

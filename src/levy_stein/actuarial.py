@@ -9,22 +9,22 @@ E(X) + Psi_1(kappa), Psi_1(kappa) = int u (e^{kappa u} - 1) nu(du).
 The Gini index G = (2/mu) Cov(X, F(X)) is Monte Carlo: `gini` computes it
 through the Lévy formula with the inner integral against nu, or as a plain
 sample covariance (the oracle).
+
+Every premium and the index are returned as an `MCEstimate`; a premium is
+closed, so it has SE 0 and n = 0 (no draws).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .dist_catalog import IDDSpec
 from .errors import DivergentMoment, InvalidParams, ZeroDenominator
 from .functions import ONE, TestFunction
 from .levy_core import exp_moment, exp_poly_mean, nu_rule
-from .mc import ORACLE, MCConfig, mc_cov, mc_mean
+from .mc import ORACLE, MCConfig, MCEstimate, mc_cov, mc_mean
 
 __all__ = [
-    "PremiumReport",
-    "GiniReport",
     "wpcp",
     "esscher_closed",
     "modified_variance",
@@ -39,21 +39,6 @@ __all__ = [
 TILT_MARGIN = 0.999
 
 
-@dataclass(frozen=True)
-class PremiumReport:
-    principle: str
-    value: float
-    method: str  # 'closed_form': every principle is closed, and draws nothing
-
-
-@dataclass(frozen=True)
-class GiniReport:
-    value: float
-    method: str  # 'levy_formula' or 'covariance_oracle'
-    std_error: float
-    n: int
-
-
 def _nonzero_mean(base: IDDSpec) -> float:
     mu = base.mean()
     if mu == 0.0:
@@ -61,13 +46,13 @@ def _nonzero_mean(base: IDDSpec) -> float:
     return mu
 
 
-def wpcp(base: IDDSpec, w: TestFunction) -> PremiumReport:
+def wpcp(base: IDDSpec, w: TestFunction) -> MCEstimate:
     """Weighted premium H_w(X) = E[X w(X)] / E[w(X)]: `generalized_wpcp` at
     n = 1. For w = e^{kappa x} it is the Esscher premium."""
-    return replace(generalized_wpcp(base, 1, w), principle=f"wpcp({w.name})")
+    return generalized_wpcp(base, 1, w)
 
 
-def esscher_closed(base: IDDSpec, kappa: float) -> PremiumReport:
+def esscher_closed(base: IDDSpec, kappa: float) -> MCEstimate:
     """Esscher premium H(kappa) = E(X) + int u (e^{kappa u} - 1) nu(du).
 
     Closed form for every catalog family: the shift is Psi_1(kappa) from
@@ -82,16 +67,14 @@ def esscher_closed(base: IDDSpec, kappa: float) -> PremiumReport:
             f"esscher tilt kappa={kappa} beyond {TILT_MARGIN} * kappa_max "
             f"= {TILT_MARGIN * kmax:.6g} for this family")
     delta = float(exp_moment(base.measure, 1, kappa).real)
-    return PremiumReport(principle=f"esscher({kappa:g})",
-                         value=base.mean() + delta, method="closed_form")
+    return MCEstimate(base.mean() + delta, 0.0, 0)
 
 
-def modified_variance(base: IDDSpec) -> PremiumReport:
+def modified_variance(base: IDDSpec) -> MCEstimate:
     """H = E(X) + Var(X)/E(X) from cumulants."""
     mu = _nonzero_mean(base)
     var = base.variance()
-    return PremiumReport(principle="modified_variance", value=mu + var / mu,
-                         method="closed_form")
+    return MCEstimate(mu + var / mu, 0.0, 0)
 
 
 def raw_moment(base: IDDSpec, n: int) -> float:
@@ -103,7 +86,7 @@ def raw_moment(base: IDDSpec, n: int) -> float:
 
 
 def generalized_wpcp(base: IDDSpec, n: int,
-                     w: TestFunction) -> PremiumReport:
+                     w: TestFunction) -> MCEstimate:
     """H_w^(n)(X) = E[X^n w(X)] / E[w(X)], both means from `exp_poly_mean`."""
     if n < 1:
         raise InvalidParams("premium order n must be a positive integer")
@@ -116,12 +99,11 @@ def generalized_wpcp(base: IDDSpec, n: int,
     value = exp_poly_mean(base, w.terms, n) / den
     if not math.isfinite(value):
         raise DivergentMoment("premium overflows the range of a double")
-    return PremiumReport(principle=f"generalized_wpcp(n={n}, {w.name})",
-                         value=value, method="closed_form")
+    return MCEstimate(value, 0.0, 0)
 
 
 def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
-         method: str = "levy_formula") -> GiniReport:
+         method: str = "levy_formula") -> MCEstimate:
     """Gini index G = (2/mu) Cov(X, F(X)) of a positive-mean risk.
 
     method 'levy_formula' evaluates the covariance through the Lévy measure
@@ -129,7 +111,8 @@ def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
     it as a plain sample covariance on the independent ORACLE streams. For
     laws with support crossing zero the number is still (2/mu) Cov(X, F(X)),
     but it is not a Lorenz-curve Gini; the CLI flags that case rather than
-    rejecting it.
+    rejecting it. Both methods return the index as a Monte Carlo
+    `MCEstimate` over the n draws of X.
     """
     mu = _nonzero_mean(base)
     if mu < 0:
@@ -152,8 +135,7 @@ def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
         est = mc_cov(batch, mc, ORACLE)
     else:
         raise InvalidParams(f"unknown gini method {method!r}")
-    return GiniReport(value=2.0 / mu * est.value, method=method,
-                      std_error=2.0 / mu * est.std_error, n=est.n)
+    return MCEstimate(2.0 / mu * est.value, 2.0 / mu * est.std_error, est.n)
 
 
 def gini_variance_scale(base: IDDSpec) -> float:

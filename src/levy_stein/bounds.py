@@ -123,7 +123,7 @@ def chen_upper_bound(base: IDDSpec, g: TestFunction,
     if g.terms:
         inner = closed_sq_diff(base.measure, g.terms).terms
         return MCEstimate(exp_poly_mean(base, inner), 0.0, 0)
-    rule = nu_rule(base.measure, 0, tilt=2.0 * g.tilt)
+    rule = nu_rule(base.measure, 0)
     return mc_mean(lambda rng, size: rule.shifted_sum_sq_diff(
         g.f, base.sample(rng, size)), mc, BOUND)
 

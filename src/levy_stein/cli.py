@@ -33,7 +33,7 @@ from . import __version__
 from .actuarial import (esscher_closed, generalized_wpcp, gini,
                         gini_variance_scale, modified_variance, wpcp)
 from .bounds import cacoullos_bounds, chen_upper_bound
-from .dist_catalog import IDDSpec, cdf_route, make_spec
+from .dist_catalog import IDDSpec, cdf_route, convert_drift, make_spec
 from .errors import (InvalidParams, NumericFailure, ParseError,
                      ValidationError, ValidationFailure)
 from .functions import (G_REGISTRY, PARAMS, W_REGISTRY, TestFunction,
@@ -227,9 +227,11 @@ def _row(name: str, value: float, method: str,
 
 
 def _est_row(name: str, est: MCEstimate) -> dict:
-    if est.n == 0:  # nothing drawn: a closed value
-        return _row(name, est.value, "closed_form")
-    return _row(name, est.value, "numeric", est.std_error, est.n)
+    """The report row of an estimate; one that drew nothing is closed, with
+    null std_error and n."""
+    if est.n == 0:
+        return _row(name, est.value, est.method)
+    return _row(name, est.value, est.method, est.std_error, est.n)
 
 
 def _z_row(diff: float, se: float) -> dict:
@@ -257,11 +259,10 @@ def _run_bounds(spec: TaskSpec):
     vb = cacoullos_bounds(spec.base, g, spec.mc, with_oracle=True)
     chen = chen_upper_bound(spec.base, g, spec.mc)
     closed = vb.method == "closed_form"
+    n = 0 if closed else spec.mc.n_samples  # both edges share the draws
     rows = [
-        _row("cacoullos_lower", vb.lower, vb.method,
-             None if closed else vb.lower_se),
-        _row("cacoullos_upper", vb.upper, vb.method,
-             None if closed else vb.upper_se),
+        _est_row("cacoullos_lower", MCEstimate(vb.lower, vb.lower_se, n)),
+        _est_row("cacoullos_upper", MCEstimate(vb.upper, vb.upper_se, n)),
         _est_row("variance_oracle", vb.oracle),
         _est_row("chen_upper", chen),
     ]
@@ -272,38 +273,39 @@ def _run_bounds(spec: TaskSpec):
 
 
 def _run_premium(spec: TaskSpec):
-    task = spec.task
+    base, task = spec.base, spec.task
     principle = task["principle"]
     if principle == "esscher":
-        rep = esscher_closed(spec.base, task["kappa"])
-    elif principle == "wpcp":
-        rep = wpcp(spec.base, _task_function(task))
+        name = f"esscher({task['kappa']:g})"
+        est = esscher_closed(base, task["kappa"])
     elif principle == "modified_variance":
-        rep = modified_variance(spec.base)
+        name, est = principle, modified_variance(base)
+    elif principle == "wpcp":
+        w = _task_function(task)
+        name, est = f"wpcp({w.name})", wpcp(base, w)
     else:
-        rep = generalized_wpcp(spec.base, task["n"], _task_function(task))
-    return [_row(rep.principle, rep.value, rep.method)], [], {}
+        w = _task_function(task)
+        name = f"generalized_wpcp(n={task['n']}, {w.name})"
+        est = generalized_wpcp(base, task["n"], w)
+    return [_est_row(name, est)], [], {}
 
 
 def _run_gini(spec: TaskSpec):
     levy = gini(spec.base, spec.mc, method="levy_formula")
     orc = gini(spec.base, spec.mc, method="covariance_oracle")
-    diff = levy.value - orc.value
-    se = math.hypot(levy.std_error, orc.std_error)
-    rows = [
-        _row("gini_levy_formula", levy.value, "numeric", levy.std_error,
-             levy.n),
-        _row("gini_covariance_oracle", orc.value, "numeric", orc.std_error,
-             orc.n),
-        _z_row(diff, se),
-    ]
+    rows = [_est_row("gini_levy_formula", levy),
+            _est_row("gini_covariance_oracle", orc),
+            _z_row(levy.value - orc.value, combine_se(levy, orc))]
     scale = gini_variance_scale(spec.base)
     warnings = [
         f"(2/mean)*Var(X) = {scale:.6g} is not a Gini coefficient; the "
         f"formula value here is {levy.value:.6g} (discrepancy "
         f"{scale - levy.value:.6g})"
     ]
-    if spec.base.measure.support != "positive":
+    # X >= 0 almost surely exactly when nu has no negative part and the
+    # uncompensated drift is nonnegative
+    if (spec.base.measure.has_neg
+            or convert_drift(spec.base, "uncompensated") < 0):
         warnings.append("support extends below zero: formula value, not a "
                         "Lorenz-Gini")
     return rows, warnings, {

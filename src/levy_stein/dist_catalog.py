@@ -311,19 +311,19 @@ def _point_cdf(spec: IDDSpec, x: float) -> float:
     return float(_gamma_diff_cdf(spec, [x])[0][0])
 
 
-def _cdf_knots(spec: IDDSpec, lo: float, hi: float, n_knots: int):
-    """F at the n_knots equispaced points of [lo, hi] that a CdfTable
+# knots of every CdfTable, equispaced over its range
+_CDF_KNOTS = 2049
+
+
+def _cdf_knots(spec: IDDSpec, lo: float, hi: float):
+    """F at the _CDF_KNOTS equispaced points of [lo, hi] that a CdfTable
     interpolates, the rule that computed them and its error estimate: one
     COS pass, without an estimate, when a side has beta > 0, else one pass
     of the double-exponential rule over every knot."""
     if any(side.beta > 0 for _, side in spec.measure.sides()):
-        return _cos_cdf_knots(spec, lo, hi, n_knots), "cos", None
-    vals, err = _gamma_diff_cdf(spec, np.linspace(lo, hi, n_knots))
+        return _cos_cdf_knots(spec, lo, hi), "cos", None
+    vals, err = _gamma_diff_cdf(spec, np.linspace(lo, hi, _CDF_KNOTS))
     return vals, "double_exponential", err
-
-
-# knots of every CdfTable, equispaced over its range
-_CDF_KNOTS = 2049
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -370,8 +370,7 @@ class CdfTable:
     def __init__(self, spec: IDDSpec):
         lo, hi = _cdf_range(spec)
         self._knots = np.linspace(lo, hi, _CDF_KNOTS)
-        vals, self.knot_rule, self.knot_error = _cdf_knots(spec, lo, hi,
-                                                           _CDF_KNOTS)
+        vals, self.knot_rule, self.knot_error = _cdf_knots(spec, lo, hi)
         vals = np.clip(vals, 0.0, 1.0)
         np.maximum.accumulate(vals, out=vals)
         self.lo, self.hi = lo, hi
@@ -1044,23 +1043,23 @@ def _cos_cdf(spec: IDDSpec, x: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def _cos_cdf_knots(spec: IDDSpec, lo: float, hi: float,
-                   n_knots: int) -> np.ndarray:
-    """The series at the n_knots equispaced knots of [lo, hi] in one DST-I.
+def _cos_cdf_knots(spec: IDDSpec, lo: float, hi: float) -> np.ndarray:
+    """The series at the _CDF_KNOTS equispaced knots of [lo, hi] in one
+    DST-I.
 
-    At knot j of m = n_knots - 1 intervals the k-th sine is sin(pi k j/m).
+    At knot j of m = _CDF_KNOTS - 1 intervals the k-th sine is sin(pi k j/m).
     It depends on k only through r = k mod 2m and equals -sin(pi (2m-r) j/m)
     for r > m, so the terms fold exactly into bins 1..m-1 (bins 0 and m
     vanish at every knot).
     """
-    m = n_knots - 1
+    m = _CDF_KNOTS - 1
     fold = np.zeros(m + 1)
     for k, c in _cos_terms(spec, lo, hi):
         r = k % (2 * m)
         flip = r > m
         fold += np.bincount(np.where(flip, 2 * m - r, r),
                             weights=np.where(flip, -c, c), minlength=m + 1)
-    vals = np.linspace(0.0, 1.0, n_knots)
+    vals = np.linspace(0.0, 1.0, _CDF_KNOTS)
     vals[1:m] += 0.5 * dst(fold[1:m], type=1)
     return vals
 

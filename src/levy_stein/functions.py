@@ -87,9 +87,8 @@ class TestFunction:
     @property
     def tilt(self) -> float:
         """Signed exponential growth rate: the e^{tilt x} envelope, 0 for
-        polynomial and bounded functions. Quadrature rules stretch their
-        tails by it, and integrability pre-checks compare it against Lévy
-        decay rates."""
+        polynomial and bounded functions. Integrability pre-checks compare
+        it against Lévy decay rates."""
         return max((t.z.real for t in self.terms), key=abs,
                    default=0.0)
 

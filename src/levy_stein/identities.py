@@ -163,7 +163,7 @@ def _nu_inner(measure: LevyMeasure, g: TestFunction, m: int,
     `inner_route` names: closed, or a fixed nu-rule (exact over atoms)."""
     if g.terms:
         return closed_inner(measure, g.terms, m, subtract)
-    rule = nu_rule(measure, m, tilt=g.tilt)
+    rule = nu_rule(measure, m)
     return partial(rule.shifted_sum, g.f, subtract_at_x=subtract)
 
 

@@ -535,17 +535,17 @@ def _gl_panel(a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
     return mid + half * _GL_X, half * _GL_W
 
 
-def _panel_rule(measure: LevyMeasure, m: int, tilt: float,
+def _panel_rule(measure: LevyMeasure, m: int,
                 power: Callable[[TiltedPowerSide], int],
                 weight: Callable[..., np.ndarray]) -> FixedRule:
     """Panelled Gauss-Legendre rule over the tilted-power sides of `measure`.
 
     On each side, with u the distance from the origin, the rule covers
-    (0, u_hi], where Gamma(s, lam_eff u_hi) / Gamma(s) = 1e-18 for
-    s = m - beta (0.5 when that is not positive) and lam_eff is the side's
-    decay rate less the growth rate of the integrand on that side: tilt on
-    the positive side, -tilt on the negative one, and none where that is
-    negative (e^{tilt u} decays there). The origin panel (0, u_break] gets
+    (0, u_hi], where Gamma(s, rate u_hi) / Gamma(s) = 1e-18 for
+    s = m - beta (0.5 when that is not positive) and rate is the side's
+    decay rate; the integrand h is bounded or grows slower than any
+    exponential (the rules serve g without terms and the cdf, and every g
+    with terms takes the closed route). The origin panel (0, u_break] gets
     the substitution u = u_break * t^p, p = power(side), which tames the
     singularity or cusp of the weight there (p = 1 is a plain panel); panels
     of doubling width follow out to u_hi. weight(sign, side, w, u) turns the
@@ -554,14 +554,8 @@ def _panel_rule(measure: LevyMeasure, m: int, tilt: float,
     """
     nodes, weights = [], []
     for sign, side in measure.sides():
-        growth = max(sign * tilt, 0.0)
-        lam_eff = side.rate - growth
-        if lam_eff <= 0:
-            raise DivergentMoment(
-                f"integrand growth rate {growth} reaches the Lévy decay rate "
-                f"{side.rate}; the inner integral diverges")
         s = m - side.beta
-        u_hi = float(gammainccinv(s if s > 0 else 0.5, 1e-18)) / lam_eff
+        u_hi = float(gammainccinv(s if s > 0 else 0.5, 1e-18)) / side.rate
         u_break = min(1.0 / side.rate, u_hi / 2.0)
         edges = [u_break]
         while edges[-1] < u_hi:
@@ -590,29 +584,26 @@ def _panel_rule(measure: LevyMeasure, m: int, tilt: float,
     return FixedRule(np.concatenate(nodes), np.concatenate(weights))
 
 
-def nu_rule(measure: LevyMeasure, m: int, *,
-            tilt: float = 0.0) -> FixedRule:
-    """Fixed rule for int h(u) u^m nu(du) over the support.
-
-    h may grow like e^{tilt u}: on the side where tilt u > 0 the rule's
-    domain is stretched so the product still decays to ~1e-18 relative.
-    The origin substitution makes u^{m-1-beta} du smooth in t.
+def nu_rule(measure: LevyMeasure, m: int) -> FixedRule:
+    """Fixed rule for int h(u) u^m nu(du) over the support, for h without
+    exponential growth. The origin substitution makes u^{m-1-beta} du
+    smooth in t.
     """
     if measure.is_atomic:
         locs = np.array([l for l, _ in measure.atoms])
         w = np.array([mass * l**m for l, mass in measure.atoms])
         return FixedRule(locs, w)
     return _panel_rule(
-        measure, m, tilt,
+        measure, m,
         power=lambda side: (max(2, math.ceil(2.0 / (1.0 - side.beta)))
                             if side.beta > 0 else 2),
         # mirror: int h(u) u^m nu(du) over u<0 = int h(-t) (-t)^m nu_-(t) dt
         weight=lambda sign, side, w, u: w * u**m * side.density(u) * sign**m)
 
 
-def eta_rule(measure: LevyMeasure, m: int, *,
-             tilt: float = 0.0) -> FixedRule:
-    """Fixed rule for int h(v) eta_m(v) dv over the whole line.
+def eta_rule(measure: LevyMeasure, m: int) -> FixedRule:
+    """Fixed rule for int h(v) eta_m(v) dv over the whole line, for h
+    without exponential growth.
 
     eta_m is bounded at the origin but has a v^{m-beta} cusp there when
     m - beta is not an integer, so the origin panel then gets the power
@@ -631,7 +622,7 @@ def eta_rule(measure: LevyMeasure, m: int, *,
 
     # eta_m- at -v is (-1)^{m+1} times the side's tail at v
     return _panel_rule(
-        measure, m, tilt, power,
+        measure, m, power,
         weight=lambda sign, side, w, v: w * side.tail(m, v) * sign ** (m + 1))
 
 

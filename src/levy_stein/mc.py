@@ -49,6 +49,10 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class MCEstimate:
+    """The one result type for a reported scalar: a Monte Carlo mean with
+    its SE over n draws, or a closed value, which drew nothing (n = 0,
+    SE 0)."""
+
     value: float
     std_error: float
     n: int
@@ -56,10 +60,15 @@ class MCEstimate:
     def __post_init__(self):
         if not (math.isfinite(self.value) and math.isfinite(self.std_error)):
             raise DivergentMoment(
-                f"Monte Carlo estimate {self.value:g} with standard error "
+                f"estimate {self.value:g} with standard error "
                 f"{self.std_error:g} overflows the range of a double")
         if self.std_error < 0:
             raise InvalidParams("std_error must be nonnegative")
+
+    @property
+    def method(self) -> str:
+        """'closed_form' for a value that drew nothing, else 'numeric'."""
+        return "closed_form" if self.n == 0 else "numeric"
 
     @property
     def z(self) -> float:

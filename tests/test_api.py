@@ -8,10 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import levy_stein
 from levy_stein import (actuarial, dist_catalog, errors, identities,
                         levy_core)
 from levy_stein.dist_catalog import FAMILIES
+from levy_stein.functions import GAUSS, SIN, make_exp_tilt, make_shift
 
 import quad_oracle
 
@@ -36,6 +39,45 @@ def test_all_exports_resolve():
     missing = [name for name in levy_stein.__all__
                if not hasattr(levy_stein, name)]
     assert not missing, f"__all__ names with no binding: {missing}"
+
+
+def test_every_estimator_returns_one_result_type():
+    # every scalar a task reports is an MCEstimate; n = 0 is the only mark
+    # of a value that drew nothing, and .method reads it
+    mc = levy_stein.MCConfig(n_samples=2000, seed=5, batch=500)
+    gamma = levy_stein.Gamma(2.0, 1.5)
+    bgd = levy_stein.BGD(2.0, 3.0, 1.0, 4.0)
+    vgd = levy_stein.VGD(0.2, 1.5, 3.0, 2.0)
+    w = make_shift(1.0)
+    closed = {
+        "esscher_closed": levy_stein.esscher_closed(gamma, 0.5),
+        "modified_variance": levy_stein.modified_variance(gamma),
+        "wpcp": levy_stein.wpcp(gamma, w),
+        "generalized_wpcp": levy_stein.generalized_wpcp(
+            gamma, 2, make_exp_tilt(0.3)),
+        "chen_upper_bound(sin)": levy_stein.chen_upper_bound(gamma, SIN, mc),
+    }
+    numeric = {
+        "cov_identity_rhs": levy_stein.cov_identity_rhs(gamma, 2, SIN, mc),
+        "cov_oracle": levy_stein.cov_oracle(gamma, 2, SIN, mc),
+        "cov_first_order": levy_stein.cov_first_order(gamma, SIN, mc),
+        "stein_residual": levy_stein.stein_residual(gamma, SIN, mc),
+        "stein_residual_vgd": levy_stein.stein_residual_vgd(vgd, SIN, mc),
+        "stein_residual_bgd": levy_stein.stein_residual_bgd(bgd, SIN, mc),
+        "gini(levy_formula)": levy_stein.gini(gamma, mc),
+        "gini(covariance_oracle)": levy_stein.gini(
+            gamma, mc, method="covariance_oracle"),
+        "chen_upper_bound(gauss)": levy_stein.chen_upper_bound(
+            gamma, GAUSS, mc),
+    }
+    for want, n, ests in (("closed_form", 0, closed),
+                          ("numeric", mc.n_samples, numeric)):
+        for name, est in ests.items():
+            assert type(est) is levy_stein.MCEstimate, name
+            assert (est.method, est.n) == (want, n), name
+    assert all(est.std_error == 0.0 for est in closed.values())
+    assert not [name for name in levy_stein.__all__
+                if name.endswith("Report")]
 
 
 def _raised_names():
@@ -97,7 +139,7 @@ def test_no_quadrature_config_where_no_quadrature_runs():
     # cumulants, tail integrals, bias variables and the Esscher shift are
     # closed functions of the triplet, so they take no QuadratureConfig;
     # moment and cumulant have no quadrature switch, and the rule builders
-    # read the growth on the negative side off the one tilt
+    # serve only integrands without exponential growth, so take no tilt
     dropped = {
         "cfg": [levy_stein.IDDSpec.mean, levy_stein.IDDSpec.variance,
                 levy_stein.IDDSpec.std, levy_stein.convert_drift,
@@ -113,6 +155,7 @@ def test_no_quadrature_config_where_no_quadrature_runs():
                 dist_catalog._cos_cdf],
         "method": [levy_stein.LevyMeasure.moment, levy_stein.cumulant],
         "neg_tilt": [levy_stein.nu_rule, levy_stein.eta_rule],
+        "tilt": [levy_stein.nu_rule, levy_stein.eta_rule],
     }
     # the fixed rules, the estimators built on them and the cdfs set no
     # tolerance: only the test suite's quadrature oracle (quad_oracle's
@@ -128,23 +171,27 @@ def test_no_quadrature_config_where_no_quadrature_runs():
         dist_catalog._gamma_diff_cdf]
     # parameters that every caller set to one value: exp_moment is Psi_m,
     # the oracle integrates over all of R \\ {0}, and a cdf table has a
-    # fixed knot count
+    # fixed knot count, and so do the knot values it interpolates
     dropped["subtract_one"] = [levy_core.exp_moment,
                                levy_stein.TiltedPowerSide.exp_moment]
     dropped["region"] = [quad_oracle.integrate_levy]
-    dropped["n_knots"] = [dist_catalog.CdfTable]
+    dropped["n_knots"] = [dist_catalog.CdfTable, dist_catalog._cdf_knots,
+                          dist_catalog._cos_cdf_knots]
     kept = [(f.__qualname__, name) for name, fns in dropped.items()
             for f in fns if name in inspect.signature(f).parameters]
     assert not kept, f"parameters that set nothing: {kept}"
     # a cfg passed fourth by an old call must fail, not turn the oracle on,
-    # and one passed third to a rule builder must fail, not become the tilt
+    # and one passed third to a rule builder must fail, not become an
+    # argument of the rule
     for f, name in ((levy_stein.cacoullos_bounds, "with_oracle"),
                     (levy_stein.posterior_bounds_gamma, "with_oracle"),
-                    (levy_stein.posterior_bounds_poisson, "with_oracle"),
-                    (levy_stein.nu_rule, "tilt"),
-                    (levy_stein.eta_rule, "tilt")):
+                    (levy_stein.posterior_bounds_poisson, "with_oracle")):
         kind = inspect.signature(f).parameters[name].kind
         assert kind is inspect.Parameter.KEYWORD_ONLY, f.__name__
+    measure = levy_stein.Gamma(2.0, 1.5).measure
+    for rule in (levy_stein.nu_rule, levy_stein.eta_rule):
+        with pytest.raises(TypeError):
+            rule(measure, 1, quad_oracle.QuadratureConfig())
 
 
 def _unused_imports(source: str):

@@ -209,12 +209,27 @@ def test_gini_report_warns_about_variance_scale():
     assert abs(z) < 5.0
 
 
-def test_gini_two_sided_support_warns():
-    rep = run_task(build_spec(minimal_doc(
-        distribution={"family": "bgd",
-                      "params": {"alpha_pos": 2.0, "lam_pos": 3.0,
-                                 "alpha_neg": 1.0, "lam_neg": 4.0}})))
-    assert any("not a Lorenz-Gini" in w for w in rep["warnings"])
+@pytest.mark.parametrize("dist,warns", [
+    ({"family": "bgd", "params": {"alpha_pos": 2.0, "lam_pos": 3.0,
+                                  "alpha_neg": 1.0, "lam_neg": 4.0}}, True),
+    # jumps only upward, but the uncompensated drift is -1.153, so about
+    # half the mass lies below zero
+    ({"family": "gtsd", "params": {"mu": 0.1, "beta": 0.5, "alpha_pos": 1.0,
+                                   "lam_pos": 2.0, "alpha_neg": 0.0,
+                                   "lam_neg": 1.0}}, True),
+    # no jumps at all: a point mass at 1
+    ({"family": "vgd", "params": {"mu0": 1.0, "alpha": 0.0, "lam_pos": 3.0,
+                                  "lam_neg": 2.0}}, False),
+    (None, False),
+], ids=["bgd", "gtsd_negative_drift", "vgd_point_mass", "gamma"])
+def test_gini_two_sided_support_warns(dist, warns):
+    # X >= 0 almost surely exactly when nu has no negative part and the
+    # uncompensated drift is nonnegative
+    over = {"mc": {"n_samples": 2000, "seed": 3, "batch": 500}}
+    if dist is not None:
+        over["distribution"] = dist
+    rep = run_task(build_spec(minimal_doc(**over)))
+    assert any("not a Lorenz-Gini" in w for w in rep["warnings"]) == warns
 
 
 def test_stein_task_runs_on_every_family(tmp_path, capsysbinary):
@@ -610,25 +625,53 @@ def test_report_names_inner_routes(dist, task, routes):
     assert emit(run_task(spec), "json") == first
 
 
-@pytest.mark.parametrize("dist,task,want", [
+@pytest.mark.parametrize("dist,task,name,want", [
     # Ga(2, 1): E[X^2 (X + 1)] / E[X + 1] = (24 + 6) / 3
     (None, {"kind": "premium", "principle": "generalized_wpcp", "n": 2,
-            "w_name": "shift", "c": 1.0}, 10.0),
+            "w_name": "shift", "c": 1.0}, "generalized_wpcp(n=2, shift(1))",
+     10.0),
     # CGMY(1, 1/2, 2, 3): the Esscher premium, the mean of the tilted law
     (CGMY_HALF, {"kind": "premium", "principle": "wpcp", **TILT},
-     math.gamma(0.5) * (1.5 ** -0.5 - 3.5 ** -0.5)),
-], ids=["generalized_wpcp", "wpcp"])
-def test_premium_rows_are_closed(dist, task, want):
+     "wpcp(exp_tilt(0.5))", math.gamma(0.5) * (1.5 ** -0.5 - 3.5 ** -0.5)),
+    # Ga(2, 1): 2 / (1 - kappa)
+    (None, {"kind": "premium", "principle": "esscher", "kappa": 0.5},
+     "esscher(0.5)", 4.0),
+    # Ga(2, 1): E X + Var X / E X = 2 + 2 / 2
+    (None, {"kind": "premium", "principle": "modified_variance"},
+     "modified_variance", 3.0),
+], ids=["generalized_wpcp", "wpcp", "esscher", "modified_variance"])
+def test_premium_rows_are_closed(dist, task, name, want):
     over = {"task": task, "mc": {"n_samples": 2000, "seed": 3, "batch": 250}}
     if dist is not None:
         over["distribution"] = dist
     report = run_task(build_spec(minimal_doc(**over)))
     row, = report["results"]
+    assert row["name"] == name
     assert row["method"] == "closed_form"
     assert row["std_error"] is None and row["n"] is None
     assert report["diagnostics"]["max_std_error"] is None
     # the report keeps 12 significant digits
     assert abs(row["value"] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("g_name,drew", [("gauss", True), ("sin", False)])
+def test_bracket_rows_carry_their_draws(g_name, drew):
+    # a bracket edge that drew carries its draw count beside its SE; a
+    # closed one carries neither
+    mc = {"n_samples": 4000, "seed": 3, "batch": 500}
+    report = run_task(build_spec(minimal_doc(
+        distribution={"family": "gamma", "params": {"a": 2.0, "b": 1.5}},
+        task={"kind": "bounds", "g_name": g_name}, mc=mc)))
+    rows = {r["name"]: r for r in report["results"]}
+    for name in ("cacoullos_lower", "cacoullos_upper"):
+        row = rows[name]
+        if drew:
+            assert row["method"] == "numeric", name
+            assert row["n"] == mc["n_samples"], name
+            assert row["std_error"] is not None and row["std_error"] > 0
+        else:
+            assert row["method"] == "closed_form", name
+            assert row["n"] is None and row["std_error"] is None, name
 
 
 @pytest.mark.parametrize("dist,route,rule", [

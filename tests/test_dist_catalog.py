@@ -532,7 +532,7 @@ GAMMA_DIFF_SPECS = [
 @pytest.mark.parametrize("spec", GAMMA_DIFF_SPECS, ids=str)
 def test_gamma_diff_cdf_knots_against_quantile_reference(spec):
     lo, hi = _cdf_range(spec)
-    vals, rule, err = _cdf_knots(spec, lo, hi, 2049)
+    vals, rule, err = _cdf_knots(spec, lo, hi)
     assert rule == "double_exponential" and err <= 1e-13
     pos, neg = spec.measure.pos_structure, spec.measure.neg_structure
     x = np.linspace(lo, hi, 2049)
@@ -590,7 +590,7 @@ def test_table_equals_pchip_interpolator(spec, rule):
     table = _cdf_table(spec)
     lo, hi = table.lo, table.hi
     knots = np.linspace(lo, hi, 2049)
-    vals, got_rule, _ = _cdf_knots(spec, lo, hi, 2049)
+    vals, got_rule, _ = _cdf_knots(spec, lo, hi)
     assert got_rule == rule
     pchip = PchipInterpolator(knots, np.maximum.accumulate(np.clip(vals, 0, 1)))
     x = np.concatenate([
