@@ -98,15 +98,13 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
                 f"g'={g.name} produced non-finite values at X + Y_1")
         return t, t * t
 
-    pooled, _ = _accumulate(batch, mc, ESTIMATE)
-    et, et2 = pooled.mean_estimate(0), pooled.mean_estimate(1)
-    lower = var * et.value**2
-    upper = var * et2.value
-    # delta method on x -> x^2 for the lower edge
-    lower_se = var * 2.0 * abs(et.value) * et.std_error
-    upper_se = var * et2.std_error
-    return VarianceBounds(lower=lower, upper=upper, method="numeric",
-                          lower_se=lower_se, upper_se=upper_se, oracle=oracle)
+    pooled = _accumulate(batch, mc, ESTIMATE)
+    et, et2 = pooled.mean  # E[t], E[t^2]
+    lower = pooled.estimate(var * et**2, (2.0 * var * et, 0.0))
+    upper = pooled.estimate(var * et2, (0.0, var))
+    return VarianceBounds(lower=lower.value, upper=upper.value,
+                          method="numeric", lower_se=lower.std_error,
+                          upper_se=upper.std_error, oracle=oracle)
 
 
 def chen_upper_bound(base: IDDSpec, g: TestFunction,

@@ -33,7 +33,8 @@ from . import __version__
 from .actuarial import (esscher_closed, generalized_wpcp, gini,
                         gini_variance_scale, modified_variance, wpcp)
 from .bounds import cacoullos_bounds, chen_upper_bound
-from .dist_catalog import IDDSpec, cdf_route, convert_drift, make_spec
+from .dist_catalog import (IDDSpec, cdf_route, convert_drift, make_spec,
+                           spec_float)
 from .errors import (InvalidParams, NumericFailure, ParseError,
                      ValidationError, ValidationFailure)
 from .functions import (G_REGISTRY, PARAMS, W_REGISTRY, TestFunction,
@@ -93,12 +94,6 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
-def _as_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"field {name!r} must be a number")
-    return float(value)
-
-
 def _check_fields(doc: dict, required, optional, where: str) -> None:
     got = set(doc)
     missing = sorted(required - got)
@@ -132,7 +127,7 @@ def _one_of(names):
 _CHOICES = {"kind": TASK_KINDS, "principle": PRINCIPLES,
             "g_name": G_REGISTRY, "w_name": W_REGISTRY}
 _PARSE = {"k_max": _positive_int, "n": _positive_int,
-          "kappa": _as_float, "c": _as_float,
+          "kappa": spec_float, "c": spec_float,
           **{name: _one_of(names) for name, names in _CHOICES.items()}}
 # the fields a kind, principle or function name adds; no name is in both
 _TAKES = {**_FIELDS, **PARAMS}

@@ -23,6 +23,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
+from numbers import Real
 from typing import ClassVar, Tuple, Union
 
 import numpy as np
@@ -1090,6 +1091,20 @@ FAMILIES = {
 }
 
 
+def spec_float(value, name: str) -> float:
+    """A number read from a spec: a finite int or float. A bool, a string
+    or a non-finite value is refused, with the field named."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, Real)
+              and math.isfinite(value))
+    except OverflowError:  # an int beyond the range of a double
+        ok = False
+    if not ok:
+        raise ValidationError(
+            f"field {name!r} must be a finite numeric value, not {value!r}")
+    return float(value)
+
+
 def make_spec(family: str, params: dict) -> IDDSpec:
     """Build a catalog spec from plain JSON-style data, with field checks."""
     if not isinstance(family, str) or family not in FAMILIES:
@@ -1114,11 +1129,13 @@ def make_spec(family: str, params: dict) -> IDDSpec:
                     raise ValidationError(
                         "compound_poisson: atoms jumps need a nonempty "
                         "'atoms' list of [location, probability] pairs")
-                params["jumps"] = AtomicJumps(
-                    tuple((float(l), float(p)) for l, p in atoms))
+                params["jumps"] = AtomicJumps(tuple(
+                    (spec_float(l, "jumps.atoms"),
+                     spec_float(p, "jumps.atoms")) for l, p in atoms))
             elif kind == "gamma":
-                params["jumps"] = GammaJumps(float(jumps.pop("a")),
-                                             float(jumps.pop("b")))
+                params["jumps"] = GammaJumps(
+                    spec_float(jumps.pop("a"), "jumps.a"),
+                    spec_float(jumps.pop("b"), "jumps.b"))
             else:
                 raise ValidationError(
                     f"compound_poisson: unknown jump kind {kind!r}")
@@ -1140,10 +1157,8 @@ def make_spec(family: str, params: dict) -> IDDSpec:
         raise ValidationError(f"{family}: {'; '.join(bits)}; expected fields "
                               f"{sorted(want)}")
     try:
-        coerced = {k: (v if k == "jumps" else float(v)) for k, v in params.items()}
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{family}: non-numeric parameter ({exc})") from None
-    try:
+        coerced = {k: (v if k == "jumps" else spec_float(v, k))
+                   for k, v in params.items()}
         return cls(**coerced)
-    except InvalidParams as exc:
+    except (ValidationError, InvalidParams) as exc:
         raise ValidationError(f"{family}: {exc}") from None

@@ -10,10 +10,10 @@ ORACLE, DENOMINATOR, BOUND). All roles derive from the one
 SeedSequence(seed) through a fixed spawn key, so they share no draw with
 each other, and none of them with any role of another seed.
 
-Standard errors: plain-mean estimators report sample std / sqrt(n). Ratio
-and covariance estimators are not sample means; for those the SE comes from
-the spread of per-batch statistics (batch means), while the point value is
-computed from the pooled sample; both are read from the accumulators.
+Standard errors: every estimate is a smooth function f of the pooled
+column means, with the delta-method SE sqrt(grad' C grad / n), C the pooled
+sample covariance and grad the gradient of f at the means (Owen, Monte
+Carlo theory, methods and examples, ch. 2); a plain mean has grad = (1).
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ def z_score(value: float, std_error: float) -> float:
     return value / std_error
 
 
-# batch-means SEs need several chunks, so cfg.batch acts as a cap on the
-# chunk size and runs are subdivided to at least this many pieces; they
-# weight every chunk alike, so chunk sizes differ by at most one
+# cfg.batch caps the chunk size and runs are subdivided to at least this
+# many chunks, whose sizes differ by at most one. The layout fixes which
+# substream draws what, so every seeded result depends on it, and
+# perfbench/check.py's batch_count mirrors it
 _MIN_BATCHES = 8
 
 
@@ -137,11 +138,11 @@ class Moments:
         with np.errstate(over="ignore", invalid="ignore"):
             acc.mean = [float(c.mean()) for c in cols]
             dev = [c - mu for c, mu in zip(cols, acc.mean)]
+            prod = np.empty_like(dev[0])  # one buffer for every product
             for i, di in enumerate(dev):
-                acc.comoment[i][i] = float(np.square(di).sum())
-                for j in range(i + 1, len(dev)):
-                    acc.comoment[i][j] = acc.comoment[j][i] = \
-                        float((di * dev[j]).sum())
+                for j in range(i, len(dev)):
+                    acc.comoment[i][j] = acc.comoment[j][i] = float(
+                        np.multiply(di, dev[j], out=prod).sum())
         return acc
 
     def merge(self, other: "Moments") -> None:
@@ -161,72 +162,71 @@ class Moments:
         """Sample covariance of columns i and j (variance when i == j)."""
         return self.comoment[i][j] / (self.n - 1) if self.n > 1 else 0.0
 
-    def mean_estimate(self, i: int = 0) -> MCEstimate:
-        """The mean of column i with SE sample std / sqrt(n)."""
-        se = math.sqrt(self.cov(i, i) / self.n) if self.n > 0 else 0.0
-        return MCEstimate(value=self.mean[i], std_error=se, n=self.n)
+    def estimate(self, value: float, grad) -> MCEstimate:
+        """value = f(means), with the delta-method SE for grad = f'(means)."""
+        var = sum(wi * wj * self.cov(i, j) for i, wi in enumerate(grad)
+                  for j, wj in enumerate(grad))
+        # rounding can leave a zero variance slightly negative
+        se = math.sqrt(max(var, 0.0) / self.n) if self.n > 0 else 0.0
+        return MCEstimate(value=value, std_error=se, n=self.n)
 
 
-def _accumulate(batch_fn, cfg: MCConfig, role: int):
-    """Draw every batch of the role's substreams; batch_fn(rng, m) returns
-    the batch's k columns. Returns the pooled moments and each batch's."""
-    batches = [Moments.of(batch_fn(rng, m))
-               for rng, m in zip(substreams(cfg, role), batch_sizes(cfg))]
-    pooled = Moments(len(batches[0].mean))
-    for b in batches:
-        pooled.merge(b)
-    return pooled, batches
+def _accumulate(batch_fn, cfg: MCConfig, role: int) -> Moments:
+    """Pool the k columns batch_fn(rng, m) draws on each role substream."""
+    pooled = None
+    for rng, m in zip(substreams(cfg, role), batch_sizes(cfg)):
+        batch = Moments.of(batch_fn(rng, m))
+        pooled = pooled or Moments(len(batch.mean))
+        pooled.merge(batch)
+    return pooled
+
+
+def _with_product(batch_fn, i: int, j: int):
+    """batch_fn's columns, then column i times column j; an overflow there
+    leaves a non-finite SE, which MCEstimate raises as DivergentMoment."""
+    def columns(rng, m):
+        cols = batch_fn(rng, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (*cols, np.multiply(cols[i], cols[j], dtype=float))
+    return columns
 
 
 def mc_mean(batch_fn: Callable[[np.random.Generator, int], np.ndarray],
             cfg: MCConfig, role: int = ESTIMATE) -> MCEstimate:
     """Estimate E[Z] where batch_fn draws a batch of Z values."""
-    pooled, _ = _accumulate(lambda rng, m: (batch_fn(rng, m),), cfg, role)
-    return pooled.mean_estimate()
+    pooled = _accumulate(lambda rng, m: (batch_fn(rng, m),), cfg, role)
+    return pooled.estimate(pooled.mean[0], (1.0,))
 
 
 def mc_cov(batch_fn: Callable[[np.random.Generator, int],
                               Tuple[np.ndarray, np.ndarray]],
            cfg: MCConfig, role: int = ESTIMATE) -> MCEstimate:
-    """Estimate Cov(X, Y) with batch-means SE.
-
-    The point value is the pooled-sample covariance; the SE is the spread of
-    per-batch covariances over sqrt(#batches), which stays valid when the
-    statistic is not itself a sample mean.
-    """
-    pooled, batches = _accumulate(batch_fn, cfg, role)
-    se = _batch_se([b.cov(0, 1) for b in batches if b.n >= 2])
-    return MCEstimate(value=pooled.cov(0, 1), std_error=se, n=pooled.n)
+    """Estimate Cov(X, Y) by the pooled sample covariance, with the SE of
+    E[XY] - E[X]E[Y] over the columns (x, y, xy): the sample std of
+    (x - xbar)(y - ybar) over sqrt(n)."""
+    pooled = _accumulate(_with_product(batch_fn, 0, 1), cfg, role)
+    xbar, ybar, _ = pooled.mean
+    return pooled.estimate(pooled.cov(0, 1), (-ybar, -xbar, 1.0))
 
 
 def mc_ratio(batch_fn: Callable[[np.random.Generator, int],
                                 Tuple[np.ndarray, np.ndarray]],
              cfg: MCConfig) -> MCEstimate:
-    """Estimate E[num]/E[den]; batch-means SE, pooled-ratio value."""
-    pooled, batches = _accumulate(batch_fn, cfg, ESTIMATE)
+    """Estimate E[num]/E[den] by the ratio r of pooled means, with the SE
+    of gradient (1, -r) / E[den]."""
+    pooled = _accumulate(batch_fn, cfg, ESTIMATE)
     num, den = pooled.mean
     if den == 0.0:
         raise ZeroDenominator("ratio estimator: denominator mean is zero")
-    se = _batch_se([b.mean[0] / b.mean[1] for b in batches
-                    if b.mean[1] != 0.0])
-    return MCEstimate(value=num / den, std_error=se, n=pooled.n)
+    return pooled.estimate(num / den, (1.0 / den, -(num / den) / den))
 
 
 def mc_variance(batch_fn: Callable[[np.random.Generator, int], np.ndarray],
                 cfg: MCConfig, role: int = ESTIMATE) -> MCEstimate:
-    """Estimate Var(Z); pooled sample variance, batch-means SE."""
-    pooled, batches = _accumulate(lambda rng, m: (batch_fn(rng, m),), cfg,
-                                  role)
-    se = _batch_se([b.cov() for b in batches if b.n >= 2])
-    return MCEstimate(value=pooled.cov(), std_error=se, n=pooled.n)
-
-
-def _batch_se(values) -> float:
-    """Batch-means SE: the spread of per-batch statistics over sqrt(k)."""
-    k = len(values)
-    if k < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / np.sqrt(k))
+    """Estimate Var(Z) by the pooled sample variance; SE over (z, z^2)."""
+    pooled = _accumulate(_with_product(lambda rng, m: (batch_fn(rng, m),),
+                                       0, 0), cfg, role)
+    return pooled.estimate(pooled.cov(), (-2.0 * pooled.mean[0], 1.0))
 
 
 def combine_se(*estimates: MCEstimate) -> float:

@@ -341,6 +341,33 @@ def test_main_bad_override_exit_code(tmp_path, capsysbinary):
     assert b"error:" in capsysbinary.readouterr().err
 
 
+@pytest.mark.parametrize("over, field", [
+    ({"distribution": {"family": "poisson", "params": {"lam": True}}}, "lam"),
+    ({"distribution": {"family": "poisson", "params": {"lam": "2"}}}, "lam"),
+    ({"distribution": {"family": "poisson", "params": {"lam": math.inf}}},
+     "lam"),
+    ({"distribution": {"family": "poisson", "params": {"lam": 10**400}}},
+     "lam"),
+    ({"distribution": {"family": "gamma", "params": {"a": 2, "b": math.inf}}},
+     "b"),
+    ({"distribution": {"family": "compound_poisson", "params": {
+        "rate": 1.0, "jumps": {"kind": "gamma", "a": math.nan, "b": 3}}}},
+     "jumps.a"),
+    ({"task": {"kind": "premium", "principle": "esscher",
+               "kappa": math.nan}}, "task.kappa"),
+    ({"task": {"kind": "premium", "principle": "wpcp", "w_name": "shift",
+               "c": -math.inf}}, "task.c"),
+])
+def test_main_rejects_bad_spec_numbers(tmp_path, capsysbinary, over, field):
+    # a bool, a string, a non-finite number or an int beyond a double's
+    # range is not a parameter value: exit 2, naming the field, before any
+    # number is computed from it
+    path = write_spec(tmp_path, minimal_doc(**over))
+    assert main(["run", path]) == 2
+    err = capsysbinary.readouterr().err
+    assert err.startswith(b"error:") and f"'{field}'".encode() in err
+
+
 def test_main_numeric_exit_code(tmp_path, capsysbinary, monkeypatch):
     import levy_stein.cli as cli
     monkeypatch.setattr(cli, "run_task",

@@ -87,7 +87,8 @@ def test_batch_sizes_partition(n, batch):
     sizes = list(batch_sizes(cfg))
     assert sum(sizes) == n
     assert all(1 <= m <= batch for m in sizes)
-    # batch means weight every chunk alike, so no chunk is a runt
+    # chunk sizes differ by at most one, so no chunk is a runt; the layout
+    # fixes which substream draws what, and seeded results depend on it
     assert max(sizes) - min(sizes) <= 1
     size = min(batch, max(1, n // 8))
     assert len(sizes) == -(-n // size)
@@ -144,7 +145,8 @@ def test_welford_matches_numpy():
         for i, c in enumerate(cols):
             assert abs(acc.mean[i] - c.mean()) < 1e-12
             assert abs(acc.cov(i, i) - np.var(c, ddof=1)) < 1e-10
-            est = acc.mean_estimate(i)
+            est = acc.estimate(acc.mean[i], [float(j == i) for j in
+                                             range(len(cols))])
             assert est.value == acc.mean[i] and est.n == x.size
             assert abs(est.std_error
                        - np.std(c, ddof=1) / math.sqrt(x.size)) < 1e-12
@@ -243,45 +245,65 @@ def test_mc_ratio_zero_denominator(mc_small):
         mc_ratio(lambda rng, m: (np.ones(m), np.zeros(m)), mc_small)
 
 
-def _tilted_gamma(rng, m):
-    """(X w, w) with X ~ Ga(2, 1.5) and the Esscher weight w = e^{0.3 X}."""
+def _tilted_gamma(rng, m, shift=0.0):
+    """(X w, w) + shift with X ~ Ga(2, 1.5) and the Esscher weight
+    w = e^{0.3 X}."""
     x = rng.gamma(2.0, 1.0 / 1.5, m)
     w = np.exp(0.3 * x)
-    return x * w, w
+    return x * w + shift, w + shift
 
 
-def test_batch_means_match_a_second_pass():
-    # each batch-means SE equals the one taken from a second pass over the
-    # draws: np.cov, np.var and the ratio of means of each batch
+@pytest.mark.parametrize("shift", [0.0, 400.0])  # 400: about 100 SDs
+def test_delta_method_ses_match_a_second_pass(shift):
+    # each SE equals the sample std of the estimator's influence function
+    # over the concatenated draws, divided by sqrt(n); the point values are
+    # the pooled sample statistics
     cfg = MCConfig(n_samples=10_007, seed=3, batch=1_000)
-    batches = [_tilted_gamma(rng, m)
-               for rng, m in zip(substreams(cfg), batch_sizes(cfg))]
-    assert len({a.size for a, _ in batches}) == 2  # 3 x 910 + 8 x 909
-
-    def se(values):
-        return np.std(values, ddof=1) / math.sqrt(len(values))
-
-    want = {
-        "cov": se([np.cov(a, w, ddof=1)[0, 1] for a, w in batches]),
-        "variance": se([np.var(a, ddof=1) for a, _ in batches]),
-        "ratio": se([np.mean(a) / np.mean(w) for a, w in batches]),
+    draw = lambda rng, m: _tilted_gamma(rng, m, shift)
+    a, w = (np.concatenate(c) for c in zip(*(
+        draw(rng, m) for rng, m in zip(substreams(cfg), batch_sizes(cfg)))))
+    assert shift == 0.0 or a.mean() / a.std() > 100
+    r = np.mean(a) / np.mean(w)
+    influence = {
+        "cov": (a - a.mean()) * (w - w.mean()),
+        "variance": (a - a.mean())**2,
+        "ratio": (a - r * w) / w.mean(),
     }
     got = {
-        "cov": mc_cov(_tilted_gamma, cfg),
-        "variance": mc_variance(lambda rng, m: _tilted_gamma(rng, m)[0], cfg),
-        "ratio": mc_ratio(_tilted_gamma, cfg),
+        "cov": mc_cov(draw, cfg),
+        "variance": mc_variance(lambda rng, m: draw(rng, m)[0], cfg),
+        "ratio": mc_ratio(draw, cfg),
     }
     for name, est in got.items():
-        assert rel_err(est.std_error, want[name]) < 1e-12, name
-    a, w = (np.concatenate(c) for c in zip(*batches))
+        want = np.std(influence[name], ddof=1) / math.sqrt(a.size)
+        assert rel_err(est.std_error, want) < 1e-10, name
+        assert est.n == a.size
     assert rel_err(got["cov"].value, np.cov(a, w, ddof=1)[0, 1]) < 1e-12
     assert rel_err(got["variance"].value, np.var(a, ddof=1)) < 1e-12
-    assert rel_err(got["ratio"].value, np.mean(a) / np.mean(w)) < 1e-12
+    assert rel_err(got["ratio"].value, r) < 1e-12
+
+
+def test_cov_se_covers_at_its_nominal_rate():
+    # 400 seeded replications of Cov(X, sin X), X ~ Ga(2, rate 1.5), at
+    # n = 2000 in 8 batches: |z| > 1.96 must miss 5% of the time, inside
+    # the binomial 3-sigma limits [7, 33]
+    a, b = 2.0, 1.5
+    q = 1.0 - 1j / b  # E[e^{iX}] = q^-a and E[X e^{iX}] = (a/b) q^(-a-1)
+    truth = ((a / b) * (q**(-a - 1) - q**(-a))).imag
+
+    def batch(rng, m):
+        x = rng.gamma(a, 1.0 / b, m)
+        return x, np.sin(x)
+
+    z = np.array([(e.value - truth) / e.std_error for e in (
+        mc_cov(batch, MCConfig(n_samples=2_000, seed=s, batch=250))
+        for s in range(400))])
+    assert 7 <= np.sum(np.abs(z) > 1.96) <= 33
 
 
 def test_ratio_se_has_no_runt_batch():
-    # n = 1001 is cut into 9 chunks; a 1-draw chunk weighted like the
-    # others would nearly double the batch-means SE
+    # n = 1001 is cut into 9 chunks of 111 or 112 draws; the SE is read off
+    # the pooled moments, so the chunking leaves it where n = 1000 puts it
     def median_se(n):
         return np.median([
             mc_ratio(_tilted_gamma, MCConfig(n_samples=n, seed=s)).std_error
