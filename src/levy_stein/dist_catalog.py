@@ -235,7 +235,7 @@ def _triplet_cdf(spec: IDDSpec):
     (sign, side), *rest = m.sides()
     if rest or side.beta > 0:
         return None
-    return _one_side_cdf(side, sign, b)
+    return _GammaMixtureCdf(side, sign, b)
 
 
 def _poisson_weights(lam: float) -> np.ndarray:
@@ -276,31 +276,112 @@ def _lattice(atoms: Tuple[Tuple[float, float], ...]):
     return pts, cum
 
 
-def _one_side_cdf(side: TiltedPowerSide, sign: float, b: float):
-    """F of b + sign Z, Z the jumps of one side with beta <= 0: Ga(coef,
-    rate) at beta = 0, and at beta < 0 (gamma jumps) the mixture of
-    Ga(-beta n, rate) over n ~ Poisson(int nu)."""
-    if side.beta == 0:
-        p0, terms = 0.0, [(1.0, side.coef)]
-    else:
-        w = _poisson_weights(side.moment(0))
-        p0, terms = w[0], [(w[n], -side.beta * n) for n in range(1, w.size)]
-    # with t = sign (x - b): F = P(Z <= t) for t >= 0 on the positive
-    # side, and P(Z >= t) = P(Z > t) for t > 0 mirrored on the negative
-    inc, p0 = (gammainc, p0) if sign > 0 else (gammaincc, 0.0)
+# shapes an integer apart share one incomplete gamma call when at most
+# this many unit steps separate neighbours. Against one call per term, the
+# cdf of Ga(a, 3) jumps at rate 1.5 took 0.56 of the time at a = 16 and
+# 1.08 at a = 24 (10^5 points in calls of 4096, on a 2-core host)
+_CLASS_STEPS = 16
+# the walk recomputes t_s directly every _ANCHOR steps, so a term that
+# underflowed to 0 does not stay 0 where the terms grow
+_ANCHOR = 16
 
-    def f(x):
-        t = sign * (_as_float_array(x) - b)
-        on = t >= 0 if sign > 0 else t > 0
-        y = side.rate * t[on]
-        acc = np.full_like(y, p0)
-        for w_n, shape in terms:
-            acc += w_n * inc(shape, y)
-        out = np.full_like(t, float(sign < 0))
+
+def _stirlerr(s: float) -> float:
+    """log Gamma(s + 1) - (s + 1/2) log s + s - log(2 pi) / 2 for s > 0:
+    Stirling's series past 15, where the direct form cancels, else the
+    direct form (Loader 2000)."""
+    if s > 15.0:
+        nn = s * s
+        return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn))
+                                     / nn) / nn) / nn) / s
+    return (math.lgamma(s + 1.0) - (s + 0.5) * math.log(s) + s
+            - 0.5 * math.log(2.0 * math.pi))
+
+
+def _poisson_term(s: float, y: np.ndarray) -> np.ndarray:
+    """t_s(y) = e^{-y} y^s / Gamma(s + 1) for s > 0 and y >= 0, 0 at y = 0,
+    in Loader's saddle-point form exp(-stirlerr(s) - bd0) / sqrt(2 pi s),
+    bd0 = s (r - 1 - log r) with r = y/s: it forms neither e^{-y} nor y^s,
+    and bd0 is off by about eps |y - s|, so t_s keeps its relative
+    accuracy wherever it is a normal double."""
+    r = y / s
+    with np.errstate(divide="ignore"):  # log 0 = -inf at y = 0
+        log_r = np.log(r)
+    r -= 1.0
+    r -= log_r
+    r *= -s
+    r -= _stirlerr(s) + 0.5 * math.log(2.0 * math.pi * s)
+    return np.exp(r, out=r)
+
+
+class _GammaMixtureCdf:
+    """F of b + sign Z, Z the jumps of one side with beta <= 0: Ga(coef,
+    rate) at beta = 0, and at beta < 0 (gamma jumps) the atom at 0 and the
+    mixture of Ga(a n, rate), a = -beta, over n ~ Poisson(int nu).
+
+    With y = rate t, P(s, y) = P(s + 1, y) + t_s(y) (`_poisson_term`), so
+    a class of shapes s_0 < ... < s_m that lie whole unit steps apart needs
+    one incomplete gamma call: its share of F is W P(s_m, y) + sum W_s
+    t_s(y) over s = s_0, ..., s_m - 1, W its weight and W_s that of its
+    members of shape <= s. Mirrored, Q = 1 - P anchors at s_0, with W_s the
+    weight above s. Every term is positive, so F keeps its relative
+    accuracy in the tails. A class steps from one member to the next by
+    at most _CLASS_STEPS; other shapes, irrational a and large a among
+    them, each take their own gammainc call. `terms` counts the gamma
+    terms and `gammainc_calls` the calls per point.
+    """
+
+    def __init__(self, side: TiltedPowerSide, sign: float, b: float):
+        if side.beta == 0:
+            p0, a, w = 0.0, float(side.coef), np.ones(1)
+        else:
+            w = _poisson_weights(side.moment(0))
+            p0, a, w = w[0], -float(side.beta), w[1:]
+        # with t = sign (x - b): F = P(Z <= t) for t >= 0 on the positive
+        # side, and P(Z >= t) = P(Z > t) for t > 0 mirrored on the negative
+        self.upper = sign < 0
+        self.sign, self.b, self.rate = sign, b, side.rate
+        self.p0 = 0.0 if self.upper else p0
+        self.terms = w.size
+        # the least period p of n at which the shape step a p is a whole
+        # number k <= _CLASS_STEPS of unit steps; class r then holds n = r,
+        # r + p, ... at shapes a r + k i. Without one, each n is a class
+        p, k = w.size, 0
+        for q in range(1, min(w.size, int(_CLASS_STEPS / a) + 1)):
+            if (a * q).is_integer():
+                p, k = q, int(a * q)
+                break
+        # per class: the shape of its gammainc call, its weight, its
+        # bottom shape and W_s at s = s_0, s_0 + 1, ..., s_m - 1
+        self.classes = []
+        for r in range(1, p + 1):
+            wr = w[r - 1::p]
+            s0 = a * r
+            if self.upper:
+                shape, walk = s0, np.cumsum(wr[::-1])[-2::-1]
+            else:
+                shape, walk = s0 + k * (wr.size - 1), np.cumsum(wr)[:-1]
+            self.classes.append((shape, wr.sum(), s0, np.repeat(walk, k)))
+        self.gammainc_calls = len(self.classes)
+
+    def __call__(self, x):
+        t = self.sign * (_as_float_array(x) - self.b)
+        on = t > 0 if self.upper else t >= 0
+        y = self.rate * t[on]
+        inc = gammaincc if self.upper else gammainc
+        acc = np.full_like(y, self.p0)
+        for shape, total, s0, walk in self.classes:
+            acc += total * inc(shape, y)
+            for j, w_s in enumerate(walk):
+                if j % _ANCHOR:
+                    t_s *= y  # t_s = t_{s-1} y / s
+                    t_s *= 1.0 / (s0 + j)
+                else:
+                    t_s = _poisson_term(s0 + j, y)
+                acc += w_s * t_s
+        out = np.full_like(t, float(self.upper))
         out[on] = np.clip(acc, 0.0, 1.0)
         return out
-
-    return f
 
 
 def _point_cdf(spec: IDDSpec, x: float) -> float:
@@ -424,12 +505,18 @@ def _cdf_table(spec: IDDSpec) -> CdfTable:
 
 def cdf_route(spec: IDDSpec) -> dict:
     """How `cdf_fn` evaluates F: route 'closed' (the family's own form),
-    'triplet' (the triplet's closed form) or 'table'; a table adds its
-    range, knot count, knot rule ('cos' or 'double_exponential') and the
-    rule's error estimate (None for the COS series)."""
+    'triplet' (the triplet's closed form) or 'table'. A triplet gamma
+    mixture adds its gamma term count and its incomplete gamma calls per
+    point; a table adds its range, knot count, knot rule ('cos' or
+    'double_exponential') and the rule's error estimate (None for the COS
+    series)."""
     if spec._closed_cdf() is not None:
         return {"route": "closed"}
-    if _triplet_cdf(spec) is not None:
+    f = _triplet_cdf(spec)
+    if isinstance(f, _GammaMixtureCdf):
+        return {"route": "triplet", "mixture_terms": f.terms,
+                "gammainc_calls": f.gammainc_calls}
+    if f is not None:
         return {"route": "triplet"}
     table = _cdf_table(spec)
     return {"route": "table", "range": [table.lo, table.hi],

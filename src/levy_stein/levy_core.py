@@ -125,12 +125,15 @@ class TiltedPowerSide:
             return np.zeros_like(u)
         return self.moment(k) * gammaincc(k - self.beta, self.rate * u)
 
-    def exp_moment(self, m: int, z) -> np.ndarray:
+    def exp_moment(self, m: int, z, minus_one: bool = True) -> np.ndarray:
         """Psi_m(z) = int_0^inf u^m (e^{zu} - 1) (density) du, complex z.
 
         Closed form c Gamma(s) rate^{-s} ((1 - z/rate)^{-s} - 1),
         s = m - beta, taken as an expm1 so it keeps its digits for small z;
-        at s = 0 it is the limit -c log(1 - z/rate). Needs Re z < rate.
+        at s = 0 it is the limit -c log(1 - z/rate). With minus_one False
+        and m >= 1, int_0^inf u^m e^{zu} (density) du = c Gamma(s)
+        (rate - z)^{-s} itself, which keeps its digits where z is large
+        against the rate and Psi_m(z) is close to -C_m. Needs Re z < rate.
         """
         z = np.asarray(z, dtype=complex)
         if np.any(z.real >= self.rate):
@@ -156,7 +159,7 @@ class TiltedPowerSide:
         # range when Gamma(s) alone does not (gamma jumps of large shape)
         scale = (self.moment(m) if s > 0
                  else self.coef * math.gamma(s) * self.rate**-s)
-        return scale * np.expm1(-s * log1p_w)
+        return scale * (np.expm1 if minus_one else np.exp)(-s * log1p_w)
 
 
 class LevyMeasure:
@@ -629,8 +632,11 @@ def eta_rule(measure: LevyMeasure, m: int) -> FixedRule:
 # -- closed inner integrals ------------------------------------------------
 
 
-def exp_moment(measure: LevyMeasure, m: int, z) -> np.ndarray:
-    """Psi_m(z) = int u^m (e^{zu} - 1) nu(du), vectorised over complex z.
+def exp_moment(measure: LevyMeasure, m: int, z,
+               minus_one: bool = True) -> np.ndarray:
+    """Psi_m(z) = int u^m (e^{zu} - 1) nu(du), vectorised over complex z;
+    with minus_one False and m >= 1, int u^m e^{zu} nu(du) = C_m + Psi_m(z)
+    read directly (`TiltedPowerSide.exp_moment`).
 
     Finite for every m >= 0 because beta < 1. Atoms give finite sums, and
     the negative side is the positive formula mirrored: (-1)^m times its
@@ -638,24 +644,26 @@ def exp_moment(measure: LevyMeasure, m: int, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     if measure.is_atomic:
+        kernel = np.expm1 if minus_one else np.exp
         out = np.zeros_like(z)
         for loc, mass in measure.atoms:
-            out = out + mass * loc**m * np.expm1(z * loc)
+            out = out + mass * loc**m * kernel(z * loc)
         return out
-    return sum(sign**m * side.exp_moment(m, sign * z)
+    return sum(sign**m * side.exp_moment(m, sign * z, minus_one)
                for sign, side in measure.sides())
 
 
 def exp_poly_mean(spec, terms, n: int = 0) -> float:
     """E[X^n g(X)] for g = Re sum of terms (a, p, z), in closed form.
 
-    Under the tilt e^{zX}, X has cumulants kappa_1(z) = E X + Psi_1(z) and
-    kappa_j(z) = C_j + Psi_j(z), so E[X^q e^{zX}] = M(z) B_q(kappa_1(z), ...,
-    kappa_q(z)), with M(z) = E[e^{zX}] = exp(z b + Psi_0(z)), b the
-    uncompensated drift and B_q the complete Bell polynomial
-    (`moments_from_cumulants`): one recursion per distinct z. A z beyond a
-    Lévy decay rate, or a value beyond the range of a double, raises
-    DivergentMoment.
+    Under the tilt e^{zX}, X has cumulants kappa_1(z) = b + int u e^{zu}
+    nu(du) and kappa_j(z) = int u^j e^{zu} nu(du), each read directly
+    rather than as C_j + Psi_j(z), which cancels where z is large against a
+    decay rate. So E[X^q e^{zX}] = M(z) B_q(kappa_1(z), ..., kappa_q(z)),
+    with M(z) = E[e^{zX}] = exp(z b + Psi_0(z)), b the uncompensated drift
+    and B_q the complete Bell polynomial (`moments_from_cumulants`): one
+    recursion per distinct z. A z beyond a Lévy decay rate, or a value
+    beyond the range of a double, raises DivergentMoment.
     """
     from .dist_catalog import convert_drift  # dist_catalog imports this module
 
@@ -665,16 +673,17 @@ def exp_poly_mean(spec, terms, n: int = 0) -> float:
     for a, p, z in terms:
         by_z[complex(z)].append((complex(a), n + p))
     measure, value = spec.measure, 0j
+    b = convert_drift(spec, "uncompensated")
     try:
         with np.errstate(all="ignore"):
             for z, parts in by_z.items():
-                psi = [complex(exp_moment(measure, j, z))
-                       for j in range(max(q for _, q in parts) + 1)]
-                bell = [1.0, *moments_from_cumulants([
-                    psi[j] + (spec.mean() if j == 1 else measure.moment(j))
-                    for j in range(1, len(psi))])]
-                value += (np.exp(z * convert_drift(spec, "uncompensated")
-                                 + psi[0]) * sum(a * bell[q] for a, q in parts))
+                kappa = [complex(exp_moment(measure, j, z, minus_one=j == 0))
+                         for j in range(max(q for _, q in parts) + 1)]
+                bell = [1.0, *moments_from_cumulants(
+                    [kappa[j] + (b if j == 1 else 0.0)
+                     for j in range(1, len(kappa))])]
+                value += (np.exp(z * b + kappa[0])
+                          * sum(a * bell[q] for a, q in parts))
     except OverflowError:  # C(q - 1, i - 1) beyond the range of a double
         value = math.inf
     if not np.isfinite(value):
@@ -747,7 +756,8 @@ def _shifted(terms, m: int, subtract: bool):
     return out
 
 
-def _integrate_monomials(measure: LevyMeasure, monomials) -> ClosedInner:
+def _integrate_monomials(measure: LevyMeasure, monomials,
+                         split: bool = True) -> ClosedInner:
     """int over nu(du) of a sum of monomials (c, i, zx, q, zu).
 
     Each monomial is split as u^q (e^{zu u} - 1) + u^q. The first part is
@@ -755,12 +765,14 @@ def _integrate_monomials(measure: LevyMeasure, monomials) -> ClosedInner:
     pieces that cancel in G(x+u) - G(x) cancel before they meet C_q. At
     q = 0 the monomials of each x-part must sum to zero (the integrand
     vanishes at u = 0, as every caller's does), and Psi_0 alone carries them.
+    With split False nothing cancels and every q >= 1, so each monomial is
+    read directly as int u^q e^{zu u} nu(du).
     """
     coef = defaultdict(complex)
     plain = defaultdict(complex)
     for c, i, zx, q, zu in monomials:
-        coef[i, zx] += c * complex(exp_moment(measure, q, zu))
-        if q:
+        coef[i, zx] += c * complex(exp_moment(measure, q, zu, split))
+        if q and split:
             plain[i, zx, q] += c
     for (i, zx, q), c in plain.items():
         if c:
@@ -780,7 +792,8 @@ def closed_inner(measure: LevyMeasure, terms, m: int,
         raise InvalidParams(
             f"closed inner integral of order m={m} needs m >= 1, or m = 0 "
             "with g(x) subtracted")
-    return _integrate_monomials(measure, _shifted(terms, m, subtract))
+    return _integrate_monomials(measure, _shifted(terms, m, subtract),
+                                subtract)
 
 
 def closed_sq_diff(measure: LevyMeasure, terms) -> ClosedInner:

@@ -701,16 +701,20 @@ def test_bracket_rows_carry_their_draws(g_name, drew):
             assert row["n"] is None and row["std_error"] is None, name
 
 
-@pytest.mark.parametrize("dist,route,rule", [
-    (None, "triplet", None),
+@pytest.mark.parametrize("dist,route,rule,mixture", [
+    (None, "triplet", None, (1, 1)),
+    # 19 Poisson terms at shapes 2, 4, ..., 38: one class, one gammainc
+    ({"family": "compound_poisson",
+      "params": {"rate": 1.5, "jumps": {"kind": "gamma", "a": 2.0, "b": 3.0}}},
+     "triplet", None, (19, 1)),
     ({"family": "inverse_gaussian", "params": {"alpha": 1.5, "lam": 2.0}},
-     "closed", None),
+     "closed", None, None),
     ({"family": "bgd", "params": {"alpha_pos": 2.0, "lam_pos": 3.0,
                                   "alpha_neg": 1.0, "lam_neg": 4.0}},
-     "table", "double_exponential"),
-    (CGMY_HALF, "table", "cos"),
-], ids=["gamma", "inverse_gaussian", "bgd", "cgmy"])
-def test_gini_report_names_its_cdf(dist, route, rule):
+     "table", "double_exponential", None),
+    (CGMY_HALF, "table", "cos", None),
+], ids=["gamma", "cp_gamma", "inverse_gaussian", "bgd", "cgmy"])
+def test_gini_report_names_its_cdf(dist, route, rule, mixture):
     over = {"mc": {"n_samples": 2000, "seed": 3, "batch": 250}}
     if dist is not None:
         over["distribution"] = dist
@@ -718,7 +722,12 @@ def test_gini_report_names_its_cdf(dist, route, rule):
     first = emit(run_task(spec), "json")
     cdf = json.loads(first)["diagnostics"]["cdf"]
     assert cdf["route"] == route
-    if rule is None:
+    if mixture is not None:
+        # the gamma mixture's terms and its gammainc calls per point
+        terms, calls = mixture
+        assert cdf == {"route": route, "mixture_terms": terms,
+                       "gammainc_calls": calls}
+    elif rule is None:
         assert cdf == {"route": route}
     else:
         assert set(cdf) == {"route", "range", "knots", "knot_rule",

@@ -459,6 +459,49 @@ def test_atomic_cpd_cdf_enumeration():
     assert F(np.array([x0]))[0] == pytest.approx(want, abs=1e-12)
 
 
+def _per_term_gamma_mixture(rate, a, y, upper=False):
+    """The gamma-jump cdf one gammainc call per term: e^{-rate} + sum_n
+    w_n P(a n, y) over n ~ Poisson(rate), or sum_n w_n Q(a n, y) for the
+    mirrored side, with n up to the first count whose tail P(N > n) is at
+    most 1e-15, as in the catalog."""
+    n = np.arange(1, int(rate + 40.0 * math.sqrt(rate)) + 40)
+    n = n[:np.argmax(stats.poisson(rate).sf(n) <= 1e-15) + 1]
+    inc = gammaincc if upper else gammainc
+    out = np.full_like(y, 0.0 if upper else math.exp(-rate))
+    for n_, w_n in zip(n, stats.poisson(rate).pmf(n)):
+        out += w_n * inc(a * n_, y)
+    return out
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 2.5, 3.0, math.sqrt(2.0),
+                               175.0])
+@pytest.mark.parametrize("rate", [0.1, 1.5, 20.0, 300.0])
+def test_gamma_jump_cdf_is_the_per_term_mixture(rate, a):
+    # one gammainc call per class of shapes a whole number of steps apart
+    # and positive Poisson terms for the rest: the per-term mixture to
+    # rounding wherever F is well above underflow, both on the positive
+    # side and mirrored
+    b = 3.0
+    spec = CompoundPoisson(rate, GammaJumps(a, b))
+    t = np.union1d(np.geomspace(1e-12, 1.0, 200),
+                   np.linspace(0.0, spec.mean() + 12.0 * spec.std(), 400))
+    tol = 1e-13 if rate <= 1.5 else 3e-12
+    F = spec.cdf_fn()(t)
+    mirrored = dist_catalog._GammaMixtureCdf(spec.measure.pos_structure,
+                                             -1.0, 0.0)
+    for got, want in (
+            (F, _per_term_gamma_mixture(rate, a, b * t)),
+            (mirrored(-t[1:]),
+             _per_term_gamma_mixture(rate, a, b * t[1:], upper=True))):
+        kept = want > 1e-290
+        assert np.max(np.abs(got[kept] - want[kept]) / want[kept]) <= tol
+    # the atom at 0 (t[0] = 0) and nothing below it
+    assert F[0] == pytest.approx(math.exp(-rate), rel=1e-13)
+    assert spec.cdf(-1e-300) == 0.0
+    # monotone up to the rounding of the sum, a few ulps of F
+    assert np.all(np.diff(F) >= -16 * np.finfo(float).eps * F[1:])
+
+
 @pytest.mark.parametrize("spec", [
     BGD(2.0, 3.0, 1.0, 4.0),
     VGD(0.5, 2.0, 3.0, 4.0),

@@ -512,6 +512,88 @@ def test_exp_poly_mean_gamma_closed_form(z):
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (n, p)
 
 
+def _complex_mean(spec, z, n):
+    """E[X^n e^{zX}] as a complex number: exp_poly_mean gives its real
+    part, and Re(-i w) = Im w."""
+    return complex(levy_core.exp_poly_mean(spec, [(1.0, 0, z)], n),
+                   levy_core.exp_poly_mean(spec, [(-1j, 0, z)], n))
+
+
+# |z| over the decay rate or Laplace scale: inside the strip, at it, and
+# far beyond it, where C_j + Psi_j(z) would cancel to a few digits or none
+Z_SCALES = [1.0, 10.0, 300.0]
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 50.0])
+def test_exp_poly_mean_far_from_the_origin_gamma(a):
+    # Ga(a, b): E[X^n e^{zX}] = (a)_n b^a (b - z)^{-(a + n)}, held to
+    # 1e-13 of its modulus for n <= 14, on rays through the upper half
+    # plane and at a real z inside the strip
+    b = 1.5
+    spec = Gamma(a, b)
+    zs = [0.5 * b] + [r * b * np.exp(1j * math.pi * t) for r in Z_SCALES
+                      for t in (0.5, 0.75, 1.0)]
+    for z in zs:
+        for n in range(15):
+            want = (math.prod(a + k for k in range(n))
+                    * (b / (b - z)) ** a / (b - z) ** n)
+            got = _complex_mean(spec, z, n)
+            assert abs(got - want) <= 1e-13 * abs(want), (z, n)
+
+
+def _laplace_mgf_derivative(mu, delta, z, n):
+    """The n-th derivative of e^{mu s} / (1 - delta^2 s^2) at z, and the
+    sum of the moduli of the terms it adds. With w = delta z, the k-th
+    derivative of the partial fractions (1/(1 - delta s) + 1/(1 + delta s))
+    / 2 is k! delta^k times sum_{j = k mod 2} C(k+1, j) w^j / (1 - w^2)^{k+1},
+    a form in which the two fractions do not cancel at large |w|."""
+    w = delta * z
+    total, scale = 0j, 0.0
+    for k in range(n + 1):
+        pair = sum(math.comb(k + 1, j) * w**j for j in range(k % 2, k + 2, 2))
+        term = (math.comb(n, k) * mu ** (n - k) * math.factorial(k)
+                * delta**k / (1 - w * w) ** (k + 1))
+        total += term * pair
+        scale += abs(term) * sum(math.comb(k + 1, j) * abs(w) ** j
+                                 for j in range(k % 2, k + 2, 2))
+    return np.exp(mu * z) * total, abs(np.exp(mu * z)) * scale
+
+
+@pytest.mark.parametrize("delta", [0.5, 2.0, 30.0, 300.0])
+def test_exp_poly_mean_far_from_the_origin_laplace(delta):
+    # Laplace(mu, delta) has mgf e^{mu s} / (1 - delta^2 s^2), so
+    # E[X^n e^{zX}] is its n-th derivative; z = (r0 + i r) / delta with
+    # |r0| < 1 inside the strip. Held to 1e-13 of its modulus, plus 8 eps
+    # of the moduli of the terms the reference adds: at w = i and odd n
+    # those terms cancel (the delta^n one vanishes), and no evaluation in
+    # doubles, the reference's included, keeps the mean's relative digits
+    mu = 0.5
+    spec = Laplace(mu, delta)
+    eps = np.finfo(float).eps
+    for r in Z_SCALES:
+        for r0 in (0.0, 0.5, -0.9):
+            z = (r0 + 1j * r) / delta
+            for n in range(15):
+                want, scale = _laplace_mgf_derivative(mu, delta, z, n)
+                got = _complex_mean(spec, z, n)
+                assert (abs(got - want)
+                        <= 1e-13 * abs(want) + 8 * eps * scale), (z, n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_stein_inner_far_from_the_origin(m):
+    # int u^m e^{z(x+u)} nu(du) = e^{zx} a Gamma(m) (b - z)^{-m} on Ga(a, b),
+    # whose Levy density is a u^{-1} e^{-bu}: read directly, not as
+    # C_m + Psi_m(z), which cancels to about 300^m eps at |z| = 300 b
+    a, b = 2.0, 1.5
+    meas = Gamma(a, b).measure
+    xs = np.array([-0.7, 1.9])
+    for z in (10j * b, 300j * b, -300.0 * b):
+        got = closed_inner(meas, [(1.0, 0, z)], m, subtract=False)(xs)
+        want = np.exp(z * xs) * a * math.gamma(m) * (b - z) ** -m
+        assert np.all(np.abs(got - want.real) <= 1e-13 * np.abs(want)), z
+
+
 def test_exp_poly_mean_sums_terms_and_checks_its_input():
     # x + 2 under Poisson(2) at n = 2: E[X^3] + 2 E[X^2] = 22 + 12
     spec = Poisson(2.0)
