@@ -112,14 +112,17 @@ def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
     laws with support crossing zero the number is still (2/mu) Cov(X, F(X)),
     but it is not a Lorenz-curve Gini; the CLI flags that case rather than
     rejecting it. Both methods return the index as a Monte Carlo
-    `MCEstimate` over the n draws of X.
+    `MCEstimate` over the n draws of X; the Lévy formula's `route` is its
+    nu-rule's, 'atoms' or 'rule'.
     """
     mu = _nonzero_mean(base)
     if mu < 0:
         raise InvalidParams("gini index needs a positive mean")
     F = base.cdf_fn()
+    route = None
     if method == "levy_formula":
         rule = nu_rule(base.measure, 1)
+        route = rule.route
 
         def batch(rng, size):
             x = base.sample(rng, size)
@@ -135,7 +138,8 @@ def gini(base: IDDSpec, mc: MCConfig = MCConfig(),
         est = mc_cov(batch, mc, ORACLE)
     else:
         raise InvalidParams(f"unknown gini method {method!r}")
-    return MCEstimate(2.0 / mu * est.value, 2.0 / mu * est.std_error, est.n)
+    return MCEstimate(2.0 / mu * est.value, 2.0 / mu * est.std_error, est.n,
+                      route)
 
 
 def gini_variance_scale(base: IDDSpec) -> float:

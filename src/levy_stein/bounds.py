@@ -18,7 +18,7 @@ terms; otherwise a fixed nu-rule gives its inner integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -42,17 +42,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VarianceBounds:
-    lower: float
-    upper: float
-    method: str  # 'closed_form' or 'numeric'
-    lower_se: float = 0.0
-    upper_se: float = 0.0
+    """The bracket's edges as estimates, both closed (n = 0, route
+    'closed') or both drawn together on the 'bias' route, and the optional
+    direct oracle of Var(g(X))."""
+
+    lower_edge: MCEstimate
+    upper_edge: MCEstimate
     oracle: Optional[MCEstimate] = None
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-12 * max(abs(self.upper), 1.0):
             raise InvalidParams(
                 f"variance bounds cross: lower {self.lower} > upper {self.upper}")
+
+    lower = property(lambda self: self.lower_edge.value)
+    upper = property(lambda self: self.upper_edge.value)
+    lower_se = property(lambda self: self.lower_edge.std_error)
+    upper_se = property(lambda self: self.upper_edge.std_error)
+    # 'closed_form' or 'numeric', the edges' own
+    method = property(lambda self: self.lower_edge.method)
 
 
 def _closed_cov_x(base: IDDSpec, terms) -> float:
@@ -78,15 +86,15 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
     oracle = mc_variance(lambda rng, m: g.f(base.sample(rng, m)), mc,
                          ORACLE) if with_oracle else None
     if var == 0.0:
-        return VarianceBounds(lower=0.0, upper=0.0, method="closed_form",
-                              oracle=oracle)
+        zero = MCEstimate(0.0, 0.0, 0, "closed")
+        return VarianceBounds(zero, zero, oracle)
 
     if g.terms:
         slope = _closed_cov_x(base, g.terms) / var  # E[g'(X + Y_1)]
         h = antiderivative(squared(derivative(g.terms)))  # H' = (g')^2
-        return VarianceBounds(lower=var * (slope * slope),
-                              upper=_closed_cov_x(base, h),
-                              method="closed_form", oracle=oracle)
+        return VarianceBounds(
+            MCEstimate(var * (slope * slope), 0.0, 0, "closed"),
+            MCEstimate(_closed_cov_x(base, h), 0.0, 0, "closed"), oracle)
 
     bv = BiasVariable(base.measure, 1)
 
@@ -102,9 +110,8 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
     et, et2 = pooled.mean  # E[t], E[t^2]
     lower = pooled.estimate(var * et**2, (2.0 * var * et, 0.0))
     upper = pooled.estimate(var * et2, (0.0, var))
-    return VarianceBounds(lower=lower.value, upper=upper.value,
-                          method="numeric", lower_se=lower.std_error,
-                          upper_se=upper.std_error, oracle=oracle)
+    return VarianceBounds(replace(lower, route="bias"),
+                          replace(upper, route="bias"), oracle)
 
 
 def chen_upper_bound(base: IDDSpec, g: TestFunction,
@@ -115,15 +122,17 @@ def chen_upper_bound(base: IDDSpec, g: TestFunction,
     integral finite even though nu itself may be infinite near the origin.
     For g with terms it is a closed sum, with SE 0 and n 0 (no draws);
     otherwise it draws from the BOUND streams, independent of the bracket's.
+    The estimate's `route` is 'closed', or the fixed nu-rule's.
     """
     # (g(x+u) - g(x))^2 grows at twice the rate of g, on g's side only
     _check_tilt_headroom(base, g, power=2)
     if g.terms:
         inner = closed_sq_diff(base.measure, g.terms).terms
-        return MCEstimate(exp_poly_mean(base, inner), 0.0, 0)
+        return MCEstimate(exp_poly_mean(base, inner), 0.0, 0, "closed")
     rule = nu_rule(base.measure, 0)
-    return mc_mean(lambda rng, size: rule.shifted_sum_sq_diff(
+    est = mc_mean(lambda rng, size: rule.shifted_sum_sq_diff(
         g.f, base.sample(rng, size)), mc, BOUND)
+    return replace(est, route=rule.route)
 
 
 def posterior_bounds_gamma(k: float, a: float, b: float, n: int, xbar: float,

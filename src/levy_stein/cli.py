@@ -39,9 +39,8 @@ from .errors import (InvalidParams, NumericFailure, ParseError,
                      ValidationError, ValidationFailure)
 from .functions import (G_REGISTRY, PARAMS, W_REGISTRY, TestFunction,
                         get_function)
-from .identities import (cov_identity_rhs, cov_oracle, identity_route,
-                         inner_route, stein_residual, stein_residual_bgd,
-                         stein_residual_vgd)
+from .identities import (cov_identity_rhs, cov_oracle, stein_residual,
+                         stein_residual_bgd, stein_residual_vgd)
 from .levy_core import cumulant
 from .mc import MCConfig, MCEstimate, combine_se, z_score
 
@@ -236,7 +235,7 @@ def _z_row(diff: float, se: float) -> dict:
 def _run_cumulants(spec: TaskSpec):
     rows = [_row(f"C{k}", cumulant(spec.base, k), "closed_form")
             for k in range(1, spec.task["k_max"] + 1)]
-    return rows, [], {}
+    return {}, rows, []
 
 
 def _run_verify_identity(spec: TaskSpec):
@@ -244,27 +243,17 @@ def _run_verify_identity(spec: TaskSpec):
     n = spec.task["n"]
     est = cov_identity_rhs(spec.base, n, g, spec.mc)
     orc = cov_oracle(spec.base, n, g, spec.mc)
-    rows = [_est_row("identity_rhs", est), _est_row("oracle", orc),
-            _z_row(est.value - orc.value, combine_se(est, orc))]
-    return rows, [], {"identity_rhs": identity_route(spec.base, n, g)}
+    return ({"identity_rhs": est, "oracle": orc},
+            [_z_row(est.value - orc.value, combine_se(est, orc))], [])
 
 
 def _run_bounds(spec: TaskSpec):
     g = _task_function(spec.task)
     vb = cacoullos_bounds(spec.base, g, spec.mc, with_oracle=True)
-    chen = chen_upper_bound(spec.base, g, spec.mc)
-    closed = vb.method == "closed_form"
-    n = 0 if closed else spec.mc.n_samples  # both edges share the draws
-    rows = [
-        _est_row("cacoullos_lower", MCEstimate(vb.lower, vb.lower_se, n)),
-        _est_row("cacoullos_upper", MCEstimate(vb.upper, vb.upper_se, n)),
-        _est_row("variance_oracle", vb.oracle),
-        _est_row("chen_upper", chen),
-    ]
-    bracket = "closed" if closed else "bias"
-    routes = {"cacoullos_lower": bracket, "cacoullos_upper": bracket,
-              "chen_upper": inner_route(spec.base.measure, g)}
-    return rows, [], routes
+    return {"cacoullos_lower": vb.lower_edge,
+            "cacoullos_upper": vb.upper_edge,
+            "variance_oracle": vb.oracle,
+            "chen_upper": chen_upper_bound(spec.base, g, spec.mc)}, [], []
 
 
 def _run_premium(spec: TaskSpec):
@@ -282,15 +271,12 @@ def _run_premium(spec: TaskSpec):
         w = _task_function(task)
         name = f"generalized_wpcp(n={task['n']}, {w.name})"
         est = generalized_wpcp(base, task["n"], w)
-    return [_est_row(name, est)], [], {}
+    return {name: est}, [], []
 
 
 def _run_gini(spec: TaskSpec):
     levy = gini(spec.base, spec.mc, method="levy_formula")
     orc = gini(spec.base, spec.mc, method="covariance_oracle")
-    rows = [_est_row("gini_levy_formula", levy),
-            _est_row("gini_covariance_oracle", orc),
-            _z_row(levy.value - orc.value, combine_se(levy, orc))]
     scale = gini_variance_scale(spec.base)
     warnings = [
         f"(2/mean)*Var(X) = {scale:.6g} is not a Gini coefficient; the "
@@ -303,14 +289,13 @@ def _run_gini(spec: TaskSpec):
             or convert_drift(spec.base, "uncompensated") < 0):
         warnings.append("support extends below zero: formula value, not a "
                         "Lorenz-Gini")
-    return rows, warnings, {
-        "gini_levy_formula": inner_route(spec.base.measure, None)}
+    return ({"gini_levy_formula": levy, "gini_covariance_oracle": orc},
+            [_z_row(levy.value - orc.value, combine_se(levy, orc))], warnings)
 
 
 def _run_stein(spec: TaskSpec):
     g = _task_function(spec.task)
     base = spec.base
-    routes = {}
     # vgd and bgd report the paper's second-order residuals, which need no
     # inner integral; every other family the triplet's first-order one
     if base.family == "vgd":
@@ -319,12 +304,12 @@ def _run_stein(spec: TaskSpec):
         est = stein_residual_bgd(base, g, spec.mc)
     else:
         est = stein_residual(base, g, spec.mc)
-        routes["stein_residual"] = inner_route(base.measure, g)
-    rows = [_est_row("stein_residual", est),
-            _z_row(est.value, est.std_error)]
-    return rows, [], routes
+    return {"stein_residual": est}, [_z_row(est.value, est.std_error)], []
 
 
+# each runner returns (estimates by row name, further rows, warnings);
+# `run_task` writes the estimates' rows first, in order, and reads their
+# routes
 _RUNNERS = {
     "cumulants": _run_cumulants,
     "verify-identity": _run_verify_identity,
@@ -349,7 +334,8 @@ def _params_echo(base: IDDSpec) -> dict:
 
 def run_task(spec: TaskSpec) -> dict:
     """Execute the task and assemble the report document."""
-    rows, warnings, routes = _RUNNERS[spec.task["kind"]](spec)
+    ests, rows, warnings = _RUNNERS[spec.task["kind"]](spec)
+    rows = [_est_row(name, est) for name, est in ests.items()] + rows
     ses = [r["std_error"] for r in rows if r["std_error"] is not None]
     report = {
         "input": {
@@ -367,8 +353,10 @@ def run_task(spec: TaskSpec) -> dict:
             "batch": spec.mc.batch,
             "max_std_error": max(ses) if ses else None,
             # how each row's inner integral was evaluated: closed, rule,
-            # bias or atoms (rows without one are absent)
-            "inner_routes": routes,
+            # bias or atoms, as its estimator names it (rows without one
+            # are absent)
+            "inner_routes": {name: est.route for name, est in ests.items()
+                             if est.route is not None},
             "versions": {
                 "levy_stein": __version__,
                 "python": platform.python_version(),

@@ -89,9 +89,10 @@ class IDDSpec:
     `cdf_fn` returns a vectorized F: a family's `_closed_cdf`, else the
     triplet's closed form (`_triplet_cdf`), else a table of knot values
     (`_cdf_knots`: the COS series when a side has beta > 0, the
-    double-exponential rule of `_gamma_diff_cdf` for two beta = 0 sides);
-    `cdf_route` names the route. `cdf` is F at one point, never the table's
-    interpolant.
+    double-exponential rule of `_gamma_diff_cdf` for two beta = 0 sides).
+    The choice is made once per spec, in `_cdf`, which keeps F with the
+    route that `cdf_route` prints. `cdf` is F at one point, never the
+    table's interpolant.
     """
 
     family: ClassVar[str] = "?"
@@ -103,6 +104,23 @@ class IDDSpec:
     @cached_property
     def measure(self) -> LevyMeasure:
         raise NotImplementedError
+
+    @cached_property
+    def _cdf(self):
+        """(F, route): the vectorized F of `cdf_fn` and the dict of
+        `cdf_route`, built on first use and kept as long as the spec."""
+        f, route = self._closed_cdf(), {"route": "closed"}
+        if f is None:
+            f, route = _triplet_cdf(self), {"route": "triplet"}
+        if isinstance(f, _GammaMixtureCdf):
+            route.update(mixture_terms=f.terms,
+                         gammainc_calls=f.gammainc_calls)
+        elif f is None:
+            f = CdfTable(self)
+            route = {"route": "table", "range": [f.lo, f.hi],
+                     "knots": _CDF_KNOTS, "knot_rule": f.knot_rule,
+                     "knot_error_estimate": f.knot_error}
+        return _finite_only(f), route
 
     @property
     def drift0(self) -> float:
@@ -178,19 +196,16 @@ class IDDSpec:
         x = float(x)
         if not math.isfinite(x):  # nan stays nan, -inf gives 0, +inf 1
             return float(np.clip(x, 0.0, 1.0))
-        f = self._formula_cdf()
+        f = self._closed_cdf() or _triplet_cdf(self)
         if f is None:
             return _point_cdf(self, x)
         return float(f(np.asarray([x]))[0])
 
     def cdf_fn(self):
         """Vectorized cdf: closed when the family or its triplet has one,
-        else a monotone PCHIP interpolant of the `_cdf_knots` values."""
-        return _finite_only(self._formula_cdf() or _cdf_table(self))
-
-    def _formula_cdf(self):
-        """The family's closed F, else the triplet's, else None."""
-        return self._closed_cdf() or _triplet_cdf(self)
+        else a monotone PCHIP interpolant of the `_cdf_knots` values; one
+        object per spec (`_cdf`)."""
+        return self._cdf[0]
 
     def tail_rates(self) -> Tuple[float, float]:
         """(left, right) exponential decay rates of the Lévy tails."""
@@ -495,33 +510,14 @@ def _cdf_range(spec: IDDSpec) -> Tuple[float, float]:
     return lo, hi
 
 
-# a gini task reads one law's table three times (its levy formula, its
-# oracle and `cdf_route`); a table is ~85 KB, so only the last two laws
-# stay, and a process that meets many laws does not grow with them
-@lru_cache(maxsize=2)
-def _cdf_table(spec: IDDSpec) -> CdfTable:
-    return CdfTable(spec)
-
-
 def cdf_route(spec: IDDSpec) -> dict:
-    """How `cdf_fn` evaluates F: route 'closed' (the family's own form),
-    'triplet' (the triplet's closed form) or 'table'. A triplet gamma
-    mixture adds its gamma term count and its incomplete gamma calls per
-    point; a table adds its range, knot count, knot rule ('cos' or
-    'double_exponential') and the rule's error estimate (None for the COS
-    series)."""
-    if spec._closed_cdf() is not None:
-        return {"route": "closed"}
-    f = _triplet_cdf(spec)
-    if isinstance(f, _GammaMixtureCdf):
-        return {"route": "triplet", "mixture_terms": f.terms,
-                "gammainc_calls": f.gammainc_calls}
-    if f is not None:
-        return {"route": "triplet"}
-    table = _cdf_table(spec)
-    return {"route": "table", "range": [table.lo, table.hi],
-            "knots": _CDF_KNOTS, "knot_rule": table.knot_rule,
-            "knot_error_estimate": table.knot_error}
+    """How `cdf_fn` evaluates F, as the spec chose it once (`_cdf`): route
+    'closed' (the family's own form), 'triplet' (the triplet's closed form)
+    or 'table'. A triplet gamma mixture adds its gamma term count and its
+    incomplete gamma calls per point; a table adds its range, knot count,
+    knot rule ('cos' or 'double_exponential') and the rule's error estimate
+    (None for the COS series)."""
+    return spec._cdf[1]
 
 
 # -- Poisson -----------------------------------------------------------------

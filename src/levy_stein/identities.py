@@ -18,7 +18,8 @@ in x again, evaluated per sample. Otherwise, for measures supported on the
 positive half-line, I_m(x) = C_{m+1} E[g'(x + Y_m)] with Y_m the bias
 variable of order m, which gives a quadrature-free sampling route; on other
 supports the nu-form runs through a fixed nu-rule, an exact sum for atomic
-measures.
+measures. Each estimate names the route it took in its `route`: 'closed',
+'bias', 'atoms' or 'rule'.
 
 For g with terms the outer integral over s is closed at every n. With
 g = e^{zx}, I_m(x) = e^{zx} Psi_m(z), and under the tilt e^{z X_s} the
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import replace
 from functools import partial
 from typing import Dict, Optional
 
@@ -64,8 +66,6 @@ __all__ = [
     "JointPairSampler",
     "sample_joint",
     "cov_identity_rhs",
-    "identity_route",
-    "inner_route",
     "cov_first_order",
     "cov_oracle",
     "stein_residual",
@@ -148,23 +148,15 @@ def _moment_precheck(base: IDDSpec, n: int):
         base.measure.moment(k)
 
 
-def inner_route(measure: LevyMeasure, g: Optional[TestFunction]) -> str:
-    """How a nu-form inner integral of g is evaluated: 'closed' when g has
-    exponential-polynomial terms, otherwise a fixed rule, which is an exact
-    sum over 'atoms' for atomic measures and a quadrature 'rule' else."""
-    if g is not None and g.terms:
-        return "closed"
-    return "atoms" if measure.is_atomic else "rule"
-
-
 def _nu_inner(measure: LevyMeasure, g: TestFunction, m: int,
               subtract: bool = True):
-    """x -> int u^m (g(x+u) - [subtract] g(x)) nu(du), on the route that
-    `inner_route` names: closed, or a fixed nu-rule (exact over atoms)."""
+    """(route, x -> int u^m (g(x+u) - [subtract] g(x)) nu(du)): 'closed'
+    when g has exponential-polynomial terms, otherwise the fixed nu-rule's
+    route, an exact sum over 'atoms' or a quadrature 'rule'."""
     if g.terms:
-        return closed_inner(measure, g.terms, m, subtract)
+        return "closed", closed_inner(measure, g.terms, m, subtract)
     rule = nu_rule(measure, m)
-    return partial(rule.shifted_sum, g.f, subtract_at_x=subtract)
+    return rule.route, partial(rule.shifted_sum, g.f, subtract_at_x=subtract)
 
 
 def _series_mul(a, b):
@@ -191,21 +183,24 @@ def _phi_derivatives(measure: LevyMeasure, mu: float, n: int, z: complex,
     where B_k is the complete Bell polynomial and c_j(s) = (1 - s) kappa_j(0)
     + s kappa_j(z) are the cumulants of Y_s under the tilt e^{z X_s}. It
     works in power series of t around z, built from int u^q e^{zu} nu(du) =
-    C_q + Psi_q(z): the t^i coefficient of Psi_m(z + t) is
-    (C_{m+i} + Psi_{m+i}(z)) / i!, and kappa_j(z) is Psi_j(z) plus its value
-    at z = 0, mu or C_j. The s-integrand has degree n - 1 in s, so
+    C_q + Psi_q(z), read directly (`exp_moment` with minus_one False), as
+    the sum cancels at large |z|: the t^i coefficient of Psi_m(z + t) is
+    that integral at q = m + i over i!, and kappa_j(z) is Psi_j(z) plus its
+    value at z = 0, mu or C_j. The s-integrand has degree n - 1 in s, so
     ceil(n / 2) Gauss-Legendre nodes integrate it exactly. The Bell
     recursion makes O(n^2) series products and stops at the first moment
     beyond the range of a double.
     """
     at_z = np.array([0j] + [complex(exp_moment(measure, q, z))
-                            for q in range(1, n + deg + 1)])
-    tilted = at_z.copy()
-    tilted[2:] += [measure.moment(q) for q in range(2, n + deg + 1)]
+                            for q in range(1, n + 1)])
+    # entries 0 and 1 land only in row 0, unused, or in column 0, at_z's
+    tilted = np.array([0j, 0j] + [
+        complex(exp_moment(measure, q, z, minus_one=False))
+        for q in range(2, n + deg + 1)])
     fact = np.array([math.factorial(i) for i in range(deg + 1)], dtype=float)
     # row m: the series of Psi_m(z + t), m = 0..n (row 0 is unused)
     psi = tilted[np.arange(n + 1)[:, None] + np.arange(deg + 1)] / fact
-    psi[:, 0] = at_z[:n + 1]
+    psi[:, 0] = at_z
     nodes, weights = np.polynomial.legendre.leggauss((n + 1) // 2)
     s = 0.5 * (nodes + 1.0)
     cums = []
@@ -252,31 +247,6 @@ def _closed_integrand(base: IDDSpec, terms, n: int) -> ClosedInner:
                              if c))
 
 
-def identity_route(base: IDDSpec, n: int, g: TestFunction,
-                   route: str = "auto") -> str:
-    """The inner-integral route of `cov_identity_rhs`: 'closed', 'bias',
-    'atoms' or 'rule'.
-
-    'auto' routes by what g is: 'closed' whenever g has terms, on any
-    support; otherwise the bias variables on positive support, and a fixed
-    rule (exact over 'atoms') elsewhere. 'bias' may be asked for with any
-    g; 'quadrature' is the nu-form, closed or by rule.
-    """
-    meas = base.measure
-    if route == "auto":
-        route = ("bias" if not g.terms and meas.support == "positive"
-                 else "quadrature")
-    if route == "bias":
-        if meas.support != "positive" and n > 1:
-            raise InvalidParams(
-                "bias-sampling route needs positive support for n > 1 "
-                "(even-order bias variables do not exist two-sided)")
-        return route
-    if route != "quadrature":
-        raise InvalidParams(f"unknown route {route!r}")
-    return inner_route(meas, g)
-
-
 def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
                      mc: MCConfig = MCConfig(),
                      route: str = "auto") -> MCEstimate:
@@ -285,8 +255,11 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
     route 'bias' draws the inner integral through equilibrium variables
     (positive support; two-sided only at n = 1), 'quadrature' evaluates
     the nu-form of I_m in closed form when g has terms, and otherwise with
-    fixed nu-rules (exact sums for atomic measures); 'auto' picks by g, as
-    `identity_route` says, and names the pick.
+    fixed nu-rules (exact sums for atomic measures). 'auto' picks by g:
+    'closed' whenever g has terms, on any support; otherwise the bias
+    variables on positive support, and a fixed rule elsewhere. The
+    estimate's `route` names the route taken: 'closed', 'bias', 'atoms' or
+    'rule'.
 
     On the closed route each batch draws X once with `sample`, at every n:
     the integrand is the exponential polynomial Phi_n(z) e^{zx} per term
@@ -303,13 +276,23 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
         raise InvalidParams("identity order n must be a positive integer")
     _moment_precheck(base, n)
     _check_tilt_headroom(base, g)
-    route = identity_route(base, n, g, route)
     meas = base.measure
-    mu = base.mean()
-    if route == "closed":
+    if route == "auto":
+        route = ("bias" if not g.terms and meas.support == "positive"
+                 else "quadrature")
+    if route == "bias":
+        if meas.support != "positive" and n > 1:
+            raise InvalidParams(
+                "bias-sampling route needs positive support for n > 1 "
+                "(even-order bias variables do not exist two-sided)")
+    elif route != "quadrature":
+        raise InvalidParams(f"unknown route {route!r}")
+    elif g.terms:
         whole = _closed_integrand(base, g.terms, n)
-        return mc_mean(lambda rng, size: whole(base.sample(rng, size)), mc)
+        est = mc_mean(lambda rng, size: whole(base.sample(rng, size)), mc)
+        return replace(est, route="closed")
 
+    mu = base.mean()
     pair = JointPairSampler(base, order=n)
     binom = [math.comb(n, k) for k in range(n)]
 
@@ -325,10 +308,11 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
             return bank[m].normalizer / scale * g.d1(x + shift)
     else:
         scale = 1.0
-        closed_or_rule = {m: _nu_inner(meas, g, m) for m in range(1, n + 1)}
+        rules = {m: _nu_inner(meas, g, m) for m in range(1, n + 1)}
+        route = rules[n][0]
 
         def inner(rng, m, x):
-            return closed_or_rule[m](x)
+            return rules[m][1](x)
 
     def batch(rng, size):
         if n > 2:
@@ -343,7 +327,7 @@ def cov_identity_rhs(base: IDDSpec, n: int, g: TestFunction,
         return w * z
 
     est = mc_mean(batch, mc)
-    return MCEstimate(scale * est.value, scale * est.std_error, est.n)
+    return MCEstimate(scale * est.value, scale * est.std_error, est.n, route)
 
 
 def cov_first_order(base: IDDSpec, g: TestFunction,
@@ -357,9 +341,12 @@ def cov_first_order(base: IDDSpec, g: TestFunction,
 def cov_oracle(base: IDDSpec, n: int, g: TestFunction,
                mc: MCConfig = MCConfig()) -> MCEstimate:
     """Plain sample covariance of (X^n, g(X)); the independent check the
-    identity estimators are held against, drawn from the ORACLE streams."""
+    identity estimators are held against, drawn from the ORACLE streams.
+    A g growing past the Lévy decay rate raises DivergentMoment, as the
+    identity does: the covariance does not exist."""
     if n < 1:
         raise InvalidParams("moment order n must be a positive integer")
+    _check_tilt_headroom(base, g)
 
     def batch(rng, size):
         x = base.sample(rng, size)
@@ -377,17 +364,18 @@ def stein_residual(spec: IDDSpec, g: TestFunction,
     IDD law, with b its uncompensated drift: b = 0 for CGMY, and Poisson
     gives Chen's E[X g(X)] = lam E[g(X + 1)]. The inner integral is closed
     when g has terms and a fixed nu-rule otherwise, so the residual is a
-    plain mean whose MC error the caller can read off the estimate.
+    plain mean whose MC error the caller can read off the estimate, and
+    whose `route` names the inner integral's.
     """
     _check_tilt_headroom(spec, g)
     b = convert_drift(spec, "uncompensated")
-    inner = _nu_inner(spec.measure, g, 1, subtract=False)
+    route, inner = _nu_inner(spec.measure, g, 1, subtract=False)
 
     def batch(rng, size):
         x = spec.sample(rng, size)
         return (x - b) * g.f(x) - inner(x)
 
-    return mc_mean(batch, mc)
+    return replace(mc_mean(batch, mc), route=route)
 
 
 # the CGMY case (b = 0) under its earlier name

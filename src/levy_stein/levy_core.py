@@ -33,7 +33,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, gammaln
@@ -466,11 +466,13 @@ class FixedRule:
     (measure, order) and reused across every Monte Carlo sample; exactness
     for atomic measures, panelled Gauss-Legendre with an origin
     substitution otherwise. Validated against adaptive quadrature and the
-    closed transforms in the test suite.
+    closed transforms in the test suite. `route` names it: a quadrature
+    'rule', or 'atoms' for the exact sum over an atomic measure's atoms.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
+    route: ClassVar[str] = "rule"
 
     def integrate(self, h: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(np.dot(self.weights, h(self.nodes)))
@@ -513,6 +515,10 @@ class FixedRule:
             u = self.nodes[lo:lo + step]
             hu = np.reshape(h((u[:, None] + xs).ravel()), (u.size, xs.size))
             yield from zip(self.weights[lo:lo + step], hu)
+
+
+class _AtomSum(FixedRule):
+    route = "atoms"
 
 
 # entries of x + u that FixedRule's sums hand h at once (32 KB of floats)
@@ -595,7 +601,7 @@ def nu_rule(measure: LevyMeasure, m: int) -> FixedRule:
     if measure.is_atomic:
         locs = np.array([l for l, _ in measure.atoms])
         w = np.array([mass * l**m for l, mass in measure.atoms])
-        return FixedRule(locs, w)
+        return _AtomSum(locs, w)
     return _panel_rule(
         measure, m,
         power=lambda side: (max(2, math.ceil(2.0 / (1.0 - side.beta)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -51,11 +51,13 @@ class MCConfig:
 class MCEstimate:
     """The one result type for a reported scalar: a Monte Carlo mean with
     its SE over n draws, or a closed value, which drew nothing (n = 0,
-    SE 0)."""
+    SE 0). `route` names how the estimator took its inner integral:
+    'closed', 'rule', 'atoms' or 'bias'; None where it has none."""
 
     value: float
     std_error: float
     n: int
+    route: Optional[str] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and math.isfinite(self.std_error)):

@@ -167,8 +167,7 @@ def test_no_quadrature_config_where_no_quadrature_runs():
         levy_stein.generalized_wpcp, levy_stein.gini,
         levy_stein.IDDSpec.cdf, levy_stein.IDDSpec.cdf_fn,
         dist_catalog._point_cdf, dist_catalog._cdf_knots,
-        dist_catalog.CdfTable, dist_catalog._cdf_table,
-        dist_catalog._gamma_diff_cdf]
+        dist_catalog.CdfTable, dist_catalog._gamma_diff_cdf]
     # parameters that every caller set to one value: exp_moment is Psi_m,
     # the oracle integrates over all of R \\ {0}, and a cdf table has a
     # fixed knot count, and so do the knot values it interpolates

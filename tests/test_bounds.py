@@ -15,6 +15,7 @@ from levy_stein import (
     InvalidParams,
     Laplace,
     MCConfig,
+    MCEstimate,
     VarianceBounds,
     cacoullos_bounds,
     chen_upper_bound,
@@ -245,4 +246,24 @@ def test_posterior_gamma_validation(kwargs):
 
 def test_bounds_crossing_rejected():
     with pytest.raises(InvalidParams):
-        VarianceBounds(lower=2.0, upper=1.0, method="closed_form")
+        VarianceBounds(MCEstimate(2.0, 0.0, 0, "closed"),
+                       MCEstimate(1.0, 0.0, 0, "closed"))
+
+
+@pytest.mark.parametrize("spec,g,route", [
+    (Gamma(2.0, 1.5), GAUSS, "bias"),
+    (Gamma(2.0, 1.5), SIN, "closed"),
+    # a point mass: the closed bracket [0, 0]
+    (Gamma(0.0, 1.5), GAUSS, "closed"),
+], ids=["numeric", "closed", "point_mass"])
+def test_edges_carry_their_draws_and_route(spec, g, route, mc_small):
+    vb = cacoullos_bounds(spec, g, mc_small)
+    n = mc_small.n_samples if route == "bias" else 0
+    for edge in (vb.lower_edge, vb.upper_edge):
+        assert (edge.n, edge.route) == (n, route)
+    assert (vb.lower, vb.upper, vb.lower_se, vb.upper_se) == (
+        vb.lower_edge.value, vb.upper_edge.value,
+        vb.lower_edge.std_error, vb.upper_edge.std_error)
+    assert vb.method == ("numeric" if n else "closed_form")
+    if spec.variance() == 0.0:
+        assert (vb.lower, vb.upper) == (0.0, 0.0)

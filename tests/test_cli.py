@@ -640,6 +640,17 @@ TILT = {"w_name": "exp_tilt", "kappa": 0.5}
     # g without terms keeps the bias route on positive support
     (None, {"kind": "verify-identity", "n": 1, "g_name": "log1psq"},
      {"identity_rhs": "bias"}),
+    # without terms the bracket draws bias variables, and Chen's bound
+    # takes the nu-rule, an exact sum over a Poisson law's atom
+    (None, {"kind": "bounds", "g_name": "gauss"},
+     {"cacoullos_lower": "bias", "cacoullos_upper": "bias",
+      "chen_upper": "rule"}),
+    ({"family": "poisson", "params": {"lam": 2.0}},
+     {"kind": "bounds", "g_name": "gauss"},
+     {"cacoullos_lower": "bias", "cacoullos_upper": "bias",
+      "chen_upper": "atoms"}),
+    (CGMY_HALF, {"kind": "stein", "g_name": "gauss"},
+     {"stein_residual": "rule"}),
 ])
 def test_report_names_inner_routes(dist, task, routes):
     over = {"task": task, "mc": {"n_samples": 2000, "seed": 3, "batch": 250}}
@@ -738,9 +749,8 @@ def test_gini_report_names_its_cdf(dist, route, rule, mixture):
         err = cdf["knot_error_estimate"]
         # the COS series has no estimate; the rule met its tolerance
         assert err is None if rule == "cos" else 0 <= err <= 1e-13
-    # byte-identical when the table is built again
-    dist_catalog._cdf_table.cache_clear()
-    assert emit(run_task(spec), "json") == first
+    # byte-identical when a new spec builds its table again
+    assert emit(run_task(build_spec(minimal_doc(**over))), "json") == first
 
 
 def test_gini_builds_its_table_once(monkeypatch):
@@ -753,7 +763,6 @@ def test_gini_builds_its_table_once(monkeypatch):
         init(self, spec)
 
     monkeypatch.setattr(dist_catalog.CdfTable, "__init__", counted)
-    dist_catalog._cdf_table.cache_clear()
     bgd = {"family": "bgd", "params": {"alpha_pos": 2.0, "lam_pos": 3.0,
                                        "alpha_neg": 1.0, "lam_neg": 4.0}}
     run_task(build_spec(minimal_doc(

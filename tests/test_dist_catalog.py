@@ -20,8 +20,8 @@ from levy_stein import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
                         TwoSidedExp, ValidationError, convert_drift,
                         cumulant, make_spec, vgd_from_alt, vgd_to_alt)
 from levy_stein import JointPairSampler, dist_catalog
-from levy_stein.dist_catalog import (VGDAltParams, _cdf_knots, _cdf_range,
-                                     _cdf_table, _gamma_diff_cdf, _open_unit)
+from levy_stein.dist_catalog import (CdfTable, VGDAltParams, _cdf_knots,
+                                     _cdf_range, _gamma_diff_cdf, _open_unit)
 
 from quad_oracle import QuadratureConfig, integrate_levy, mean_levy
 
@@ -620,7 +620,6 @@ def test_gamma_diff_cdf_past_level_cap_raises(monkeypatch):
     spec = BGD(2.0, 3.0, 1.0, 4.0)
     with pytest.raises(NonConvergence, match="last two levels differ"):
         spec.cdf(0.3)
-    _cdf_table.cache_clear()
     with pytest.raises(NonConvergence, match="last two levels differ"):
         spec.cdf_fn()
 
@@ -630,7 +629,7 @@ def test_gamma_diff_cdf_past_level_cap_raises(monkeypatch):
     (BGD(2.0, 3.0, 1.0, 4.0), "double_exponential"),
 ])
 def test_table_equals_pchip_interpolator(spec, rule):
-    table = _cdf_table(spec)
+    table = CdfTable(spec)
     lo, hi = table.lo, table.hi
     knots = np.linspace(lo, hi, 2049)
     vals, got_rule, _ = _cdf_knots(spec, lo, hi)

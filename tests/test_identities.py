@@ -39,8 +39,8 @@ from levy_stein.functions import GAUSS, IDENTITY, LOG1PSQ, SIN, SQUARE, \
     make_exp_tilt
 from levy_stein.actuarial import raw_moment
 from levy_stein.dist_catalog import convert_drift
-from levy_stein.identities import _closed_integrand, identity_route
-from levy_stein.levy_core import (closed_inner, exp_moment,
+from levy_stein.identities import _closed_integrand
+from levy_stein.levy_core import (closed_inner, exp_moment, exp_poly_mean,
                                   moments_from_cumulants)
 from levy_stein.mc import mc_mean
 
@@ -136,7 +136,7 @@ def test_closed_and_bias_routes_agree(spec, n, g):
     # bias route stays callable and estimates the same right-hand side
     closed = cov_identity_rhs(spec, n, g, MC_CLOSED)
     bias = cov_identity_rhs(spec, n, g, MC_BIAS, route="bias")
-    assert identity_route(spec, n, g) == "closed"
+    assert closed.route == "closed" and bias.route == "bias"
     assert_agree(closed, bias, label=f"{spec.family} n={n} {g.name}")
 
 
@@ -256,6 +256,35 @@ def test_closed_integrand_mean_is_the_covariance(spec, g, n):
                for a, p, z in h.terms)
     want = _cov_xn_g(spec, n, g)
     assert abs(mean - want) <= 1e-12 * abs(want), (mean, want)
+
+
+@pytest.mark.parametrize("im_z", [1.0, 15.0, 45.0, 150.0, 450.0])
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("spec", [Gamma(0.5, 1.0), Gamma(2.0, 1.5)],
+                         ids=["ga0.5", "ga2"])
+def test_closed_integrand_far_from_the_origin(spec, n, p, im_z):
+    # the integrand's mean against Re[E X^{n+p} e^{zX} - E X^n E X^p e^{zX}]
+    # from the gamma law's own E X^q e^{zX} = Gamma(a + q) / Gamma(a) b^a
+    # (b - z)^{-(a + q)}; where |z| is large against b, C_q + Psi_q(z)
+    # cancels, so the tilted moments must be read directly
+    a, b, z = spec.a, spec.b, complex(0.0, im_z)
+
+    def xq_exp(q, z):
+        return (math.exp(math.lgamma(a + q) - math.lgamma(a)) * b**a
+                * (b - z) ** -(a + q))
+
+    want = (xq_exp(n + p, z) - xq_exp(n, 0.0) * xq_exp(p, z)).real
+    got = exp_poly_mean(spec, _closed_integrand(spec, ((1, p, z),), n).terms)
+    assert abs(got - want) <= 1e-11 * abs(want), (got, want)
+
+
+def test_oracle_rejects_a_divergent_covariance():
+    # E[X e^{2X}] is infinite under Ga(2, 1.5): the oracle must not return
+    # a sample covariance for it
+    with pytest.raises(DivergentMoment):
+        cov_oracle(Gamma(2.0, 1.5), 1, make_exp_tilt(2.0),
+                   MCConfig(20_000, 1, 5_000))
 
 
 def test_route_validation():
