@@ -12,7 +12,7 @@ from .bounds import (VarianceBounds, cacoullos_bounds, chen_upper_bound,
 from .dist_catalog import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
                            Gamma, GammaJumps, IDDSpec, InverseGaussian,
                            Laplace, Poisson, TwoSidedExp, VGDAltParams,
-                           convert_drift, make_spec, vgd_from_alt, vgd_to_alt)
+                           make_spec, vgd_from_alt, vgd_to_alt)
 from .errors import (AtomicMeasure, DivergentMoment, InvalidParams,
                      LevySteinError, NonConvergence, NumericFailure,
                      ParseError, ValidationError,
@@ -41,7 +41,7 @@ __all__ = [
     "IDDSpec", "Poisson", "CompoundPoisson", "AtomicJumps", "GammaJumps",
     "Gamma", "InverseGaussian", "Laplace", "TwoSidedExp", "BGD", "VGD",
     "VGDAltParams", "CGMY", "GTSD", "vgd_from_alt", "vgd_to_alt",
-    "convert_drift", "make_spec",
+    "make_spec",
     # functions
     "TestFunction", "get_function", "make_exp_tilt", "make_shift",
     "G_REGISTRY", "W_REGISTRY",

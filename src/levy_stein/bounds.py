@@ -81,7 +81,7 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
     estimate of Var(g(X)) from the independent ORACLE streams.
     """
     # the upper edge integrates (g')^2 ~ e^{2 tilt x}
-    _check_tilt_headroom(base, g, power=2)
+    _check_tilt_headroom(base, g)
     var = base.variance()
     oracle = mc_variance(lambda rng, m: g.f(base.sample(rng, m)), mc,
                          ORACLE) if with_oracle else None
@@ -125,7 +125,7 @@ def chen_upper_bound(base: IDDSpec, g: TestFunction,
     The estimate's `route` is 'closed', or the fixed nu-rule's.
     """
     # (g(x+u) - g(x))^2 grows at twice the rate of g, on g's side only
-    _check_tilt_headroom(base, g, power=2)
+    _check_tilt_headroom(base, g)
     if g.terms:
         inner = closed_sq_diff(base.measure, g.terms).terms
         return MCEstimate(exp_poly_mean(base, inner), 0.0, 0, "closed")

@@ -33,8 +33,7 @@ from . import __version__
 from .actuarial import (esscher_closed, generalized_wpcp, gini,
                         gini_variance_scale, modified_variance, wpcp)
 from .bounds import cacoullos_bounds, chen_upper_bound
-from .dist_catalog import (IDDSpec, cdf_route, convert_drift, make_spec,
-                           spec_float)
+from .dist_catalog import IDDSpec, cdf_route, make_spec, spec_float
 from .errors import (InvalidParams, NumericFailure, ParseError,
                      ValidationError, ValidationFailure)
 from .functions import (G_REGISTRY, PARAMS, W_REGISTRY, TestFunction,
@@ -285,8 +284,7 @@ def _run_gini(spec: TaskSpec):
     ]
     # X >= 0 almost surely exactly when nu has no negative part and the
     # uncompensated drift is nonnegative
-    if (spec.base.measure.has_neg
-            or convert_drift(spec.base, "uncompensated") < 0):
+    if spec.base.measure.has_neg or spec.base.drift < 0:
         warnings.append("support extends below zero: formula value, not a "
                         "Lorenz-Gini")
     return ({"gini_levy_formula": levy, "gini_covariance_oracle": orc},

@@ -1,28 +1,29 @@
 """Catalog of infinitely divisible distributions as IDD(mu, 0, nu) specs.
 
 Each family knows its Lévy triplet (a measure of atoms or tilted-power
-sides, and a drift constant); `IDDSpec` derives mean, variance, cf, cdf,
-convolution powers and their exact samplers from it. The inverse Gaussian
+sides, and a drift constant); `IDDSpec` derives mean, variance, cf, cdf and
+the exact samplers of the convolution powers from it. The inverse Gaussian
 keeps numpy's Wald sampler; it, Laplace, the two-sided exponential and
 Poisson keep their closed cdf. Two drift conventions coexist in the
 catalog: families built from jumps of finite first moment are stored
 uncompensated (constant drift, cf kernel e^{itu} - 1), while the
 generalized tempered stable family is compensated (drift equals the mean,
 kernel e^{itu} - 1 - itu).
-`convert_drift` moves a constant between the two conventions; nothing else
-in the package needs to care which one a family uses.
+`IDDSpec.drift` reads the uncompensated drift b of either; nothing else in
+the package needs to care which one a family uses.
 
-Fractional convolution powers X^{*s}, 0 <= s <= 1, scale the Lévy measure
-and the drift by s; every family here is closed under that operation, which
-is what makes the exact joint-pair samplers in `identities` possible.
+A fractional convolution power X^{*s}, 0 <= s <= 1, has the scaled
+triplet (s b, 0, s nu), and `IDDSpec.sample_conv` draws it exactly from
+that triplet for every family, which is what makes the exact joint-pair
+samplers in `identities` possible.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, fields, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property
 from numbers import Real
 from typing import ClassVar, Tuple, Union
 
@@ -60,7 +61,6 @@ __all__ = [
     "FAMILIES",
     "make_spec",
     "cdf_route",
-    "convert_drift",
     "vgd_from_alt",
     "vgd_to_alt",
 ]
@@ -79,25 +79,24 @@ class IDDSpec:
     """Shared interface; concrete families are frozen dataclasses below.
 
     A family supplies its triplet IDD(mu, 0, nu) as `measure` and `drift0`
-    (in its `drift_convention`), and names in `_scaled` the fields that
-    X^{*s} multiplies by s. `mean`, `variance`, `cf`, `conv_power` and the
-    cdf are derived from these here, and every cumulant by
-    `levy_core.cumulant`, all exact for every catalog family.
-    `sample_conv(rng, s, size)` draws `size` variates of X^{*s}, whose
-    triplet is (s b, 0, s nu), at one power s per call; the coupled pair
-    draws its shares with it. `sample(rng, size)` is its case s = 1.
-    `cdf_fn` returns a vectorized F: a family's `_closed_cdf`, else the
-    triplet's closed form (`_triplet_cdf`), else a table of knot values
+    (in its `drift_convention`). `drift` (the uncompensated drift b),
+    `mean`, `variance`, `cf` and the cdf are derived from these here, and
+    every cumulant by `levy_core.cumulant`, all exact for every catalog
+    family. `sample_conv(rng, s, size)` draws `size` variates of X^{*s}
+    from its scaled triplet (s b, 0, s nu), at one power s per call; the
+    coupled pair draws its shares with it. `sample(rng, size)` is its case
+    s = 1. `cdf_fn` returns a vectorized F: a family's `_closed_cdf`, else
+    the triplet's closed form (`_triplet_cdf`), else a table of knot values
     (`_cdf_knots`: the COS series when a side has beta > 0, the
     double-exponential rule of `_gamma_diff_cdf` for two beta = 0 sides).
-    The choice is made once per spec, in `_cdf`, which keeps F with the
-    route that `cdf_route` prints. `cdf` is F at one point, never the
-    table's interpolant.
+    The closed -> triplet choice is made once per spec, in `_exact_cdf`;
+    `_cdf` adds the table where it found none and keeps F with the route
+    that `cdf_route` prints. `cdf` is F at one point: the same closed form,
+    never the table's interpolant.
     """
 
     family: ClassVar[str] = "?"
     drift_convention: ClassVar[str] = "uncompensated"
-    _scaled: ClassVar[Tuple[str, ...]] = ()
 
     # -- things subclasses must provide -------------------------------------
 
@@ -106,12 +105,22 @@ class IDDSpec:
         raise NotImplementedError
 
     @cached_property
+    def _exact_cdf(self):
+        """(F, route name): the family's `_closed_cdf` ('closed'), else the
+        triplet's (`_triplet_cdf`, 'triplet'), else (None, 'table'); chosen
+        on first use and kept as long as the spec."""
+        f = self._closed_cdf()
+        if f is not None:
+            return f, "closed"
+        f = _triplet_cdf(self)
+        return f, "table" if f is None else "triplet"
+
+    @cached_property
     def _cdf(self):
         """(F, route): the vectorized F of `cdf_fn` and the dict of
         `cdf_route`, built on first use and kept as long as the spec."""
-        f, route = self._closed_cdf(), {"route": "closed"}
-        if f is None:
-            f, route = _triplet_cdf(self), {"route": "triplet"}
+        f, name = self._exact_cdf
+        route = {"route": name}
         if isinstance(f, _GammaMixtureCdf):
             route.update(mixture_terms=f.terms,
                          gammainc_calls=f.gammainc_calls)
@@ -127,6 +136,14 @@ class IDDSpec:
         """The constant drift in the family's own convention."""
         return 0.0
 
+    @property
+    def drift(self) -> float:
+        """b, the uncompensated drift: drift0, less int u nu(du) when the
+        family's drift is compensated."""
+        if self.drift_convention == "compensated":
+            return self.drift0 - self.measure.moment(1)
+        return self.drift0
+
     def _closed_cdf(self):
         """Closed vectorized F where the triplet's would be a table or a
         lattice of O(lam) jump counts, or None."""
@@ -134,14 +151,11 @@ class IDDSpec:
 
     # -- shared machinery ----------------------------------------------------
 
-    def conv_power(self, s: float) -> "IDDSpec":
-        """X^{*s}: the fields in `_scaled` multiplied by s."""
-        self._check_s(s)
-        return replace(self, **{f: getattr(self, f) * s for f in self._scaled})
-
     def mean(self) -> float:
         """E(X): drift0, plus int u nu(du) when the drift is uncompensated."""
-        return convert_drift(self, "compensated")
+        if self.drift_convention == "compensated":
+            return self.drift0
+        return self.drift0 + self.measure.moment(1)
 
     def variance(self) -> float:
         """Var(X) = C_2 = int u^2 nu(du)."""
@@ -151,8 +165,8 @@ class IDDSpec:
         """E[e^{itX}] = exp(itb + int (e^{itu} - 1) nu(du)), b the
         uncompensated drift; vectorised over real t."""
         t = _as_float_array(t)
-        b = convert_drift(self, "uncompensated")
-        return np.exp(1j * t * b + exp_moment(self.measure, 0, 1j * t))
+        return np.exp(1j * t * self.drift
+                      + exp_moment(self.measure, 0, 1j * t))
 
     def std(self) -> float:
         return math.sqrt(self.variance())
@@ -185,18 +199,19 @@ class IDDSpec:
             jumps += sign * rng.gamma(k, 1.0 / side.rate, size)
         if beta > 0:
             jumps += _tempered_sums(rng, size, beta, *stable)
-        return jumps + convert_drift(self, "uncompensated") * s
+        return jumps + self.drift * s
 
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def cdf(self, x: float) -> float:
-        """F(x); for a tabulated law the table's knot rule run at x
-        (`_point_cdf`), not the interpolant."""
+        """F(x): the spec's closed F (`_exact_cdf`) at x, or for a
+        tabulated law the table's knot rule run at x (`_point_cdf`), which
+        neither builds the table nor reads its interpolant."""
         x = float(x)
         if not math.isfinite(x):  # nan stays nan, -inf gives 0, +inf 1
             return float(np.clip(x, 0.0, 1.0))
-        f = self._closed_cdf() or _triplet_cdf(self)
+        f = self._exact_cdf[0]
         if f is None:
             return _point_cdf(self, x)
         return float(f(np.asarray([x]))[0])
@@ -213,9 +228,6 @@ class IDDSpec:
         left = m.neg_structure.rate if m.neg_structure is not None else math.inf
         right = m.pos_structure.rate if m.pos_structure is not None else math.inf
         return left, right
-
-    def _check_s(self, s: float):
-        _require(0.0 <= s <= 1.0, f"convolution power s={s} outside [0, 1]")
 
 
 # -- cdf -----------------------------------------------------------------------
@@ -242,7 +254,7 @@ def _triplet_cdf(spec: IDDSpec):
     """Vectorized F from the triplet (nu, b), b the uncompensated drift,
     when nu is atomic (the zero measure included) or one side with
     beta <= 0; None otherwise."""
-    m, b = spec.measure, convert_drift(spec, "uncompensated")
+    m, b = spec.measure, spec.drift
     if m.is_atomic:
         pts, cum = _lattice(m.atoms)
         return lambda x: cum[np.searchsorted(pts, _as_float_array(x) - b,
@@ -266,7 +278,6 @@ def _poisson_weights(lam: float) -> np.ndarray:
     return np.exp(-lam + ns * math.log(lam) - gammaln(ns + 1.0))
 
 
-@lru_cache(maxsize=32)
 def _lattice(atoms: Tuple[Tuple[float, float], ...]):
     """Support points of the jump sum of the atomic measure ((loc, mass),
     ...), Poisson(int nu) jumps each at loc with probability mass / int nu,
@@ -527,7 +538,6 @@ def cdf_route(spec: IDDSpec) -> dict:
 class Poisson(IDDSpec):
     lam: float
     family: ClassVar[str] = "poisson"
-    _scaled: ClassVar[Tuple[str, ...]] = ("lam",)
 
     def __post_init__(self):
         _require(self.lam >= 0, "poisson intensity lam must be nonnegative")
@@ -584,7 +594,6 @@ class CompoundPoisson(IDDSpec):
     rate: float
     jumps: Union[AtomicJumps, GammaJumps]
     family: ClassVar[str] = "compound_poisson"
-    _scaled: ClassVar[Tuple[str, ...]] = ("rate",)
 
     def __post_init__(self):
         _require(self.rate >= 0, "compound-Poisson rate must be nonnegative")
@@ -619,7 +628,6 @@ class Gamma(IDDSpec):
     a: float
     b: float
     family: ClassVar[str] = "gamma"
-    _scaled: ClassVar[Tuple[str, ...]] = ("a",)
 
     def __post_init__(self):
         _require(self.a >= 0, "gamma shape a must be nonnegative")
@@ -644,7 +652,6 @@ class InverseGaussian(IDDSpec):
     alpha: float
     lam: float
     family: ClassVar[str] = "inverse_gaussian"
-    _scaled: ClassVar[Tuple[str, ...]] = ("alpha",)
 
     def __post_init__(self):
         _require(self.alpha >= 0, "IG coefficient alpha must be nonnegative")
@@ -711,10 +718,6 @@ class Laplace(IDDSpec):
     def drift0(self) -> float:
         return self.mu0
 
-    def conv_power(self, s: float) -> "VGD":
-        self._check_s(s)
-        return VGD(self.mu0 * s, s, 1.0 / self.delta, 1.0 / self.delta)
-
     def _closed_cdf(self):
         mu0, delta = self.mu0, self.delta
 
@@ -741,10 +744,6 @@ class TwoSidedExp(IDDSpec):
     def measure(self) -> LevyMeasure:
         return LevyMeasure.from_tilted(pos=TiltedPowerSide(1.0, 0.0, self.a),
                                        neg=TiltedPowerSide(1.0, 0.0, self.b))
-
-    def conv_power(self, s: float) -> "BGD":
-        self._check_s(s)
-        return BGD(s, self.a, s, self.b)
 
     def _closed_cdf(self):
         a, b = self.a, self.b
@@ -782,7 +781,7 @@ def _gamma_diff_cdf(spec: IDDSpec, x):
     if pos.beta != 0 or neg.beta != 0:
         raise InvalidParams("the two-sided gamma cdf needs beta = 0 on both "
                             f"sides, not {pos.beta:g} and {neg.beta:g}")
-    t = _as_float_array(x) - convert_drift(spec, "uncompensated")
+    t = _as_float_array(x) - spec.drift
     log_s = -math.log(pos.rate + neg.rate)
     # u_lo: P(a, rate u) <= (rate u)^a / Gamma(a + 1) <= _DE_TAIL below it on
     # both sides; u_hi: both gamma laws leave at most _DE_TAIL above it
@@ -843,7 +842,6 @@ class BGD(IDDSpec):
     alpha_neg: float
     lam_neg: float
     family: ClassVar[str] = "bgd"
-    _scaled: ClassVar[Tuple[str, ...]] = ("alpha_pos", "alpha_neg")
 
     def __post_init__(self):
         _require(self.alpha_pos >= 0 and self.alpha_neg >= 0,
@@ -867,7 +865,6 @@ class VGD(IDDSpec):
     lam_pos: float
     lam_neg: float
     family: ClassVar[str] = "vgd"
-    _scaled: ClassVar[Tuple[str, ...]] = ("mu0", "alpha")
 
     def __post_init__(self):
         _require(self.alpha >= 0, "VGD shape alpha must be nonnegative")
@@ -1018,7 +1015,6 @@ class CGMY(IDDSpec):
     lam_pos: float
     lam_neg: float
     family: ClassVar[str] = "cgmy"
-    _scaled: ClassVar[Tuple[str, ...]] = ("alpha",)
 
     def __post_init__(self):
         _require(self.alpha >= 0, "CGMY coefficient alpha must be nonnegative")
@@ -1051,7 +1047,6 @@ class GTSD(IDDSpec):
     alpha_neg: float
     lam_neg: float
     family: ClassVar[str] = "gtsd"
-    _scaled: ClassVar[Tuple[str, ...]] = ("mu", "alpha_pos", "alpha_neg")
     drift_convention: ClassVar[str] = "compensated"
 
     def __post_init__(self):
@@ -1148,23 +1143,7 @@ def _cos_cdf_knots(spec: IDDSpec, lo: float, hi: float) -> np.ndarray:
     return vals
 
 
-# -- conversions and registry ---------------------------------------------------
-
-
-def convert_drift(spec: IDDSpec, to: str) -> float:
-    """The drift constant of `spec` in the requested convention.
-
-    compensated drift = E(X); uncompensated drift = E(X) - int u nu(du).
-    Both exist for every catalog family (jumps have finite first moment).
-    """
-    if to not in ("compensated", "uncompensated"):
-        raise InvalidParams(f"unknown drift convention {to!r}")
-    if to == spec.drift_convention:
-        return spec.drift0
-    jump_mean = spec.measure.moment(1)
-    if to == "compensated":
-        return spec.drift0 + jump_mean
-    return spec.drift0 - jump_mean
+# -- registry -------------------------------------------------------------------
 
 
 FAMILIES = {

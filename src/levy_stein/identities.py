@@ -54,7 +54,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dist_catalog import BGD, VGD, IDDSpec, convert_drift, vgd_to_alt
+from .dist_catalog import BGD, VGD, IDDSpec, vgd_to_alt
 from .errors import DivergentMoment, InvalidParams
 from .functions import TestFunction
 from .levy_core import (BiasVariable, ClosedInner, LevyMeasure,
@@ -123,22 +123,18 @@ def sample_joint(base: IDDSpec, rng: np.random.Generator, size: int,
     return JointPairSampler(base, s, order).sample(rng, size)
 
 
-def _check_tilt_headroom(base: IDDSpec, g: TestFunction, power: int = 1):
-    """g growing like e^{tilt x} needs power * tilt below the Lévy decay rate
-    on g's side, otherwise the inner integrals (and the covariance itself)
-    diverge. The variance bounds integrate squares of g' or of g's
-    increments and check with power 2."""
+def _check_tilt_headroom(base: IDDSpec, g: TestFunction):
+    """g growing like e^{tilt x} needs 2 tilt below the Lévy decay rate on
+    g's side: every caller averages something that grows like g squared,
+    a Monte Carlo mean that needs a finite variance or a bound's square of
+    g' or of g's increments."""
     left, right = base.tail_rates()
-    rate = power * g.tilt
-    name = g.name if power == 1 else f"{g.name} squared"
-    if rate > 0 and rate >= right:
+    rate = 2.0 * g.tilt
+    side, limit = ("positive", right) if rate > 0 else ("negative", left)
+    if rate != 0 and abs(rate) >= limit:
         raise DivergentMoment(
-            f"{name} grows at rate {rate}, at or beyond the positive "
-            f"Lévy decay rate {right}")
-    if rate < 0 and -rate >= left:
-        raise DivergentMoment(
-            f"{name} grows at rate {-rate} on the left, at or beyond "
-            f"the negative Lévy decay rate {left}")
+            f"{g.name} squared grows at rate {abs(rate)} on the {side} side, "
+            f"at or beyond its Lévy decay rate {limit}")
 
 
 def _moment_precheck(base: IDDSpec, n: int):
@@ -342,8 +338,8 @@ def cov_oracle(base: IDDSpec, n: int, g: TestFunction,
                mc: MCConfig = MCConfig()) -> MCEstimate:
     """Plain sample covariance of (X^n, g(X)); the independent check the
     identity estimators are held against, drawn from the ORACLE streams.
-    A g growing past the Lévy decay rate raises DivergentMoment, as the
-    identity does: the covariance does not exist."""
+    A g whose square grows past the Lévy decay rate raises
+    DivergentMoment, as the identity does."""
     if n < 1:
         raise InvalidParams("moment order n must be a positive integer")
     _check_tilt_headroom(base, g)
@@ -368,7 +364,7 @@ def stein_residual(spec: IDDSpec, g: TestFunction,
     whose `route` names the inner integral's.
     """
     _check_tilt_headroom(spec, g)
-    b = convert_drift(spec, "uncompensated")
+    b = spec.drift
     route, inner = _nu_inner(spec.measure, g, 1, subtract=False)
 
     def batch(rng, size):

@@ -667,19 +667,18 @@ def exp_poly_mean(spec, terms, n: int = 0) -> float:
     rather than as C_j + Psi_j(z), which cancels where z is large against a
     decay rate. So E[X^q e^{zX}] = M(z) B_q(kappa_1(z), ..., kappa_q(z)),
     with M(z) = E[e^{zX}] = exp(z b + Psi_0(z)), b the uncompensated drift
-    and B_q the complete Bell polynomial (`moments_from_cumulants`): one
-    recursion per distinct z. A z beyond a Lévy decay rate, or a value
-    beyond the range of a double, raises DivergentMoment.
+    `spec.drift`, and B_q the complete Bell polynomial
+    (`moments_from_cumulants`): one recursion per distinct z. A z beyond a
+    Lévy decay rate, or a value beyond the range of a double, raises
+    DivergentMoment.
     """
-    from .dist_catalog import convert_drift  # dist_catalog imports this module
-
     if n < 0:
         raise InvalidParams("moment order must be a nonnegative integer")
     by_z = defaultdict(list)
     for a, p, z in terms:
         by_z[complex(z)].append((complex(a), n + p))
     measure, value = spec.measure, 0j
-    b = convert_drift(spec, "uncompensated")
+    b = spec.drift
     try:
         with np.errstate(all="ignore"):
             for z, parts in by_z.items():

@@ -37,7 +37,8 @@ from levy_stein.functions import SQUARE, get_function, make_exp_tilt
 from levy_stein.functions import TestFunction as GFunction
 
 from conftest import assert_agree, assert_within_se, rel_err
-from test_dist_catalog import ALL_SPECS, IDS, _log_cf
+from test_dist_catalog import (ALL_SPECS, CF_IDX, IDS, TGRID, _log_cf,
+                               assert_ecf_within_5se)
 
 MC_FULL = MCConfig(n_samples=10**6, seed=2026, batch=10**5)
 MC_FULL_B = MCConfig(n_samples=10**6, seed=2027, batch=10**5)
@@ -190,12 +191,14 @@ def test_criterion_7_property_suite():
         -np.inf, 0)[0]
     assert rel_err(lhs, rhs) <= 1e-6
 
-    # conv_power cf power law across the catalog
-    tgrid = np.linspace(-3.0, 3.0, 1201)
+    # X^{*1/2} as the coupled pair draws it: across the catalog, the
+    # empirical cf of sample_conv at s = 1/2 within 5 SE of exp(log phi / 2)
+    rng = np.random.default_rng(2028)
+    t = TGRID[CF_IDX]
     for spec, name in zip(ALL_SPECS, IDS):
-        conv = spec.conv_power(0.5)
-        want = np.exp(0.5 * _log_cf(spec, tgrid))
-        assert np.max(np.abs(conv.cf(tgrid) - want)) < 1e-10, name
+        want = np.exp(0.5 * _log_cf(spec, TGRID)[CF_IDX])
+        assert_ecf_within_5se(spec.sample_conv(rng, 0.5, 10**5), t, want,
+                              name)
 
     # CGMY sampler against its cdf
     spec = CGMY(1.0, 0.5, 2.0, 3.0)

@@ -121,18 +121,38 @@ def test_families_draw_from_the_triplet():
     assert own == [("inverse_gaussian", "sample_conv")], own
 
 
-def test_families_keep_only_closed_cdfs_and_family_changes():
+def test_families_keep_only_closed_cdfs():
     # the closed-cdf hook is kept by the three laws whose triplet route
     # would be a table, and by Poisson, whose lattice would sum O(lam) jump
-    # counts; conv_power scales the declared fields except where
-    # the power changes family (Laplace -> VGD, TwoSidedExp -> BGD)
-    own = {attr: sorted(name for name, cls in FAMILIES.items()
-                        if attr in vars(cls))
-           for attr in ("_closed_cdf", "conv_power")}
-    assert own == {
-        "_closed_cdf": ["inverse_gaussian", "laplace", "poisson",
-                        "two_sided_exp"],
-        "conv_power": ["laplace", "two_sided_exp"]}, own
+    # counts
+    own = sorted(name for name, cls in FAMILIES.items()
+                 if "_closed_cdf" in vars(cls))
+    assert own == ["inverse_gaussian", "laplace", "poisson",
+                   "two_sided_exp"], own
+
+
+def test_each_law_quantity_has_one_derivation():
+    # X^{*s} is drawn from the scaled triplet by sample_conv and b is read
+    # as IDDSpec.drift; no second copy of either survives in the package
+    words = {path.name: set(re.findall(r"\w+", path.read_text("utf-8")))
+             for path in sorted(SRC.glob("*.py"))}
+    gone = {"conv_power", "_scaled", "_check_s", "convert_drift",
+            "lru_cache"}
+    found = {name: sorted(w & gone) for name, w in words.items() if w & gone}
+    assert not found, found
+    # the closed -> triplet cdf choice is made once per spec, which cdf(x)
+    # reads rather than repeating it
+    cdf = inspect.getsource(dist_catalog.IDDSpec.cdf)
+    assert "_exact_cdf" in cdf
+    assert "_closed_cdf" not in cdf and "_triplet_cdf" not in cdf
+    # levy_core reads the drift off the spec, with no import cycle
+    tree = ast.parse((SRC / "levy_core.py").read_text("utf-8"))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "dist_catalog"]
+    # one headroom rule: twice the tilt of g against the decay rate
+    params = inspect.signature(identities._check_tilt_headroom).parameters
+    assert list(params) == ["base", "g"]
 
 
 def test_no_quadrature_config_where_no_quadrature_runs():
@@ -142,7 +162,7 @@ def test_no_quadrature_config_where_no_quadrature_runs():
     # serve only integrands without exponential growth, so take no tilt
     dropped = {
         "cfg": [levy_stein.IDDSpec.mean, levy_stein.IDDSpec.variance,
-                levy_stein.IDDSpec.std, levy_stein.convert_drift,
+                levy_stein.IDDSpec.std,
                 levy_stein.LevyMeasure.moment, levy_stein.cumulant,
                 levy_stein.TailIntegral, levy_stein.eta,
                 levy_stein.BiasVariable, levy_stein.bias_density,

@@ -378,6 +378,21 @@ def test_main_numeric_exit_code(tmp_path, capsysbinary, monkeypatch):
     assert b"numeric failure" in capsysbinary.readouterr().err
 
 
+@pytest.mark.parametrize("task", [
+    {"kind": "verify-identity", "n": 1, "g_name": "exp_tilt", "kappa": 1.0},
+    {"kind": "stein", "g_name": "exp_tilt", "kappa": 1.0},
+], ids=["verify-identity", "stein"])
+def test_main_tilt_without_finite_variance_exits_numeric(tmp_path,
+                                                         capsysbinary, task):
+    # e^X on Ga(2, 1.5): each row would average e^{2X}, of infinite mean,
+    # so the task exits 3 instead of reporting an SE that means nothing
+    doc = minimal_doc(task=task, distribution={
+        "family": "gamma", "params": {"a": 2.0, "b": 1.5}})
+    assert main(["run", write_spec(tmp_path, doc)]) == 3
+    captured = capsysbinary.readouterr()
+    assert captured.out == b"" and b"exp_tilt(1) squared" in captured.err
+
+
 CGMY_NEAR_ONE = {"family": "cgmy", "params": {
     "alpha": 1.0, "beta": 0.99, "lam_pos": 2.0, "lam_neg": 3.0}}
 

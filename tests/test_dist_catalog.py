@@ -1,5 +1,5 @@
 """Distribution catalog: construction validation, closed moments vs the
-Levy route, samplers vs moments, convolution powers, cdfs."""
+Levy route, samplers vs moments, drawn convolution powers, cdfs."""
 
 import math
 import time
@@ -17,8 +17,8 @@ from scipy.special import betainc, gammainc, gammaincc, gammaincinv
 from levy_stein import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
                         DivergentMoment, Gamma, GammaJumps, InvalidParams,
                         InverseGaussian, Laplace, NonConvergence, Poisson,
-                        TwoSidedExp, ValidationError, convert_drift,
-                        cumulant, make_spec, vgd_from_alt, vgd_to_alt)
+                        TwoSidedExp, ValidationError, cumulant, make_spec,
+                        vgd_from_alt, vgd_to_alt)
 from levy_stein import JointPairSampler, dist_catalog
 from levy_stein.dist_catalog import (CdfTable, VGDAltParams, _cdf_knots,
                                      _cdf_range, _gamma_diff_cdf, _open_unit)
@@ -313,6 +313,9 @@ def test_cf_matches_levy_khintchine_quadrature(spec):
 
 
 TGRID = np.linspace(-3.0, 3.0, 1201)
+# the points t = -2.5, -1, 0.5, 1.5 and 3 of TGRID, where drawn laws are
+# held to their cf
+CF_IDX = [100, 400, 700, 900, 1200]
 
 
 def _log_cf(spec, t):
@@ -328,38 +331,74 @@ def _log_cf(spec, t):
     return np.log(np.abs(f)) + 1j * arg
 
 
+def assert_ecf_within_5se(x, t, want, label=""):
+    """The empirical cf of the draws x at the points t lies within 5 SE of
+    want, its real and imaginary parts each, with the SEs of the sample
+    means of cos(tx) and sin(tx) taken from the sample."""
+    tx = np.outer(t, x)
+    for part, w in ((np.cos(tx), want.real), (np.sin(tx), want.imag)):
+        se = part.std(axis=1, ddof=1) / math.sqrt(x.size)
+        z = np.abs(part.mean(axis=1) - w) / se
+        assert np.all(z <= 5.0), (label, z)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 @pytest.mark.parametrize("s", [0.3, 0.7])
 def test_conv_power_cf_law(spec, s):
-    """phi_s = exp(s log phi) for the continuous log branch, plus the
-    branch-free product form phi_s * phi_{1-s} = phi."""
-    conv = spec.conv_power(s)
-    fs = conv.cf(TGRID)
-    assert np.max(np.abs(fs - np.exp(s * _log_cf(spec, TGRID)))) < 1e-10
-    f = spec.cf(TGRID)
-    assert np.max(np.abs(fs * spec.conv_power(1.0 - s).cf(TGRID) - f)) < 1e-10
+    """X^{*s} as `sample_conv` draws it has cf phi^s = exp(s log phi) on
+    the continuous log branch, and plus an independent X^{*(1-s)} it has
+    the cf phi of X."""
+    rng = np.random.default_rng(round(10 * s))
+    t, log_f = TGRID[CF_IDX], _log_cf(spec, TGRID)[CF_IDX]
+    x = spec.sample_conv(rng, s, 20_000)
+    assert_ecf_within_5se(x, t, np.exp(s * log_f), f"s={s}")
+    x += spec.sample_conv(rng, 1.0 - s, x.size)
+    assert_ecf_within_5se(x, t, np.exp(log_f), f"s={s} plus 1-s")
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 def test_conv_power_semigroup(spec):
-    got = spec.conv_power(0.6).conv_power(0.5).cf(TGRID)
-    assert np.max(np.abs(got - np.exp(0.3 * _log_cf(spec, TGRID)))) < 1e-10
-
-
-def test_conv_power_rejects_outside_unit_interval():
-    with pytest.raises(InvalidParams):
-        Gamma(2.0, 1.5).conv_power(2.0)
-    with pytest.raises(InvalidParams):
-        Gamma(2.0, 1.5).conv_power(-0.1)
-
-
-def test_conv_power_preserves_family():
-    assert isinstance(Gamma(2.0, 1.5).conv_power(0.5), Gamma)
-    assert isinstance(Laplace(0.1, 1.0).conv_power(0.5), VGD)
-    assert isinstance(TwoSidedExp(2.0, 3.0).conv_power(0.5), BGD)
+    """Independent draws of X^{*0.1} and X^{*0.2} sum to X^{*0.3}: cf
+    exp(0.3 log phi)."""
+    rng = np.random.default_rng(3)
+    x = spec.sample_conv(rng, 0.1, 20_000) + spec.sample_conv(rng, 0.2, 20_000)
+    assert_ecf_within_5se(x, TGRID[CF_IDX],
+                          np.exp(0.3 * _log_cf(spec, TGRID)[CF_IDX]))
 
 
 # -- cdfs ----------------------------------------------------------------------
+
+
+def test_scalar_cdf_builds_one_gamma_mixture(monkeypatch):
+    """cdf(x) reads the spec's one closed -> triplet choice: 200 calls on
+    compound Poisson with Ga(2, 3) jumps build one `_GammaMixtureCdf`, and
+    give cdf_fn()'s values bit for bit."""
+    built = []
+    init = dist_catalog._GammaMixtureCdf.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(dist_catalog._GammaMixtureCdf, "__init__", counted)
+    spec = CompoundPoisson(1.5, GammaJumps(2.0, 3.0))
+    x = np.linspace(-0.5, 6.0, 200)
+    scalar = [spec.cdf(float(v)) for v in x]
+    assert len(built) == 1
+    assert scalar == spec.cdf_fn()(x).tolist()
+    assert len(built) == 1
+
+
+def test_scalar_cdf_builds_one_lattice(monkeypatch):
+    # the atomic law's jump lattice is summed once per spec, not per call
+    calls = []
+    lattice = dist_catalog._lattice
+    monkeypatch.setattr(dist_catalog, "_lattice",
+                        lambda atoms: calls.append(atoms) or lattice(atoms))
+    spec = CompoundPoisson(1.5, AtomicJumps(((1.0, 0.4), (2.5, 0.6))))
+    for v in np.linspace(-1.0, 10.0, 50):
+        spec.cdf(float(v))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
@@ -579,8 +618,8 @@ def test_gamma_diff_cdf_knots_against_quantile_reference(spec):
     assert rule == "double_exponential" and err <= 1e-13
     pos, neg = spec.measure.pos_structure, spec.measure.neg_structure
     x = np.linspace(lo, hi, 2049)
-    want = _gamma_diff_cdf_reference(x - convert_drift(spec, "uncompensated"),
-                                     pos.coef, pos.rate, neg.coef, neg.rate)
+    want = _gamma_diff_cdf_reference(x - spec.drift, pos.coef, pos.rate,
+                                     neg.coef, neg.rate)
     assert np.max(np.abs(vals - want)) <= 1e-11
     # the scalar cdf runs the same rule on one point
     table = spec.cdf_fn()(x[::128])
@@ -753,14 +792,26 @@ def test_vgd_alt_roundtrip(sigma2, r, theta, mu0):
     assert back.mu0 == pytest.approx(mu0, rel=1e-9, abs=1e-12)
 
 
-def test_convert_drift_roundtrip():
+def test_drift_roundtrip():
     spec = GTSD(0.7, 0.5, 1.0, 2.0, 0.5, 3.0)
-    mu_unc = convert_drift(spec, to="uncompensated")
-    mu_comp = convert_drift(spec, to="compensated")
-    assert mu_comp == pytest.approx(spec.mean(), rel=1e-10)
+    # the compensated drift is the mean, exactly
+    assert spec.mean() == spec.mu == 0.7
     # uncompensated drift + jump mean = mean
     jump_mean = spec.measure.moment(1)
-    assert mu_unc + jump_mean == pytest.approx(spec.mean(), rel=1e-9)
+    assert spec.drift + jump_mean == pytest.approx(spec.mean(), rel=1e-9)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+def test_drift_and_mean_follow_the_convention(spec):
+    """b = drift0 and E X = drift0 + int u nu(du) for an uncompensated
+    family; E X = drift0 and b = drift0 - int u nu(du) for a compensated
+    one, bit for bit."""
+    jump_mean = spec.measure.moment(1)
+    if spec.drift_convention == "compensated":
+        want = spec.drift0 - jump_mean, spec.drift0
+    else:
+        want = spec.drift0, spec.drift0 + jump_mean
+    assert (spec.drift, spec.mean()) == want
 
 
 def test_esscher_kappa_max():

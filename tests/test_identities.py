@@ -38,7 +38,6 @@ from levy_stein import (
 from levy_stein.functions import GAUSS, IDENTITY, LOG1PSQ, SIN, SQUARE, \
     make_exp_tilt
 from levy_stein.actuarial import raw_moment
-from levy_stein.dist_catalog import convert_drift
 from levy_stein.identities import _closed_integrand
 from levy_stein.levy_core import (closed_inner, exp_moment, exp_poly_mean,
                                   moments_from_cumulants)
@@ -227,8 +226,7 @@ def _xp_exp_mean(spec, p, z):
         meas.moment(j) + complex(exp_moment(meas, j, z))
         for j in range(2, p + 1)]
     bell = list(moments_from_cumulants(kappa))[-1] if p else 1.0
-    drift = convert_drift(spec, "uncompensated")
-    return np.exp(z * drift + complex(exp_moment(meas, 0, z))) * bell
+    return np.exp(z * spec.drift + complex(exp_moment(meas, 0, z))) * bell
 
 
 def _cov_xn_g(spec, n, g):
@@ -508,6 +506,20 @@ def test_stein_residual_type_checks():
 
 
 # -- integrability guards ----------------------------------------------------------
+
+
+def test_tilt_with_infinite_variance_rejected():
+    # Cov(X, e^X) = 24 exists under Ga(2, 1.5), but every estimate of it
+    # averages something that grows like e^{2X}, whose mean is infinite:
+    # twice the tilt must stay below the decay rate 1.5
+    spec, g, mc = Gamma(2.0, 1.5), make_exp_tilt(1.0), MCConfig(2_000, 1, 500)
+    for estimate in (lambda: cov_identity_rhs(spec, 1, g, mc),
+                     lambda: cov_oracle(spec, 1, g, mc),
+                     lambda: stein_residual(spec, g, mc)):
+        with pytest.raises(DivergentMoment, match="squared grows at rate 2"):
+            estimate()
+    # just inside the headroom the same rows are estimated
+    assert cov_identity_rhs(spec, 1, make_exp_tilt(0.7), mc).std_error > 0
 
 
 def test_tilt_at_levy_rate_rejected():
