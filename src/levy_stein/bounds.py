@@ -25,7 +25,8 @@ import numpy as np
 
 from .dist_catalog import Gamma, IDDSpec
 from .errors import DivergentMoment, InvalidParams
-from .functions import TestFunction, antiderivative, derivative, squared
+from .functions import TestFunction, antiderivative, derivative, \
+    square_of, squared
 from .identities import _check_tilt_headroom, _closed_integrand
 from .levy_core import BiasVariable, closed_sq_diff, exp_poly_mean, nu_rule
 from .mc import BOUND, ESTIMATE, ORACLE, MCConfig, MCEstimate, _accumulate, \
@@ -78,10 +79,12 @@ def cacoullos_bounds(base: IDDSpec, g: TestFunction,
     for affine g both edges are (g')^2 Var(X). g without terms is Monte
     Carlo with shared draws. A point mass (Var(X) = 0) gives the closed
     bracket [0, 0]. `with_oracle` attaches a direct sample-variance
-    estimate of Var(g(X)) from the independent ORACLE streams.
+    estimate of Var(g(X)) from the independent ORACLE streams; for g
+    growing like e^{tilt x} it needs 4 tilt below the Lévy decay rate.
     """
-    # the upper edge integrates (g')^2 ~ e^{2 tilt x}
-    _check_tilt_headroom(base, g)
+    # the upper edge integrates (g')^2 ~ e^{2 tilt x}; the oracle is a
+    # sample variance, a mean of g(X)^2, whose SE reads E[g(X)^4]
+    _check_tilt_headroom(base, square_of(g) if with_oracle else g)
     var = base.variance()
     oracle = mc_variance(lambda rng, m: g.f(base.sample(rng, m)), mc,
                          ORACLE) if with_oracle else None

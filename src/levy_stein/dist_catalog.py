@@ -71,6 +71,15 @@ def _require(cond: bool, msg: str):
         raise InvalidParams(msg)
 
 
+def _check_power(s) -> float:
+    """The power s of X^{*s} as a float; InvalidParams unless s is finite
+    and nonnegative."""
+    s = float(s)
+    _require(math.isfinite(s) and s >= 0,
+             f"convolution power s must be finite and nonnegative, not {s}")
+    return s
+
+
 def _as_float_array(x):
     return np.asarray(x, dtype=float)
 
@@ -180,8 +189,9 @@ class IDDSpec:
         the uncompensated drift. An atom (loc, mass) adds loc Poisson(s
         mass); a side with beta = 0 adds Ga(s coef, rate); one with beta < 0
         (gamma jumps) adds Ga(-beta N, rate) for N ~ Poisson(s int nu); the
-        sides with beta > 0 add `_tempered_sums`."""
-        s = float(s)
+        sides with beta > 0 add `_tempered_sums`. InvalidParams unless s
+        is finite and nonnegative."""
+        s = _check_power(s)
         m = self.measure
         jumps = np.zeros(size)
         if m.is_atomic:
@@ -671,6 +681,7 @@ class InverseGaussian(IDDSpec):
         # numpy's Wald sampler: one variate per draw, where the derived
         # sampler would sum several tempered-stable pieces. X^{*0} = 0
         # takes no draw, and numpy rejects a Wald mean of 0.
+        s = _check_power(s)
         if s * self.alpha == 0:
             return np.zeros(size)
         return rng.wald(*self._ig_params(s), size)

@@ -93,6 +93,17 @@ class TestFunction:
                    default=0.0)
 
 
+def square_of(g: TestFunction) -> TestFunction:
+    """g^2, with its derivatives, and its terms where g has terms."""
+    return TestFunction(
+        name=f"{g.name}^2",
+        f=lambda x: np.square(g.f(x)),
+        d1=lambda x: 2.0 * g.f(x) * g.d1(x),
+        d2=lambda x: 2.0 * (np.square(g.d1(x)) + g.f(x) * g.d2(x)),
+        terms=squared(g.terms),
+    )
+
+
 def _gauss(x):
     return np.exp(-np.square(x))
 

@@ -10,6 +10,14 @@ ORACLE, DENOMINATOR, BOUND). All roles derive from the one
 SeedSequence(seed) through a fixed spawn key, so they share no draw with
 each other, and none of them with any role of another seed.
 
+Batches of at least `_PARALLEL_MIN_BATCH` (8192) draws run on every CPU
+in the process's affinity mask, on one thread pool; numpy's samplers
+release the GIL. Batch 0 runs first in the calling thread, so it builds
+every lazily cached state before a worker reads it, and the batches are
+merged in batch order, so a report is byte-identical whatever the core
+count. Nothing needs setting: smaller batches, a single CPU and calls from
+inside a batch run serially in the calling thread.
+
 Standard errors: every estimate is a smooth function f of the pooled
 column means, with the delta-method SE sqrt(grad' C grad / n), C the pooled
 sample covariance and grad the gradient of f at the means (Owen, Monte
@@ -18,8 +26,12 @@ Carlo theory, methods and examples, ch. 2); a plain mean has grad = (1).
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Integral
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -173,12 +185,60 @@ class Moments:
         return MCEstimate(value=value, std_error=se, n=self.n)
 
 
+# batches this large run on the pool; on smaller ones a thread costs more
+# than it saves
+_PARALLEL_MIN_BATCH = 8192
+_pool = None  # the ThreadPoolExecutor, made on first use
+_pool_lock = threading.Lock()
+_in_worker = threading.local()  # .flag is set in the pool's threads
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _mark_worker():
+    _in_worker.flag = True
+
+
+def _batch_map(fn, jobs, size: int):
+    """map(fn, jobs), in order: on the pool when batches of `size` draws
+    are large enough and more than one CPU is free, each job in a copy of
+    the caller's context (so its np.errstate holds); else inline. Inside a
+    worker it is inline, so no worker waits on the pool it runs in."""
+    global _pool
+    if size < _PARALLEL_MIN_BATCH or getattr(_in_worker, "flag", False):
+        return map(fn, jobs)
+    with _pool_lock:
+        if _pool is None:
+            cpus = _cpu_count()
+            if cpus < 2:
+                return map(fn, jobs)
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max_workers=cpus,
+                                       thread_name_prefix="levy-stein-mc",
+                                       initializer=_mark_worker)
+    jobs = list(jobs)
+    # Executor.map raises the first failing job's exception in job order
+    # and cancels the jobs not yet started
+    return _pool.map(contextvars.Context.run,
+                     [contextvars.copy_context() for _ in jobs],
+                     repeat(fn), jobs)
+
+
 def _accumulate(batch_fn, cfg: MCConfig, role: int) -> Moments:
-    """Pool the k columns batch_fn(rng, m) draws on each role substream."""
-    pooled = None
-    for rng, m in zip(substreams(cfg, role), batch_sizes(cfg)):
-        batch = Moments.of(batch_fn(rng, m))
-        pooled = pooled or Moments(len(batch.mean))
+    """Pool the k columns batch_fn(rng, m) draws on each role substream.
+    Batch 0 runs inline first, building the lazy state of every object
+    batch_fn reads; batches 1..k-1 run through `_batch_map`."""
+    jobs = zip(substreams(cfg, role), batch_sizes(cfg))
+    rng, m = next(jobs)
+    first = Moments.of(batch_fn(rng, m))
+    pooled = Moments(len(first.mean))
+    pooled.merge(first)
+    for batch in _batch_map(lambda job: Moments.of(batch_fn(*job)), jobs, m):
         pooled.merge(batch)
     return pooled
 

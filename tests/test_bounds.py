@@ -121,7 +121,9 @@ def test_bounds_with_terms_draw_only_the_oracle(entry, sample_spy,
 
     monkeypatch.setattr(BiasVariable, "sample", no_bias_draws)
     n_batches = len(list(batch_sizes(mc_small)))
-    for g in (IDENTITY, SQUARE, SIN, EXP_TILT, make_shift(1.0)):
+    # the oracle needs 4 kappa below the decay rate, 1 on laplace and
+    # two_sided_exp
+    for g in (IDENTITY, SQUARE, SIN, make_exp_tilt(0.2), make_shift(1.0)):
         draws.clear()
         vb = cacoullos_bounds(spec, g, mc_small, with_oracle=True)
         chen = chen_upper_bound(spec, g, mc_small)
@@ -192,6 +194,21 @@ def test_chen_dominates_oracle_variance(mc_medium):
 
 
 # -- integrability guards -----------------------------------------------------------
+
+
+def test_variance_oracle_needs_four_times_the_tilt():
+    # the oracle's SE, that of a sample variance, reads E[e^{4 kappa X}]:
+    # on Ga(2, 1.5) kappa = 0.5 keeps the bracket (2 kappa < 1.5) but not
+    # the oracle, and kappa = 0.3 keeps both
+    spec = Gamma(2.0, 1.5)
+    assert cacoullos_bounds(spec, make_exp_tilt(0.5)).oracle is None
+    with pytest.raises(DivergentMoment, match=r"exp_tilt\(0.5\)\^2 squared"):
+        cacoullos_bounds(spec, make_exp_tilt(0.5), with_oracle=True)
+    vb = cacoullos_bounds(spec, make_exp_tilt(0.3), MC_ROUTES,
+                          with_oracle=True)
+    # Var(e^{kappa X}) = (1 - 2 kappa / b)^{-a} - (1 - kappa / b)^{-2a}
+    truth = (1.0 - 0.6 / 1.5) ** -2.0 - (1.0 - 0.3 / 1.5) ** -4.0
+    assert abs(vb.oracle.value - truth) <= 4.0 * vb.oracle.std_error
 
 
 def test_tilt_guards():

@@ -393,6 +393,25 @@ def test_main_tilt_without_finite_variance_exits_numeric(tmp_path,
     assert captured.out == b"" and b"exp_tilt(1) squared" in captured.err
 
 
+@pytest.mark.parametrize("kappa,code", [(0.5, 3), (0.3, 0)])
+def test_main_bounds_oracle_needs_four_times_the_tilt(tmp_path, capsysbinary,
+                                                      kappa, code):
+    # the bounds task's variance oracle is a sample variance of e^{kappa X}
+    # on Ga(2, 1.5), whose SE reads E[e^{4 kappa X}]: finite at 0.3, not
+    # at 0.5
+    doc = minimal_doc(task={"kind": "bounds", "g_name": "exp_tilt",
+                            "kappa": kappa},
+                      distribution={"family": "gamma",
+                                    "params": {"a": 2.0, "b": 1.5}})
+    assert main(["run", write_spec(tmp_path, doc)]) == code
+    captured = capsysbinary.readouterr()
+    if code:
+        assert captured.out == b""
+        assert b"exp_tilt(0.5)^2 squared" in captured.err
+    else:
+        assert json.loads(captured.out)["results"]
+
+
 CGMY_NEAR_ONE = {"family": "cgmy", "params": {
     "alpha": 1.0, "beta": 0.99, "lam_pos": 2.0, "lam_neg": 3.0}}
 

@@ -148,6 +148,17 @@ def test_sample_conv_fractional_power(spec):
         assert abs(z_mean) <= 5.0 and abs(z_var) <= 5.0, (s, z_mean, z_var)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+def test_sample_conv_refuses_negative_and_non_finite_powers(spec):
+    # X^{*s} exists for s >= 0 only: every family refuses the others with
+    # InvalidParams (exit 2) rather than numpy's ValueError or zeros
+    rng = np.random.default_rng(3)
+    for s in (-0.1, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParams, match="convolution power"):
+            spec.sample_conv(rng, s, 3)
+    assert np.all(spec.sample_conv(rng, 0.0, 3) == 0.0)
+
+
 # -- the exact tempered-stable sampler ----------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 from levy_stein.errors import ValidationError
 from levy_stein.functions import (G_REGISTRY, W_REGISTRY, antiderivative,
                                   derivative, get_function, make_exp_tilt,
-                                  make_shift, squared)
+                                  make_shift, square_of, squared)
 from levy_stein.levy_core import eval_terms
 
 ENTRIES = [get_function(name) for name in
@@ -52,6 +52,23 @@ def test_terms_reproduce_callables(g):
         got = eval_terms(terms, x)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0,
                                                                np.abs(want)))
+
+
+@pytest.mark.parametrize("g", ENTRIES, ids=lambda g: g.name)
+def test_square_of_is_g_squared_with_twice_the_tilt(g):
+    # the variance oracle's headroom reads the tilt of g^2
+    h = square_of(g)
+    x = np.linspace(-3.0, 3.0, 241)
+    assert np.allclose(h.f(x), np.square(g.f(x)), rtol=1e-14, atol=0.0)
+    # d1 and d2 against central differences of f and d1
+    step = 1e-5
+    for fn, d in ((h.f, h.d1), (h.d1, h.d2)):
+        fd = (fn(x + step) - fn(x - step)) / (2.0 * step)
+        assert np.allclose(d(x), fd, rtol=1e-7, atol=1e-7)
+    assert h.tilt == 2.0 * g.tilt
+    if g.terms:
+        assert np.allclose(eval_terms(h.terms, x), np.square(g.f(x)),
+                           rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("g", ENTRIES, ids=lambda g: g.name)

@@ -1,6 +1,11 @@
 """Monte Carlo plumbing: accumulators, batching, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levy_stein import InvalidParams, ZeroDenominator
+from levy_stein import (DivergentMoment, Gamma, InvalidParams,
+                        ZeroDenominator, mc)
+from levy_stein.bounds import cacoullos_bounds
+from levy_stein.functions import GAUSS
 from levy_stein.mc import (
     BOUND,
     DENOMINATOR,
@@ -317,3 +325,140 @@ def test_combine_se():
     e2 = MCEstimate(value=2.0, std_error=0.4, n=10)
     assert abs(combine_se(e1, e2) - 0.5) < 1e-15
     assert combine_se(e1) == 0.3
+
+
+# -- the thread pool --------------------------------------------------------------
+
+# 8 batches of 12 500 draws, above mc._PARALLEL_MIN_BATCH
+MC_POOL = MCConfig(n_samples=100_000, seed=17, batch=20_000)
+
+
+@pytest.fixture
+def on_pool(monkeypatch):
+    """Give the pool two workers even on one CPU (unless it exists), and
+    return the set of thread names the batches of `record` ran on."""
+    monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+    names = set()
+
+    def record(batch_fn):
+        def traced(rng, m):
+            names.add(threading.current_thread().name)
+            return batch_fn(rng, m)
+        return traced
+
+    return record, names
+
+
+def _serial(monkeypatch):
+    monkeypatch.setattr(mc, "_PARALLEL_MIN_BATCH", math.inf)
+
+
+def _pool_ran(names) -> bool:
+    return (threading.current_thread().name in names
+            and any(n.startswith("levy-stein-mc") for n in names))
+
+
+def test_pool_and_serial_loop_give_the_same_bits(on_pool, monkeypatch):
+    record, names = on_pool
+    x = lambda rng, m: rng.gamma(2.0, 0.75, m)
+
+    def pair(rng, m):
+        v = x(rng, m)
+        return v, np.sin(v)
+
+    runs = {
+        "mean": lambda: mc_mean(record(x), MC_POOL),
+        "cov": lambda: mc_cov(record(pair), MC_POOL),
+        "variance": lambda: mc_variance(record(x), MC_POOL, ORACLE),
+        "ratio": lambda: mc_ratio(record(pair), MC_POOL),
+    }
+    pooled = {name: run() for name, run in runs.items()}
+    # the numeric bracket calls mc._accumulate itself
+    edges = cacoullos_bounds(Gamma(2.0, 1.5), GAUSS, MC_POOL)
+    assert edges.method == "numeric" and _pool_ran(names)
+    _serial(monkeypatch)
+    names.clear()
+    for name, run in runs.items():
+        est = run()
+        assert (est.value, est.std_error, est.n) == (
+            pooled[name].value, pooled[name].std_error, pooled[name].n), name
+    assert names == {threading.current_thread().name}
+    assert cacoullos_bounds(Gamma(2.0, 1.5), GAUSS, MC_POOL) == edges
+
+
+def test_small_batches_stay_in_the_calling_thread(on_pool):
+    record, names = on_pool
+    mc_mean(record(lambda rng, m: rng.random(m)),
+            MCConfig(n_samples=64_000, seed=1, batch=8_000))
+    assert names == {threading.current_thread().name}
+
+
+def test_first_failing_batch_raises_as_in_the_serial_loop(on_pool,
+                                                          monkeypatch):
+    # batches 3 and 5 fail; 5 fails first in time, but batch order decides
+    record, names = on_pool
+    marks = [g.random() for g in substreams(MC_POOL)]
+
+    def batch(rng, m):
+        i = marks.index(rng.random())
+        if i == 3:
+            time.sleep(0.05)
+            raise ZeroDenominator("batch 3")
+        if i == 5:
+            raise DivergentMoment("batch 5")
+        return rng.random(m)
+
+    with pytest.raises(ZeroDenominator, match="batch 3"):
+        mc_mean(record(batch), MC_POOL)
+    assert _pool_ran(names)
+    _serial(monkeypatch)
+    with pytest.raises(ZeroDenominator, match="batch 3"):
+        mc_mean(batch, MC_POOL)
+
+
+def test_callers_errstate_reaches_the_workers(on_pool):
+    record, names = on_pool
+    seen = []
+
+    def batch(rng, m):
+        seen.append(np.geterr())
+        x = rng.random(m)
+        np.log(x - 2.0)  # invalid: a RuntimeWarning unless ignored
+        return x
+
+    with np.errstate(all="ignore"):
+        est = mc_mean(record(batch), MC_POOL)
+    assert _pool_ran(names) and est.n == MC_POOL.n_samples
+    assert all(set(err.values()) == {"ignore"} for err in seen), seen
+
+
+NESTED = """
+import threading
+import numpy as np
+from levy_stein import mc
+from levy_stein.mc import MCConfig, mc_mean
+
+mc._cpu_count = lambda: 2
+cfg = MCConfig(n_samples=100_000, seed=17, batch=20_000)
+inner = lambda rng, m: rng.random(m)
+names = set()
+
+def batch(rng, m):
+    names.add(threading.current_thread().name)
+    return np.full(m, mc_mean(inner, cfg).value)
+
+outer = mc_mean(batch, cfg)
+assert any(n.startswith("levy-stein-mc") for n in names), names
+want = mc_mean(inner, cfg).value
+assert abs(outer.value - want) <= 1e-12 * want, (outer.value, want)
+"""
+
+
+def test_estimator_inside_a_batch_returns():
+    # a batch that runs an estimator itself runs it serially in its
+    # worker, so two workers cannot wait on each other; a fresh
+    # interpreter keeps a deadlock from hanging this one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mc.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", NESTED], env=env, check=True,
+                   timeout=120)
