@@ -33,7 +33,8 @@ from . import __version__
 from .actuarial import (esscher_closed, generalized_wpcp, gini,
                         gini_variance_scale, modified_variance, wpcp)
 from .bounds import cacoullos_bounds, chen_upper_bound
-from .dist_catalog import IDDSpec, cdf_route, make_spec, spec_float
+from .dist_catalog import (IDDSpec, cdf_route, field_mismatch, make_spec,
+                           spec_float)
 from .errors import (InvalidParams, NumericFailure, ParseError,
                      ValidationError, ValidationFailure)
 from .functions import (G_REGISTRY, PARAMS, W_REGISTRY, TestFunction,
@@ -93,16 +94,9 @@ def _as_int(value, name: str) -> int:
 
 
 def _check_fields(doc: dict, required, optional, where: str) -> None:
-    got = set(doc)
-    missing = sorted(required - got)
-    extra = sorted(got - required - optional)
-    if missing or extra:
-        bits = []
-        if missing:
-            bits.append(f"missing {missing}")
-        if extra:
-            bits.append(f"unexpected {extra}")
-        raise ParseError(f"{where}: {'; '.join(bits)}")
+    mismatch = field_mismatch(doc, required, optional)
+    if mismatch:
+        raise ParseError(f"{where}: {mismatch}")
 
 
 def _positive_int(value, name: str) -> int:

@@ -1,14 +1,13 @@
 """Catalog of infinitely divisible distributions as IDD(mu, 0, nu) specs.
 
-Each family knows its Lévy triplet (a measure of atoms or tilted-power
+Each family knows only its Lévy triplet (a measure of atoms or tilted-power
 sides, and a drift constant); `IDDSpec` derives mean, variance, cf, cdf and
 the exact samplers of the convolution powers from it. The inverse Gaussian
-keeps numpy's Wald sampler; it, Laplace, the two-sided exponential and
-Poisson keep their closed cdf. Two drift conventions coexist in the
-catalog: families built from jumps of finite first moment are stored
-uncompensated (constant drift, cf kernel e^{itu} - 1), while the
-generalized tempered stable family is compensated (drift equals the mean,
-kernel e^{itu} - 1 - itu).
+keeps numpy's Wald sampler; no family writes its own cdf. Two drift
+conventions coexist in the catalog: families built from jumps of finite
+first moment are stored uncompensated (constant drift, cf kernel
+e^{itu} - 1), while the generalized tempered stable family is compensated
+(drift equals the mean, kernel e^{itu} - 1 - itu).
 `IDDSpec.drift` reads the uncompensated drift b of either; nothing else in
 the package needs to care which one a family uses.
 
@@ -16,6 +15,9 @@ A fractional convolution power X^{*s}, 0 <= s <= 1, has the scaled
 triplet (s b, 0, s nu), and `IDDSpec.sample_conv` draws it exactly from
 that triplet for every family, which is what makes the exact joint-pair
 samplers in `identities` possible.
+
+Every cdf is the triplet's closed form (`_triplet_cdf`) where it has one;
+the other laws get a `CdfTable` of a knot rule's values.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from numbers import Real
 from typing import ClassVar, Tuple, Union
 
@@ -94,14 +96,13 @@ class IDDSpec:
     family. `sample_conv(rng, s, size)` draws `size` variates of X^{*s}
     from its scaled triplet (s b, 0, s nu), at one power s per call; the
     coupled pair draws its shares with it. `sample(rng, size)` is its case
-    s = 1. `cdf_fn` returns a vectorized F: a family's `_closed_cdf`, else
-    the triplet's closed form (`_triplet_cdf`), else a table of knot values
-    (`_cdf_knots`: the COS series when a side has beta > 0, the
-    double-exponential rule of `_gamma_diff_cdf` for two beta = 0 sides).
-    The closed -> triplet choice is made once per spec, in `_exact_cdf`;
-    `_cdf` adds the table where it found none and keeps F with the route
-    that `cdf_route` prints. `cdf` is F at one point: the same closed form,
-    never the table's interpolant.
+    s = 1. The cdf rule is chosen once per spec, in `_exact_cdf`: the
+    triplet's closed form (`_triplet_cdf`), else the knot rule of a table
+    (the COS series when a side has beta > 0, the double-exponential rule
+    of `_gamma_diff_cdf` for two beta = 0 sides). `cdf_fn` returns that
+    closed F, or the `CdfTable` its knot rule fills (`_cdf`, which keeps F
+    with the route that `cdf_route` prints). `cdf` is the rule itself at
+    one point, never the table's interpolant.
     """
 
     family: ClassVar[str] = "?"
@@ -115,28 +116,31 @@ class IDDSpec:
 
     @cached_property
     def _exact_cdf(self):
-        """(F, route name): the family's `_closed_cdf` ('closed'), else the
-        triplet's (`_triplet_cdf`, 'triplet'), else (None, 'table'); chosen
-        on first use and kept as long as the spec."""
-        f = self._closed_cdf()
-        if f is not None:
-            return f, "closed"
+        """(F, rule), F exact at any finite points: the triplet's closed
+        form ('triplet'), else a table's knot rule, 'cos' when a side has
+        beta > 0 and 'double_exponential' otherwise; chosen on first use
+        and kept as long as the spec."""
         f = _triplet_cdf(self)
-        return f, "table" if f is None else "triplet"
+        if f is not None:
+            return f, "triplet"
+        if any(side.beta > 0 for _, side in self.measure.sides()):
+            return partial(_cos_cdf, self), "cos"
+        return (lambda x: _gamma_diff_cdf(self, x)[0]), "double_exponential"
 
     @cached_property
     def _cdf(self):
         """(F, route): the vectorized F of `cdf_fn` and the dict of
         `cdf_route`, built on first use and kept as long as the spec."""
-        f, name = self._exact_cdf
-        route = {"route": name}
-        if isinstance(f, _GammaMixtureCdf):
-            route.update(mixture_terms=f.terms,
-                         gammainc_calls=f.gammainc_calls)
-        elif f is None:
-            f = CdfTable(self)
+        f, rule = self._exact_cdf
+        if rule == "triplet":
+            route = {"route": rule}
+            if isinstance(f, _GammaMixtureCdf):
+                route.update(mixture_terms=f.terms,
+                             gammainc_calls=f.gammainc_calls)
+        else:
+            f = CdfTable(self, rule)
             route = {"route": "table", "range": [f.lo, f.hi],
-                     "knots": _CDF_KNOTS, "knot_rule": f.knot_rule,
+                     "knots": _CDF_KNOTS, "knot_rule": rule,
                      "knot_error_estimate": f.knot_error}
         return _finite_only(f), route
 
@@ -152,11 +156,6 @@ class IDDSpec:
         if self.drift_convention == "compensated":
             return self.drift0 - self.measure.moment(1)
         return self.drift0
-
-    def _closed_cdf(self):
-        """Closed vectorized F where the triplet's would be a table or a
-        lattice of O(lam) jump counts, or None."""
-        return None
 
     # -- shared machinery ----------------------------------------------------
 
@@ -215,21 +214,15 @@ class IDDSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def cdf(self, x: float) -> float:
-        """F(x): the spec's closed F (`_exact_cdf`) at x, or for a
-        tabulated law the table's knot rule run at x (`_point_cdf`), which
-        neither builds the table nor reads its interpolant."""
-        x = float(x)
-        if not math.isfinite(x):  # nan stays nan, -inf gives 0, +inf 1
-            return float(np.clip(x, 0.0, 1.0))
-        f = self._exact_cdf[0]
-        if f is None:
-            return _point_cdf(self, x)
-        return float(f(np.asarray([x]))[0])
+        """F(x) by the spec's one rule (`_exact_cdf`) at x: for a tabulated
+        law its knot rule, which neither builds the table nor reads its
+        interpolant."""
+        return float(_finite_only(self._exact_cdf[0])([float(x)])[0])
 
     def cdf_fn(self):
-        """Vectorized cdf: closed when the family or its triplet has one,
-        else a monotone PCHIP interpolant of the `_cdf_knots` values; one
-        object per spec (`_cdf`)."""
+        """Vectorized cdf: the triplet's closed F when it has one, else a
+        monotone PCHIP interpolant of the knot rule's values; one object per
+        spec (`_cdf`)."""
         return self._cdf[0]
 
     def tail_rates(self) -> Tuple[float, float]:
@@ -261,18 +254,67 @@ def _finite_only(f):
 
 
 def _triplet_cdf(spec: IDDSpec):
-    """Vectorized F from the triplet (nu, b), b the uncompensated drift,
-    when nu is atomic (the zero measure included) or one side with
-    beta <= 0; None otherwise."""
+    """Vectorized F at finite points from the triplet (nu, b), b the
+    uncompensated drift, or None: one atom at loc > 0 (b + loc Poisson);
+    any other atomic nu, the zero measure included (`_lattice`); one side
+    with beta <= 0 (`_GammaMixtureCdf`); one positive side with beta = 1/2
+    (b + IG); two beta = 0 sides of coefficient 1 (b + Exp - Exp)."""
     m, b = spec.measure, spec.drift
     if m.is_atomic:
+        if len(m.atoms) == 1 and m.atoms[0][0] > 0:
+            (loc, mass), = m.atoms
+            return partial(_poisson_cdf, loc, mass, b)
         pts, cum = _lattice(m.atoms)
         return lambda x: cum[np.searchsorted(pts, _as_float_array(x) - b,
                                              side="right")]
     (sign, side), *rest = m.sides()
-    if rest or side.beta > 0:
+    if not rest:
+        if side.beta <= 0:
+            return _GammaMixtureCdf(side, sign, b)
+        if side.beta == 0.5 and sign > 0:
+            return partial(_ig_cdf, *_ig_mean_shape(side.coef, side.rate), b)
         return None
-    return _GammaMixtureCdf(side, sign, b)
+    neg = rest[0][1]
+    if side.beta == neg.beta == 0 and side.coef == neg.coef == 1:
+        return partial(_two_sided_exp_cdf, side.rate, neg.rate, b)
+    return None
+
+
+def _poisson_cdf(loc: float, mass: float, b: float, x):
+    """F of b + loc N, N ~ Poisson(mass), loc > 0: exact for every mass,
+    where the lattice would sum O(mass) jump counts."""
+    t = (_as_float_array(x) - b) / loc
+    return np.where(t >= 0, gammaincc(np.floor(np.maximum(t, 0.0)) + 1.0,
+                                      mass), 0.0)
+
+
+def _ig_mean_shape(coef: float, rate: float) -> Tuple[float, float]:
+    """(mean m, shape L) of the IG law of the Lévy density coef u^{-3/2}
+    e^{-rate u}, u > 0: m = coef sqrt(pi/rate), L = 2 pi coef^2."""
+    return coef * math.sqrt(math.pi / rate), 2.0 * math.pi * coef**2
+
+
+def _ig_cdf(m: float, shape: float, b: float, x):
+    """F of b + IG(m, shape) at finite x."""
+    xs = _as_float_array(x) - b
+    out = np.zeros_like(xs)
+    ok = xs > 0
+    xs = xs[ok]
+    r = np.sqrt(shape / xs)
+    term1 = ndtr(r * (xs / m - 1.0))
+    # e^{2L/m} Phi(-r (x/m + 1)) in log space to dodge overflow
+    term2 = np.exp(2.0 * shape / m + log_ndtr(-r * (xs / m + 1.0)))
+    out[ok] = np.clip(term1 + term2, 0.0, 1.0)
+    return out
+
+
+def _two_sided_exp_cdf(rate_pos: float, rate_neg: float, b: float, x):
+    """F of b + Exp(rate_pos) - Exp(rate_neg)."""
+    t = _as_float_array(x) - b
+    total = rate_pos + rate_neg
+    return np.where(t >= 0,
+                    1.0 - (rate_neg / total) * np.exp(-rate_pos * np.abs(t)),
+                    (rate_pos / total) * np.exp(-rate_neg * np.abs(t)))
 
 
 def _poisson_weights(lam: float) -> np.ndarray:
@@ -291,18 +333,20 @@ def _poisson_weights(lam: float) -> np.ndarray:
 def _lattice(atoms: Tuple[Tuple[float, float], ...]):
     """Support points of the jump sum of the atomic measure ((loc, mass),
     ...), Poisson(int nu) jumps each at loc with probability mass / int nu,
-    and its cdf below the first point (0) and at each point."""
+    and its cdf below the first point (0) and at each point. Sums that
+    agree to 12 digits of the largest |loc| are one point, at any scale."""
     lam = sum(mass for _, mass in atoms)
     if lam == 0:
         return np.zeros(1), np.array([0.0, 1.0])
     jumps = [(loc, mass / lam) for loc, mass in atoms]
+    digits = 12 - math.floor(math.log10(max(abs(loc) for loc, _ in atoms)))
     weights = _poisson_weights(lam)
     dist, conv = defaultdict(float, {0.0: weights[0]}), {0.0: 1.0}
     for w in weights[1:]:
         nxt = defaultdict(float)
         for v, pv in conv.items():
             for loc, pj in jumps:
-                nxt[round(v + loc, 12)] += pv * pj
+                nxt[round(v + loc, digits)] += pv * pj
         conv = nxt
         for v, pv in conv.items():
             dist[v] += w * pv
@@ -420,28 +464,8 @@ class _GammaMixtureCdf:
         return out
 
 
-def _point_cdf(spec: IDDSpec, x: float) -> float:
-    """Exact F(x) of a law without a closed cdf: the COS series when a side
-    has beta > 0, else, both sides at beta = 0, the double-exponential rule
-    of `_gamma_diff_cdf` at the one point."""
-    if any(side.beta > 0 for _, side in spec.measure.sides()):
-        return _cos_cdf(spec, x)
-    return float(_gamma_diff_cdf(spec, [x])[0][0])
-
-
 # knots of every CdfTable, equispaced over its range
 _CDF_KNOTS = 2049
-
-
-def _cdf_knots(spec: IDDSpec, lo: float, hi: float):
-    """F at the _CDF_KNOTS equispaced points of [lo, hi] that a CdfTable
-    interpolates, the rule that computed them and its error estimate: one
-    COS pass, without an estimate, when a side has beta > 0, else one pass
-    of the double-exponential rule over every knot."""
-    if any(side.beta > 0 for _, side in spec.measure.sides()):
-        return _cos_cdf_knots(spec, lo, hi), "cos", None
-    vals, err = _gamma_diff_cdf(spec, np.linspace(lo, hi, _CDF_KNOTS))
-    return vals, "double_exponential", err
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -481,14 +505,19 @@ def _pchip_coefficients(x, y):
 
 
 class CdfTable:
-    """Monotone PCHIP fit of F on [lo, hi] through the `_cdf_knots` values
-    at the _CDF_KNOTS equispaced knots, clamped outside; `knot_rule` and
-    `knot_error` name the rule behind the knot values and its estimate."""
+    """Monotone PCHIP fit of F on [lo, hi] through its values at the
+    _CDF_KNOTS equispaced knots, clamped outside. The knot rule is 'cos'
+    (one DST of the COS series, `_cos_cdf_knots`, with no error estimate)
+    or 'double_exponential' (one pass of `_gamma_diff_cdf` over every
+    knot); `knot_error` is the rule's estimate."""
 
-    def __init__(self, spec: IDDSpec):
+    def __init__(self, spec: IDDSpec, rule: str):
         lo, hi = _cdf_range(spec)
         self._knots = np.linspace(lo, hi, _CDF_KNOTS)
-        vals, self.knot_rule, self.knot_error = _cdf_knots(spec, lo, hi)
+        if rule == "cos":
+            vals, self.knot_error = _cos_cdf_knots(spec, lo, hi), None
+        else:
+            vals, self.knot_error = _gamma_diff_cdf(spec, self._knots)
         vals = np.clip(vals, 0.0, 1.0)
         np.maximum.accumulate(vals, out=vals)
         self.lo, self.hi = lo, hi
@@ -533,11 +562,11 @@ def _cdf_range(spec: IDDSpec) -> Tuple[float, float]:
 
 def cdf_route(spec: IDDSpec) -> dict:
     """How `cdf_fn` evaluates F, as the spec chose it once (`_cdf`): route
-    'closed' (the family's own form), 'triplet' (the triplet's closed form)
-    or 'table'. A triplet gamma mixture adds its gamma term count and its
-    incomplete gamma calls per point; a table adds its range, knot count,
-    knot rule ('cos' or 'double_exponential') and the rule's error estimate
-    (None for the COS series)."""
+    'triplet' (the triplet's closed form) or 'table'. A triplet gamma
+    mixture adds its gamma term count and its incomplete gamma calls per
+    point; a table adds its range, knot count, knot rule ('cos' or
+    'double_exponential') and the rule's error estimate (None for the COS
+    series)."""
     return spec._cdf[1]
 
 
@@ -557,15 +586,6 @@ class Poisson(IDDSpec):
         if self.lam == 0:
             return LevyMeasure.atomic(())
         return LevyMeasure.atomic(((1.0, self.lam),))
-
-    def _closed_cdf(self):
-        # exact for every lam; the lattice would sum O(lam) jump counts
-        def f(x):
-            x = _as_float_array(x)
-            n = np.floor(np.maximum(x, 0.0))
-            return np.where(x >= 0, gammaincc(n + 1.0, self.lam), 0.0)
-
-        return f
 
 
 # -- compound Poisson --------------------------------------------------------
@@ -671,12 +691,6 @@ class InverseGaussian(IDDSpec):
     def measure(self) -> LevyMeasure:
         return LevyMeasure.from_tilted(pos=TiltedPowerSide(self.alpha, 0.5, self.lam))
 
-    def _ig_params(self, s=1.0):
-        """(mean, shape) of X^{*s}."""
-        m = s * self.alpha * math.sqrt(math.pi / self.lam)
-        shape = 2.0 * math.pi * (s * self.alpha) ** 2
-        return m, shape
-
     def sample_conv(self, rng, s, size):
         # numpy's Wald sampler: one variate per draw, where the derived
         # sampler would sum several tempered-stable pieces. X^{*0} = 0
@@ -684,28 +698,7 @@ class InverseGaussian(IDDSpec):
         s = _check_power(s)
         if s * self.alpha == 0:
             return np.zeros(size)
-        return rng.wald(*self._ig_params(s), size)
-
-    def _closed_cdf(self):
-        if self.alpha == 0:
-            return None  # the point mass at 0, from the triplet
-        m, shape = self._ig_params()
-
-        def f(x):
-            x = _as_float_array(x)
-            # F(+inf) = 1, where r (x/m - 1) below would be 0 * inf
-            out = np.where(x == np.inf, 1.0, 0.0)
-            ok = (x > 0) & (x < np.inf)
-            if np.any(ok):
-                xs = x[ok]
-                r = np.sqrt(shape / xs)
-                term1 = ndtr(r * (xs / m - 1.0))
-                # e^{2L/m} Phi(-r (x/m + 1)) in log space to dodge overflow
-                term2 = np.exp(2.0 * shape / m + log_ndtr(-r * (xs / m + 1.0)))
-                out[ok] = np.clip(term1 + term2, 0.0, 1.0)
-            return out
-
-        return f
+        return rng.wald(*_ig_mean_shape(s * self.alpha, self.lam), size)
 
 
 # -- Laplace and the two-sided exponential ------------------------------------
@@ -729,16 +722,6 @@ class Laplace(IDDSpec):
     def drift0(self) -> float:
         return self.mu0
 
-    def _closed_cdf(self):
-        mu0, delta = self.mu0, self.delta
-
-        def f(x):
-            z = (_as_float_array(x) - mu0) / delta
-            return np.where(z >= 0, 1.0 - 0.5 * np.exp(-np.abs(z)),
-                            0.5 * np.exp(-np.abs(z)))
-
-        return f
-
 
 @dataclass(frozen=True)
 class TwoSidedExp(IDDSpec):
@@ -755,16 +738,6 @@ class TwoSidedExp(IDDSpec):
     def measure(self) -> LevyMeasure:
         return LevyMeasure.from_tilted(pos=TiltedPowerSide(1.0, 0.0, self.a),
                                        neg=TiltedPowerSide(1.0, 0.0, self.b))
-
-    def _closed_cdf(self):
-        a, b = self.a, self.b
-
-        def f(x):
-            x = _as_float_array(x)
-            return np.where(x >= 0, 1.0 - (b / (a + b)) * np.exp(-a * np.abs(x)),
-                            (a / (a + b)) * np.exp(-b * np.abs(x)))
-
-        return f
 
 
 # -- bilateral gamma family ----------------------------------------------------
@@ -789,9 +762,6 @@ def _gamma_diff_cdf(spec: IDDSpec, x):
     Mori, Publ. RIMS 9, 1974), and each halving of the step reuses it.
     """
     (_, pos), (_, neg) = spec.measure.sides()
-    if pos.beta != 0 or neg.beta != 0:
-        raise InvalidParams("the two-sided gamma cdf needs beta = 0 on both "
-                            f"sides, not {pos.beta:g} and {neg.beta:g}")
     t = _as_float_array(x) - spec.drift
     log_s = -math.log(pos.rate + neg.rate)
     # u_lo: P(a, rate u) <= (rate u)^a / Gamma(a + 1) <= _DE_TAIL below it on
@@ -1120,17 +1090,24 @@ def _cos_terms(spec: IDDSpec, lo: float, hi: float):
         yield k, (2.0 / span) * (spec.cf(u) * np.exp(-1j * u * lo)).real / u
 
 
-def _cos_cdf(spec: IDDSpec, x: float) -> float:
-    """The series at one point; 0 below and 1 above the table range."""
+def _cos_cdf(spec: IDDSpec, x) -> np.ndarray:
+    """The series at the points x; 0 at or below and 1 at or above the
+    table range, where no term is summed."""
     lo, hi = _cdf_range(spec)
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
-    theta = math.pi * (x - lo) / (hi - lo)
-    val = (x - lo) / (hi - lo) + sum(float(np.dot(c, np.sin(k * theta)))
-                                     for k, c in _cos_terms(spec, lo, hi))
-    return min(max(val, 0.0), 1.0)
+    x = _as_float_array(x)
+    out = np.heaviside(x - hi, 1.0)
+    inside = (x > lo) & (x < hi)
+    if inside.any():
+        d = x[inside] - lo
+        val, theta = d / (hi - lo), math.pi * d / (hi - lo)
+        # a block of points times a chunk of terms stays within 8 MB
+        step = max(1, (1 << 20) // _COS_CHUNK)
+        for k, c in _cos_terms(spec, lo, hi):
+            for i in range(0, theta.size, step):
+                val[i:i + step] += np.sin(np.multiply.outer(
+                    theta[i:i + step], k)) @ c
+        out[inside] = np.clip(val, 0.0, 1.0)
+    return out
 
 
 def _cos_cdf_knots(spec: IDDSpec, lo: float, hi: float) -> np.ndarray:
@@ -1178,6 +1155,15 @@ def spec_float(value, name: str) -> float:
     return float(value)
 
 
+def field_mismatch(got, required, optional=frozenset()) -> str:
+    """'missing [...]; unexpected [...]' for the keys `got` against the
+    required and optional names, each part only if it is not empty."""
+    got = set(got)
+    parts = (("missing", sorted(required - got)),
+             ("unexpected", sorted(got - required - optional)))
+    return "; ".join(f"{word} {names}" for word, names in parts if names)
+
+
 def make_spec(family: str, params: dict) -> IDDSpec:
     """Build a catalog spec from plain JSON-style data, with field checks."""
     if not isinstance(family, str) or family not in FAMILIES:
@@ -1219,15 +1205,9 @@ def make_spec(family: str, params: dict) -> IDDSpec:
             raise ValidationError(
                 f"compound_poisson: unexpected jump fields {sorted(jumps)}")
     want = {f.name for f in fields(cls)}
-    got = set(params)
-    if got != want:
-        missing, extra = sorted(want - got), sorted(got - want)
-        bits = []
-        if missing:
-            bits.append(f"missing {missing}")
-        if extra:
-            bits.append(f"unexpected {extra}")
-        raise ValidationError(f"{family}: {'; '.join(bits)}; expected fields "
+    mismatch = field_mismatch(params, want)
+    if mismatch:
+        raise ValidationError(f"{family}: {mismatch}; expected fields "
                               f"{sorted(want)}")
     try:
         coerced = {k: (v if k == "jumps" else spec_float(v, k))

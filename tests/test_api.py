@@ -121,14 +121,13 @@ def test_families_draw_from_the_triplet():
     assert own == [("inverse_gaussian", "sample_conv")], own
 
 
-def test_families_keep_only_closed_cdfs():
-    # the closed-cdf hook is kept by the three laws whose triplet route
-    # would be a table, and by Poisson, whose lattice would sum O(lam) jump
-    # counts
-    own = sorted(name for name, cls in FAMILIES.items()
+def test_no_family_writes_its_own_cdf():
+    # every closed F is read off the triplet (dist_catalog._triplet_cdf):
+    # neither a family nor IDDSpec keeps a closed-cdf hook
+    own = sorted(name for name, cls in
+                 [*FAMILIES.items(), ("IDDSpec", levy_stein.IDDSpec)]
                  if "_closed_cdf" in vars(cls))
-    assert own == ["inverse_gaussian", "laplace", "poisson",
-                   "two_sided_exp"], own
+    assert not own, own
 
 
 def test_each_law_quantity_has_one_derivation():
@@ -137,14 +136,16 @@ def test_each_law_quantity_has_one_derivation():
     words = {path.name: set(re.findall(r"\w+", path.read_text("utf-8")))
              for path in sorted(SRC.glob("*.py"))}
     gone = {"conv_power", "_scaled", "_check_s", "convert_drift",
-            "lru_cache"}
+            "lru_cache", "_closed_cdf", "_point_cdf", "_cdf_knots",
+            "_ig_params"}
     found = {name: sorted(w & gone) for name, w in words.items() if w & gone}
     assert not found, found
-    # the closed -> triplet cdf choice is made once per spec, which cdf(x)
-    # reads rather than repeating it
+    # the cdf rule is chosen once per spec, which cdf(x) reads rather than
+    # repeating it, and the knot-rule test is made in that one place
     cdf = inspect.getsource(dist_catalog.IDDSpec.cdf)
-    assert "_exact_cdf" in cdf
-    assert "_closed_cdf" not in cdf and "_triplet_cdf" not in cdf
+    assert "_exact_cdf" in cdf and "_triplet_cdf" not in cdf
+    source = (SRC / "dist_catalog.py").read_text("utf-8")
+    assert source.count("side.beta > 0 for") == 1
     # levy_core reads the drift off the spec, with no import cycle
     tree = ast.parse((SRC / "levy_core.py").read_text("utf-8"))
     assert not [node for node in ast.walk(tree)
@@ -186,7 +187,6 @@ def test_no_quadrature_config_where_no_quadrature_runs():
         levy_stein.chen_upper_bound, levy_stein.wpcp,
         levy_stein.generalized_wpcp, levy_stein.gini,
         levy_stein.IDDSpec.cdf, levy_stein.IDDSpec.cdf_fn,
-        dist_catalog._point_cdf, dist_catalog._cdf_knots,
         dist_catalog.CdfTable, dist_catalog._gamma_diff_cdf]
     # parameters that every caller set to one value: exp_moment is Psi_m,
     # the oracle integrates over all of R \\ {0}, and a cdf table has a
@@ -194,8 +194,7 @@ def test_no_quadrature_config_where_no_quadrature_runs():
     dropped["subtract_one"] = [levy_core.exp_moment,
                                levy_stein.TiltedPowerSide.exp_moment]
     dropped["region"] = [quad_oracle.integrate_levy]
-    dropped["n_knots"] = [dist_catalog.CdfTable, dist_catalog._cdf_knots,
-                          dist_catalog._cos_cdf_knots]
+    dropped["n_knots"] = [dist_catalog.CdfTable, dist_catalog._cos_cdf_knots]
     kept = [(f.__qualname__, name) for name, fns in dropped.items()
             for f in fns if name in inspect.signature(f).parameters]
     assert not kept, f"parameters that set nothing: {kept}"

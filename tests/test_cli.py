@@ -753,7 +753,7 @@ def test_bracket_rows_carry_their_draws(g_name, drew):
       "params": {"rate": 1.5, "jumps": {"kind": "gamma", "a": 2.0, "b": 3.0}}},
      "triplet", None, (19, 1)),
     ({"family": "inverse_gaussian", "params": {"alpha": 1.5, "lam": 2.0}},
-     "closed", None, None),
+     "triplet", None, None),
     ({"family": "bgd", "params": {"alpha_pos": 2.0, "lam_pos": 3.0,
                                   "alpha_neg": 1.0, "lam_neg": 4.0}},
      "table", "double_exponential", None),
@@ -792,9 +792,9 @@ def test_gini_builds_its_table_once(monkeypatch):
     builds = []
     init = dist_catalog.CdfTable.__init__
 
-    def counted(self, spec):
+    def counted(self, spec, rule):
         builds.append(spec)
-        init(self, spec)
+        init(self, spec, rule)
 
     monkeypatch.setattr(dist_catalog.CdfTable, "__init__", counted)
     bgd = {"family": "bgd", "params": {"alpha_pos": 2.0, "lam_pos": 3.0,

@@ -19,9 +19,10 @@ from levy_stein import (BGD, CGMY, GTSD, VGD, AtomicJumps, CompoundPoisson,
                         InverseGaussian, Laplace, NonConvergence, Poisson,
                         TwoSidedExp, ValidationError, cumulant, make_spec,
                         vgd_from_alt, vgd_to_alt)
-from levy_stein import JointPairSampler, dist_catalog
-from levy_stein.dist_catalog import (CdfTable, VGDAltParams, _cdf_knots,
-                                     _cdf_range, _gamma_diff_cdf, _open_unit)
+from levy_stein import JointPairSampler, MCConfig, dist_catalog, gini
+from levy_stein.dist_catalog import (CdfTable, VGDAltParams, _cdf_range,
+                                     _cos_cdf, _cos_cdf_knots, _gamma_diff_cdf,
+                                     _ig_mean_shape, _open_unit, cdf_route)
 
 from quad_oracle import QuadratureConfig, integrate_levy, mean_levy
 
@@ -168,7 +169,7 @@ def test_one_sided_half_stable_sampler_is_inverse_gaussian(alpha, lam):
     # (alpha, lam), whose cdf is closed
     ig = InverseGaussian(alpha, lam)
     spec = GTSD(ig.mean(), 0.5, alpha, lam, 0.0, 1.0)
-    m, shape = ig._ig_params()
+    m, shape = _ig_mean_shape(alpha, lam)
     x = spec.sample(np.random.Generator(np.random.Philox(2024)), 200_000)
     ks = stats.kstest(x, stats.invgauss(m / shape, scale=shape).cdf)
     assert ks.pvalue > 1e-3, f"KS {ks.statistic:.2e}, p {ks.pvalue:.2e}"
@@ -179,7 +180,7 @@ def test_half_stable_conv_power_is_inverse_gaussian(alpha, lam):
     # X^{*0.3} of the half-stable GTSD of InverseGaussian(alpha, lam) is
     # InverseGaussian(0.3 alpha, lam)
     spec = GTSD(InverseGaussian(alpha, lam).mean(), 0.5, alpha, lam, 0.0, 1.0)
-    m, shape = InverseGaussian(0.3 * alpha, lam)._ig_params()
+    m, shape = _ig_mean_shape(0.3 * alpha, lam)
     x = spec.sample_conv(np.random.Generator(np.random.Philox(2025)), 0.3,
                          200_000)
     ks = stats.kstest(x, stats.invgauss(m / shape, scale=shape).cdf)
@@ -625,10 +626,10 @@ GAMMA_DIFF_SPECS = [
 @pytest.mark.parametrize("spec", GAMMA_DIFF_SPECS, ids=str)
 def test_gamma_diff_cdf_knots_against_quantile_reference(spec):
     lo, hi = _cdf_range(spec)
-    vals, rule, err = _cdf_knots(spec, lo, hi)
-    assert rule == "double_exponential" and err <= 1e-13
-    pos, neg = spec.measure.pos_structure, spec.measure.neg_structure
     x = np.linspace(lo, hi, 2049)
+    vals, err = _gamma_diff_cdf(spec, x)
+    assert spec._exact_cdf[1] == "double_exponential" and err <= 1e-13
+    pos, neg = spec.measure.pos_structure, spec.measure.neg_structure
     want = _gamma_diff_cdf_reference(x - spec.drift, pos.coef, pos.rate,
                                      neg.coef, neg.rate)
     assert np.max(np.abs(vals - want)) <= 1e-11
@@ -679,11 +680,12 @@ def test_gamma_diff_cdf_past_level_cap_raises(monkeypatch):
     (BGD(2.0, 3.0, 1.0, 4.0), "double_exponential"),
 ])
 def test_table_equals_pchip_interpolator(spec, rule):
-    table = CdfTable(spec)
+    assert spec._exact_cdf[1] == rule
+    table = CdfTable(spec, rule)
     lo, hi = table.lo, table.hi
     knots = np.linspace(lo, hi, 2049)
-    vals, got_rule, _ = _cdf_knots(spec, lo, hi)
-    assert got_rule == rule
+    vals = (_cos_cdf_knots(spec, lo, hi) if rule == "cos"
+            else _gamma_diff_cdf(spec, knots)[0])
     pchip = PchipInterpolator(knots, np.maximum.accumulate(np.clip(vals, 0, 1)))
     x = np.concatenate([
         knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
@@ -736,25 +738,88 @@ def test_pchip_coefficients_on_random_grids():
         assert np.array_equal(got, want, equal_nan=True), (x, y)
 
 
-def test_gamma_diff_cdf_needs_beta_zero_on_both_sides():
-    with pytest.raises(InvalidParams, match="beta = 0 on both sides"):
-        _gamma_diff_cdf(CGMY(1.0, 0.5, 2.0, 3.0), [0.0])
-
-
 @pytest.mark.parametrize("alpha,lam", [(1.0, 2.0), (0.3, 0.5), (2.0, 5.0)])
 def test_one_sided_half_stable_cdf_is_inverse_gaussian(alpha, lam):
     # a one-sided tempered stable law with beta = 1/2 is inverse Gaussian,
-    # so the series cdf must reproduce the closed IG cdf at the table knots,
-    # and both give 0 and 1 at -inf and +inf
+    # so the COS series, over the range a table of it would span, must
+    # reproduce the closed IG cdf at the knots and between them, and give
+    # 0 and 1 at and beyond the range ends
     ig = InverseGaussian(alpha, lam)
     spec = GTSD(ig.mean(), 0.5, alpha, lam, 0.0, 1.0)
     lo, hi = _cdf_range(spec)
-    x = np.r_[-np.inf, np.linspace(lo, hi, 2049)[1:-1], np.inf]
-    assert np.max(np.abs(spec.cdf_fn()(x) - ig.cdf_fn()(x))) < 1e-12
-    assert ig.cdf_fn()(x[[0, -1]]).tolist() == [0.0, 1.0]
-    for v in x[1::256]:
-        assert spec.cdf(float(v)) == pytest.approx(ig.cdf(float(v)),
-                                                   abs=1e-12)
+    knots = np.linspace(lo, hi, 2049)
+    assert np.max(np.abs(_cos_cdf_knots(spec, lo, hi)
+                         - ig.cdf_fn()(knots))) < 1e-12
+    x = np.r_[lo - 1.0, knots[[0, -1]], hi + 1.0,
+              0.5 * (knots[1::256] + knots[:-1:256])]
+    got = _cos_cdf(spec, x)
+    assert got[:4].tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert np.max(np.abs(got - ig.cdf_fn()(x))) < 1e-12
+
+
+def test_one_atom_cdf_is_poisson():
+    # one atom at loc > 0 is b + loc Poisson(mass), closed for every mass:
+    # 2 10^4 expected jumps, where the lattice refuses past about 9 000
+    spec = CompoundPoisson(20_000.0, AtomicJumps(((2.5, 1.0),)))
+    assert cdf_route(spec) == {"route": "triplet"}
+    x = np.linspace(2.5 * (20_000.0 - 600.0), 2.5 * (20_000.0 + 600.0), 2401)
+    want = stats.poisson(20_000.0).cdf(np.floor(x / 2.5))
+    assert np.max(np.abs(spec.cdf_fn()(x) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,lam", [(1.0, 2.0), (0.3, 0.5), (2.0, 5.0)])
+def test_one_sided_half_stable_cdf_is_closed(alpha, lam):
+    # the triplet of a positive beta = 1/2 side is b + IG(m, L) with
+    # (m, L) = (alpha sqrt(pi/lam), 2 pi alpha^2), whichever family spells
+    # it: no table, and scipy's inverse Gaussian to 1e-12
+    m, shape = alpha * math.sqrt(math.pi / lam), 2.0 * math.pi * alpha**2
+    for spec in (GTSD(m, 0.5, alpha, lam, 0.0, 1.0),
+                 InverseGaussian(alpha, lam)):
+        assert cdf_route(spec) == {"route": "triplet"}
+        lo, hi = _cdf_range(spec)
+        x = np.linspace(lo, hi, 20_001)
+        want = stats.invgauss(m / shape, scale=shape).cdf(x - spec.drift)
+        assert np.max(np.abs(spec.cdf_fn()(x) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    BGD(1.0, 3.0, 1.0, 4.0), VGD(0.2, 1.0, 3.0, 4.0), CGMY(1.0, 0.0, 2.0, 3.0),
+], ids=lambda s: s.family)
+def test_unit_shape_gamma_difference_cdf_is_two_sided_exp(spec):
+    # two beta = 0 sides of coefficient 1 are b + Exp - Exp, closed: the
+    # double-exponential rule at the table knots to 1e-12
+    assert cdf_route(spec) == {"route": "triplet"}
+    lo, hi = _cdf_range(spec)
+    x = np.linspace(lo, hi, 2049)
+    want = _gamma_diff_cdf(spec, x)[0]
+    assert np.max(np.abs(spec.cdf_fn()(x) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS
+                                  if s._exact_cdf[1] == "triplet"], ids=str)
+def test_scalar_triplet_cdf_is_cdf_fn_bit_for_bit(spec):
+    # cdf(x) and cdf_fn() run the one closed F: the same bits
+    lo, hi = _cdf_range(spec)
+    x = np.linspace(lo, hi, 2049)[::41]
+    assert [spec.cdf(float(v)) for v in x] == spec.cdf_fn()(x).tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+def test_atomic_cdf_and_gini_are_scale_free(scale):
+    # the lattice merges sums to 12 digits of the largest |loc|, so atoms
+    # at 1e-13 keep their points: F(2.5 s) = P(N1 + 2 N2 <= 2) for
+    # N1 ~ Poisson(0.72), N2 ~ Poisson(0.48), and the scale-free index
+    # reads the same at every scale: (2/mu) Cov(X, F(X)) summed over the
+    # pmf of N1 + 2 N2 is 0.4398668123
+    spec = CompoundPoisson(1.2, AtomicJumps(((scale, 0.6), (2 * scale, 0.4))))
+    want = math.exp(-1.2) * (1.0 + 0.72 + 0.72**2 / 2 + 0.48)
+    assert spec.cdf(2.5 * scale) == pytest.approx(want, rel=1e-13)
+    est = gini(spec, MCConfig(n_samples=20_000, seed=4, batch=5_000))
+    unit = gini(CompoundPoisson(1.2, AtomicJumps(((1.0, 0.6), (2.0, 0.4)))),
+                MCConfig(n_samples=20_000, seed=4, batch=5_000))
+    assert est.value == pytest.approx(unit.value, rel=1e-9)
+    assert est.std_error > 0
+    assert abs(est.value - 0.4398668123) < 4 * est.std_error
 
 
 @pytest.mark.parametrize("spec", [
@@ -769,7 +834,7 @@ def test_cdf_past_jump_count_cap_raises(spec):
 
 
 def test_poisson_cdf_exact_past_jump_count_cap():
-    # Poisson keeps its closed cdf, which needs no jump-count lattice
+    # one atom reads its closed cdf, which needs no jump-count lattice
     lam = 20_000.0
     x = np.linspace(lam - 600.0, lam + 600.0, 2401)
     F = Poisson(lam).cdf_fn()(x)
