@@ -264,9 +264,9 @@ def _triplet_cdf(spec: IDDSpec):
         if len(m.atoms) == 1 and m.atoms[0][0] > 0:
             (loc, mass), = m.atoms
             return partial(_poisson_cdf, loc, mass, b)
-        pts, cum = _lattice(m.atoms)
-        return lambda x: cum[np.searchsorted(pts, _as_float_array(x) - b,
-                                             side="right")]
+        pts, cum, tol = _lattice(m.atoms)
+        return lambda x: cum[np.searchsorted(
+            pts, _as_float_array(x) - b + tol, side="right")]
     (sign, side), *rest = m.sides()
     if not rest:
         if side.beta <= 0:
@@ -282,8 +282,11 @@ def _triplet_cdf(spec: IDDSpec):
 
 def _poisson_cdf(loc: float, mass: float, b: float, x):
     """F of b + loc N, N ~ Poisson(mass), loc > 0: exact for every mass,
-    where the lattice would sum O(mass) jump counts."""
+    where the lattice would sum O(mass) jump counts. A point within 12
+    digits of an atom b + loc k counts it, as the lattice's points do."""
     t = (_as_float_array(x) - b) / loc
+    k = np.rint(t)
+    t = np.where(np.abs(t - k) <= 1e-12 * np.maximum(1.0, np.abs(t)), k, t)
     return np.where(t >= 0, gammaincc(np.floor(np.maximum(t, 0.0)) + 1.0,
                                       mass), 0.0)
 
@@ -334,10 +337,11 @@ def _lattice(atoms: Tuple[Tuple[float, float], ...]):
     """Support points of the jump sum of the atomic measure ((loc, mass),
     ...), Poisson(int nu) jumps each at loc with probability mass / int nu,
     and its cdf below the first point (0) and at each point. Sums that
-    agree to 12 digits of the largest |loc| are one point, at any scale."""
+    agree to 12 digits of the largest |loc| are one point, at any scale,
+    and a query within tol, half that last digit, of a point counts it."""
     lam = sum(mass for _, mass in atoms)
     if lam == 0:
-        return np.zeros(1), np.array([0.0, 1.0])
+        return np.zeros(1), np.array([0.0, 1.0]), 0.0
     jumps = [(loc, mass / lam) for loc, mass in atoms]
     digits = 12 - math.floor(math.log10(max(abs(loc) for loc, _ in atoms)))
     weights = _poisson_weights(lam)
@@ -353,7 +357,7 @@ def _lattice(atoms: Tuple[Tuple[float, float], ...]):
     pts = np.array(sorted(dist))
     cum = np.cumsum([0.0] + [dist[v] for v in pts])
     cum = np.clip(cum / max(cum[-1], 1.0 - 1e-12), 0.0, 1.0)
-    return pts, cum
+    return pts, cum, 0.5 * 10.0**-digits
 
 
 # shapes an integer apart share one incomplete gamma call when at most
@@ -1100,12 +1104,8 @@ def _cos_cdf(spec: IDDSpec, x) -> np.ndarray:
     if inside.any():
         d = x[inside] - lo
         val, theta = d / (hi - lo), math.pi * d / (hi - lo)
-        # a block of points times a chunk of terms stays within 8 MB
-        step = max(1, (1 << 20) // _COS_CHUNK)
         for k, c in _cos_terms(spec, lo, hi):
-            for i in range(0, theta.size, step):
-                val[i:i + step] += np.sin(np.multiply.outer(
-                    theta[i:i + step], k)) @ c
+            val += np.sin(np.multiply.outer(theta, k)) @ c
         out[inside] = np.clip(val, 0.0, 1.0)
     return out
 

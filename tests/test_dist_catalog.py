@@ -416,11 +416,14 @@ def test_scalar_cdf_builds_one_lattice(monkeypatch):
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 def test_scalar_cdf_is_cdf_fn(spec):
     """One cdf formula per family: at 50 of the table knots (where a
-    tabulated cdf_fn reproduces its knot values) cdf(x) is cdf_fn(x)."""
+    tabulated cdf_fn reproduces its knot values) cdf(x) is cdf_fn(x), bit
+    for bit where both run the triplet's closed F."""
     lo, hi = _cdf_range(spec)
     x = np.linspace(lo, hi, 2049)[::41]
     scalar = np.array([spec.cdf(float(v)) for v in x])
     assert np.max(np.abs(scalar - spec.cdf_fn()(x))) < 1e-12
+    if spec._exact_cdf[1] == "triplet":
+        assert scalar.tolist() == spec.cdf_fn()(x).tolist()
 
 
 # ALL_SPECS plus GTSD at beta = 0 and the two laws whose cdf fell short
@@ -767,6 +770,32 @@ def test_one_atom_cdf_is_poisson():
     assert np.max(np.abs(spec.cdf_fn()(x) - want)) < 1e-12
 
 
+@pytest.mark.parametrize("loc", [0.1, 0.3])
+def test_point_on_a_non_dyadic_atom_counts_it(loc):
+    # F at the k-th point k loc counts its atom whether the point is written
+    # as a decimal or computed as fl(loc k), though 0.7 / 0.1 is 6.999...:
+    # one atom (closed) against P(N <= k), two atoms (lattice) against
+    # P(N1 + 2 N2 <= k) by counting jumps, N, N1, N2 Poisson
+    ks = np.arange(40)
+    points = (np.array([float(f"{k * loc:.1f}") for k in ks]), loc * ks)
+    one = CompoundPoisson(7.0, AtomicJumps(((loc, 1.0),)))
+    two = CompoundPoisson(1.2, AtomicJumps(((loc, 0.5), (2 * loc, 0.5))))
+    p = stats.poisson(0.6)
+    want_two = [sum(p.pmf(j) * p.cdf(k - 2 * j) for j in range(k // 2 + 1))
+                for k in ks]
+    for x in points:
+        assert np.max(np.abs(one.cdf_fn()(x)
+                             - stats.poisson(7.0).cdf(ks))) < 1e-12
+        assert np.max(np.abs(two.cdf_fn()(x) - want_two)) < 1e-12
+    # and the scale-free index reads as at unit loc
+    cfg = MCConfig(n_samples=20_000, seed=4, batch=5_000)
+    for spec in (one, two):
+        unit = CompoundPoisson(spec.rate, AtomicJumps(tuple(
+            (u / loc, w) for u, w in spec.jumps.atoms)))
+        assert gini(spec, cfg).value == pytest.approx(gini(unit, cfg).value,
+                                                      rel=1e-9)
+
+
 @pytest.mark.parametrize("alpha,lam", [(1.0, 2.0), (0.3, 0.5), (2.0, 5.0)])
 def test_one_sided_half_stable_cdf_is_closed(alpha, lam):
     # the triplet of a positive beta = 1/2 side is b + IG(m, L) with
@@ -793,15 +822,6 @@ def test_unit_shape_gamma_difference_cdf_is_two_sided_exp(spec):
     x = np.linspace(lo, hi, 2049)
     want = _gamma_diff_cdf(spec, x)[0]
     assert np.max(np.abs(spec.cdf_fn()(x) - want)) < 1e-12
-
-
-@pytest.mark.parametrize("spec", [s for s in ALL_SPECS
-                                  if s._exact_cdf[1] == "triplet"], ids=str)
-def test_scalar_triplet_cdf_is_cdf_fn_bit_for_bit(spec):
-    # cdf(x) and cdf_fn() run the one closed F: the same bits
-    lo, hi = _cdf_range(spec)
-    x = np.linspace(lo, hi, 2049)[::41]
-    assert [spec.cdf(float(v)) for v in x] == spec.cdf_fn()(x).tolist()
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
