@@ -21,7 +21,7 @@ import math
 from .dist_catalog import IDDSpec
 from .errors import DivergentMoment, InvalidParams, ZeroDenominator
 from .functions import ONE, TestFunction
-from .levy_core import exp_moment, exp_poly_mean, nu_rule
+from .levy_core import exp_moment, exp_poly_mean, exp_poly_means, nu_rule
 from .mc import ORACLE, MCConfig, MCEstimate, mc_cov, mc_mean
 
 __all__ = [
@@ -87,16 +87,17 @@ def raw_moment(base: IDDSpec, n: int) -> float:
 
 def generalized_wpcp(base: IDDSpec, n: int,
                      w: TestFunction) -> MCEstimate:
-    """H_w^(n)(X) = E[X^n w(X)] / E[w(X)], both means from `exp_poly_mean`."""
+    """H_w^(n)(X) = E[X^n w(X)] / E[w(X)], both means from `exp_poly_means`
+    with their common factor e^s taken out before the ratio."""
     if n < 1:
         raise InvalidParams("premium order n must be a positive integer")
     if not w.terms:
         raise InvalidParams(f"weight {w.name} is not an exponential "
                             "polynomial, so its premium has no closed form")
-    den = exp_poly_mean(base, w.terms)
+    num, den = exp_poly_means(base, w.terms, (n, 0), factored=True)
     if den == 0.0:
         raise ZeroDenominator("weight has zero mean under the risk law")
-    value = exp_poly_mean(base, w.terms, n) / den
+    value = num / den
     if not math.isfinite(value):
         raise DivergentMoment("premium overflows the range of a double")
     return MCEstimate(value, 0.0, 0)

@@ -128,6 +128,15 @@ class IDDSpec:
         return (lambda x: _gamma_diff_cdf(self, x)[0]), "double_exponential"
 
     @cached_property
+    def _cos_series(self) -> np.ndarray:
+        """The coefficients c_1..c_N of the COS series on `_cdf_range`
+        (`_cos_terms`), built on first use and kept as long as the spec, so
+        a scalar `cdf` repeats neither the cutoff search nor a cf term; N
+        doubles, at most _COS_MAX_TERMS."""
+        return np.concatenate([c for _, c in _cos_terms(self,
+                                                        *_cdf_range(self))])
+
+    @cached_property
     def _cdf(self):
         """(F, route): the vectorized F of `cdf_fn` and the dict of
         `cdf_route`, built on first use and kept as long as the spec."""
@@ -1095,16 +1104,20 @@ def _cos_terms(spec: IDDSpec, lo: float, hi: float):
 
 
 def _cos_cdf(spec: IDDSpec, x) -> np.ndarray:
-    """The series at the points x; 0 at or below and 1 at or above the
-    table range, where no term is summed."""
+    """The series the spec keeps (`_cos_series`) at the points x, summed in
+    chunks of _COS_CHUNK terms; 0 at or below and 1 at or above the table
+    range, where no term is summed or built."""
     lo, hi = _cdf_range(spec)
     x = _as_float_array(x)
     out = np.heaviside(x - hi, 1.0)
     inside = (x > lo) & (x < hi)
     if inside.any():
+        coef = spec._cos_series
         d = x[inside] - lo
         val, theta = d / (hi - lo), math.pi * d / (hi - lo)
-        for k, c in _cos_terms(spec, lo, hi):
+        for start in range(0, coef.size, _COS_CHUNK):
+            c = coef[start:start + _COS_CHUNK]
+            k = np.arange(start + 1, start + 1 + c.size)
             val += np.sin(np.multiply.outer(theta, k)) @ c
         out[inside] = np.clip(val, 0.0, 1.0)
     return out

@@ -672,29 +672,51 @@ def exp_poly_mean(spec, terms, n: int = 0) -> float:
     Lévy decay rate, or a value beyond the range of a double, raises
     DivergentMoment.
     """
-    if n < 0:
+    return exp_poly_means(spec, terms, (n,))[0]
+
+
+def exp_poly_means(spec, terms, orders, factored: bool = False) -> list:
+    """E[X^n g(X)] for each n in orders, as `exp_poly_mean` reads it.
+
+    With factored, each mean is divided by one common e^s, s the largest
+    Re log M(z) = Re(z b + Psi_0(z)) over the distinct z of the terms, so
+    a ratio of two of them is formed before M(z) can overflow or underflow:
+    under Poisson(7e4) with g = e^{0.01 x}, M(0.01) = e^{703.5} alone is a
+    double, but M(0.01) E X is not.
+    """
+    if min(orders) < 0:
         raise InvalidParams("moment order must be a nonnegative integer")
     by_z = defaultdict(list)
     for a, p, z in terms:
-        by_z[complex(z)].append((complex(a), n + p))
-    measure, value = spec.measure, 0j
-    b = spec.drift
+        by_z[complex(z)].append((complex(a), p))
+    measure, b = spec.measure, spec.drift
+    values = [0j] * len(orders)
     try:
         with np.errstate(all="ignore"):
-            for z, parts in by_z.items():
+            parts = []  # (log M(z), the Bell sum of each order) per z
+            for z, pieces in by_z.items():
+                top = max(orders) + max(p for _, p in pieces)
                 kappa = [complex(exp_moment(measure, j, z, minus_one=j == 0))
-                         for j in range(max(q for _, q in parts) + 1)]
+                         for j in range(top + 1)]
                 bell = [1.0, *moments_from_cumulants(
                     [kappa[j] + (b if j == 1 else 0.0)
                      for j in range(1, len(kappa))])]
-                value += (np.exp(z * b + kappa[0])
-                          * sum(a * bell[q] for a, q in parts))
+                parts.append((z * b + kappa[0],
+                              [sum(a * bell[n + p] for a, p in pieces)
+                               for n in orders]))
+            s = max((w.real for w, _ in parts), default=0.0) if factored \
+                else 0.0
+            s = s if math.isfinite(s) else 0.0  # M(z) of 0 or inf stays so
+            for w, sums in parts:
+                scale = np.exp(w - s)
+                values = [v + scale * t for v, t in zip(values, sums)]
     except OverflowError:  # C(q - 1, i - 1) beyond the range of a double
-        value = math.inf
-    if not np.isfinite(value):
-        raise DivergentMoment(
-            f"E[X^{n} g(X)] of order {n} overflows the range of a double")
-    return float(value.real)
+        values = [math.inf] * len(orders)
+    for n, value in zip(orders, values):
+        if not np.isfinite(value):
+            raise DivergentMoment(
+                f"E[X^{n} g(X)] of order {n} overflows the range of a double")
+    return [float(value.real) for value in values]
 
 
 @dataclass(frozen=True)

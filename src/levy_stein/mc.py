@@ -1,9 +1,12 @@
 """Monte Carlo plumbing: configs, estimates, one mergeable accumulator.
 
 Every estimator runs one batch loop. Batch sizes differ by at most one, and
-each batch draws from its own counter-derived substream (SeedSequence.spawn
-+ Philox) into one accumulator, `Moments`, that merges into the pooled one
-by Chan's update; so a run is deterministic for a fixed seed and batch size.
+each batch draws from its own substream into one accumulator, `Moments`,
+that merges into the pooled one by Chan's update; so a run is deterministic
+for a fixed seed and batch size. A substream is an SFC64 generator seeded
+by one spawn key of SeedSequence(seed): independence comes from the spawn
+keys alone (no stream is ever jumped or advanced), and SFC64 is the fastest
+of numpy's bit generators.
 
 Estimates that are set side by side draw from different roles (ESTIMATE,
 ORACLE, DENOMINATOR, BOUND). All roles derive from the one
@@ -27,6 +30,7 @@ Carlo theory, methods and examples, ch. 2); a plain mean has grad = (1).
 from __future__ import annotations
 
 import contextvars
+import copy
 import math
 import os
 import threading
@@ -119,25 +123,36 @@ ESTIMATE, ORACLE, DENOMINATOR, BOUND = range(4)
 
 def substreams(cfg: MCConfig,
                role: int = ESTIMATE) -> Iterator[np.random.Generator]:
-    """One Philox generator per batch. Batch i of the ESTIMATE role draws
+    """One SFC64 generator per batch. Batch i of the ESTIMATE role draws
     from spawn key (i,) of SeedSequence(seed); batch i of role r > 0 from
-    spawn key (r, i)."""
+    spawn key (r, i). The keys make the streams independent, so the bit
+    generator is chosen for speed alone."""
     n_batches = sum(1 for _ in batch_sizes(cfg))
     root = np.random.SeedSequence(int(cfg.seed),
                                   spawn_key=(role,) if role else ())
     for child in root.spawn(n_batches):
-        yield np.random.Generator(np.random.Philox(child))
+        yield np.random.Generator(np.random.SFC64(child))
 
 
 class Moments:
     """Count, means and co-moments of k jointly drawn columns, mergeable by
     the pairwise update of Chan, Golub & LeVeque (1983). comoment[i][j] is
-    the sum of (x_i - mean_i)(x_j - mean_j) over the rows seen."""
+    the sum of (x_i - mean_i)(x_j - mean_j) over the rows seen.
+
+    Column i is held times 2^scale[i] >= 1: each batch takes the power of
+    two, a multiple of 2^256, that brings its largest |x_i| into
+    (2^-256, 1] if it is smaller (`_scale_of`), and a merge keeps the
+    smaller power of the two. So the squares of a column near the underflow
+    threshold stay normal, while a column that overflows still does; and
+    since a power of two is exact, `mean`, `comoment`, `cov` and the SE of
+    `estimate` read the same bits as unscaled sums wherever those do not
+    underflow."""
 
     def __init__(self, k: int):
         self.n = 0
-        self.mean = [0.0] * k
-        self.comoment = [[0.0] * k for _ in range(k)]
+        self.scale = [0] * k
+        self._mean = [0.0] * k
+        self._comoment = [[0.0] * k for _ in range(k)]
 
     @classmethod
     def of(cls, columns) -> "Moments":
@@ -150,39 +165,111 @@ class Moments:
         # an overflow leaves a non-finite mean or SE, which MCEstimate
         # raises as DivergentMoment
         with np.errstate(over="ignore", invalid="ignore"):
-            acc.mean = [float(c.mean()) for c in cols]
-            dev = [c - mu for c, mu in zip(cols, acc.mean)]
+            for i, c in enumerate(cols):
+                mu = float(c.mean())
+                # a mean at or above 2^-256 puts the largest |x| there too,
+                # so only a smaller (or nan) mean asks for the scale
+                if not abs(mu) >= 2.0**-_SCALE_STEP:
+                    acc.scale[i] = _scale_of(max(c.max(), -c.min()))
+                    if acc.scale[i]:
+                        cols[i] = np.ldexp(c, acc.scale[i])
+                        mu = float(cols[i].mean())
+                acc._mean[i] = mu
+            dev = [c - mu for c, mu in zip(cols, acc._mean)]
             prod = np.empty_like(dev[0])  # one buffer for every product
             for i, di in enumerate(dev):
                 for j in range(i, len(dev)):
-                    acc.comoment[i][j] = acc.comoment[j][i] = float(
+                    acc._comoment[i][j] = acc._comoment[j][i] = float(
                         np.multiply(di, dev[j], out=prod).sum())
         return acc
+
+    def _rescale(self, scale) -> None:
+        shift = [e - s for e, s in zip(scale, self.scale)]
+        self._mean = [_ldexp(mu, d) for mu, d in zip(self._mean, shift)]
+        self._comoment = [[_ldexp(c, di + dj) for c, dj in zip(row, shift)]
+                          for row, di in zip(self._comoment, shift)]
+        self.scale = list(scale)
 
     def merge(self, other: "Moments") -> None:
         if other.n == 0:
             return
+        if self.n == 0:
+            self.scale = list(other.scale)  # an empty sum has every scale
+        if self.scale != other.scale:
+            scale = [min(a, b) for a, b in zip(self.scale, other.scale)]
+            self._rescale(scale)
+            other = copy.deepcopy(other)
+            other._rescale(scale)
         m, tot = other.n, self.n + other.n
-        delta = [b - a for a, b in zip(self.mean, other.mean)]
+        delta = [b - a for a, b in zip(self._mean, other._mean)]
         for i, di in enumerate(delta):
             for j in range(i, len(delta)):
-                self.comoment[i][j] += (other.comoment[i][j]
-                                        + di * delta[j] * self.n * m / tot)
-                self.comoment[j][i] = self.comoment[i][j]
-            self.mean[i] += di * m / tot
+                self._comoment[i][j] += (other._comoment[i][j]
+                                         + di * delta[j] * self.n * m / tot)
+                self._comoment[j][i] = self._comoment[i][j]
+            self._mean[i] += di * m / tot
         self.n = tot
+
+    @property
+    def mean(self) -> list:
+        return [_ldexp(mu, -e) for mu, e in zip(self._mean, self.scale)]
+
+    @property
+    def comoment(self) -> list:
+        return [[_ldexp(c, -ei - ej) for c, ej in zip(row, self.scale)]
+                for row, ei in zip(self._comoment, self.scale)]
 
     def cov(self, i: int = 0, j: int = 0) -> float:
         """Sample covariance of columns i and j (variance when i == j)."""
-        return self.comoment[i][j] / (self.n - 1) if self.n > 1 else 0.0
+        if self.n < 2:
+            return 0.0
+        return _ldexp(self._comoment[i][j] / (self.n - 1),
+                      -self.scale[i] - self.scale[j])
 
     def estimate(self, value: float, grad) -> MCEstimate:
-        """value = f(means), with the delta-method SE for grad = f'(means)."""
-        var = sum(wi * wj * self.cov(i, j) for i, wi in enumerate(grad)
-                  for j, wj in enumerate(grad))
+        """value = f(means), with the delta-method SE for grad = f'(means).
+        The quadratic form is summed over the scaled columns, with the
+        gradient times the one power of two 2^t >= 1 that brings its
+        largest entry up near 1, so it stays normal where the variance
+        would underflow."""
+        if self.n < 2:
+            return MCEstimate(value=value, std_error=0.0, n=self.n)
+        t = max(0, min((_exponent(g) + e for g, e in zip(grad, self.scale)
+                        if g != 0.0), default=0))
+        h = [_ldexp(g, t - e) for g, e in zip(grad, self.scale)]
+        var = sum(hi * hj * (self._comoment[i][j] / (self.n - 1))
+                  for i, hi in enumerate(h) for j, hj in enumerate(h))
         # rounding can leave a zero variance slightly negative
-        se = math.sqrt(max(var, 0.0) / self.n) if self.n > 0 else 0.0
+        se = _ldexp(math.sqrt(max(var, 0.0) / self.n), -t)
         return MCEstimate(value=value, std_error=se, n=self.n)
+
+
+# the scale of an all-zero column, above that of any nonzero double, so a
+# merge keeps the other side's
+_ZERO_SCALE = 2000
+# column scales are multiples of this: a column whose largest |x| is above
+# 2^-256 keeps scale 0, so batches of ordinary size rarely differ in scale
+_SCALE_STEP = 256
+
+
+def _scale_of(top: float) -> int:
+    """The column scale for a largest |x| of top: the multiple of
+    _SCALE_STEP at or below e >= 0 with top 2^e near 1."""
+    return max(0, _exponent(top)) // _SCALE_STEP * _SCALE_STEP
+
+
+def _exponent(x: float) -> int:
+    """e with |x| 2^e in [1/2, 1); 0 for a non-finite x."""
+    x = float(x)
+    if x == 0.0:
+        return _ZERO_SCALE
+    return -math.frexp(x)[1] if math.isfinite(x) else 0
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e, inf where that leaves the range of a double."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, e))
 
 
 # batches this large run on the pool; on smaller ones a thread costs more
@@ -236,7 +323,7 @@ def _accumulate(batch_fn, cfg: MCConfig, role: int) -> Moments:
     jobs = zip(substreams(cfg, role), batch_sizes(cfg))
     rng, m = next(jobs)
     first = Moments.of(batch_fn(rng, m))
-    pooled = Moments(len(first.mean))
+    pooled = Moments(len(first.scale))
     pooled.merge(first)
     for batch in _batch_map(lambda job: Moments.of(batch_fn(*job)), jobs, m):
         pooled.merge(batch)
@@ -292,5 +379,9 @@ def mc_variance(batch_fn: Callable[[np.random.Generator, int], np.ndarray],
 
 
 def combine_se(*estimates: MCEstimate) -> float:
-    """Joint SE of a difference/sum of independent estimates."""
-    return float(np.sqrt(sum(e.std_error**2 for e in estimates)))
+    """Joint SE of a difference/sum of independent estimates. SEs below 1
+    are summed in units of the largest (a power of two), so their squares
+    stay normal."""
+    t = max(0, min((_exponent(e.std_error) for e in estimates), default=0))
+    return _ldexp(math.sqrt(sum(_ldexp(e.std_error, t)**2
+                                for e in estimates)), -t)

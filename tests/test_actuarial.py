@@ -184,6 +184,17 @@ def test_premium_overflow_names_the_order():
         wpcp(Laplace(-1e-300 + 1e-315, 1.0), make_shift(1e-300))
 
 
+def test_premium_whose_means_overflow_before_the_ratio():
+    # under Poisson(7e4), M(0.01) = e^{703.5} is a double but M(0.01) E X
+    # is not; the premium itself is lam e^kappa
+    spec, w = Poisson(7e4), make_exp_tilt(0.01)
+    want = 7e4 * math.exp(0.01)
+    assert rel_err(esscher_closed(spec, 0.01).value, want) < 1e-12
+    for rep in (wpcp(spec, w), generalized_wpcp(spec, 1, w)):
+        assert rel_err(rep.value, want) < 1e-12
+        assert rep.method == "closed_form"
+
+
 def test_generalized_wpcp_order_validation():
     with pytest.raises(InvalidParams):
         generalized_wpcp(Gamma(2.0, 1.0), 0, make_shift(1.0))

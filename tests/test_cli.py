@@ -433,6 +433,24 @@ def test_main_stein_near_beta_one_exits_numeric(tmp_path, capsysbinary,
     assert b"numeric failure" in captured.err and b"beta=0.99" in captured.err
 
 
+def test_identity_far_in_gauss_tails_has_a_finite_z():
+    # at mean 50 and sd 6.8, g(x) = e^{-x^2/2} is about 1e-290 at most and
+    # every column's square would underflow: both rows must keep an SE of
+    # their own size and the z-score must stay finite
+    doc = minimal_doc(
+        distribution={"family": "bgd", "params": {
+            "alpha_pos": 300, "lam_pos": 3, "alpha_neg": 200,
+            "lam_neg": 4}},
+        task={"kind": "verify-identity", "n": 1, "g_name": "gauss"},
+        mc={"n_samples": 2000, "seed": 1, "batch": 500})
+    rows = {r["name"]: r for r in run_task(build_spec(doc))["results"]}
+    for name in ("identity_rhs", "oracle"):
+        row = rows[name]
+        assert row["value"] == 0.0 or row["std_error"] > 0.0, name
+    z = rows["z_score"]["value"]
+    assert isinstance(z, float) and abs(z) <= 4.0
+
+
 def test_stein_sin_near_beta_one_takes_closed_route():
     # sin has a closed inner integral, so beta = 0.99 needs no rule; a
     # variate there costs about 100 times its cost at beta = 0.5, so n is

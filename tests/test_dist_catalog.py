@@ -413,6 +413,27 @@ def test_scalar_cdf_builds_one_lattice(monkeypatch):
     assert len(calls) == 1
 
 
+def test_scalar_cos_cdf_keeps_its_series(monkeypatch):
+    # the range, the cf cutoff and every cf term are found once per spec,
+    # and each value is the series summed afresh, bit for bit
+    calls = []
+    cutoff = dist_catalog._cf_cutoff
+    monkeypatch.setattr(dist_catalog, "_cf_cutoff",
+                        lambda spec: calls.append(spec) or cutoff(spec))
+    spec = CGMY(1.0, 0.5, 2.0, 3.0)
+    lo, hi = _cdf_range(spec)
+    x = np.r_[0.1, np.linspace(-2.0, 2.0, 19)]
+    got = [spec.cdf(float(v)) for v in x]
+    assert len(calls) == 1 and spec._exact_cdf[1] == "cos"
+    monkeypatch.undo()
+    for v, f in zip(x, got):
+        d = v - lo
+        val, theta = d / (hi - lo), math.pi * d / (hi - lo)
+        for k, c in dist_catalog._cos_terms(spec, lo, hi):
+            val += np.sin(np.multiply.outer(np.array([theta]), k)) @ c
+        assert f == float(np.clip(val, 0.0, 1.0)[0]), v
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 def test_scalar_cdf_is_cdf_fn(spec):
     """One cdf formula per family: at 50 of the table knots (where a

@@ -135,7 +135,7 @@ def test_roles_draw_from_distinct_streams():
     # the estimate keeps the plain children of SeedSequence(seed)
     child = np.random.SeedSequence(7).spawn(1)[0]
     assert this_seed[0] == tuple(
-        np.random.Generator(np.random.Philox(child)).random(4))
+        np.random.Generator(np.random.SFC64(child)).random(4))
 
 
 # -- accumulators ---------------------------------------------------------------
@@ -204,6 +204,71 @@ def test_bivariate_welford_matches_numpy():
     assert abs(acc.cov(0, 1) - want[0, 1]) < 1e-12
     assert acc.cov(1, 0) == acc.cov(0, 1)
     assert abs(acc.cov(1, 1) - want[1, 1]) < 1e-12
+
+
+class _Unscaled:
+    """The accumulator on unscaled columns: numpy means and co-moments of
+    each batch, merged by Chan's update in Moments' order of operations."""
+
+    def __init__(self, k):
+        self.n, self.mean = 0, [0.0] * k
+        self.comoment = [[0.0] * k for _ in range(k)]
+
+    def add(self, cols):
+        m, tot = cols[0].size, self.n + cols[0].size
+        mu = [float(c.mean()) for c in cols]
+        dev = [c - x for c, x in zip(cols, mu)]
+        delta = [b - a for a, b in zip(self.mean, mu)]
+        for i, di in enumerate(delta):
+            for j in range(i, len(delta)):
+                self.comoment[i][j] += (float((dev[i] * dev[j]).sum())
+                                        + di * delta[j] * self.n * m / tot)
+                self.comoment[j][i] = self.comoment[i][j]
+            self.mean[i] += di * m / tot
+        self.n = tot
+
+
+def test_scaled_moments_are_bit_identical_where_nothing_underflows():
+    # columns from 1e-120 to 1e120 in batches of unequal sizes: every
+    # power-of-two scale is exact, so each mean, co-moment, covariance and
+    # SE has the bits of the unscaled sums
+    rng = np.random.default_rng(5)
+    x = rng.gamma(2.0, 1.5, size=9_001)
+    cols = (1e-120 * x, np.sin(x), 1e120 * (x - 3.0), 1e-60 * x * x)
+    acc, plain = Moments(len(cols)), _Unscaled(len(cols))
+    for chunk in zip(*(np.array_split(c, [1000, 1001, 4000, 8000])
+                       for c in cols)):
+        acc.merge(Moments.of(chunk))
+        plain.add(chunk)
+    # the column below 2^-256 is scaled up, the others are not
+    assert acc.scale == [256, 0, 0, 0]
+    assert acc.n == plain.n and acc.mean == plain.mean
+    assert acc.comoment == plain.comoment
+    for i in range(len(cols)):
+        for j in range(len(cols)):
+            assert acc.cov(i, j) == plain.comoment[i][j] / (plain.n - 1)
+    grad = (2.0, -0.5, 1e-110, 3e115)
+    var = sum(gi * gj * (plain.comoment[i][j] / (plain.n - 1))
+              for i, gi in enumerate(grad) for j, gj in enumerate(grad))
+    assert acc.estimate(1.0, grad).std_error == math.sqrt(var / plain.n)
+
+
+def test_moments_of_a_column_whose_squares_underflow():
+    # the SE of a mean of y 2^-700 is that of y times 2^-700, although
+    # every square of y 2^-700 is below the smallest double
+    rng = np.random.default_rng(6)
+    y = rng.standard_normal(4_000)
+    tiny, plain = Moments(2), Moments(2)
+    for part in np.array_split(y, 4):
+        tiny.merge(Moments.of((np.ldexp(part, -700), part)))
+        plain.merge(Moments.of((part, part)))
+    assert np.all(np.ldexp(y, -700) ** 2 < np.finfo(float).tiny)
+    want = plain.estimate(plain.mean[0], (1.0, 0.0)).std_error
+    got = tiny.estimate(tiny.mean[0], (1.0, 0.0)).std_error
+    assert got > 0.0 and rel_err(np.ldexp(got, 700), want) < 1e-15
+    assert rel_err(np.ldexp(tiny.cov(0, 1), 700), plain.cov(0, 1)) < 1e-15
+    assert combine_se(MCEstimate(0.0, got, 1), MCEstimate(0.0, got, 1)) \
+        == np.ldexp(want * math.sqrt(2.0), -700)
 
 
 # -- estimators -----------------------------------------------------------------
